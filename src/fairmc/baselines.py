@@ -9,8 +9,11 @@ total energy.  Cluster moves need an interaction graph, so models with
 
 WalkSAT flips variables of uniformly chosen unsatisfied clauses: a random
 variable with probability `noise_p`, otherwise the variant's greedy pick.
-Enumeration mode alternates solving with blocking clauses until the exact
-enumerator confirms the blocked formula UNSAT.
+Enumeration mode alternates solving with blocking clauses until as many
+distinct solutions have been found as the exact enumerator counts up front.
+Blocking clauses are kept as a table of blocked solutions rather than as
+width-n clauses, with the same unsatisfied-clause order and flip scores as
+the appended clauses would give, so every random draw is unchanged.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from fairmc.ising import IsingModel, SpinConfig, energy_of_bits
 from fairmc.mcmc import ChainTrace, _TraceBuilder
-from fairmc.sat import CnfFormula, add_blocking_clause, enumerate_solutions
+from fairmc.sat import Clause, CnfFormula, enumerate_solutions
 
 
 class UnsupportedModelError(ValueError):
@@ -86,10 +89,15 @@ def _interaction_adjacency(model: IsingModel) -> list[list[int]]:
     return adj
 
 
-def _houdayer_cluster(bits_a: int, bits_b: int, adj, start: int) -> int:
-    """Mask of the start site's connected component inside the anti-aligned
-    (overlap -1) domain of the two replicas."""
+def _houdayer_cluster(bits_a: int, bits_b: int, adj, rng) -> int:
+    """Mask of a uniformly chosen anti-aligned site's connected component
+    inside the anti-aligned (overlap -1) domain of the two replicas; 0 (and
+    no random draw) when the replicas are equal."""
     diff = bits_a ^ bits_b
+    if diff == 0:
+        return 0
+    sites = [i for i in range(len(adj)) if diff >> i & 1]
+    start = sites[int(rng.random() * len(sites)) % len(sites)]
     cluster = 1 << start
     stack = [start]
     while stack:
@@ -112,12 +120,9 @@ def icm_move(
     a no-op.
     """
     adj = _interaction_adjacency(model)
-    diff = replica_a.bits ^ replica_b.bits
-    if diff == 0:
+    cluster = _houdayer_cluster(replica_a.bits, replica_b.bits, adj, rng)
+    if cluster == 0:
         return replica_a, replica_b
-    sites = [i for i in range(model.n_sites) if diff >> i & 1]
-    start = sites[int(rng.random() * len(sites)) % len(sites)]
-    cluster = _houdayer_cluster(replica_a.bits, replica_b.bits, adj, start)
     return (
         SpinConfig(replica_a.bits ^ cluster, model.n_sites),
         SpinConfig(replica_b.bits ^ cluster, model.n_sites),
@@ -212,17 +217,17 @@ def pt_icm_run(
             for ti in range(n_temps):
                 stats.icm_attempts += 1
                 stats.total_transitions += 1
-                a = SpinConfig(bits[0][ti], n)
-                b = SpinConfig(bits[1][ti], n)
-                new_a, new_b = icm_move(a, b, model, rng)
-                if new_a.bits != a.bits:
+                # the Houdayer move of icm_move, on the adjacency built above
+                cluster = _houdayer_cluster(bits[0][ti], bits[1][ti], adj, rng)
+                if cluster:
                     stats.icm_moves += 1
-                    bits[0][ti], bits[1][ti] = new_a.bits, new_b.bits
-                    energies[0][ti] = energy_of_bits(model, new_a.bits)
-                    energies[1][ti] = energy_of_bits(model, new_b.bits)
+                    bits[0][ti] ^= cluster
+                    bits[1][ti] ^= cluster
+                    energies[0][ti] = energy_of_bits(model, bits[0][ti])
+                    energies[1][ti] = energy_of_bits(model, bits[1][ti])
                 if ti == cold:
                     builder.record(
-                        bits[0][cold], energies[0][cold], new_a.bits != a.bits, icm_tag
+                        bits[0][cold], energies[0][cold], bool(cluster), icm_tag
                     )
 
     trace = builder.build(steps)
@@ -260,26 +265,72 @@ class WalkSatResult:
         return self.solution is not None
 
 
-class _Assignment:
-    """Incremental truth-count bookkeeping for flip scoring."""
+def _true_count(clause: Clause, bits: int) -> int:
+    return sum((bits >> lit.variable & 1) != lit.negated for lit in clause.literals)
 
-    def __init__(self, formula: CnfFormula, bits: int):
+
+class _Assignment:
+    """Incremental truth-count bookkeeping for flip scoring.
+
+    Blocked solutions (see `block`) stand for blocking clauses appended after
+    the formula's own.  The blocking clause of solution s holds all n
+    variables and is false only at s, so its truth count is the Hamming
+    distance to s: it is unsatisfied iff bits == s, flipping v breaks it iff
+    bits ^ (1 << v) == s, makes it (make1) iff bits == s, and brings it to
+    one true literal (make2) iff bits ^ (1 << u) == s for some u != v.
+    Blocking clauses are numbered after the formula's clauses in blocking
+    order and their events are applied after the formula's, so `unsat`
+    keeps the order that the appended clauses would give.
+    """
+
+    def __init__(self, formula: CnfFormula, bits: int = 0):
         self.n = formula.n_vars
-        self.bits = bits
         self.clauses = formula.clauses
+        self.clause_vars = [c.variables() for c in self.clauses]
+        self.all_vars = tuple(range(self.n))  # a blocking clause's variables
         # occ[v] = [(clause index, literal is positive)]
         self.occ: list[list[tuple[int, bool]]] = [[] for _ in range(self.n)]
-        self.true_count = [0] * len(self.clauses)
         for ci, c in enumerate(self.clauses):
             for lit in c.literals:
                 self.occ[lit.variable].append((ci, not lit.negated))
-                if (bits >> lit.variable & 1) == (0 if lit.negated else 1):
-                    self.true_count[ci] += 1
+        self.blocked: dict[int, int] = {}  # solution bits -> clause index
+        self._near_of: int | None = None  # bits that `_near` was computed for
+        self._near = 0
+        self.reset(bits)
+
+    def reset(self, bits: int) -> None:
+        """Recount every clause at a new assignment."""
+        self.bits = bits
+        self.true_count = [_true_count(c, bits) for c in self.clauses]
         self.unsat = [ci for ci, tc in enumerate(self.true_count) if tc == 0]
+        if bits in self.blocked:
+            self.unsat.append(self.blocked[bits])
         self.unsat_pos = {ci: i for i, ci in enumerate(self.unsat)}
+
+    def block(self, solution_bits: int) -> None:
+        """Append the blocking clause of `solution_bits` (false only there)."""
+        if not all(_true_count(c, solution_bits) for c in self.clauses):
+            raise ValueError("blocking clause requires a satisfying assignment")
+        ci = len(self.clauses) + len(self.blocked)
+        self.blocked[solution_bits] = ci
+        self._near_of = None
+        if self.bits == solution_bits:
+            self._toggle(ci)
+
+    def variables(self, ci: int) -> tuple[int, ...]:
+        return self.clause_vars[ci] if ci < len(self.clause_vars) else self.all_vars
 
     def lit_true(self, v: int, positive: bool) -> bool:
         return (self.bits >> v & 1) == (1 if positive else 0)
+
+    def _blocked_neighbors(self) -> int:
+        """Mask of the variables whose flip lands on a blocked solution."""
+        if self._near_of != self.bits:
+            self._near_of = self.bits
+            self._near = sum(
+                1 << u for u in range(self.n) if self.bits ^ (1 << u) in self.blocked
+            )
+        return self._near
 
     def scores(self, v: int) -> tuple[int, int, int]:
         """(break, make1, make2) when flipping variable v."""
@@ -294,25 +345,47 @@ class _Assignment:
                     mk1 += 1
                 elif tc == 1:
                     mk2 += 1
+        if self.blocked:
+            near = self._blocked_neighbors()
+            lands = near >> v & 1
+            brk += lands
+            mk1 += self.bits in self.blocked
+            mk2 += near.bit_count() - lands
         return brk, mk1, mk2
+
+    def _toggle(self, ci: int) -> None:
+        """Move clause ci into or out of `unsat` (swap-remove)."""
+        pos = self.unsat_pos.pop(ci, None)
+        if pos is None:
+            self.unsat_pos[ci] = len(self.unsat)
+            self.unsat.append(ci)
+            return
+        last = self.unsat[-1]
+        self.unsat[pos] = last
+        if last != ci:
+            self.unsat_pos[last] = pos
+        self.unsat.pop()
 
     def flip(self, v: int) -> None:
         for ci, positive in self.occ[v]:
             if self.lit_true(v, positive):
                 self.true_count[ci] -= 1
                 if self.true_count[ci] == 0:
-                    self.unsat_pos[ci] = len(self.unsat)
-                    self.unsat.append(ci)
+                    self._toggle(ci)
             else:
                 self.true_count[ci] += 1
                 if self.true_count[ci] == 1:
-                    pos = self.unsat_pos.pop(ci)
-                    last = self.unsat[-1]
-                    self.unsat[pos] = last
-                    if last != ci:
-                        self.unsat_pos[last] = pos
-                    self.unsat.pop()
+                    self._toggle(ci)
+        left = self.bits
         self.bits ^= 1 << v
+        if self.blocked:
+            # the blocking clause of the solution left is satisfied again, the
+            # one of the solution entered is broken; blocked solutions satisfy
+            # every base clause, so at most one clause is unsatisfied when
+            # either happens and the order of the two does not matter
+            for ci in (self.blocked.get(left), self.blocked.get(self.bits)):
+                if ci is not None:
+                    self._toggle(ci)
 
 
 def _pick_variable(asg: _Assignment, clause_vars, cfg: WalkSatConfig, rng) -> int:
@@ -338,10 +411,16 @@ def walksat_run(
     cfg: WalkSatConfig,
     rng: random.Random | None = None,
     record_unsat: bool = False,
+    assignment: _Assignment | None = None,
 ) -> WalkSatResult:
-    """Stochastic local search from a uniform random assignment."""
+    """Stochastic local search from a uniform random assignment.
+
+    `assignment`, built over `formula`, carries the clause bookkeeping and
+    the blocked solutions from one run of an enumeration to the next.
+    """
     rng = rng or random.Random(cfg.rng_seed)
-    asg = _Assignment(formula, rng.getrandbits(formula.n_vars))
+    asg = assignment if assignment is not None else _Assignment(formula)
+    asg.reset(rng.getrandbits(formula.n_vars))
     unsat_trace: list[int] = []
     for flips in range(cfg.max_flips + 1):
         if not asg.unsat:
@@ -349,7 +428,7 @@ def walksat_run(
         if flips == cfg.max_flips:
             break
         ci = asg.unsat[rng.randrange(len(asg.unsat))]
-        v = _pick_variable(asg, asg.clauses[ci].variables(), cfg, rng)
+        v = _pick_variable(asg, asg.variables(ci), cfg, rng)
         asg.flip(v)
         if record_unsat:
             unsat_trace.append(len(asg.unsat))
@@ -359,9 +438,11 @@ def walksat_run(
 @dataclass
 class EnumerationResult:
     solutions: list[SpinConfig]
-    total_flips: int  # includes the final failed run on the UNSAT remainder
+    # flips of every run: a complete enumeration stops at its last solution,
+    # an incomplete one also counts the run that exhausted its budget
+    total_flips: int
     flips_at_solution: list[int]  # cumulative flips when each solution appeared
-    complete: bool  # exact enumerator confirmed the blocked formula UNSAT
+    complete: bool  # found as many solutions as the exact enumerator counts
 
     @property
     def flips_to_last_solution(self) -> int:
@@ -371,22 +452,25 @@ class EnumerationResult:
 def walksat_enumerate(formula: CnfFormula, cfg: WalkSatConfig) -> EnumerationResult:
     """Enumerate solutions by repeated solving with blocking clauses.
 
-    Terminates cleanly when a run exhausts its flip budget and the exact
-    enumerator confirms the current formula UNSAT; if it is still
-    satisfiable, the result is flagged incomplete rather than raised.
+    The exact enumerator counts the solutions up front (so n <= 24), and
+    enumeration stops, complete, once that many have been found; an UNSAT
+    formula returns at once with no flips.  A run that exhausts its flip
+    budget before then ends the enumeration, flagged incomplete rather than
+    raised.  Each blocking clause removes exactly its own solution, so the
+    runs are those of repeated solving on the growing blocked formula.
     """
     rng = random.Random(cfg.rng_seed)
+    n_solutions = len(enumerate_solutions(formula))
+    asg = _Assignment(formula)
     solutions: list[SpinConfig] = []
     flips_at: list[int] = []
     total = 0
-    current = formula
-    while True:
-        res = walksat_run(current, cfg, rng=rng)
+    while len(solutions) < n_solutions:
+        res = walksat_run(formula, cfg, rng=rng, assignment=asg)
         total += res.flips_used
-        if res.found:
-            solutions.append(res.solution)
-            flips_at.append(total)
-            current = add_blocking_clause(current, res.solution)
-        else:
-            complete = len(enumerate_solutions(current)) == 0
-            return EnumerationResult(solutions, total, flips_at, complete)
+        if not res.found:
+            return EnumerationResult(solutions, total, flips_at, complete=False)
+        solutions.append(res.solution)
+        flips_at.append(total)
+        asg.block(res.solution.bits)
+    return EnumerationResult(solutions, total, flips_at, complete=True)

@@ -39,6 +39,7 @@ from fairmc.baselines import (
     pt_icm_run,
     walksat_enumerate,
 )
+from fairmc.fileio import atomic_write
 from fairmc.fixtures import FIXTURE_NAMES, SIXFOLD_FIXTURE, load_fixture
 from fairmc.ising import IsingModel, SpinConfig, Temperature, ground_states_bruteforce
 from fairmc.made import TrainConfig, save_checkpoint, train
@@ -238,7 +239,7 @@ def stage_schedules(cfg: ExperimentConfig, out: Path, threads: int = 1):
             )
     results = _par_map(_optimize_one, [t[1] for t in todo], threads)
     for (i, _), (schedule, value) in zip(todo, results):
-        with open(sched_dir / f"instance_{i:04d}.json", "w") as f:
+        with atomic_write(sched_dir / f"instance_{i:04d}.json") as f:
             json.dump(schedule_to_json(schedule, cfg.qaoa_depth, value), f, indent=1)
 
     schedules = []
@@ -246,7 +247,7 @@ def stage_schedules(cfg: ExperimentConfig, out: Path, threads: int = 1):
         with open(sched_dir / f"instance_{i:04d}.json") as f:
             schedules.append(schedule_from_json(json.load(f)))
     fa = fixed_angles_from_set(schedules)
-    with open(sched_dir / "fixed_angles.json", "w") as f:
+    with atomic_write(sched_dir / "fixed_angles.json") as f:
         json.dump(schedule_to_json(fa.schedule, cfg.qaoa_depth, math.nan), f, indent=1)
     return schedules
 
@@ -300,7 +301,7 @@ def _summary_path(out: Path, algo: str, instance: int, trial: int) -> Path:
 
 def _write_summary(path: Path, payload: dict):
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as f:
+    with atomic_write(path) as f:
         json.dump(payload, f)
 
 

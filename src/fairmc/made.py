@@ -21,6 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
+from fairmc.fileio import atomic_write
 from fairmc.ising import DimensionError, SpinConfig
 
 EPS = 1e-7
@@ -269,7 +270,7 @@ def save_checkpoint(net: MadeNetwork, path, *, config: TrainConfig | None = None
     if d["train_config"] and d["train_config"]["hidden_sizes"] is not None:
         d["train_config"]["hidden_sizes"] = list(d["train_config"]["hidden_sizes"])
     d["training_data_digest"] = digest
-    with open(path, "w") as f:
+    with atomic_write(path) as f:
         json.dump(d, f)
 
 

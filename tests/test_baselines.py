@@ -6,6 +6,7 @@ from scipy import stats
 
 from fairmc.baselines import (
     EnumerationResult,
+    _Assignment,
     PtIcmConfig,
     UnsupportedModelError,
     WalkSatConfig,
@@ -21,6 +22,7 @@ from fairmc.sat import (
     ALPHA_C,
     CnfFormula,
     Clause,
+    add_blocking_clause,
     build_instance_set,
     count_unsatisfied,
     enumerate_solutions,
@@ -222,3 +224,105 @@ class TestWalkSatEnumerate:
         f = CnfFormula(2, (Clause.from_ints([1]), Clause.from_ints([-1])))
         res = walksat_enumerate(f, WalkSatConfig(max_flips=500, rng_seed=8))
         assert res.complete and res.solutions == []
+
+
+class TestWalkSatEnumerateGolden:
+    # captured from the enumeration that re-solved the formula with appended
+    # blocking clauses and ran a last WalkSAT run on the UNSAT remainder;
+    # solutions, their flip counts and completeness must not change
+    @pytest.mark.parametrize(
+        "instance_seed, alpha, variant, rng_seed, max_flips, bits, flips_at, complete",
+        [
+            (6, 1.5, "lm", 31, 20_000,
+             [252, 248, 508, 504, 760, 1020, 764, 1016],
+             [30, 36, 68, 83, 87, 91, 123, 127], True),
+            (9, 1.5, "plain", 32, 20_000,
+             [92, 536, 88, 28, 540, 152, 220, 156, 24, 216],
+             [5, 6, 10, 28, 32, 34, 38, 43, 71, 108], True),
+            (5, 2.0, "lm", 33, 20_000, [487, 455, 471], [38, 134, 190], True),
+            (1, 1.0, "plain", 36, 10, [496, 591, 500, 847], [4, 5, 9, 14], False),
+        ],
+    )
+    def test_pinned_enumerations(
+        self, instance_seed, alpha, variant, rng_seed, max_flips, bits, flips_at, complete
+    ):
+        f = generate_instance(10, 2, alpha, instance_seed)
+        res = walksat_enumerate(
+            f, WalkSatConfig(max_flips=max_flips, variant=variant, rng_seed=rng_seed)
+        )
+        assert [s.bits for s in res.solutions] == bits
+        assert res.flips_at_solution == flips_at
+        assert res.complete is complete
+        if not complete:  # the failed run's whole budget is counted
+            assert res.total_flips == flips_at[-1] + max_flips
+
+    def test_complete_enumeration_stops_at_last_solution(self):
+        instset = build_instance_set([10], k=2, per_size=4, alpha_c=1.0, seed=5)
+        for entry in instset.entries:
+            res = walksat_enumerate(
+                entry.formula, WalkSatConfig(max_flips=20_000, rng_seed=6)
+            )
+            assert res.complete
+            assert res.total_flips == res.flips_to_last_solution
+
+    def test_unsat_input_takes_no_flips(self):
+        f = CnfFormula(2, (Clause.from_ints([1]), Clause.from_ints([-1])))
+        res = walksat_enumerate(f, WalkSatConfig(max_flips=500, rng_seed=8))
+        assert res.complete and res.solutions == [] and res.total_flips == 0
+
+
+class TestBlockedSolutionBookkeeping:
+    """Blocked solutions must act exactly as the blocking clauses that
+    `add_blocking_clause` appends: same unsatisfied list (order included,
+    since WalkSAT draws from it by position) and same flip scores."""
+
+    @staticmethod
+    def _pair(formula, blocked, bits):
+        appended = formula
+        for s in blocked:
+            appended = add_blocking_clause(appended, s)
+        reference = _Assignment(appended, bits)
+        asg = _Assignment(formula)
+        for s in blocked:
+            asg.block(s.bits)
+        asg.reset(bits)
+        return reference, asg
+
+    @pytest.mark.parametrize("k, alpha, seed", [(2, 0.5, 0), (2, 1.0, 1), (3, 2.0, 2)])
+    def test_random_flips_match_appended_clauses(self, k, alpha, seed):
+        rng = random.Random(seed)
+        n = 7
+        formula = generate_instance(n, k, alpha, seed)
+        sols = enumerate_solutions(formula)
+        blocked = rng.sample(sols, len(sols) // 2)
+        blocked_bits = {s.bits for s in blocked}
+        reference, asg = self._pair(formula, blocked, blocked[0].bits)
+        blocked_to_blocked = 0  # flips that satisfy one blocking clause, break another
+        for _ in range(2000):
+            assert asg.unsat == reference.unsat
+            assert asg.bits == reference.bits
+            for v in range(n):
+                assert asg.scores(v) == reference.scores(v)
+            v = rng.randrange(n)
+            blocked_to_blocked += {asg.bits, asg.bits ^ (1 << v)} <= blocked_bits
+            asg.flip(v)
+            reference.flip(v)
+        assert blocked_to_blocked > 0
+
+    def test_block_rejects_non_solution(self):
+        f = CnfFormula(2, (Clause.from_ints([1]),))
+        with pytest.raises(ValueError):
+            _Assignment(f).block(0b10)
+
+    def test_walksat_run_trajectory_matches_appended_clauses(self):
+        formula = generate_instance(9, 2, 1.0, 3)
+        sols = enumerate_solutions(formula)
+        blocked = sols[: len(sols) - 1]
+        reference, asg = self._pair(formula, blocked, 0)
+        appended = CnfFormula(9, reference.clauses, formula.k)
+        cfg = WalkSatConfig(max_flips=5000, variant="lm", rng_seed=0)
+        a = walksat_run(appended, cfg, rng=random.Random(1), record_unsat=True)
+        b = walksat_run(formula, cfg, rng=random.Random(1), record_unsat=True, assignment=asg)
+        assert a.found and a.solution == b.solution == sols[-1]
+        assert a.flips_used == b.flips_used
+        assert a.unsat_trace == b.unsat_trace
