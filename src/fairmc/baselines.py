@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from fairmc.ising import IsingModel, SpinConfig, energy_of_bits
-from fairmc.mcmc import ChainTrace, _TraceBuilder
+from fairmc.mcmc import ChainTrace, _TraceBuilder, spin_flip_sweep
 from fairmc.sat import Clause, CnfFormula, enumerate_solutions
 
 
@@ -148,11 +148,7 @@ def pt_icm_run(
     n = model.n_sites
     rng = random.Random(cfg.rng_seed)
 
-    site_masks: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for mask, coeff in model.term_masks():
-        for s in range(n):
-            if mask >> s & 1:
-                site_masks[s].append((mask, coeff))
+    site_masks = model.site_masks
 
     # two families x n_temps replicas
     bits = [[rng.getrandbits(n) for _ in range(n_temps)] for _ in range(2)]
@@ -167,31 +163,16 @@ def pt_icm_run(
     icm_tag = builder.tag_id("icm")
     stats = PtIcmStats()
 
-    def sweep(fam, ti):
-        z, e = bits[fam][ti], energies[fam][ti]
-        beta = betas[ti]
-        record = fam == 0 and ti == cold
-        order = list(range(n))
-        rng.shuffle(order)
-        for site in order:
-            d = 0.0
-            for mask, coeff in site_masks[site]:
-                d -= 2.0 * coeff * (1 - 2 * ((z & mask).bit_count() & 1))
-            if d <= 0.0 or rng.random() < math.exp(-beta * d):
-                z ^= 1 << site
-                e += d
-                if record:
-                    builder.record(z, e, True, ssf_tag)
-            elif record:
-                builder.record(z, e, False, ssf_tag)
-        bits[fam][ti], energies[fam][ti] = z, e
-
     for round_idx in range(steps):
         stats.rounds += 1
         for fam in (0, 1):
             for ti in range(n_temps):
+                record = builder.record if fam == 0 and ti == cold else None
                 for _ in range(cfg.sweeps_between_exchanges):
-                    sweep(fam, ti)
+                    bits[fam][ti], energies[fam][ti] = spin_flip_sweep(
+                        bits[fam][ti], energies[fam][ti], betas[ti], site_masks,
+                        rng, record, ssf_tag,
+                    )
         stats.total_transitions += 2 * n_temps * cfg.sweeps_between_exchanges * n
 
         for fam in (0, 1):

@@ -170,7 +170,7 @@ def derive_seed(*parts) -> int:
 
 def write_resolved_config(cfg: ExperimentConfig, out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "resolved_config.json", "w") as f:
+    with atomic_write(out / "resolved_config.json") as f:
         json.dump(cfg.resolved(), f, indent=1, sort_keys=True)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -117,7 +117,11 @@ class IsingTerm:
 
 @dataclass(frozen=True)
 class IsingModel:
-    """Immutable k-body Ising energy function in canonical (merged) form."""
+    """Immutable k-body Ising energy function in canonical (merged) form.
+
+    The term masks, the per-site mask table and the hash are computed once
+    per instance; equality and the hash value are those of the fields.
+    """
 
     n_sites: int
     terms: tuple[IsingTerm, ...]
@@ -159,7 +163,15 @@ class IsingModel:
         vals = [t.coeff for t in self.terms] + [self.offset]
         return all(abs(v - round(v)) < 1e-12 for v in vals)
 
-    def term_masks(self) -> list[tuple[int, float]]:
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.n_sites, self.terms, self.offset))
+
+    @cached_property
+    def term_masks(self) -> tuple[tuple[int, float], ...]:
         """(bit mask over sites, coefficient) per term, for popcount evaluation."""
         out = []
         for t in self.terms:
@@ -167,7 +179,15 @@ class IsingModel:
             for s in t.sites:
                 mask |= 1 << s
             out.append((mask, t.coeff))
-        return out
+        return tuple(out)
+
+    @cached_property
+    def site_masks(self) -> tuple[tuple[tuple[int, float], ...], ...]:
+        """Per site, the (mask, coeff) pairs of the terms containing it."""
+        return tuple(
+            tuple((mask, coeff) for mask, coeff in self.term_masks if mask >> s & 1)
+            for s in range(self.n_sites)
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -213,7 +233,7 @@ def _check_dims(model: IsingModel, config: SpinConfig) -> None:
 def energy_of_bits(model: IsingModel, bits: int) -> float:
     """Energy of a raw bit-packed state (hot path for samplers)."""
     e = model.offset
-    for mask, coeff in model.term_masks():
+    for mask, coeff in model.term_masks:
         # product of spins = (-1)^{popcount of down spins in the term}
         e += coeff * (1 - 2 * ((bits & mask).bit_count() & 1))
     return e
@@ -225,14 +245,17 @@ def energy(model: IsingModel, config: SpinConfig) -> float:
     return energy_of_bits(model, config.bits)
 
 
-def flip_tables(model: IsingModel) -> list[list[tuple[int, float]]]:
-    """Per-site list of (term mask, coeff) for the terms containing that site."""
-    tables: list[list[tuple[int, float]]] = [[] for _ in range(model.n_sites)]
-    for mask, coeff in model.term_masks():
-        for s in range(model.n_sites):
-            if mask >> s & 1:
-                tables[s].append((mask, coeff))
-    return tables
+def energy_of_bits_batch(model: IsingModel, z: np.ndarray) -> np.ndarray:
+    """Energies of an array of bit-packed states (uint64).
+
+    Adds the same terms in the same order as `energy_of_bits`, so every entry
+    is bitwise equal to the scalar result.
+    """
+    e = np.full(z.shape, model.offset, dtype=np.float64)
+    for mask, coeff in model.term_masks:
+        parity = (np.bitwise_count(z & np.uint64(mask)) & np.uint64(1)).astype(np.float64)
+        e += coeff * (1.0 - 2.0 * parity)
+    return e
 
 
 def delta_energy_flip(model: IsingModel, config: SpinConfig, site: int) -> float:
@@ -240,18 +263,9 @@ def delta_energy_flip(model: IsingModel, config: SpinConfig, site: int) -> float
     _check_dims(model, config)
     if not 0 <= site < model.n_sites:
         raise IndexError(f"site {site} out of range")
-    return delta_energy_flip_bits(model.term_masks(), config.bits, site)
-
-
-def delta_energy_flip_bits(
-    term_masks: Sequence[tuple[int, float]], bits: int, site: int
-) -> float:
-    """Flip delta from precomputed (mask, coeff) pairs; caller filters by site or not."""
     d = 0.0
-    site_bit = 1 << site
-    for mask, coeff in term_masks:
-        if mask & site_bit:
-            d -= 2.0 * coeff * (1 - 2 * ((bits & mask).bit_count() & 1))
+    for mask, coeff in model.site_masks[site]:
+        d -= 2.0 * coeff * (1 - 2 * ((config.bits & mask).bit_count() & 1))
     return d
 
 
@@ -270,11 +284,7 @@ def basis_energies(model: IsingModel) -> np.ndarray:
     n = model.n_sites
     if n > MAX_BRUTEFORCE_SITES:
         raise CapacityError(f"basis enumeration limited to {MAX_BRUTEFORCE_SITES} sites")
-    z = np.arange(1 << n, dtype=np.uint64)
-    e = np.full(1 << n, model.offset, dtype=np.float64)
-    for mask, coeff in model.term_masks():
-        parity = (np.bitwise_count(z & np.uint64(mask)) & np.uint64(1)).astype(np.float64)
-        e += coeff * (1.0 - 2.0 * parity)
+    e = energy_of_bits_batch(model, np.arange(1 << n, dtype=np.uint64))
     e.setflags(write=False)
     return e
 

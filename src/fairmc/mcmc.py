@@ -15,6 +15,20 @@ Three proposal families are provided:
   step followed by one N-flip sweep), which preserve the target because each
   sub-update does.
 
+`run_chain` is the only chain engine; PT-ICM reuses its sweep.  MADE
+candidates (MadeKernel and HybridUpdate) are drawn in blocks of up to
+MADE_BLOCK: one `made.sample_batch`, one `made.log_prob_batch` and one
+`ising.energy_of_bits_batch` call per block.  The proposal ignores the
+current state, so candidates drawn ahead of time are i.i.d. with exactly the
+per-step proposal distribution.  The chain carries log q of its current
+state; after a sweep moves it, log q is looked up in a per-chain table filled
+from the blocks, or computed once with `made.log_prob` on a miss.
+
+Random streams: the candidates come from a numpy Generator seeded from
+`rng_seed` alone; the chain's `random.Random(rng_seed)` draws the initial
+state, every accept test, the sweep orders and the QE/uniform/custom
+proposals.  A chain is therefore deterministic for a fixed seed.
+
 Step accounting: a neural or quantum-evolution update is 1 transition, a
 sweep is N transitions, a hybrid step is N+1.  Traces record every transition
 including rejections (the repeated state is what histograms must count).
@@ -26,17 +40,27 @@ import csv
 import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Protocol, Union
 
 import numpy as np
 
 from fairmc import made as made_mod
-from fairmc.ising import IsingModel, SpinConfig, Temperature, energy_of_bits
+from fairmc.ising import (
+    DimensionError,
+    IsingModel,
+    SpinConfig,
+    Temperature,
+    energy_of_bits,
+    energy_of_bits_batch,
+)
 from fairmc.made import MadeNetwork
 from fairmc.qsim import basis_state, evolve_fixed, measure_distribution
 
 SYMMETRIC = None
+
+# MADE candidates drawn per block (capped at the steps left in the chain)
+MADE_BLOCK = 256
+_MADE_STREAM = 0x4D414445  # tags the candidate generator's seed
 
 
 @dataclass(frozen=True)
@@ -50,32 +74,6 @@ class ProposalKernel(Protocol):
     tag: str
 
     def propose(self, current: SpinConfig, rng) -> Proposal: ...
-
-
-@dataclass
-class ChainState:
-    current: SpinConfig
-    energy: float
-    step_index: int = 0
-
-
-@lru_cache(maxsize=256)
-def _masks_of(model: IsingModel) -> tuple[tuple[int, float], ...]:
-    return tuple(model.term_masks())
-
-
-@lru_cache(maxsize=256)
-def _site_masks_of(model: IsingModel) -> tuple[tuple[tuple[int, float], ...], ...]:
-    tables: list[list[tuple[int, float]]] = [[] for _ in range(model.n_sites)]
-    for mask, coeff in _masks_of(model):
-        for s in range(model.n_sites):
-            if mask >> s & 1:
-                tables[s].append((mask, coeff))
-    return tuple(tuple(t) for t in tables)
-
-
-def chain_state(model: IsingModel, config: SpinConfig) -> ChainState:
-    return ChainState(config, energy_of_bits(model, config.bits), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -103,21 +101,14 @@ class MadeKernel:
 
     The proposal ignores the current state; exact forward/reverse densities
     come from the network's log_prob, so the acceptance ratio is computable
-    and detailed balance holds exactly.
+    and detailed balance holds exactly.  `run_chain` draws its candidates in
+    blocks (see the module docstring).
     """
 
     tag = "made"
 
     def __init__(self, net: MadeNetwork):
         self.net = net
-
-    def propose(self, current, rng) -> Proposal:
-        candidate = made_mod.sample(self.net, rng)
-        return Proposal(
-            candidate,
-            log_q_forward=made_mod.log_prob(self.net, candidate),
-            log_q_reverse=made_mod.log_prob(self.net, current),
-        )
 
 
 def kernel_made(net: MadeNetwork) -> MadeKernel:
@@ -183,59 +174,41 @@ def _accept(log_ratio: float, rng) -> bool:
     return log_ratio >= 0.0 or rng.random() < math.exp(log_ratio)
 
 
-def mh_step(
-    chain: ChainState,
-    model: IsingModel,
-    t: Temperature,
-    kernel: ProposalKernel,
-    rng,
-) -> ChainState:
-    """One Metropolis-Hastings update; on rejection the state repeats."""
-    prop = kernel.propose(chain.current, rng)
-    cand_energy = energy_of_bits(model, prop.candidate.bits)
-    log_ratio = -t.beta * (cand_energy - chain.energy)
-    if prop.log_q_forward is not None:
-        log_ratio += prop.log_q_reverse - prop.log_q_forward
-    if _accept(log_ratio, rng):
-        return ChainState(prop.candidate, cand_energy, chain.step_index + 1)
-    return ChainState(chain.current, chain.energy, chain.step_index + 1)
-
-
-def ssf_sweep(
-    chain: ChainState, model: IsingModel, t: Temperature, rng
-) -> ChainState:
+def spin_flip_sweep(bits, energy, beta, site_masks, rng, record=None, tag_id=0):
     """N sequential single-spin-flip Metropolis updates in a fresh random
-    site order; each flip uses the incremental energy difference."""
-    site_masks = _site_masks_of(model)
-    bits, e = chain.current.bits, chain.energy
-    order = list(range(model.n_sites))
+    site order; each flip uses the incremental energy difference from
+    `site_masks` (`IsingModel.site_masks`).  Calls `record(bits, energy,
+    accepted, tag_id)` after every site when given.  Returns (bits, energy).
+    """
+    order = list(range(len(site_masks)))
     rng.shuffle(order)
-    beta = t.beta
     for site in order:
         d = 0.0
         for mask, coeff in site_masks[site]:
             d -= 2.0 * coeff * (1 - 2 * ((bits & mask).bit_count() & 1))
         if d <= 0.0 or rng.random() < math.exp(-beta * d):
             bits ^= 1 << site
-            e += d
-    return ChainState(SpinConfig(bits, model.n_sites), e, chain.step_index + 1)
+            energy += d
+            if record is not None:
+                record(bits, energy, True, tag_id)
+        elif record is not None:
+            record(bits, energy, False, tag_id)
+    return bits, energy
 
 
-def step_qaoa_hmc(
-    chain: ChainState,
-    model: IsingModel,
-    t: Temperature,
-    net: MadeNetwork,
-    rng,
-) -> ChainState:
-    """Hybrid composite: one neural independence MH step, then one sweep.
-
-    Both sub-updates preserve the Boltzmann distribution, hence so does the
-    composition; the sweep explores the Hamming neighborhood of the proposed
-    state, covering ground states the network under-represents.
-    """
-    after_made = mh_step(chain, model, t, MadeKernel(net), rng)
-    return ssf_sweep(after_made, model, t, rng)
+def _made_candidates(model, net, steps, rng_seed, log_q_table):
+    """Yield `steps` MADE candidates as (bits, log q, energy), drawn in
+    blocks of up to MADE_BLOCK; each block's log q also goes into
+    `log_q_table`."""
+    gen = np.random.default_rng([rng_seed % (1 << 64), _MADE_STREAM])
+    weights = np.uint64(1) << np.arange(net.n_inputs, dtype=np.uint64)
+    for start in range(0, steps, MADE_BLOCK):
+        x = made_mod.sample_batch(net, min(MADE_BLOCK, steps - start), gen)
+        log_q = made_mod.log_prob_batch(net, x).tolist()
+        z = (x.astype(np.uint64) * weights).sum(axis=1)
+        bits = z.tolist()
+        log_q_table.update(zip(bits, log_q))
+        yield from zip(bits, log_q, energy_of_bits_batch(model, z).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +339,12 @@ class SsfSweepUpdate:
 
 @dataclass
 class HybridUpdate:
-    """One neural independence step plus one sweep (N+1 transitions)."""
+    """One neural independence step plus one sweep (N+1 transitions).
+
+    Both sub-updates preserve the Boltzmann distribution, hence so does the
+    composition; the sweep explores the Hamming neighborhood of the proposed
+    state, covering ground states the network under-represents.
+    """
 
     net: MadeNetwork
 
@@ -389,11 +367,16 @@ def run_chain(
 
     Deterministic for a fixed seed.  `init` is a SpinConfig or RANDOM_INIT
     for a uniform draw.  The trace keeps every `thinning`-th transition.
+    Raises DimensionError when a MADE net's input count differs from the
+    model's site count.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    rng = random.Random(rng_seed)
     n = model.n_sites
+    neural = isinstance(update, (MadeKernel, HybridUpdate))
+    if neural and update.net.n_inputs != n:
+        raise DimensionError(f"net has {update.net.n_inputs} inputs, model has {n} sites")
+    rng = random.Random(rng_seed)
     if init == RANDOM_INIT:
         bits = rng.getrandbits(n)
     elif isinstance(init, SpinConfig):
@@ -405,51 +388,52 @@ def run_chain(
 
     builder = _TraceBuilder(n, thinning, rng_seed)
     beta = t.beta
-    site_masks = _site_masks_of(model)
+    site_masks = model.site_masks
     energy = energy_of_bits(model, bits)
-
-    def do_sweep(bits, energy, tag_id):
-        order = list(range(n))
-        rng.shuffle(order)
-        for site in order:
-            d = 0.0
-            for mask, coeff in site_masks[site]:
-                d -= 2.0 * coeff * (1 - 2 * ((bits & mask).bit_count() & 1))
-            if d <= 0.0 or rng.random() < math.exp(-beta * d):
-                bits ^= 1 << site
-                energy += d
-                builder.record(bits, energy, True, tag_id)
-            else:
-                builder.record(bits, energy, False, tag_id)
-        return bits, energy
-
-    def do_kernel(kernel, tag_id, bits, energy):
-        prop = kernel.propose(SpinConfig(bits, n), rng)
-        cand_e = energy_of_bits(model, prop.candidate.bits)
-        log_ratio = -beta * (cand_e - energy)
-        if prop.log_q_forward is not None:
-            log_ratio += prop.log_q_reverse - prop.log_q_forward
-        if _accept(log_ratio, rng):
-            bits, energy, acc = prop.candidate.bits, cand_e, True
-        else:
-            acc = False
-        builder.record(bits, energy, acc, tag_id)
-        return bits, energy
 
     if isinstance(update, SsfSweepUpdate):
         tag_id = builder.tag_id("ssf")
         for _ in range(steps):
-            bits, energy = do_sweep(bits, energy, tag_id)
-    elif isinstance(update, HybridUpdate):
-        kernel = MadeKernel(update.net)
+            bits, energy = spin_flip_sweep(
+                bits, energy, beta, site_masks, rng, builder.record, tag_id
+            )
+    elif neural:
+        hybrid = isinstance(update, HybridUpdate)
         made_tag = builder.tag_id("made")
-        ssf_tag = builder.tag_id("ssf")
-        for _ in range(steps):
-            bits, energy = do_kernel(kernel, made_tag, bits, energy)
-            bits, energy = do_sweep(bits, energy, ssf_tag)
+        ssf_tag = builder.tag_id("ssf") if hybrid else None
+        log_q_table: dict[int, float] = {}
+        log_q = None  # log q(current), looked up when first needed
+        for cand, cand_log_q, cand_e in _made_candidates(
+            model, update.net, steps, rng_seed, log_q_table
+        ):
+            if log_q is None:
+                log_q = log_q_table.get(bits)
+                if log_q is None:
+                    log_q = made_mod.log_prob(update.net, SpinConfig(bits, n))
+                    log_q_table[bits] = log_q
+            if _accept(-beta * (cand_e - energy) + log_q - cand_log_q, rng):
+                bits, energy, log_q, acc = cand, cand_e, cand_log_q, True
+            else:
+                acc = False
+            builder.record(bits, energy, acc, made_tag)
+            if hybrid:
+                swept, energy = spin_flip_sweep(
+                    bits, energy, beta, site_masks, rng, builder.record, ssf_tag
+                )
+                if swept != bits:
+                    bits, log_q = swept, None
     else:
         tag_id = builder.tag_id(getattr(update, "tag", "kernel"))
         for _ in range(steps):
-            bits, energy = do_kernel(update, tag_id, bits, energy)
+            prop = update.propose(SpinConfig(bits, n), rng)
+            cand_e = energy_of_bits(model, prop.candidate.bits)
+            log_ratio = -beta * (cand_e - energy)
+            if prop.log_q_forward is not None:
+                log_ratio += prop.log_q_reverse - prop.log_q_forward
+            if _accept(log_ratio, rng):
+                bits, energy, acc = prop.candidate.bits, cand_e, True
+            else:
+                acc = False
+            builder.record(bits, energy, acc, tag_id)
 
     return builder.build(steps)

@@ -124,7 +124,10 @@ def _multistart_minimize(fun, dim, starts, rng):
             x0,
             jac=lambda x: _central_diff_grad(fun, x),
             method="BFGS",
-            callback=lambda xk: trace.append((xk.copy(), fun(xk))),
+            # the iterate's value comes with it: no extra circuit run
+            callback=lambda intermediate_result: trace.append(
+                (intermediate_result.x.copy(), float(intermediate_result.fun))
+            ),
         )
         if not np.isfinite(res.fun):
             continue

@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from fairmc.fileio import atomic_write
 from fairmc.ising import CapacityError, DimensionError, IsingModel, SpinConfig
 
 GENERATION_RETRY_BUDGET = 10**6
@@ -323,7 +324,8 @@ def save_instance_set(instset: InstanceSet, directory) -> None:
                 "solutions": [s.to_bitstring() for s in entry.solutions],
             }
         )
-    with open(directory / "manifest.json", "w") as f:
+    # resume reads an existing manifest as "instances done": write it last, atomically
+    with atomic_write(directory / "manifest.json") as f:
         json.dump(manifest, f, indent=1)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -160,6 +161,28 @@ class TestPtIcmRun:
         a, _ = pt_icm_run(m, cfg, 100)
         b, _ = pt_icm_run(m, cfg, 100)
         assert np.array_equal(a.states, b.states)
+
+    def test_pinned_traces(self):
+        # captured before PT-ICM shared run_chain's sweep; must not change
+        rng = np.random.default_rng(54)
+        terms = []
+        for _ in range(12):
+            sites = sorted(rng.choice(6, size=int(rng.integers(1, 3)), replace=False).tolist())
+            terms.append((sites, float(rng.normal())))
+        m = IsingModel.from_terms(6, terms)
+        cfg = PtIcmConfig(replica_betas=geometric_beta_ladder(4, 0.2, 5.0), rng_seed=55)
+        short, _ = pt_icm_run(m, cfg, 3)
+        assert short.states.tolist() == [44, 40, 40, 40, 41, 41, 24, 25] + [25] * 16
+        assert short.accepted.astype(int).tolist() == (
+            [1, 1, 0, 0, 1, 0, 1, 1] + [0] * 6 + [1] + [0] * 9)
+        assert short.tags.tolist() == [0] * 6 + [1, 2] + ([0] * 6 + [1, 2]) * 2
+        trace, stats_out = pt_icm_run(m, cfg, 200)
+        h = hashlib.sha256()
+        for a in (trace.states, trace.energies, trace.accepted, trace.tags,
+                  trace.transition_index):
+            h.update(np.ascontiguousarray(a).tobytes())
+        assert h.hexdigest()[:16] == "2c4499ccdcd46345"
+        assert (stats_out.exchange_accepts, stats_out.icm_moves) == (596, 553)
 
 
 class TestWalkSat:

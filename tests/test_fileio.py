@@ -6,6 +6,7 @@ import pytest
 from fairmc import experiments
 from fairmc.fileio import atomic_write
 from fairmc.made import MadeNetwork, save_checkpoint
+from fairmc.sat import ALPHA_C, build_instance_set, save_instance_set
 
 
 class Interrupted(RuntimeError):
@@ -58,3 +59,19 @@ def test_failed_checkpoint_leaves_no_file(tmp_path, dump_dies_midway):
         save_checkpoint(net, path)
     assert not path.exists()
     assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_manifest_leaves_no_file(tmp_path, dump_dies_midway):
+    # resume reads an existing manifest as "instances done"
+    instset = build_instance_set([5], 2, 2, ALPHA_C[2], seed=0)
+    with pytest.raises(Interrupted):
+        save_instance_set(instset, tmp_path)
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == ["instance_0000.cnf", "instance_0001.cnf"]
+
+
+def test_failed_resolved_config_leaves_no_file(tmp_path, dump_dies_midway):
+    cfg = experiments.ExperimentConfig(kind="KSAT_FAIRNESS", sizes=(5,), per_size=1)
+    with pytest.raises(Interrupted):
+        experiments.write_resolved_config(cfg, tmp_path / "run")
+    assert list((tmp_path / "run").iterdir()) == []

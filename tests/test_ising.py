@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from fairmc.ising import (
     boltzmann_weight,
     delta_energy_flip,
     energy,
+    energy_of_bits,
+    energy_of_bits_batch,
     ground_states_bruteforce,
 )
 
@@ -100,6 +104,21 @@ class TestEnergy:
         e = basis_energies(m)
         for z in range(64):
             assert e[z] == pytest.approx(energy(m, SpinConfig(z, 6)), abs=1e-12)
+
+    def test_batch_energies_bitwise_equal_to_scalar(self):
+        # same terms added in the same order: equal, not merely close
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            n = int(rng.integers(3, 10))
+            m = IsingModel.from_terms(
+                n,
+                [(sorted(rng.choice(n, size=int(rng.integers(1, 4)), replace=False)),
+                  float(rng.normal())) for _ in range(int(rng.integers(1, 25)))],
+                offset=float(rng.normal()),
+            )
+            z = rng.permutation(1 << n).astype(np.uint64)
+            batch = energy_of_bits_batch(m, z)
+            assert batch.tolist() == [energy_of_bits(m, int(b)) for b in z]
 
 
 class TestDeltaEnergy:
@@ -198,6 +217,17 @@ class TestInvariants:
             for _ in range(20):
                 c = SpinConfig(int(rng.integers(256)), 8)
                 assert energy(m, c) == pytest.approx(energy(m, c.invert()), abs=1e-12)
+
+    def test_hash_and_equality_are_those_of_the_fields(self):
+        rng = np.random.default_rng(9)
+        m = random_model(rng, 6, integer=False)
+        twin = IsingModel.from_terms(6, [(t.sites, t.coeff) for t in reversed(m.terms)])
+        assert twin == m and twin is not m
+        assert hash(m) == hash(twin) == hash((m.n_sites, m.terms, m.offset))
+        m.term_masks, m.site_masks  # cached values take no part in either
+        copy = pickle.loads(pickle.dumps(m))
+        assert copy == m and hash(copy) == hash(m)
+        assert m != IsingModel.from_terms(6, [(t.sites, t.coeff) for t in m.terms], 1.0)
 
     def test_json_roundtrip(self, tmp_path):
         rng = np.random.default_rng(7)

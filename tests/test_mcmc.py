@@ -1,12 +1,21 @@
+import hashlib
 import math
 import random
 
 import numpy as np
 import pytest
 
-from fairmc.ising import IsingModel, SpinConfig, Temperature, basis_energies
+from fairmc.ising import (
+    DimensionError,
+    IsingModel,
+    SpinConfig,
+    Temperature,
+    basis_energies,
+    energy,
+)
 from fairmc.made import MadeNetwork, exact_probabilities
 from fairmc.mcmc import (
+    MADE_BLOCK,
     ChainTrace,
     HybridUpdate,
     MadeKernel,
@@ -14,14 +23,10 @@ from fairmc.mcmc import (
     QeHyper,
     SsfSweepUpdate,
     UniformKernel,
-    chain_state,
     kernel_made,
     kernel_qe_mcmc,
-    mh_step,
     proposal_floor,
     run_chain,
-    ssf_sweep,
-    step_qaoa_hmc,
 )
 from fairmc.qsim import basis_state, evolve_fixed, measure_distribution
 
@@ -36,11 +41,11 @@ def random_model(rng, n, n_terms=8, integer=True):
     return IsingModel.from_terms(n, terms)
 
 
-def random_net(n, seed=0):
+def random_net(n, seed=0, scale=0.3):
     net = MadeNetwork(n, (4 * n,), rng=np.random.default_rng(seed))
     rng = np.random.default_rng(seed + 1)
-    net.weights = [w + rng.normal(size=w.shape) * 0.3 for w in net.weights]
-    net.biases = [rng.normal(size=b.shape) * 0.3 for b in net.biases]
+    net.weights = [w + rng.normal(size=w.shape) * scale for w in net.weights]
+    net.biases = [rng.normal(size=b.shape) * scale for b in net.biases]
     return net
 
 
@@ -106,48 +111,62 @@ class FlipKernel:
         return Proposal(current.flip(self.site))
 
 
+def trace_digest(trace):
+    h = hashlib.sha256()
+    for a in (trace.states, trace.energies, trace.accepted, trace.tags,
+              trace.transition_index):
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+def final_state(trace):
+    return SpinConfig(int(trace.states[-1]), trace.n_sites)
+
+
 class TestMhStep:
+    """The Metropolis-Hastings step of run_chain, one proposal per step."""
+
     def test_downhill_always_accepted(self):
         m = IsingModel.from_terms(1, [((0,), 1.0)])  # flipping 0 from +1 lowers E
-        state = chain_state(m, SpinConfig.from_spins([1]))
-        rng = random.Random(0)
-        for _ in range(50):
-            out = mh_step(state, m, Temperature(2.0), FlipKernel(0), rng)
-            assert out.current.spins()[0] == -1
+        init = SpinConfig.from_spins([1])
+        for seed in range(50):
+            trace = run_chain(m, Temperature(2.0), FlipKernel(0), 1, init=init,
+                              rng_seed=seed)
+            assert final_state(trace).spins()[0] == -1
+            assert trace.accepted[0]
 
     def test_uphill_acceptance_frequency(self):
-        # dE = +2h, acceptance should be exp(-beta*dE)
+        # dE = +2h from s = -1, acceptance should be exp(-beta*dE); every
+        # accepted uphill flip is followed by a downhill one back
         h, beta = 0.7, 0.9
         m = IsingModel.from_terms(1, [((0,), h)])
-        state = chain_state(m, SpinConfig.from_spins([-1]))
-        rng = random.Random(1)
-        trials = 100_000
-        accepts = sum(
-            mh_step(state, m, Temperature(beta), FlipKernel(0), rng).current.bits == 0
-            for _ in range(trials)
-        )
+        trace = run_chain(m, Temperature(beta), FlipKernel(0), 130_000,
+                          init=SpinConfig.from_spins([-1]), rng_seed=1)
+        before = np.concatenate(([1], trace.states[:-1].astype(int)))
+        uphill = before == 1
+        trials = int(uphill.sum())
+        assert trials >= 100_000
+        accepts = int(trace.accepted[uphill].sum())
         p_expected = math.exp(-beta * 2 * h)
         sigma = math.sqrt(p_expected * (1 - p_expected) / trials)
         assert abs(accepts / trials - p_expected) < 3 * sigma
 
     def test_step_index_advances_on_reject(self):
         m = IsingModel.from_terms(1, [((0,), 100.0)])
-        state = chain_state(m, SpinConfig.from_spins([-1]))
-        out = mh_step(state, m, Temperature(5.0), FlipKernel(0), random.Random(2))
-        assert out.step_index == 1
-        assert out.current == state.current  # enormous uphill move rejected
+        init = SpinConfig.from_spins([-1])
+        trace = run_chain(m, Temperature(5.0), FlipKernel(0), 1, init=init, rng_seed=2)
+        assert trace.n_steps == 1 and trace.transition_index.tolist() == [1]
+        assert final_state(trace) == init  # enormous uphill move rejected
+        assert not trace.accepted[0]
 
     def test_energy_cache_coherent(self):
         rng_np = np.random.default_rng(3)
         m = random_model(rng_np, 5, integer=False)
         net = random_net(5)
-        state = chain_state(m, SpinConfig(17, 5))
-        rng = random.Random(3)
-        from fairmc.ising import energy
-
-        for _ in range(30):
-            state = mh_step(state, m, Temperature(1.0), MadeKernel(net), rng)
-            assert state.energy == pytest.approx(energy(m, state.current), abs=1e-12)
+        trace = run_chain(m, Temperature(1.0), MadeKernel(net), 30,
+                          init=SpinConfig(17, 5), rng_seed=3)
+        for config, e in zip(trace.configs(), trace.energies):
+            assert e == pytest.approx(energy(m, config), abs=1e-12)
 
 
 class TestDetailedBalance:
@@ -198,28 +217,39 @@ class TestDetailedBalance:
 
 
 class TestSsfSweep:
+    """The single-spin-flip sweep, run through run_chain."""
+
     def test_beta_small_accepts_everything(self):
         m = IsingModel.from_terms(4, [((i, (i + 1) % 4), 1e-12) for i in range(3)])
-        state = chain_state(m, SpinConfig(0, 4))
-        out = ssf_sweep(state, m, Temperature(1.0), random.Random(13))
+        trace = run_chain(m, Temperature(1.0), SsfSweepUpdate(), 1,
+                          init=SpinConfig(0, 4), rng_seed=13)
         # with vanishing couplings every flip is ~free: all 4 sites flipped
-        assert out.current.bits == 0b1111
+        assert final_state(trace).bits == 0b1111
 
     def test_strong_coupling_only_downhill(self):
         m = IsingModel.from_terms(2, [((0, 1), 1.0)])  # AFM pair
-        state = chain_state(m, SpinConfig(0, 2))  # aligned, E=+1
-        out = ssf_sweep(state, m, Temperature(1e6), random.Random(14))
-        assert out.energy == -1.0
+        trace = run_chain(m, Temperature(1e6), SsfSweepUpdate(), 1,
+                          init=SpinConfig(0, 2), rng_seed=14)  # aligned, E=+1
+        assert trace.energies[-1] == -1.0
 
     def test_energy_tracking(self):
-        from fairmc.ising import energy
-
         m = random_model(np.random.default_rng(15), 6, integer=False)
-        state = chain_state(m, SpinConfig(11, 6))
-        rng = random.Random(16)
-        for _ in range(20):
-            state = ssf_sweep(state, m, Temperature(0.7), rng)
-            assert state.energy == pytest.approx(energy(m, state.current), abs=1e-10)
+        trace = run_chain(m, Temperature(0.7), SsfSweepUpdate(), 20,
+                          init=SpinConfig(11, 6), rng_seed=16)
+        for config, e in zip(trace.configs(), trace.energies):
+            assert e == pytest.approx(energy(m, config), abs=1e-10)
+
+    def test_pinned_traces(self):
+        # captured before the sweep was shared with PT-ICM; must not change
+        m = random_model(np.random.default_rng(50), 5)
+        trace = run_chain(m, Temperature(0.8), SsfSweepUpdate(), 4, rng_seed=51)
+        assert trace.states.tolist() == [15, 15, 14, 14, 14, 14, 14, 14, 14, 14,
+                                         14, 14, 14, 14, 14, 14, 14, 15, 13, 13]
+        assert trace.accepted.astype(int).tolist() == [1, 0, 1, 0, 0, 0, 0, 0, 0, 0,
+                                                       0, 0, 0, 0, 0, 0, 0, 1, 1, 0]
+        mf = random_model(np.random.default_rng(52), 6, n_terms=12, integer=False)
+        trace = run_chain(mf, Temperature(1.3), SsfSweepUpdate(), 300, rng_seed=53)
+        assert trace_digest(trace) == "2c3e1da2320659da"
 
 
 class TestQeKernel:
@@ -259,13 +289,21 @@ class TestHybrid:
         assert len(trace) == trace.n_transitions  # thinning 1 keeps all
 
     def test_public_single_step(self):
-        from fairmc.ising import energy
-
         m = random_model(np.random.default_rng(24), 4)
         net = random_net(4, seed=25)
-        state = chain_state(m, SpinConfig(0, 4))
-        out = step_qaoa_hmc(state, m, Temperature(1.0), net, random.Random(26))
-        assert out.energy == pytest.approx(energy(m, out.current), abs=1e-12)
+        trace = run_chain(m, Temperature(1.0), HybridUpdate(net), 1,
+                          init=SpinConfig(0, 4), rng_seed=26)
+        assert trace.energies[-1] == pytest.approx(energy(m, final_state(trace)), abs=1e-12)
+
+    def test_matches_boltzmann(self):
+        # a peaked proposal and a hot target: the sweep moves the state often
+        # and log q differs a lot between states, so a stale log q shows
+        m = random_model(np.random.default_rng(44), 3)
+        net = random_net(3, seed=45, scale=2.0)
+        beta = 0.3
+        trace = run_chain(m, Temperature(beta), HybridUpdate(net), 50_000, rng_seed=46)
+        freq = np.bincount(trace.states.astype(int), minlength=8) / len(trace)
+        assert 0.5 * np.abs(freq - boltzmann(m, beta)).sum() < 0.02
 
 
 class TestRunChain:
@@ -282,6 +320,45 @@ class TestRunChain:
         b = run_chain(m, Temperature(1.0), HybridUpdate(net), 50, rng_seed=31)
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.accepted, b.accepted)
+
+    @pytest.mark.parametrize("hybrid", [False, True])
+    def test_same_seed_same_trace_across_blocks(self, hybrid):
+        m = random_model(np.random.default_rng(47), 5, integer=False)
+        net = random_net(5, seed=48)
+        update = HybridUpdate(net) if hybrid else MadeKernel(net)
+        steps = 2 * MADE_BLOCK + 7
+        a = run_chain(m, Temperature(1.0), update, steps, rng_seed=49)
+        b = run_chain(m, Temperature(1.0), update, steps, rng_seed=49)
+        assert trace_digest(a) == trace_digest(b)
+        assert a.tag_legend == b.tag_legend
+
+    @pytest.mark.parametrize("hybrid", [False, True])
+    def test_recorded_energies_across_blocks(self, hybrid):
+        # longer than one block, so the candidate block is refilled
+        m = random_model(np.random.default_rng(56), 6, n_terms=12, integer=False)
+        net = random_net(6, seed=57)
+        update = HybridUpdate(net) if hybrid else MadeKernel(net)
+        trace = run_chain(m, Temperature(0.5), update, 2 * MADE_BLOCK + 7, rng_seed=58)
+        made = trace.tags == trace.tag_legend.index("made")
+        assert made.sum() == 2 * MADE_BLOCK + 7
+        assert trace.accepted[made].any()
+        for config, e, is_made, acc in zip(
+            trace.configs(), trace.energies, made, trace.accepted
+        ):
+            if is_made and (acc or not hybrid):
+                # a candidate's energy, or a made chain's carried one
+                assert e == energy(m, config)
+            else:
+                # sweeps track the energy incrementally
+                assert e == pytest.approx(energy(m, config), abs=1e-12)
+
+    @pytest.mark.parametrize("hybrid", [False, True])
+    def test_net_size_mismatch_refused(self, hybrid):
+        m = random_model(np.random.default_rng(59), 5)
+        net = random_net(4, seed=60)
+        update = HybridUpdate(net) if hybrid else MadeKernel(net)
+        with pytest.raises(DimensionError):
+            run_chain(m, Temperature(1.0), update, 10, rng_seed=61)
 
     def test_fixed_init_respected(self):
         m = random_model(np.random.default_rng(32), 4)
