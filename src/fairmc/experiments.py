@@ -127,6 +127,17 @@ class ExperimentConfig:
         unknown = set(self.algorithms) - set(ALL_ALGOS)
         if unknown:
             raise ConfigError(f"unknown algorithms {sorted(unknown)}")
+        if not (math.isfinite(self.anneal_time) and self.anneal_time >= 0):
+            raise ConfigError(
+                f"anneal_time must be finite and non-negative, got {self.anneal_time}")
+        lo, hi = self.anneal_grid_min, self.anneal_grid_max
+        if not (math.isfinite(lo) and math.isfinite(hi) and 0 < lo <= hi):
+            raise ConfigError(
+                f"anneal grid needs finite 0 < anneal_grid_min <= anneal_grid_max, "
+                f"got {lo}, {hi}")
+        if self.anneal_grid_points < 1:
+            raise ConfigError(
+                f"anneal_grid_points must be at least 1, got {self.anneal_grid_points}")
         if self.alpha_c is None:
             self.alpha_c = ALPHA_C[self.k]
         self.sizes = tuple(self.sizes)

@@ -6,9 +6,11 @@ Three proposal families are provided:
 
 * QeKernel    -- measure after short symmetric-unitary evolution from the
                  current basis state.  The evolution operator satisfies
-                 U = U^T for every Trotter step, so |U_zz'| = |U_z'z| and the
-                 proposal is exactly symmetric given the per-step draw of
-                 (driver weight, time), which is made before proposing.
+                 U = U^T (exact dense propagation up to qsim._DENSE_MAX
+                 sites, symmetric Trotter steps above), so |U_zz'| = |U_z'z|
+                 and the proposal is exactly symmetric given the per-step
+                 draw of (driver weight, time), which is made before
+                 proposing.
 * MadeKernel  -- state-independent draws from a trained autoregressive net
                  (independence sampler; exact log-q both ways).
 * single-spin-flip sweeps and the hybrid composite (one neural independence
@@ -127,6 +129,8 @@ class QeHyper:
 
     driver_weight_range: tuple[float, float] = (0.25, 0.6)
     time_range: tuple[float, float] = (2.0, 20.0)
+    # Trotter step, used only above qsim._DENSE_MAX sites; up to that size
+    # the evolution is exact and this value is ignored
     trotter_dt: float = 0.05
 
 
@@ -135,7 +139,10 @@ class QeKernel:
 
     H = (1-w) * alpha * H_P + w * H_d with (w, t) drawn fresh per proposal
     *before* evolving, so forward and reverse proposals share the same
-    unitary and q(a|b) = q(b|a) exactly (U is complex-symmetric).
+    unitary and q(a|b) = q(b|a) exactly (U is complex-symmetric).  Up to
+    qsim._DENSE_MAX sites U = exp(-iHt) is exact (one eigh of the dense H);
+    above it U is a product of symmetric Trotter steps of length
+    `hyper.trotter_dt`, which is still exactly complex-symmetric.
     """
 
     tag = "qe"

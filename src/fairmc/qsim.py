@@ -5,6 +5,15 @@ packed-bits integer of a SpinConfig (bit 1 <=> spin -1).  The driver is the
 transverse field H_d = -sum_i sigma_x_i throughout; diagonal problem terms
 come from an IsingModel.
 
+Time evolution under a Hamiltonian that is not a QAOA layer picks its method
+from the model's size.  Up to _DENSE_MAX sites the real-symmetric 2^n x 2^n
+matrix H is built and diagonalised, exp(-iHt) = V exp(-i Lambda t) V^T:
+`evolve_fixed` is then exact, and `run_annealing` uses the fourth-order
+commutator-free Magnus integrator CF4 (two such exponentials per step).
+Above it, where one eigh costs more than the many cheap matrix-free steps,
+`evolve_fixed` uses symmetric Trotter steps and `run_annealing` uses RK4
+with a matrix-free driver.  QAOA layers are always applied directly.
+
 All public operations preserve the norm to ~1e-9 or better and return new
 StateVector values.
 """
@@ -12,7 +21,9 @@ StateVector values.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -21,8 +32,15 @@ from fairmc.ising import DimensionError, IsingModel, SpinConfig, basis_energies
 
 MAX_QUBITS = 16
 
-# dense driver matrices are cheap up to this size; matrix-free above
-_DENSE_DRIVER_MAX = 10
+# exact dense propagation (one eigh per exponential) up to this many sites.
+# Above it RK4 with the matrix-free driver anneals 2-3x faster than CF4 (n = 8);
+# one exact QE step would still beat Trotter stepping up to n = 9, but the
+# pipeline runs QE proposals only on the five-site fixtures
+_DENSE_MAX = 7
+
+# CF4 (Blanes & Moan 2006): Gauss nodes and the weights of its two exponentials
+_CF4_NODES = (0.5 - math.sqrt(3) / 6, 0.5 + math.sqrt(3) / 6)
+_CF4_WEIGHTS = ((3 - 2 * math.sqrt(3)) / 12, (3 + 2 * math.sqrt(3)) / 12)
 
 
 class IntegrationError(RuntimeError):
@@ -132,6 +150,28 @@ def problem_norm_ratio(model: IsingModel) -> float:
     return driver_frobenius_norm(model.n_sites) / hp
 
 
+@lru_cache(maxsize=_DENSE_MAX + 1)
+def _dense_driver(n_qubits: int) -> np.ndarray:
+    """H_d = -sum_i sigma_x_i as a read-only dense matrix (zero diagonal)."""
+    dim = 1 << n_qubits
+    z = np.arange(dim)
+    hd = np.zeros((dim, dim))
+    for i in range(n_qubits):
+        hd[z, z ^ (1 << i)] -= 1.0
+    hd.setflags(write=False)
+    return hd
+
+
+def _expm_apply(h: np.ndarray, t: float, psi: np.ndarray) -> np.ndarray:
+    """exp(-i t h) psi for a real-symmetric h, from one eigh h = V diag(lam) V^T.
+
+    V is real, so the propagator V exp(-i lam t) V^T is complex-symmetric:
+    |<z|U|z'>| = |<z'|U|z>| to rounding.
+    """
+    lam, v = np.linalg.eigh(h)
+    return v @ (np.exp(-1j * t * lam) * (v.T @ psi))
+
+
 def _trotter_step_factors(model, driver_weight, alpha, dt):
     # symmetric split  Mix(w*dt/2) Phase((1-w)*alpha*dt) Mix(w*dt/2):
     # every factor is complex-symmetric in this basis, so each step (and any
@@ -151,6 +191,11 @@ def _evolve_n_steps(state, model, driver_weight, alpha, time, n_steps):
     return state
 
 
+def _check_step(dt: float | None) -> None:
+    if dt is not None and not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"step size must be finite and positive, got {dt}")
+
+
 def evolve_fixed(
     state: StateVector,
     model: IsingModel,
@@ -163,16 +208,32 @@ def evolve_fixed(
 ) -> StateVector:
     """exp(-i H t)|state> for H = (1-w) * alpha * H_P + w * H_d.
 
-    Second-order symmetric Trotter stepping.  With `dt` set, uses that fixed
-    step (the resulting operator is still exactly symmetric, which is what
-    the quantum-proposal kernel needs).  Otherwise the step count doubles
-    until halved-step self-consistency reaches `tol` in max amplitude error.
+    Up to _DENSE_MAX sites the result is exact: one eigh of the dense H, and
+    `tol` and `dt` are not used.  The propagator is complex-symmetric
+    (U = U^T), which is what the quantum-proposal kernel needs.
+
+    Above _DENSE_MAX, second-order symmetric Trotter stepping.  With `dt`
+    set, uses that fixed step (the resulting operator is still exactly
+    symmetric).  Otherwise the step count doubles until halved-step
+    self-consistency reaches `tol` in max amplitude error.
+
+    Raises ValueError for a non-finite `time` or a non-finite or
+    non-positive `dt`.
     """
     if not np.isfinite(time):
         raise ValueError(f"evolution time must be finite, got {time}")
+    _check_step(dt)
+    if model.n_sites != state.n_qubits:
+        raise DimensionError(
+            f"model has {model.n_sites} sites, state has {state.n_qubits} qubits"
+        )
     if time == 0.0:
         return StateVector(state.amplitudes.copy(), state.n_qubits)
     alpha = problem_norm_ratio(model) if alpha_norm is None else alpha_norm
+    if model.n_sites <= _DENSE_MAX:
+        h = driver_weight * _dense_driver(model.n_sites)
+        np.fill_diagonal(h, (1.0 - driver_weight) * alpha * basis_energies(model))
+        return StateVector(_expm_apply(h, time, state.amplitudes), state.n_qubits)
     if dt is not None:
         n = max(1, int(np.ceil(abs(time) / dt)))
         return _evolve_n_steps(state, model, driver_weight, alpha, time, n)
@@ -189,13 +250,6 @@ def evolve_fixed(
 
 def _driver_apply(n_qubits: int):
     """Matrix-free application of H_d = -sum sigma_x (closure over n)."""
-    if n_qubits <= _DENSE_DRIVER_MAX:
-        dim = 1 << n_qubits
-        hd = np.zeros((dim, dim))
-        for i in range(n_qubits):
-            z = np.arange(dim)
-            hd[z, z ^ (1 << i)] -= 1.0
-        return lambda v: hd @ v
 
     def apply(v):
         acc = np.zeros_like(v)
@@ -204,6 +258,28 @@ def _driver_apply(n_qubits: int):
         return acc
 
     return apply
+
+
+def _anneal_cf4(model: IsingModel, schedule: AnnealSchedule, n_steps: int) -> np.ndarray:
+    """CF4 from the uniform state over [0, T] in n_steps equal steps.
+
+    With H_k = H(t + c_k dt) at the Gauss nodes, one step applies
+    exp(-i dt (a2 H_1 + a1 H_2)) and then exp(-i dt (a1 H_1 + a2 H_2)).
+    """
+    dt = schedule.total_time / n_steps
+    hd = _dense_driver(model.n_sites)
+    hp = basis_energies(model)
+    (c1, c2), (a1, a2) = _CF4_NODES, _CF4_WEIGHTS
+    psi = uniform_state(model.n_sites).amplitudes
+    for k in range(n_steps):
+        s1, s2 = (k + c1) / n_steps, (k + c2) / n_steps
+        d1, d2 = schedule.a_of(s1), schedule.a_of(s2)
+        p1, p2 = schedule.b_of(s1), schedule.b_of(s2)
+        for w1, w2 in ((a2, a1), (a1, a2)):
+            h = (w1 * d1 + w2 * d2) * hd
+            np.fill_diagonal(h, (w1 * p1 + w2 * p2) * hp)
+            psi = _expm_apply(h, dt, psi)
+    return psi
 
 
 def run_annealing(
@@ -215,17 +291,35 @@ def run_annealing(
     """Integrate i d|psi>/dt = [A(t) H_d + B(t) H_P] |psi> from the uniform
     superposition (the driver ground state) to t = total_time.
 
-    Fixed-step RK4 with dt = min(0.01, T/1e4) unless overridden; the state is
-    renormalized every step to absorb integrator drift.
+    Up to _DENSE_MAX sites: CF4, the fourth-order commutator-free Magnus
+    integrator (Blanes & Moan 2006), whose steps are two exact dense
+    exponentials of H at the Gauss nodes; ceil(64 sqrt(T)) steps unless `dt`
+    is given.  Above it: fixed-step RK4 with a matrix-free driver and
+    dt = min(0.01, T/1e4) unless overridden; the state is renormalized every
+    step to absorb integrator drift.  A given `dt` is shortened so that a
+    whole number of steps spans T.
+
+    Raises ValueError for a negative or non-finite total time and for a
+    non-finite or non-positive `dt`.
     """
     T = schedule.total_time
+    if not (np.isfinite(T) and T >= 0.0):
+        raise ValueError(f"anneal time must be finite and non-negative, got {T}")
+    _check_step(dt)
     if T == 0.0:
         return uniform_state(model.n_sites)
-    if dt is None:
-        dt = min(0.01, T / 1e4)
-    n_steps = int(np.ceil(T / dt))
-    if n_steps <= 0 or not np.isfinite(n_steps):
+    dense = model.n_sites <= _DENSE_MAX
+    if dt is not None:
+        steps = np.ceil(T / dt)
+    elif dense:
+        steps = math.ceil(64 * math.sqrt(T))
+    else:
+        steps = np.ceil(T / min(0.01, T / 1e4))
+    if not np.isfinite(steps):
         raise IntegrationError(f"bad step size {dt} for total time {T}")
+    n_steps = int(steps)
+    if dense:
+        return StateVector(_anneal_cf4(model, schedule, n_steps), model.n_sites)
     dt = T / n_steps
 
     hp = basis_energies(model)

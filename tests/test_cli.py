@@ -4,7 +4,7 @@ import json
 import pytest
 
 from fairmc.cli import EXIT_CONFIG, EXIT_OK, FIG_KINDS, load_preset, main
-from fairmc.experiments import ExperimentConfig, derive_seed
+from fairmc.experiments import ConfigError, ExperimentConfig, derive_seed
 from fairmc.metrics import records_from_csv
 
 TINY = {
@@ -46,6 +46,26 @@ class TestConfig:
         for fig, kind in FIG_KINDS.items():
             cfg = ExperimentConfig.from_dict(load_preset(fig))
             assert cfg.kind == kind
+
+    @pytest.mark.parametrize("bad", [
+        {"anneal_time": -5.0},
+        {"anneal_time": float("nan")},
+        {"anneal_time": float("inf")},
+        {"anneal_grid_min": 0.0},
+        {"anneal_grid_min": -1.0},
+        {"anneal_grid_max": float("inf")},
+        {"anneal_grid_min": 10.0, "anneal_grid_max": 5.0},
+        {"anneal_grid_points": 0},
+    ])
+    def test_bad_anneal_settings_rejected(self, bad):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict({"kind": "ANNEAL_SWEEP", **bad})
+
+    def test_anneal_grid_of_one_point_accepted(self):
+        cfg = ExperimentConfig.from_dict(
+            {"kind": "ANNEAL_SWEEP", "anneal_time": 0.0, "anneal_grid_min": 3.0,
+             "anneal_grid_max": 3.0, "anneal_grid_points": 1})
+        assert cfg.anneal_grid_points == 1
 
     def test_derive_seed_stable(self):
         assert derive_seed(1, "stage", 2) == derive_seed(1, "stage", 2)
@@ -107,6 +127,18 @@ class TestPipelineCommands:
         code = main(["gen-instances", "--config", str(bad),
                      "--out", str(tmp_path / "x")])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("fig, bad", [
+        ("fig1", {"anneal_time": -5.0}),
+        ("fig2", {"anneal_grid_min": 0.0}),
+    ])
+    def test_bad_anneal_config_exits_2(self, tmp_path, capsys, fig, bad):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"kind": FIG_KINDS[fig], **bad}))
+        code = main([fig, "--config", str(path), "--out", str(tmp_path / "x")])
+        assert code == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_seed_override_changes_outputs(self, tmp_path):
         cfg = write_cfg(tmp_path)

@@ -111,6 +111,16 @@ class FlipKernel:
         return Proposal(current.flip(self.site))
 
 
+class ScriptedRng:
+    """Returns the given uniforms in order from `random()`."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
+
+
 def trace_digest(trace):
     h = hashlib.sha256()
     for a in (trace.states, trace.energies, trace.accepted, trace.tags,
@@ -269,6 +279,41 @@ class TestQeKernel:
             out = evolve_fixed(basis_state(4, z), m, w, t, dt=dt)
             probs_from[z] = measure_distribution(out).probs
         assert probs_from[3][12] == pytest.approx(probs_from[12][3], abs=1e-10)
+
+    def test_exact_detailed_balance_fixed_draw(self):
+        # collapsed QeHyper ranges fix (w, t); the kernel then draws from the
+        # rows of q below, and the MH matrix balances every pair of states
+        m = random_model(np.random.default_rng(72), 4, integer=False)
+        w, t = 0.4, 6.5
+        hyper = QeHyper(driver_weight_range=(w, w), time_range=(t, t))
+        kernel = kernel_qe_mcmc(m, hyper)
+        q = np.array([
+            measure_distribution(
+                evolve_fixed(basis_state(4, z), m, w, t, dt=hyper.trotter_dt)).probs
+            for z in range(16)
+        ])
+        for z in range(16):
+            upper = np.cumsum(q[z])
+            for zp in np.flatnonzero(q[z] > 1e-9):
+                u = upper[zp] - q[z, zp] / 2  # inside zp's interval of [0, 1)
+                prop = kernel.propose(SpinConfig(z, 4), ScriptedRng([0.3, 0.9, u]))
+                assert prop.candidate.bits == zp
+        beta = 0.8
+        e = basis_energies(m)
+        p = q * np.minimum(1.0, np.exp(-beta * (e[None, :] - e[:, None])))
+        np.fill_diagonal(p, 0.0)
+        np.fill_diagonal(p, 1.0 - p.sum(axis=1))
+        pi = boltzmann(m, beta)
+        flow = pi[:, None] * p
+        np.testing.assert_allclose(flow, flow.T, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pi @ p, pi, rtol=0, atol=1e-12)
+
+    def test_chain_matches_boltzmann(self):
+        m = random_model(np.random.default_rng(70), 3)
+        beta = 0.7
+        trace = run_chain(m, Temperature(beta), kernel_qe_mcmc(m), 20_000, rng_seed=71)
+        freq = np.bincount(trace.states.astype(int), minlength=8) / len(trace)
+        assert 0.5 * np.abs(freq - boltzmann(m, beta)).sum() < 0.02
 
     def test_chain_visits_ground_states(self):
         m = IsingModel.from_terms(3, [((0, 1), -1.0), ((1, 2), -1.0)])

@@ -1,9 +1,14 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import stats
 from scipy.linalg import expm
 
-from fairmc.ising import IsingModel, SpinConfig, basis_energies
+from fairmc.fixtures import load_fixture
+from fairmc.ising import DimensionError, IsingModel, SpinConfig, basis_energies
+from fairmc.mcmc import QeHyper
 from fairmc.qsim import (
     AnnealSchedule,
     OutputDistribution,
@@ -161,6 +166,65 @@ class TestEvolveFixed:
         with pytest.raises(ValueError):
             evolve_fixed(uniform_state(2), m, 0.5, float("nan"))
 
+    @pytest.mark.parametrize("n", [2, 9])
+    @pytest.mark.parametrize("dt", [0.0, -0.05, float("nan"), float("inf")])
+    def test_rejects_bad_step(self, n, dt):
+        m = random_model(np.random.default_rng(40), n)
+        with pytest.raises(ValueError):
+            evolve_fixed(uniform_state(n), m, 0.5, 1.0, dt=dt)
+
+    def test_rejects_state_of_other_size(self):
+        m = random_model(np.random.default_rng(41), 3)
+        with pytest.raises(DimensionError):
+            evolve_fixed(uniform_state(4), m, 0.5, 1.0)
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_dense_path_exact(self, n):
+        # up to qsim._DENSE_MAX the propagator is exp(-iHt) itself, whatever dt
+        rng = np.random.default_rng(42 + n)
+        m = random_model(rng, n, n_terms=2 * n)
+        s = random_state(rng, n)
+        w, t = 0.35, 7.3
+        h = (1 - w) * problem_norm_ratio(m) * dense_problem(m) + w * dense_driver(n)
+        expected = expm(-1j * t * h) @ s.amplitudes
+        out = evolve_fixed(s, m, w, t, dt=0.05)
+        np.testing.assert_allclose(out.amplitudes, expected, rtol=0, atol=1e-10)
+
+    def test_trotter_path_above_dense_max(self):
+        # n = 8 runs second-order Trotter steps: the error against expm is
+        # small, and halving dt divides it by about 4
+        rng = np.random.default_rng(50)
+        m = random_model(rng, 8, n_terms=16)
+        s = random_state(rng, 8)
+        w, t = 0.45, 1.0
+        h = (1 - w) * problem_norm_ratio(m) * dense_problem(m) + w * dense_driver(8)
+        expected = expm(-1j * t * h) @ s.amplitudes
+        errs = [np.max(np.abs(evolve_fixed(s, m, w, t, dt=dt).amplitudes - expected))
+                for dt in (0.05, 0.025)]
+        assert errs[0] < 1e-2
+        assert 3.0 < errs[0] / errs[1] < 5.0
+        adaptive = evolve_fixed(s, m, w, t)
+        np.testing.assert_allclose(adaptive.amplitudes, expected, rtol=0, atol=1e-6)
+
+    def test_trotter_proposal_magnitudes_symmetric_above_dense_max(self):
+        m = random_model(np.random.default_rng(51), 8, n_terms=16)
+        u = np.stack([evolve_fixed(basis_state(8, z), m, 0.5, 1.0, dt=0.25).amplitudes
+                      for z in range(256)], axis=1)
+        np.testing.assert_allclose(np.abs(u), np.abs(u.T), rtol=0, atol=1e-12)
+
+    def test_dense_proposal_symmetric_over_qe_ranges(self):
+        # |U| = |U^T| for (w, t) drawn as the QE kernel draws them
+        hyper = QeHyper()
+        rng = np.random.default_rng(52)
+        m = random_model(rng, 5, n_terms=10)
+        for _ in range(5):
+            w = rng.uniform(*hyper.driver_weight_range)
+            t = rng.uniform(*hyper.time_range)
+            u = np.stack([evolve_fixed(basis_state(5, z), m, w, t,
+                                       dt=hyper.trotter_dt).amplitudes
+                          for z in range(32)], axis=1)
+            np.testing.assert_allclose(np.abs(u), np.abs(u.T), rtol=0, atol=1e-12)
+
 
 class TestRunAnnealing:
     def test_zero_time_is_uniform(self):
@@ -195,6 +259,70 @@ class TestRunAnnealing:
         m = random_model(np.random.default_rng(15), 4)
         out = run_annealing(m, linear_schedule(3.0))
         assert abs(out.norm() - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("n", [3, 9])
+    @pytest.mark.parametrize("total_time", [-5.0, float("nan"), float("inf"), float("-inf")])
+    def test_rejects_bad_total_time(self, n, total_time):
+        m = random_model(np.random.default_rng(60), n)
+        with pytest.raises(ValueError):
+            run_annealing(m, linear_schedule(total_time))
+
+    @pytest.mark.parametrize("n", [3, 9])
+    @pytest.mark.parametrize("dt", [0.0, -0.01, float("nan"), float("inf")])
+    def test_rejects_bad_step(self, n, dt):
+        m = random_model(np.random.default_rng(61), n)
+        with pytest.raises(ValueError):
+            run_annealing(m, linear_schedule(1.0), dt=dt)
+
+    def test_cf4_fourth_order(self):
+        # halving the step divides a 4th-order error by about 16; a 2nd-order
+        # scheme (such as CF4 with its two exponentials swapped) by about 4
+        m = random_model(np.random.default_rng(62), 4)
+        sched = linear_schedule(4.0)
+        ref = run_annealing(m, sched, dt=1 / 256).amplitudes
+        errs = [np.linalg.norm(run_annealing(m, sched, dt=dt).amplitudes - ref)
+                for dt in (0.25, 0.125)]
+        assert errs[0] > 1e-8  # above rounding, so the ratio measures the order
+        assert errs[0] / errs[1] >= 12.0
+
+    def test_dense_constant_hamiltonian_exact_at_dense_max(self):
+        # CF4 steps are exact exponentials, so a constant H leaves no step error
+        rng = np.random.default_rng(63)
+        m = random_model(rng, 7, n_terms=14)
+        sched = AnnealSchedule(2.5, lambda s: 0.6, lambda s: 0.4)
+        h = 0.6 * dense_driver(7) + 0.4 * dense_problem(m)
+        expected = expm(-1j * 2.5 * h) @ uniform_state(7).amplitudes
+        out = run_annealing(m, sched, dt=0.5)
+        np.testing.assert_allclose(out.amplitudes, expected, rtol=0, atol=1e-10)
+
+    def test_rk4_above_dense_max(self):
+        # n = 8 integrates with RK4 and the matrix-free driver: a constant H
+        # shows its 4th-order step error against expm
+        rng = np.random.default_rng(64)
+        m = random_model(rng, 8, n_terms=16)
+        sched = AnnealSchedule(1.5, lambda s: 0.5, lambda s: 0.5)
+        h = 0.5 * dense_driver(8) + 0.5 * dense_problem(m)
+        expected = expm(-1j * 1.5 * h) @ uniform_state(8).amplitudes
+        errs = [np.max(np.abs(run_annealing(m, sched, dt=dt).amplitudes - expected))
+                for dt in (0.03, 0.015)]
+        assert errs[0] < 1e-4
+        assert 10.0 < errs[0] / errs[1] < 24.0
+
+
+GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "anneal_rk4_golden.json").read_text()
+)["probabilities"]
+
+
+@pytest.mark.parametrize("fixture", sorted(GOLDEN))
+@pytest.mark.parametrize("total_time", ["0.1", "0.67", "3.3", "20.0", "148.7", "1000.0"])
+def test_anneal_matches_rk4_golden(fixture, total_time):
+    # default steps on the five-site fixtures against probabilities recorded
+    # with fixed-step RK4 (dt = min(0.01, T/1e4)), the integrator used at
+    # every size before the dense path
+    golden = np.array(GOLDEN[fixture][total_time])
+    out = run_annealing(load_fixture(fixture), linear_schedule(float(total_time)))
+    assert 0.5 * np.abs(out.probabilities() - golden).sum() <= 1e-7
 
 
 class TestMeasurement:
