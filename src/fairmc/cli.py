@@ -37,6 +37,7 @@ from fairmc.experiments import (
     stage_schedules,
     write_resolved_config,
 )
+from fairmc.fileio import atomic_write
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -85,7 +86,7 @@ def cmd_validate(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "validation.json", "w") as f:
+        with atomic_write(out / "validation.json") as f:
             json.dump(results, f, indent=1)
     return EXIT_OK if n_fail == 0 else EXIT_VALIDATION
 

@@ -205,13 +205,15 @@ def stage_instances(cfg: ExperimentConfig, out: Path):
     instset = build_instance_set(
         cfg.sizes, cfg.k, cfg.per_size, cfg.alpha_c, derive_seed(cfg.seed, "instances")
     )
-    save_instance_set(instset, inst_dir)
     rows = [
         {"k": cfg.k, "n": e.formula.n_vars, "instance": i,
          "n_solutions": len(e.solutions)}
         for i, e in enumerate(instset.entries)
     ]
+    inst_dir.mkdir(parents=True, exist_ok=True)
     rows_to_csv(rows, inst_dir / "degeneracy.csv")
+    # the manifest marks the stage done, so it goes last
+    save_instance_set(instset, inst_dir)
     return instset
 
 
@@ -683,7 +685,7 @@ def run_anneal_sweep(cfg: ExperimentConfig, out: Path):
     )
     marker = {"effective_time": effective_time(params),
               "gammas": list(params.gammas), "betas": list(params.betas)}
-    with open(out / "effective_time_marker.json", "w") as f:
+    with atomic_write(out / "effective_time_marker.json") as f:
         json.dump(marker, f, indent=1)
     return marker
 
@@ -697,18 +699,23 @@ def _check(name, ok, detail=""):
 
 
 def run_validation() -> list[dict]:
-    """Fast oracle suite: exact transition matrices, normalization, gradients,
-    the clause-penalty equivalence, cluster-move conservation, and the dense
-    evolution oracles.  Each entry reports pass/fail with a measured value."""
-    import itertools
+    """Fast oracle suite.  Each entry reports pass/fail with a measured value.
 
+    Exact transition matrices from `fairmc.exact` pin detailed balance of
+    the MADE independence kernel and of the QE kernel at a fixed (w, t)
+    draw, and stationarity of the single-spin-flip sweep and the hybrid
+    composite.  Then MADE normalization and gradients, the clause-penalty
+    equivalence, cluster-move conservation, the dense QAOA and time
+    evolution against scipy's expm, and a sampling chi-square.
+    """
     from scipy import stats as scistats
     from scipy.linalg import expm
 
+    from fairmc import exact
     from fairmc.baselines import icm_move
     from fairmc.ising import basis_energies, energy
     from fairmc.made import MadeNetwork, _nll_and_grads, exact_probabilities
-    from fairmc.qsim import basis_state, evolve_fixed, uniform_state
+    from fairmc.qsim import basis_state, evolve_fixed, problem_norm_ratio, uniform_state
     from fairmc.sat import generate_instance, unsatisfied_counts_all
 
     results = []
@@ -733,45 +740,28 @@ def run_validation() -> list[dict]:
     # detailed balance of the neural independence sampler, N=4
     model4 = rand_model(4)
     beta = 1.3
-    e4 = basis_energies(model4)
-    pi = np.exp(-beta * (e4 - e4.min()))
-    pi /= pi.sum()
+    pi = exact.boltzmann(model4, beta)
     net4 = rand_net(4)
     q = exact_probabilities(net4)
-    p = np.zeros((16, 16))
-    for z in range(16):
-        for zp in range(16):
-            if zp != z:
-                lr = -beta * (e4[zp] - e4[z]) + math.log(q[z]) - math.log(q[zp])
-                p[z, zp] = q[zp] * min(1.0, math.exp(lr))
-        p[z, z] = 1.0 - p[z].sum()
+    p = exact.mh_matrix(model4, beta, np.tile(q, (16, 1)), np.log(q))
     flow = pi[:, None] * p
     db = float(np.max(np.abs(flow - flow.T)))
     results.append(_check("made_kernel_detailed_balance", db < 1e-10, f"max={db:.2e}"))
 
     # sweep stationarity via permutation-averaged site updates
-    site_mats = []
-    for site in range(4):
-        m = np.zeros((16, 16))
-        for z in range(16):
-            zp = z ^ (1 << site)
-            a = min(1.0, math.exp(-beta * (e4[zp] - e4[z])))
-            m[z, zp] = a
-            m[z, z] = 1.0 - a
-        site_mats.append(m)
-    sweep = np.zeros((16, 16))
-    perms = list(itertools.permutations(range(4)))
-    for perm in perms:
-        acc = np.eye(16)
-        for s in perm:
-            acc = acc @ site_mats[s]
-        sweep += acc
-    sweep /= len(perms)
+    sweep = exact.ssf_sweep_matrix(model4, beta)
     stat = float(np.abs(pi @ sweep - pi).sum())
     results.append(_check("ssf_sweep_stationarity", stat < 1e-9, f"l1={stat:.2e}"))
     hybrid = p @ sweep
     stat_h = float(np.abs(pi @ hybrid - pi).sum())
     results.append(_check("hybrid_stationarity", stat_h < 1e-9, f"l1={stat_h:.2e}"))
+
+    # QE kernel at a fixed (w, t) draw: symmetric acceptance, no q ratio, so
+    # balance holds only if the evolved proposal is symmetric (U = U^T)
+    p_qe = exact.mh_matrix(model4, beta, exact.qe_proposal_matrix(model4, 0.4, 6.5))
+    flow = pi[:, None] * p_qe
+    db_qe = float(np.max(np.abs(flow - flow.T)))
+    results.append(_check("qe_kernel_detailed_balance", db_qe < 1e-12, f"max={db_qe:.2e}"))
 
     # exhaustive normalization at N=12 and a corrupted-mask negative control
     net12 = rand_net(12)
@@ -833,15 +823,8 @@ def run_validation() -> list[dict]:
 
     # dense matrix-exponential oracles at N=3
     m3 = rand_model(3, integer=False)
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
     dim = 8
-    hd = np.zeros((dim, dim))
-    for i in range(3):
-        op = np.array([[1.0]])
-        for qb in reversed(range(3)):
-            op = np.kron(op, sx if qb == i else np.eye(2))
-        hd -= op
-    hp = np.diag(basis_energies(m3))
+    hd, hp = exact.dense_driver(3), exact.dense_problem(m3)
     gammas, betas = [0.37, -0.21], [0.52, 0.18]
     u = np.eye(dim, dtype=complex)
     for g, b in zip(gammas, betas):
@@ -850,8 +833,6 @@ def run_validation() -> list[dict]:
     got = run_qaoa(m3, gammas, betas).amplitudes
     err_qaoa = float(np.max(np.abs(got - oracle)))
     results.append(_check("qaoa_expm_oracle", err_qaoa < 1e-10, f"max={err_qaoa:.2e}"))
-
-    from fairmc.qsim import problem_norm_ratio
 
     w, t = 0.4, 1.3
     alpha = problem_norm_ratio(m3)

@@ -16,11 +16,12 @@ from pathlib import Path
 def atomic_write(path):
     """Open a temporary sibling of `path` for text writing; on a clean exit
     it replaces `path`, on an exception it is removed and `path` is left
-    untouched."""
+    untouched.  Newlines are not translated (`newline=""`), as the csv
+    module requires."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w") as f:
+        with open(tmp, "w", newline="") as f:
             yield f
         os.replace(tmp, path)
     except BaseException:

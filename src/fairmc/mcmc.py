@@ -5,12 +5,11 @@ that guarantee Q symmetry return no log-q values and the ratio drops out.
 Three proposal families are provided:
 
 * QeKernel    -- measure after short symmetric-unitary evolution from the
-                 current basis state.  The evolution operator satisfies
-                 U = U^T (exact dense propagation up to qsim._DENSE_MAX
-                 sites, symmetric Trotter steps above), so |U_zz'| = |U_z'z|
-                 and the proposal is exactly symmetric given the per-step
-                 draw of (driver weight, time), which is made before
-                 proposing.
+                 current basis state.  The evolution operator is the exact
+                 dense exp(-iHt), so U = U^T, |U_zz'| = |U_z'z| and the
+                 proposal is exactly symmetric given the per-step draw of
+                 (driver weight, time), which is made before proposing.
+                 Models above qsim._DENSE_MAX sites raise CapacityError.
 * MadeKernel  -- state-independent draws from a trained autoregressive net
                  (independence sampler; exact log-q both ways).
 * single-spin-flip sweeps and the hybrid composite (one neural independence
@@ -125,13 +124,11 @@ def proposal_floor(net: MadeNetwork) -> float:
 
 @dataclass
 class QeHyper:
-    """Per-proposal draw ranges for the quantum-evolution kernel."""
+    """Per-proposal draw ranges for the quantum-evolution kernel: the
+    driver weight w and the evolution time t, each uniform in its range."""
 
     driver_weight_range: tuple[float, float] = (0.25, 0.6)
     time_range: tuple[float, float] = (2.0, 20.0)
-    # Trotter step, used only above qsim._DENSE_MAX sites; up to that size
-    # the evolution is exact and this value is ignored
-    trotter_dt: float = 0.05
 
 
 class QeKernel:
@@ -139,10 +136,9 @@ class QeKernel:
 
     H = (1-w) * alpha * H_P + w * H_d with (w, t) drawn fresh per proposal
     *before* evolving, so forward and reverse proposals share the same
-    unitary and q(a|b) = q(b|a) exactly (U is complex-symmetric).  Up to
-    qsim._DENSE_MAX sites U = exp(-iHt) is exact (one eigh of the dense H);
-    above it U is a product of symmetric Trotter steps of length
-    `hyper.trotter_dt`, which is still exactly complex-symmetric.
+    unitary and q(a|b) = q(b|a) exactly (U = exp(-iHt) is exact, from one
+    eigh of the dense H, and complex-symmetric).  Proposing raises
+    ising.CapacityError for a model above qsim._DENSE_MAX sites.
     """
 
     tag = "qe"
@@ -156,13 +152,8 @@ class QeKernel:
         w = lo + (hi - lo) * rng.random()
         t0, t1 = self.hyper.time_range
         t = t0 + (t1 - t0) * rng.random()
-        state = evolve_fixed(
-            basis_state(self.model.n_sites, current.bits),
-            self.model,
-            w,
-            t,
-            dt=self.hyper.trotter_dt,
-        )
+        n = self.model.n_sites
+        state = evolve_fixed(basis_state(n, current.bits), self.model, w, t)
         probs = measure_distribution(state).probs
         z = int(np.searchsorted(np.cumsum(probs), rng.random()))
         z = min(z, len(probs) - 1)

@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from fairmc.baselines import EnumerationResult
+from fairmc.fileio import atomic_write
 from fairmc.ising import SpinConfig
 from fairmc.mcmc import ChainTrace
 from fairmc.qsim import OutputDistribution
@@ -211,7 +212,7 @@ def superiority_counts(records: Sequence[ResultRecord]) -> list[dict]:
 
 def records_to_csv(records: Sequence[ResultRecord], path) -> None:
     cols = [f.name for f in fields(ResultRecord)]
-    with open(path, "w", newline="") as f:
+    with atomic_write(path) as f:
         w = csv.writer(f)
         w.writerow(cols)
         for r in records:
@@ -244,7 +245,7 @@ def records_from_csv(path) -> list[ResultRecord]:
 def rows_to_csv(rows: Sequence[dict], path) -> None:
     if not rows:
         raise ValueError("no rows to write")
-    with open(path, "w", newline="") as f:
+    with atomic_write(path) as f:
         w = csv.DictWriter(f, fieldnames=list(rows[0].keys()))
         w.writeheader()
         for row in rows:

@@ -1,18 +1,16 @@
-"""Dense statevector simulation for up to 16 qubits.
+"""Dense statevector simulation.
 
 Basis layout: amplitude index z holds qubit i in bit i, so z is exactly the
 packed-bits integer of a SpinConfig (bit 1 <=> spin -1).  The driver is the
 transverse field H_d = -sum_i sigma_x_i throughout; diagonal problem terms
 come from an IsingModel.
 
-Time evolution under a Hamiltonian that is not a QAOA layer picks its method
-from the model's size.  Up to _DENSE_MAX sites the real-symmetric 2^n x 2^n
-matrix H is built and diagonalised, exp(-iHt) = V exp(-i Lambda t) V^T:
-`evolve_fixed` is then exact, and `run_annealing` uses the fourth-order
+QAOA layers are applied directly, one qubit rotation at a time, at any size.
+Time evolution under any other Hamiltonian builds the real-symmetric
+2^n x 2^n matrix H and diagonalises it, exp(-iHt) = V exp(-i Lambda t) V^T:
+`evolve_fixed` is exact, and `run_annealing` uses the fourth-order
 commutator-free Magnus integrator CF4 (two such exponentials per step).
-Above it, where one eigh costs more than the many cheap matrix-free steps,
-`evolve_fixed` uses symmetric Trotter steps and `run_annealing` uses RK4
-with a matrix-free driver.  QAOA layers are always applied directly.
+That is limited to _DENSE_MAX sites; both raise ising.CapacityError above it.
 
 All public operations preserve the norm to ~1e-9 or better and return new
 StateVector values.
@@ -28,23 +26,22 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from fairmc.ising import DimensionError, IsingModel, SpinConfig, basis_energies
+from fairmc.ising import (
+    CapacityError,
+    DimensionError,
+    IsingModel,
+    SpinConfig,
+    basis_energies,
+)
 
-MAX_QUBITS = 16
-
-# exact dense propagation (one eigh per exponential) up to this many sites.
-# Above it RK4 with the matrix-free driver anneals 2-3x faster than CF4 (n = 8);
-# one exact QE step would still beat Trotter stepping up to n = 9, but the
-# pipeline runs QE proposals only on the five-site fixtures
+# dense time evolution (one eigh per exponential) up to this many sites.  The
+# pipeline evolves only the five-site fixtures; at n = 9 one T = 20 CF4 anneal
+# would take 26 s on a 2-vCPU Xeon VM, where the old matrix-free RK4 took 2.8 s
 _DENSE_MAX = 7
 
 # CF4 (Blanes & Moan 2006): Gauss nodes and the weights of its two exponentials
 _CF4_NODES = (0.5 - math.sqrt(3) / 6, 0.5 + math.sqrt(3) / 6)
 _CF4_WEIGHTS = ((3 - 2 * math.sqrt(3)) / 12, (3 + 2 * math.sqrt(3)) / 12)
-
-
-class IntegrationError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,92 +169,39 @@ def _expm_apply(h: np.ndarray, t: float, psi: np.ndarray) -> np.ndarray:
     return v @ (np.exp(-1j * t * lam) * (v.T @ psi))
 
 
-def _trotter_step_factors(model, driver_weight, alpha, dt):
-    # symmetric split  Mix(w*dt/2) Phase((1-w)*alpha*dt) Mix(w*dt/2):
-    # every factor is complex-symmetric in this basis, so each step (and any
-    # product of steps) satisfies U = U^T exactly.
-    half_mix = driver_weight * dt / 2.0
-    phase_angle = (1.0 - driver_weight) * alpha * dt
-    return half_mix, phase_angle
-
-
-def _evolve_n_steps(state, model, driver_weight, alpha, time, n_steps):
-    dt = time / n_steps
-    half_mix, phase_angle = _trotter_step_factors(model, driver_weight, alpha, dt)
-    for _ in range(n_steps):
-        state = apply_mixer_layer(state, half_mix)
-        state = apply_phase_layer(state, model, phase_angle)
-        state = apply_mixer_layer(state, half_mix)
-    return state
-
-
-def _check_step(dt: float | None) -> None:
-    if dt is not None and not (np.isfinite(dt) and dt > 0):
-        raise ValueError(f"step size must be finite and positive, got {dt}")
+def _require_dense(n_sites: int) -> None:
+    if n_sites > _DENSE_MAX:
+        raise CapacityError(
+            f"time evolution is limited to {_DENSE_MAX} sites, model has {n_sites}"
+        )
 
 
 def evolve_fixed(
-    state: StateVector,
-    model: IsingModel,
-    driver_weight: float,
-    time: float,
-    *,
-    alpha_norm: float | None = None,
-    tol: float = 1e-7,
-    dt: float | None = None,
+    state: StateVector, model: IsingModel, driver_weight: float, time: float
 ) -> StateVector:
-    """exp(-i H t)|state> for H = (1-w) * alpha * H_P + w * H_d.
+    """exp(-i H t)|state> for H = (1-w) * alpha * H_P + w * H_d, with alpha
+    the `problem_norm_ratio` of the model.
 
-    Up to _DENSE_MAX sites the result is exact: one eigh of the dense H, and
-    `tol` and `dt` are not used.  The propagator is complex-symmetric
+    Exact: one eigh of the dense H.  The propagator is complex-symmetric
     (U = U^T), which is what the quantum-proposal kernel needs.
 
-    Above _DENSE_MAX, second-order symmetric Trotter stepping.  With `dt`
-    set, uses that fixed step (the resulting operator is still exactly
-    symmetric).  Otherwise the step count doubles until halved-step
-    self-consistency reaches `tol` in max amplitude error.
-
-    Raises ValueError for a non-finite `time` or a non-finite or
-    non-positive `dt`.
+    Raises ValueError for a non-finite `time`, DimensionError for a state of
+    another size, and CapacityError above _DENSE_MAX sites.
     """
     if not np.isfinite(time):
         raise ValueError(f"evolution time must be finite, got {time}")
-    _check_step(dt)
     if model.n_sites != state.n_qubits:
         raise DimensionError(
             f"model has {model.n_sites} sites, state has {state.n_qubits} qubits"
         )
+    _require_dense(model.n_sites)
     if time == 0.0:
         return StateVector(state.amplitudes.copy(), state.n_qubits)
-    alpha = problem_norm_ratio(model) if alpha_norm is None else alpha_norm
-    if model.n_sites <= _DENSE_MAX:
-        h = driver_weight * _dense_driver(model.n_sites)
-        np.fill_diagonal(h, (1.0 - driver_weight) * alpha * basis_energies(model))
-        return StateVector(_expm_apply(h, time, state.amplitudes), state.n_qubits)
-    if dt is not None:
-        n = max(1, int(np.ceil(abs(time) / dt)))
-        return _evolve_n_steps(state, model, driver_weight, alpha, time, n)
-    n = max(4, int(np.ceil(abs(time) / 0.1)))
-    prev = _evolve_n_steps(state, model, driver_weight, alpha, time, n)
-    for _ in range(24):
-        n *= 2
-        cur = _evolve_n_steps(state, model, driver_weight, alpha, time, n)
-        if np.max(np.abs(cur.amplitudes - prev.amplitudes)) < tol:
-            return cur
-        prev = cur
-    raise IntegrationError(f"Trotter stepping did not converge to {tol}")
-
-
-def _driver_apply(n_qubits: int):
-    """Matrix-free application of H_d = -sum sigma_x (closure over n)."""
-
-    def apply(v):
-        acc = np.zeros_like(v)
-        for i in range(n_qubits):
-            acc -= v.reshape(-1, 2, 1 << i)[:, ::-1, :].reshape(-1)
-        return acc
-
-    return apply
+    h = driver_weight * _dense_driver(model.n_sites)
+    np.fill_diagonal(
+        h, (1.0 - driver_weight) * problem_norm_ratio(model) * basis_energies(model)
+    )
+    return StateVector(_expm_apply(h, time, state.amplitudes), state.n_qubits)
 
 
 def _anneal_cf4(model: IsingModel, schedule: AnnealSchedule, n_steps: int) -> np.ndarray:
@@ -291,58 +235,26 @@ def run_annealing(
     """Integrate i d|psi>/dt = [A(t) H_d + B(t) H_P] |psi> from the uniform
     superposition (the driver ground state) to t = total_time.
 
-    Up to _DENSE_MAX sites: CF4, the fourth-order commutator-free Magnus
-    integrator (Blanes & Moan 2006), whose steps are two exact dense
-    exponentials of H at the Gauss nodes; ceil(64 sqrt(T)) steps unless `dt`
-    is given.  Above it: fixed-step RK4 with a matrix-free driver and
-    dt = min(0.01, T/1e4) unless overridden; the state is renormalized every
-    step to absorb integrator drift.  A given `dt` is shortened so that a
-    whole number of steps spans T.
+    CF4, the fourth-order commutator-free Magnus integrator (Blanes & Moan
+    2006), whose steps are two exact dense exponentials of H at the Gauss
+    nodes; ceil(64 sqrt(T)) steps unless `dt` is given.  A given `dt` is
+    shortened so that a whole number of steps spans T.
 
     Raises ValueError for a negative or non-finite total time and for a
-    non-finite or non-positive `dt`.
+    non-finite or non-positive `dt`, or one too small to count its steps,
+    and CapacityError above _DENSE_MAX sites.
     """
     T = schedule.total_time
     if not (np.isfinite(T) and T >= 0.0):
         raise ValueError(f"anneal time must be finite and non-negative, got {T}")
-    _check_step(dt)
+    if dt is not None and not (np.isfinite(dt) and dt > 0 and np.isfinite(T / dt)):
+        raise ValueError(f"step size must be finite, positive and give a finite "
+                         f"step count, got {dt} for total time {T}")
+    _require_dense(model.n_sites)
     if T == 0.0:
         return uniform_state(model.n_sites)
-    dense = model.n_sites <= _DENSE_MAX
-    if dt is not None:
-        steps = np.ceil(T / dt)
-    elif dense:
-        steps = math.ceil(64 * math.sqrt(T))
-    else:
-        steps = np.ceil(T / min(0.01, T / 1e4))
-    if not np.isfinite(steps):
-        raise IntegrationError(f"bad step size {dt} for total time {T}")
-    n_steps = int(steps)
-    if dense:
-        return StateVector(_anneal_cf4(model, schedule, n_steps), model.n_sites)
-    dt = T / n_steps
-
-    hp = basis_energies(model)
-    hd_apply = _driver_apply(model.n_sites)
-
-    def rhs(t, v):
-        a, b = schedule.a_of(t / T), schedule.b_of(t / T)
-        return -1j * (a * hd_apply(v) + b * (hp * v))
-
-    psi = uniform_state(model.n_sites).amplitudes
-    t = 0.0
-    for _ in range(n_steps):
-        k1 = rhs(t, psi)
-        k2 = rhs(t + dt / 2, psi + (dt / 2) * k1)
-        k3 = rhs(t + dt / 2, psi + (dt / 2) * k2)
-        k4 = rhs(t + dt, psi + dt * k3)
-        psi = psi + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        nrm = np.linalg.norm(psi)
-        if nrm < 0.5 or not np.isfinite(nrm):
-            raise IntegrationError(f"integration diverged at t={t}")
-        psi = psi / nrm
-        t += dt
-    return StateVector(psi, model.n_sites)
+    n_steps = math.ceil(64 * math.sqrt(T)) if dt is None else math.ceil(T / dt)
+    return StateVector(_anneal_cf4(model, schedule, n_steps), model.n_sites)
 
 
 def measure_distribution(state: StateVector) -> OutputDistribution:

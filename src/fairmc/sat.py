@@ -279,7 +279,7 @@ def build_instance_set(
 
 
 def write_dimacs(formula: CnfFormula, path) -> None:
-    with open(path, "w") as f:
+    with atomic_write(path) as f:
         f.write(f"p cnf {formula.n_vars} {formula.n_clauses}\n")
         for c in formula.clauses:
             f.write(" ".join(map(str, c.to_ints())) + " 0\n")

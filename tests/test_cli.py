@@ -185,4 +185,11 @@ class TestValidateCommand:
         assert code == EXIT_OK
         report = json.loads((tmp_path / "validation.json").read_text())
         assert all(r["passed"] for r in report)
-        assert len(report) >= 10
+        assert [r["check"] for r in report] == [
+            "made_kernel_detailed_balance", "ssf_sweep_stationarity",
+            "hybrid_stationarity", "qe_kernel_detailed_balance",
+            "made_normalization", "made_corrupted_mask_detected",
+            "made_gradient_check", "sat_ising_equivalence",
+            "icm_pair_energy_conserved", "qaoa_expm_oracle",
+            "evolve_expm_oracle", "measurement_chi2",
+        ]

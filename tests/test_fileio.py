@@ -3,14 +3,26 @@ import json
 import numpy as np
 import pytest
 
-from fairmc import experiments
+from fairmc import cli, experiments
 from fairmc.fileio import atomic_write
 from fairmc.made import MadeNetwork, save_checkpoint
-from fairmc.sat import ALPHA_C, build_instance_set, save_instance_set
+from fairmc.metrics import ResultRecord, records_to_csv, rows_to_csv
+from fairmc.sat import ALPHA_C, Clause, build_instance_set, save_instance_set, write_dimacs
 
 
 class Interrupted(RuntimeError):
     pass
+
+
+class DiesWhenWritten:
+    """A CSV cell whose text cannot be formed: the row writer fails on it."""
+
+    def __str__(self):
+        raise Interrupted
+
+
+def interrupted(*args, **kwargs):
+    raise Interrupted
 
 
 @pytest.fixture
@@ -43,6 +55,18 @@ def test_failed_write_keeps_old_content(tmp_path, dump_dies_midway):
     assert path.read_text() == "old"
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
+    # the CSV writers: the first row is written, the second fails
+    path = tmp_path / "out.csv"
+    path.write_text("old")
+    with pytest.raises(Interrupted):
+        rows_to_csv([{"a": 1}, {"a": DiesWhenWritten()}], path)
+    record = ResultRecord(2, 5, "walksat", 0, 2, 1.0, True, 0.0, 3.0)
+    dies = ResultRecord(2, 5, "walksat", 1, 2, DiesWhenWritten(), True, 0.0, 3.0)
+    with pytest.raises(Interrupted):
+        records_to_csv([record, dies], path)
+    assert path.read_text() == "old"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.json"]
+
 
 def test_failed_summary_leaves_no_file(tmp_path, dump_dies_midway):
     path = tmp_path / "chains" / "walksat" / "instance_0000_trial00.json"
@@ -61,7 +85,7 @@ def test_failed_checkpoint_leaves_no_file(tmp_path, dump_dies_midway):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_failed_manifest_leaves_no_file(tmp_path, dump_dies_midway):
+def test_failed_manifest_leaves_no_file(tmp_path, dump_dies_midway, monkeypatch):
     # resume reads an existing manifest as "instances done"
     instset = build_instance_set([5], 2, 2, ALPHA_C[2], seed=0)
     with pytest.raises(Interrupted):
@@ -69,9 +93,44 @@ def test_failed_manifest_leaves_no_file(tmp_path, dump_dies_midway):
     names = sorted(p.name for p in tmp_path.iterdir())
     assert names == ["instance_0000.cnf", "instance_0001.cnf"]
 
+    # a DIMACS file that fails after its header
+    monkeypatch.setattr(Clause, "to_ints", interrupted)
+    with pytest.raises(Interrupted):
+        write_dimacs(instset.entries[0].formula, tmp_path / "instance_0002.cnf")
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
 
-def test_failed_resolved_config_leaves_no_file(tmp_path, dump_dies_midway):
+
+def test_failed_resolved_config_leaves_no_file(tmp_path, dump_dies_midway, monkeypatch):
     cfg = experiments.ExperimentConfig(kind="KSAT_FAIRNESS", sizes=(5,), per_size=1)
     with pytest.raises(Interrupted):
         experiments.write_resolved_config(cfg, tmp_path / "run")
     assert list((tmp_path / "run").iterdir()) == []
+
+    # the other JSON files of a run directory
+    monkeypatch.setattr(cli, "run_validation", lambda: [experiments._check("c", True)])
+    with pytest.raises(Interrupted):
+        cli.main(["validate", "--out", str(tmp_path / "validate")])
+    assert list((tmp_path / "validate").iterdir()) == []
+    monkeypatch.setattr(experiments, "write_resolved_config",
+                        lambda cfg, out: out.mkdir(parents=True))
+    sweep = experiments.ExperimentConfig(
+        kind="ANNEAL_SWEEP", anneal_grid_min=0.1, anneal_grid_max=0.1,
+        anneal_grid_points=1, qaoa_depth=1, qaoa_starts=1,
+    )
+    with pytest.raises(Interrupted):
+        experiments.run_anneal_sweep(sweep, tmp_path / "sweep")
+    assert [p.name for p in (tmp_path / "sweep").iterdir()] == ["anneal_sweep.csv"]
+
+
+def test_failed_degeneracy_leaves_no_manifest(tmp_path, monkeypatch):
+    # the manifest marks gen-instances done, so degeneracy.csv comes first
+    cfg = experiments.ExperimentConfig(kind="KSAT_FAIRNESS", k=2, sizes=(5,), per_size=2)
+    with monkeypatch.context() as m:
+        m.setattr(experiments, "rows_to_csv", interrupted)
+        with pytest.raises(Interrupted):
+            experiments.stage_instances(cfg, tmp_path)
+    assert not (tmp_path / "instances" / "manifest.json").exists()
+    experiments.stage_instances(cfg, tmp_path)
+    names = sorted(p.name for p in (tmp_path / "instances").iterdir())
+    assert names == ["degeneracy.csv", "instance_0000.cnf", "instance_0001.cnf",
+                     "manifest.json"]

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from fairmc.exact import boltzmann, mh_matrix, qe_proposal_matrix, ssf_sweep_matrix
 from fairmc.ising import (
     DimensionError,
     IsingModel,
@@ -47,56 +48,6 @@ def random_net(n, seed=0, scale=0.3):
     net.weights = [w + rng.normal(size=w.shape) * scale for w in net.weights]
     net.biases = [rng.normal(size=b.shape) * scale for b in net.biases]
     return net
-
-
-def boltzmann(model, beta):
-    e = basis_energies(model)
-    w = np.exp(-beta * (e - e.min()))
-    return w / w.sum()
-
-
-def independence_transition_matrix(model, beta, q):
-    """Exact MH transition matrix for an independence sampler with pmf q."""
-    e = basis_energies(model)
-    dim = len(e)
-    p = np.zeros((dim, dim))
-    for z in range(dim):
-        for zp in range(dim):
-            if zp == z:
-                continue
-            log_ratio = -beta * (e[zp] - e[z]) + math.log(q[z]) - math.log(q[zp])
-            p[z, zp] = q[zp] * min(1.0, math.exp(log_ratio))
-        p[z, z] = 1.0 - p[z].sum()
-    return p
-
-
-def ssf_site_matrix(model, beta, site):
-    e = basis_energies(model)
-    dim = len(e)
-    p = np.zeros((dim, dim))
-    for z in range(dim):
-        zp = z ^ (1 << site)
-        a = min(1.0, math.exp(-beta * (e[zp] - e[z])))
-        p[z, zp] = a
-        p[z, z] = 1.0 - a
-    return p
-
-
-def ssf_sweep_matrix(model, beta):
-    """Average over all site permutations of the sequential-update product."""
-    import itertools
-
-    n = model.n_sites
-    dim = 1 << n
-    site_mats = [ssf_site_matrix(model, beta, i) for i in range(n)]
-    total = np.zeros((dim, dim))
-    perms = list(itertools.permutations(range(n)))
-    for perm in perms:
-        p = np.eye(dim)
-        for site in perm:
-            p = p @ site_mats[site]
-        total += p
-    return total / len(perms)
 
 
 class FlipKernel:
@@ -185,7 +136,7 @@ class TestDetailedBalance:
         m = random_model(np.random.default_rng(4), 4)
         net = random_net(4, seed=5)
         q = exact_probabilities(net)
-        p = independence_transition_matrix(m, beta, q)
+        p = mh_matrix(m, beta, np.tile(q, (16, 1)), np.log(q))
         pi = boltzmann(m, beta)
         flow = pi[:, None] * p
         assert np.max(np.abs(flow - flow.T)) < 1e-10
@@ -193,8 +144,7 @@ class TestDetailedBalance:
 
     def test_uniform_kernel_exact_detailed_balance(self):
         m = random_model(np.random.default_rng(6), 4)
-        q = np.full(16, 1 / 16)
-        p = independence_transition_matrix(m, 1.5, q)
+        p = mh_matrix(m, 1.5, np.full((16, 16), 1 / 16))
         pi = boltzmann(m, 1.5)
         flow = pi[:, None] * p
         assert np.max(np.abs(flow - flow.T)) < 1e-10
@@ -210,7 +160,8 @@ class TestDetailedBalance:
         m = random_model(np.random.default_rng(8), 4)
         net = random_net(4, seed=9)
         beta = 1.2
-        p_made = independence_transition_matrix(m, beta, exact_probabilities(net))
+        q = exact_probabilities(net)
+        p_made = mh_matrix(m, beta, np.tile(q, (16, 1)), np.log(q))
         p_hybrid = p_made @ ssf_sweep_matrix(m, beta)
         pi = boltzmann(m, beta)
         assert np.abs(pi @ p_hybrid - pi).sum() < 1e-9
@@ -273,25 +224,21 @@ class TestQeKernel:
 
     def test_proposal_distribution_symmetric_fixed_draw(self):
         m = random_model(np.random.default_rng(19), 4)
-        w, t, dt = 0.45, 4.0, 0.1
+        w, t = 0.45, 4.0
         probs_from = {}
         for z in (3, 12):
-            out = evolve_fixed(basis_state(4, z), m, w, t, dt=dt)
+            out = evolve_fixed(basis_state(4, z), m, w, t)
             probs_from[z] = measure_distribution(out).probs
         assert probs_from[3][12] == pytest.approx(probs_from[12][3], abs=1e-10)
 
     def test_exact_detailed_balance_fixed_draw(self):
         # collapsed QeHyper ranges fix (w, t); the kernel then draws from the
-        # rows of q below, and the MH matrix balances every pair of states
+        # rows of q below, and the MH matrix, which accepts as the kernel does
+        # (no q ratio), balances every pair of states
         m = random_model(np.random.default_rng(72), 4, integer=False)
         w, t = 0.4, 6.5
-        hyper = QeHyper(driver_weight_range=(w, w), time_range=(t, t))
-        kernel = kernel_qe_mcmc(m, hyper)
-        q = np.array([
-            measure_distribution(
-                evolve_fixed(basis_state(4, z), m, w, t, dt=hyper.trotter_dt)).probs
-            for z in range(16)
-        ])
+        kernel = kernel_qe_mcmc(m, QeHyper(driver_weight_range=(w, w), time_range=(t, t)))
+        q = qe_proposal_matrix(m, w, t)
         for z in range(16):
             upper = np.cumsum(q[z])
             for zp in np.flatnonzero(q[z] > 1e-9):
@@ -299,10 +246,7 @@ class TestQeKernel:
                 prop = kernel.propose(SpinConfig(z, 4), ScriptedRng([0.3, 0.9, u]))
                 assert prop.candidate.bits == zp
         beta = 0.8
-        e = basis_energies(m)
-        p = q * np.minimum(1.0, np.exp(-beta * (e[None, :] - e[:, None])))
-        np.fill_diagonal(p, 0.0)
-        np.fill_diagonal(p, 1.0 - p.sum(axis=1))
+        p = mh_matrix(m, beta, q)
         pi = boltzmann(m, beta)
         flow = pi[:, None] * p
         np.testing.assert_allclose(flow, flow.T, rtol=0, atol=1e-12)

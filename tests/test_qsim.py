@@ -6,9 +6,16 @@ import pytest
 from scipy import stats
 from scipy.linalg import expm
 
+from fairmc.exact import dense_driver, dense_problem
 from fairmc.fixtures import load_fixture
-from fairmc.ising import DimensionError, IsingModel, SpinConfig, basis_energies
-from fairmc.mcmc import QeHyper
+from fairmc.ising import (
+    CapacityError,
+    DimensionError,
+    IsingModel,
+    SpinConfig,
+    Temperature,
+)
+from fairmc.mcmc import QeHyper, kernel_qe_mcmc, run_chain
 from fairmc.qsim import (
     AnnealSchedule,
     OutputDistribution,
@@ -26,26 +33,6 @@ from fairmc.qsim import (
     sample,
     uniform_state,
 )
-
-SX = np.array([[0.0, 1.0], [1.0, 0.0]])
-
-
-def dense_driver(n):
-    """H_d = -sum_i sigma_x_i with qubit i on bit i of the index."""
-    dim = 1 << n
-    h = np.zeros((dim, dim))
-    for i in range(n):
-        op = np.array([[1.0]])
-        # kron builds from the highest bit down, so append qubit 0 last
-        for q in reversed(range(n)):
-            op = np.kron(op, SX if q == i else np.eye(2))
-        h -= op
-    return h
-
-
-def dense_problem(model):
-    return np.diag(basis_energies(model))
-
 
 def random_model(rng, n, n_terms=8):
     terms = []
@@ -152,11 +139,11 @@ class TestEvolveFixed:
         np.testing.assert_allclose(out.amplitudes, expected, atol=1e-7)
 
     def test_proposal_magnitudes_symmetric(self):
-        # coarse fixed-step evolution must still give |U_zz'| == |U_z'z|
+        # the proposal needs |U_zz'| == |U_z'z|
         m = random_model(np.random.default_rng(9), 4)
         cols = []
         for z in range(16):
-            out = evolve_fixed(basis_state(4, z), m, 0.5, 3.0, dt=0.25)
+            out = evolve_fixed(basis_state(4, z), m, 0.5, 3.0)
             cols.append(out.amplitudes)
         u = np.stack(cols, axis=1)
         np.testing.assert_allclose(np.abs(u), np.abs(u.T), atol=1e-8)
@@ -166,13 +153,6 @@ class TestEvolveFixed:
         with pytest.raises(ValueError):
             evolve_fixed(uniform_state(2), m, 0.5, float("nan"))
 
-    @pytest.mark.parametrize("n", [2, 9])
-    @pytest.mark.parametrize("dt", [0.0, -0.05, float("nan"), float("inf")])
-    def test_rejects_bad_step(self, n, dt):
-        m = random_model(np.random.default_rng(40), n)
-        with pytest.raises(ValueError):
-            evolve_fixed(uniform_state(n), m, 0.5, 1.0, dt=dt)
-
     def test_rejects_state_of_other_size(self):
         m = random_model(np.random.default_rng(41), 3)
         with pytest.raises(DimensionError):
@@ -180,37 +160,15 @@ class TestEvolveFixed:
 
     @pytest.mark.parametrize("n", [5, 6, 7])
     def test_dense_path_exact(self, n):
-        # up to qsim._DENSE_MAX the propagator is exp(-iHt) itself, whatever dt
+        # up to qsim._DENSE_MAX the propagator is exp(-iHt) itself
         rng = np.random.default_rng(42 + n)
         m = random_model(rng, n, n_terms=2 * n)
         s = random_state(rng, n)
         w, t = 0.35, 7.3
         h = (1 - w) * problem_norm_ratio(m) * dense_problem(m) + w * dense_driver(n)
         expected = expm(-1j * t * h) @ s.amplitudes
-        out = evolve_fixed(s, m, w, t, dt=0.05)
+        out = evolve_fixed(s, m, w, t)
         np.testing.assert_allclose(out.amplitudes, expected, rtol=0, atol=1e-10)
-
-    def test_trotter_path_above_dense_max(self):
-        # n = 8 runs second-order Trotter steps: the error against expm is
-        # small, and halving dt divides it by about 4
-        rng = np.random.default_rng(50)
-        m = random_model(rng, 8, n_terms=16)
-        s = random_state(rng, 8)
-        w, t = 0.45, 1.0
-        h = (1 - w) * problem_norm_ratio(m) * dense_problem(m) + w * dense_driver(8)
-        expected = expm(-1j * t * h) @ s.amplitudes
-        errs = [np.max(np.abs(evolve_fixed(s, m, w, t, dt=dt).amplitudes - expected))
-                for dt in (0.05, 0.025)]
-        assert errs[0] < 1e-2
-        assert 3.0 < errs[0] / errs[1] < 5.0
-        adaptive = evolve_fixed(s, m, w, t)
-        np.testing.assert_allclose(adaptive.amplitudes, expected, rtol=0, atol=1e-6)
-
-    def test_trotter_proposal_magnitudes_symmetric_above_dense_max(self):
-        m = random_model(np.random.default_rng(51), 8, n_terms=16)
-        u = np.stack([evolve_fixed(basis_state(8, z), m, 0.5, 1.0, dt=0.25).amplitudes
-                      for z in range(256)], axis=1)
-        np.testing.assert_allclose(np.abs(u), np.abs(u.T), rtol=0, atol=1e-12)
 
     def test_dense_proposal_symmetric_over_qe_ranges(self):
         # |U| = |U^T| for (w, t) drawn as the QE kernel draws them
@@ -220,8 +178,7 @@ class TestEvolveFixed:
         for _ in range(5):
             w = rng.uniform(*hyper.driver_weight_range)
             t = rng.uniform(*hyper.time_range)
-            u = np.stack([evolve_fixed(basis_state(5, z), m, w, t,
-                                       dt=hyper.trotter_dt).amplitudes
+            u = np.stack([evolve_fixed(basis_state(5, z), m, w, t).amplitudes
                           for z in range(32)], axis=1)
             np.testing.assert_allclose(np.abs(u), np.abs(u.T), rtol=0, atol=1e-12)
 
@@ -268,7 +225,7 @@ class TestRunAnnealing:
             run_annealing(m, linear_schedule(total_time))
 
     @pytest.mark.parametrize("n", [3, 9])
-    @pytest.mark.parametrize("dt", [0.0, -0.01, float("nan"), float("inf")])
+    @pytest.mark.parametrize("dt", [0.0, -0.01, float("nan"), float("inf"), 5e-324])
     def test_rejects_bad_step(self, n, dt):
         m = random_model(np.random.default_rng(61), n)
         with pytest.raises(ValueError):
@@ -295,18 +252,18 @@ class TestRunAnnealing:
         out = run_annealing(m, sched, dt=0.5)
         np.testing.assert_allclose(out.amplitudes, expected, rtol=0, atol=1e-10)
 
-    def test_rk4_above_dense_max(self):
-        # n = 8 integrates with RK4 and the matrix-free driver: a constant H
-        # shows its 4th-order step error against expm
-        rng = np.random.default_rng(64)
-        m = random_model(rng, 8, n_terms=16)
-        sched = AnnealSchedule(1.5, lambda s: 0.5, lambda s: 0.5)
-        h = 0.5 * dense_driver(8) + 0.5 * dense_problem(m)
-        expected = expm(-1j * 1.5 * h) @ uniform_state(8).amplitudes
-        errs = [np.max(np.abs(run_annealing(m, sched, dt=dt).amplitudes - expected))
-                for dt in (0.03, 0.015)]
-        assert errs[0] < 1e-4
-        assert 10.0 < errs[0] / errs[1] < 24.0
+def test_capacity_above_dense_max():
+    # time evolution is dense only, up to qsim._DENSE_MAX = 7 sites
+    m = random_model(np.random.default_rng(65), 8, n_terms=16)
+    with pytest.raises(CapacityError):
+        evolve_fixed(uniform_state(8), m, 0.5, 1.0)
+    with pytest.raises(CapacityError):
+        run_annealing(m, linear_schedule(1.0))
+    with pytest.raises(CapacityError):
+        run_chain(m, Temperature(1.0), kernel_qe_mcmc(m), 1, rng_seed=66)
+    # the input checks come first
+    with pytest.raises(ValueError, match="anneal time"):
+        run_annealing(m, linear_schedule(-1.0))
 
 
 GOLDEN = json.loads(
