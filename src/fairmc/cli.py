@@ -10,12 +10,15 @@
     fairmc fig1 .. fig7                   preset end-to-end experiments
 
 Common flags: --config FILE, --out DIR, --seed N, --threads N.
-Exit codes: 0 success, 1 validation failure, 2 configuration/usage error.
+Exit codes: 0 success, 1 validation failure, 2 configuration/usage error,
+a missing earlier stage, or a resume into an --out directory written by a
+different config (seed included).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from importlib import resources
@@ -124,11 +127,7 @@ def cmd_fig(args) -> int:
     elif name == "fig3":
         # degeneracy scatter needs both clause widths
         for k in (2, 3):
-            sub = ExperimentConfig.from_dict(
-                {**{kk: v for kk, v in cfg.resolved().items()
-                    if kk in ExperimentConfig.__dataclass_fields__},
-                 "k": k, "alpha_c": None}
-            )
+            sub = dataclasses.replace(cfg, k=k, alpha_c=None)
             write_resolved_config(sub, out / f"k{k}")
             stage_instances(sub, out / f"k{k}")
     else:

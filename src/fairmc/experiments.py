@@ -3,20 +3,30 @@ metrics, and the self-check validation suite.
 
 Every run writes a fully-resolved config into its output directory and
 derives all task seeds from (config seed, stage, task indices), so a re-run
-over the same directory reproduces identical outputs; finished stages are
-detected by their files and skipped.  Stages communicate only through files:
+over the same directory reproduces identical outputs.  A resume into a run
+directory whose stored config differs from the current one is refused
+(`ConfigError`), so outputs of two configs are never mixed.  Stages
+communicate only through files, and each per-instance or per-trial task
+writes its own file atomically: a task whose file exists is skipped, so a
+stage stopped midway resumes with the tasks that did not finish.
 
     instances/   DIMACS + manifest.json + degeneracy.csv
     schedules/   per-instance linear schedules + fixed_angles.json
+                 (needs instances/)
     nets/        per-instance network checkpoints
+                 (needs instances/ and schedules/fixed_angles.json)
     chains/      <algo>/ per-trial summaries of every algorithm: samplers and
                  PT-ICM (counts over solutions, steps), WalkSAT (solutions
-                 found, flips)
+                 found, flips); the samplers need a net for every instance,
+                 the baselines only instances/
     metrics/     records.csv (one row per instance and algorithm),
                  summary.csv (aggregated per k, N, algorithm),
                  superiority.csv (pairwise step wins; only when at least two
                  algorithms finished an instance) and trials.csv (per-trial
-                 step counts and seeds)
+                 step counts and seeds); needs instances/ and chains/
+
+A stage whose inputs are missing raises `StageError` naming the first
+missing file.
 """
 
 from __future__ import annotations
@@ -31,7 +41,6 @@ from pathlib import Path
 import numpy as np
 
 import fairmc
-from fairmc import made as made_mod
 from fairmc.baselines import (
     PtIcmConfig,
     WalkSatConfig,
@@ -42,9 +51,16 @@ from fairmc.baselines import (
 from fairmc.fileio import atomic_write
 from fairmc.fixtures import FIXTURE_NAMES, SIXFOLD_FIXTURE, load_fixture
 from fairmc.ising import IsingModel, SpinConfig, Temperature, ground_states_bruteforce
-from fairmc.made import TrainConfig, save_checkpoint, train
+from fairmc.made import (
+    TrainConfig,
+    load_checkpoint,
+    save_checkpoint,
+    train,
+    training_digest,
+)
 from fairmc.mcmc import HybridUpdate, kernel_made, kernel_qe_mcmc, run_chain
 from fairmc.metrics import (
+    GroundStateHistogram,
     ResultRecord,
     aggregate,
     fairness,
@@ -57,6 +73,7 @@ from fairmc.metrics import (
 from fairmc.qaoa import (
     effective_time,
     expand,
+    expectation,
     fixed_angles_from_set,
     optimize,
     optimize_free,
@@ -116,7 +133,6 @@ class ExperimentConfig:
     anneal_grid_max: float = 1000.0
     anneal_grid_points: int = 30
     samples: int = 1000  # measurement/trace draws for the small instances
-    save_traces: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -180,18 +196,38 @@ def derive_seed(*parts) -> int:
 
 
 def write_resolved_config(cfg: ExperimentConfig, out: Path) -> None:
+    """Write `resolved_config.json` into a new run directory.  A run directory
+    holds the outputs of one config, so a resume into it with a config whose
+    resolved values differ is refused and the stored file is left as it is."""
     out.mkdir(parents=True, exist_ok=True)
-    with atomic_write(out / "resolved_config.json") as f:
-        json.dump(cfg.resolved(), f, indent=1, sort_keys=True)
+    path = out / "resolved_config.json"
+    resolved = json.loads(json.dumps(cfg.resolved()))  # tuples read back as lists
+    if path.exists():
+        with open(path) as f:
+            stored = json.load(f)
+        differ = sorted(key for key in stored.keys() | resolved.keys()
+                        if key not in stored or key not in resolved
+                        or stored[key] != resolved[key])
+        if differ:
+            raise ConfigError(f"{out} holds a run of another config (keys differ: "
+                              f"{', '.join(differ)}); use a new --out directory")
+        return
+    with atomic_write(path) as f:
+        json.dump(resolved, f, indent=1, sort_keys=True)
 
 
-def _par_map(fn, tasks, threads: int):
-    """Order-preserving map, optionally across processes.  Tasks are
-    independent and seeded, so results do not depend on `threads`."""
-    if threads <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
+def _run_missing(fn, tasks, threads: int) -> None:
+    """Call `fn(*task)` for every task whose output path, its first item, does
+    not exist yet, in order or across `threads` processes.  Each call writes
+    its own file, so a stage stopped midway keeps the tasks that finished.
+    Tasks are independent and seeded, so outputs do not depend on `threads`."""
+    todo = [task for task in tasks if not task[0].exists()]
+    if threads <= 1 or len(todo) <= 1:
+        for task in todo:
+            fn(*task)
+        return
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, tasks))
+        list(pool.map(fn, *zip(*todo)))
 
 
 # ---------------------------------------------------------------------------
@@ -222,90 +258,68 @@ def _require_stage(path: Path, stage_cmd: str):
         raise StageError(f"missing {path}; run the '{stage_cmd}' stage first")
 
 
-def _optimize_one(args):
-    model_dict, p, starts, seed = args
-    model = IsingModel.from_json_dict(model_dict)
+def _instances(out: Path):
+    inst_dir = out / "instances"
+    _require_stage(inst_dir / "manifest.json", "gen-instances")
+    return load_instance_set(inst_dir)
+
+
+def _read_schedule(path: Path):
+    with open(path) as f:
+        return schedule_from_json(json.load(f))
+
+
+def _optimize_one(path, model, p, starts, seed):
     schedule, _ = optimize(model, p, starts, np.random.default_rng(seed))
-    value = _schedule_value(model, schedule, p)
-    return schedule, value
-
-
-def _schedule_value(model, schedule, p):
-    from fairmc.qaoa import expectation
-
-    return expectation(model, expand(schedule, p))
+    value = expectation(model, expand(schedule, p))
+    with atomic_write(path) as f:
+        json.dump(schedule_to_json(schedule, p, value), f, indent=1)
 
 
 def stage_schedules(cfg: ExperimentConfig, out: Path, threads: int = 1):
-    inst_dir = out / "instances"
-    _require_stage(inst_dir / "manifest.json", "gen-instances")
-    instset = load_instance_set(inst_dir)
+    instset = _instances(out)
     sched_dir = out / "schedules"
     sched_dir.mkdir(exist_ok=True)
+    paths = [sched_dir / f"instance_{i:04d}.json" for i in range(len(instset.entries))]
+    _run_missing(_optimize_one, [
+        (path, to_ising(entry.formula), cfg.qaoa_depth, cfg.qaoa_starts,
+         derive_seed(cfg.seed, "schedule", i))
+        for i, (path, entry) in enumerate(zip(paths, instset.entries))
+    ], threads)
 
-    todo = []
-    for i, entry in enumerate(instset.entries):
-        if not (sched_dir / f"instance_{i:04d}.json").exists():
-            todo.append(
-                (i, (to_ising(entry.formula).to_json_dict(), cfg.qaoa_depth,
-                     cfg.qaoa_starts, derive_seed(cfg.seed, "schedule", i)))
-            )
-    results = _par_map(_optimize_one, [t[1] for t in todo], threads)
-    for (i, _), (schedule, value) in zip(todo, results):
-        with atomic_write(sched_dir / f"instance_{i:04d}.json") as f:
-            json.dump(schedule_to_json(schedule, cfg.qaoa_depth, value), f, indent=1)
-
-    schedules = []
-    for i in range(len(instset.entries)):
-        with open(sched_dir / f"instance_{i:04d}.json") as f:
-            schedules.append(schedule_from_json(json.load(f)))
+    schedules = [_read_schedule(path) for path in paths]
     fa = fixed_angles_from_set(schedules)
     with atomic_write(sched_dir / "fixed_angles.json") as f:
         json.dump(schedule_to_json(fa.schedule, cfg.qaoa_depth, math.nan), f, indent=1)
     return schedules
 
 
-def _train_one(args):
-    model_dict, sched_dict, p, n_samples, train_kwargs, seed = args
-    model = IsingModel.from_json_dict(model_dict)
-    params = expand(schedule_from_json(sched_dict), p)
+def _train_one(path, model, schedule, p, n_samples, train_cfg):
+    params = expand(schedule, p)
     state = run_qaoa(model, params.gammas, params.betas)
-    draws = sample(state, n_samples, np.random.default_rng(seed))
-    net, curve = train(draws, TrainConfig(rng_seed=seed, **train_kwargs))
-    return net, curve[-1], made_mod.training_digest(draws)
+    # one seed draws the training samples and seeds training
+    draws = sample(state, n_samples, np.random.default_rng(train_cfg.rng_seed))
+    net, _ = train(draws, train_cfg)
+    save_checkpoint(net, path, digest=training_digest(draws))
 
 
 def stage_nets(cfg: ExperimentConfig, out: Path, threads: int = 1):
-    inst_dir = out / "instances"
+    instset = _instances(out)
     sched_dir = out / "schedules"
-    _require_stage(inst_dir / "manifest.json", "gen-instances")
     _require_stage(sched_dir / "fixed_angles.json", "optimize-qaoa")
-    instset = load_instance_set(inst_dir)
     nets_dir = out / "nets"
     nets_dir.mkdir(exist_ok=True)
-
-    todo = []
-    for i, entry in enumerate(instset.entries):
-        if (nets_dir / f"instance_{i:04d}.json").exists():
-            continue
-        sched_file = (
-            sched_dir / "fixed_angles.json"
-            if cfg.use_fixed_angles
-            else sched_dir / f"instance_{i:04d}.json"
-        )
-        with open(sched_file) as f:
-            sched_dict = json.load(f)
-        train_kwargs = dict(
-            epochs=cfg.made_epochs, batch_size=cfg.made_batch,
-            learning_rate=cfg.made_lr,
-        )
-        todo.append(
-            (i, (to_ising(entry.formula).to_json_dict(), sched_dict, cfg.qaoa_depth,
-                 cfg.train_samples, train_kwargs, derive_seed(cfg.seed, "net", i)))
-        )
-    results = _par_map(_train_one, [t[1] for t in todo], threads)
-    for (i, _), (net, nll, digest) in zip(todo, results):
-        save_checkpoint(net, nets_dir / f"instance_{i:04d}.json", digest=digest)
+    sched_paths = [
+        sched_dir / ("fixed_angles.json" if cfg.use_fixed_angles else f"instance_{i:04d}.json")
+        for i in range(len(instset.entries))
+    ]
+    _run_missing(_train_one, [
+        (nets_dir / f"instance_{i:04d}.json", to_ising(entry.formula),
+         _read_schedule(sched_path), cfg.qaoa_depth, cfg.train_samples,
+         TrainConfig(epochs=cfg.made_epochs, batch_size=cfg.made_batch,
+                     learning_rate=cfg.made_lr, rng_seed=derive_seed(cfg.seed, "net", i)))
+        for i, (entry, sched_path) in enumerate(zip(instset.entries, sched_paths))
+    ], threads)
 
 
 def _summary_path(out: Path, algo: str, instance: int, trial: int) -> Path:
@@ -318,79 +332,46 @@ def _write_summary(path: Path, payload: dict):
         json.dump(payload, f)
 
 
-def _chain_summary(trace, solutions, algo, instance, trial, seed, extra=None):
+def _chain_summary(trace, solutions, algo, instance, trial, seed, **extra):
     hist = histogram(trace, solutions)
-    steps = steps_to_enumerate(trace, solutions)
-    payload = {
+    return {
         "algorithm": algo,
         "instance": instance,
         "trial": trial,
         "seed": seed,
         "counts": hist.counts.tolist(),
         "total_gs_samples": hist.total_gs_samples,
-        "steps_to_enumerate": steps,
+        "steps_to_enumerate": steps_to_enumerate(trace, solutions),
         "n_steps": trace.n_steps,
         "n_transitions": trace.n_transitions,
+        **extra,
     }
-    if extra:
-        payload.update(extra)
-    return payload
 
 
-def _run_sampler_trial(args):
-    (model_dict, solutions_bits, n_vars, algo, net_dict, beta, steps, instance,
-     trial, seed, save_traces, out_str) = args
-    model = IsingModel.from_json_dict(model_dict)
-    solutions = [SpinConfig(b, n_vars) for b in solutions_bits]
-    net = made_mod.MadeNetwork.from_json_dict(net_dict)
+def _run_sampler_trial(path, model, solutions, algo, net, beta, steps, instance, trial,
+                       seed):
     update = kernel_made(net) if algo == "qaoa-nmc" else HybridUpdate(net)
     trace = run_chain(model, Temperature(beta), update, steps, rng_seed=seed)
-    if save_traces:
-        tdir = Path(out_str) / "traces" / algo
-        tdir.mkdir(parents=True, exist_ok=True)
-        trace.save(tdir / f"instance_{instance:04d}_trial{trial:02d}.npz")
-        trace.to_csv(tdir / f"instance_{instance:04d}_trial{trial:02d}.csv")
-    return _chain_summary(trace, solutions, algo, instance, trial, seed)
+    _write_summary(path, _chain_summary(trace, solutions, algo, instance, trial, seed))
 
 
 def stage_chains(cfg: ExperimentConfig, out: Path, threads: int = 1):
-    inst_dir = out / "instances"
-    nets_dir = out / "nets"
-    _require_stage(inst_dir / "manifest.json", "gen-instances")
-    instset = load_instance_set(inst_dir)
+    instset = _instances(out)
     algos = [a for a in cfg.algorithms if a in SAMPLER_ALGOS]
-    if algos:
-        _require_stage(nets_dir / "instance_0000.json", "train-made")
-
+    if not algos:
+        return
     tasks = []
     for i, entry in enumerate(instset.entries):
-        net_dict = None
-        for algo in algos:
-            for trial in range(cfg.trials):
-                path = _summary_path(out, algo, i, trial)
-                if path.exists():
-                    continue
-                if net_dict is None:
-                    with open(nets_dir / f"instance_{i:04d}.json") as f:
-                        net_dict = json.load(f)
-                tasks.append(
-                    (to_ising(entry.formula).to_json_dict(),
-                     [s.bits for s in entry.solutions],
-                     entry.formula.n_vars,
-                     algo,
-                     net_dict,
-                     cfg.beta,
-                     cfg.chain_steps,
-                     i,
-                     trial,
-                     derive_seed(cfg.seed, "chain", algo, i, trial),
-                     cfg.save_traces,
-                     str(out))
-                )
-    results = _par_map(_run_sampler_trial, tasks, threads)
-    for task, payload in zip(tasks, results):
-        algo, instance, trial = task[3], task[7], task[8]
-        _write_summary(_summary_path(out, algo, instance, trial), payload)
+        net_path = out / "nets" / f"instance_{i:04d}.json"
+        _require_stage(net_path, "train-made")
+        model, net = to_ising(entry.formula), load_checkpoint(net_path)
+        tasks += [
+            (_summary_path(out, algo, i, trial), model, entry.solutions, algo, net,
+             cfg.beta, cfg.chain_steps, i, trial,
+             derive_seed(cfg.seed, "chain", algo, i, trial))
+            for algo in algos for trial in range(cfg.trials)
+        ]
+    _run_missing(_run_sampler_trial, tasks, threads)
 
 
 def _matched_pt_rounds(cfg: ExperimentConfig, n: int) -> int:
@@ -400,124 +381,76 @@ def _matched_pt_rounds(cfg: ExperimentConfig, n: int) -> int:
     return max(1, total // (n + 2))
 
 
-def _run_pt_trial(args):
-    (model_dict, solutions_bits, n_vars, cfg_dict, rounds, instance, seed) = args
-    model = IsingModel.from_json_dict(model_dict)
-    solutions = [SpinConfig(b, n_vars) for b in solutions_bits]
-    pt_cfg = PtIcmConfig(
-        replica_betas=geometric_beta_ladder(
-            cfg_dict["pt_n_temps"], cfg_dict["pt_beta_min"], cfg_dict["beta"]
-        ),
-        sweeps_between_exchanges=cfg_dict["pt_sweeps"],
-        icm_every=cfg_dict["pt_icm_every"],
-        rng_seed=seed,
-    )
+def _run_pt_trial(path, model, solutions, pt_cfg, rounds, instance):
     trace, stats = pt_icm_run(model, pt_cfg, rounds)
-    extra = {
-        "exchange_attempts": stats.exchange_attempts,
-        "exchange_accepts": stats.exchange_accepts,
-        "icm_attempts": stats.icm_attempts,
-        "icm_moves": stats.icm_moves,
-        "total_transitions_all_replicas": stats.total_transitions,
-    }
-    return _chain_summary(trace, solutions, "pt-icm", instance, 0, seed, extra)
+    _write_summary(path, _chain_summary(
+        trace, solutions, "pt-icm", instance, 0, pt_cfg.rng_seed,
+        exchange_attempts=stats.exchange_attempts,
+        exchange_accepts=stats.exchange_accepts,
+        icm_attempts=stats.icm_attempts,
+        icm_moves=stats.icm_moves,
+        total_transitions_all_replicas=stats.total_transitions,
+    ))
 
 
-def _run_walksat_trial(args):
-    (formula_path, solutions_bits, n_vars, ws_kwargs, instance, trial, seed) = args
-    from fairmc.sat import read_dimacs
-
-    formula = read_dimacs(formula_path)
-    res = walksat_enumerate(formula, WalkSatConfig(rng_seed=seed, **ws_kwargs))
+def _run_walksat_trial(path, formula, solutions, ws_cfg, instance, trial):
+    res = walksat_enumerate(formula, ws_cfg)
     found_bits = [s.bits for s in res.solutions]
-    return {
+    _write_summary(path, {
         "algorithm": "walksat",
         "instance": instance,
         "trial": trial,
-        "seed": seed,
+        "seed": ws_cfg.rng_seed,
         "found": found_bits,
         "flips_at_solution": res.flips_at_solution,
         "total_flips": res.total_flips,
         "complete": res.complete,
         "steps_to_enumerate": (
             res.flips_to_last_solution
-            if res.complete and set(found_bits) == set(solutions_bits)
+            if res.complete and set(found_bits) == {s.bits for s in solutions}
             else None
         ),
-    }
+    })
 
 
 def stage_baselines(cfg: ExperimentConfig, out: Path, threads: int = 1):
-    inst_dir = out / "instances"
-    _require_stage(inst_dir / "manifest.json", "gen-instances")
-    instset = load_instance_set(inst_dir)
-
+    instset = _instances(out)
     if "pt-icm" in cfg.algorithms and cfg.k == 2:
-        tasks, paths = [], []
-        for i, entry in enumerate(instset.entries):
-            path = _summary_path(out, "pt-icm", i, 0)
-            if path.exists():
-                continue
-            n = entry.formula.n_vars
-            rounds = cfg.pt_rounds or _matched_pt_rounds(cfg, n)
-            tasks.append(
-                (to_ising(entry.formula).to_json_dict(),
-                 [s.bits for s in entry.solutions], n,
-                 {"pt_n_temps": cfg.pt_n_temps, "pt_beta_min": cfg.pt_beta_min,
-                  "beta": cfg.beta, "pt_sweeps": cfg.pt_sweeps,
-                  "pt_icm_every": cfg.pt_icm_every},
-                 rounds, i, derive_seed(cfg.seed, "pt", i))
-            )
-            paths.append(path)
-        for path, payload in zip(paths, _par_map(_run_pt_trial, tasks, threads)):
-            _write_summary(path, payload)
+        betas = geometric_beta_ladder(cfg.pt_n_temps, cfg.pt_beta_min, cfg.beta)
+        _run_missing(_run_pt_trial, [
+            (_summary_path(out, "pt-icm", i, 0), to_ising(entry.formula),
+             entry.solutions,
+             PtIcmConfig(replica_betas=betas, sweeps_between_exchanges=cfg.pt_sweeps,
+                         icm_every=cfg.pt_icm_every,
+                         rng_seed=derive_seed(cfg.seed, "pt", i)),
+             cfg.pt_rounds or _matched_pt_rounds(cfg, entry.formula.n_vars), i)
+            for i, entry in enumerate(instset.entries)
+        ], threads)
 
     if "walksat" in cfg.algorithms:
-        tasks, paths = [], []
-        ws_kwargs = {
-            "noise_p": cfg.walksat_noise,
-            "max_flips": cfg.walksat_max_flips,
-            "variant": cfg.walksat_variant,
-        }
-        for i, entry in enumerate(instset.entries):
-            for trial in range(cfg.trials):
-                path = _summary_path(out, "walksat", i, trial)
-                if path.exists():
-                    continue
-                tasks.append(
-                    (str(inst_dir / f"instance_{i:04d}.cnf"),
-                     [s.bits for s in entry.solutions], entry.formula.n_vars,
-                     ws_kwargs, i, trial, derive_seed(cfg.seed, "walksat", i, trial))
-                )
-                paths.append(path)
-        for path, payload in zip(paths, _par_map(_run_walksat_trial, tasks, threads)):
-            _write_summary(path, payload)
+        _run_missing(_run_walksat_trial, [
+            (_summary_path(out, "walksat", i, trial), entry.formula, entry.solutions,
+             WalkSatConfig(noise_p=cfg.walksat_noise, max_flips=cfg.walksat_max_flips,
+                           variant=cfg.walksat_variant,
+                           rng_seed=derive_seed(cfg.seed, "walksat", i, trial)),
+             i, trial)
+            for i, entry in enumerate(instset.entries) for trial in range(cfg.trials)
+        ], threads)
 
 
 def _load_summaries(out: Path, algo: str, instance: int) -> list[dict]:
-    algo_dir = out / "chains" / algo
-    if not algo_dir.exists():
-        return []
-    out_list = []
-    for path in sorted(algo_dir.glob(f"instance_{instance:04d}_trial*.json")):
-        with open(path) as f:
-            out_list.append(json.load(f))
-    return out_list
+    paths = (out / "chains" / algo).glob(f"instance_{instance:04d}_trial*.json")
+    return [json.loads(path.read_text()) for path in sorted(paths)]
 
 
 def stage_metrics(cfg: ExperimentConfig, out: Path):
-    inst_dir = out / "instances"
-    _require_stage(inst_dir / "manifest.json", "gen-instances")
-    instset = load_instance_set(inst_dir)
+    instset = _instances(out)
     mdir = out / "metrics"
     mdir.mkdir(exist_ok=True)
 
     records: list[ResultRecord] = []
     trial_rows: list[dict] = []
-    algos_present = [
-        a for a in cfg.algorithms
-        if (out / "chains" / a).exists()
-    ]
+    algos_present = [a for a in cfg.algorithms if (out / "chains" / a).exists()]
     if not algos_present:
         raise StageError("no chain/baseline summaries; run 'run-chains' or "
                          "'run-baselines' first")
@@ -570,8 +503,6 @@ def stage_metrics(cfg: ExperimentConfig, out: Path):
 
 
 def metrics_hist(solutions, counts):
-    from fairmc.metrics import GroundStateHistogram
-
     gs = tuple(sorted(solutions, key=lambda s: s.bits))
     counts = np.asarray(counts, dtype=float)
     return GroundStateHistogram(gs, counts, float(counts.sum()))

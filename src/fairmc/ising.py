@@ -14,7 +14,6 @@ mapping (x = (1 - s)/2).  All values are immutable; operations are pure.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
@@ -189,13 +188,6 @@ class IsingModel:
             for s in range(self.n_sites)
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n_sites": self.n_sites,
-            "offset": self.offset,
-            "terms": [{"sites": list(t.sites), "coeff": t.coeff} for t in self.terms],
-        }
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "IsingModel":
         return cls.from_terms(
@@ -203,15 +195,6 @@ class IsingModel:
             [(t["sites"], t["coeff"]) for t in d["terms"]],
             d.get("offset", 0.0),
         )
-
-    def save(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_json_dict(), f, indent=1)
-
-    @classmethod
-    def load(cls, path) -> "IsingModel":
-        with open(path) as f:
-            return cls.from_json_dict(json.load(f))
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,6 @@ including rejections (the repeated state is what histograms must count).
 
 from __future__ import annotations
 
-import csv
 import math
 import random
 from dataclasses import dataclass
@@ -234,55 +233,6 @@ class ChainTrace:
 
     def configs(self) -> list[SpinConfig]:
         return [SpinConfig(int(z), self.n_sites) for z in self.states]
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["step", "bitstring", "energy", "accepted", "kernel_tag"])
-            for i in range(len(self.states)):
-                w.writerow(
-                    [
-                        int(self.transition_index[i]),
-                        SpinConfig(int(self.states[i]), self.n_sites).to_bitstring(),
-                        f"{self.energies[i]:.12g}",
-                        int(self.accepted[i]),
-                        self.tag_legend[self.tags[i]],
-                    ]
-                )
-
-    def save(self, path) -> None:
-        np.savez_compressed(
-            path,
-            n_sites=self.n_sites,
-            states=self.states,
-            energies=self.energies,
-            accepted=self.accepted,
-            tags=self.tags,
-            transition_index=self.transition_index,
-            tag_legend=np.array(self.tag_legend),
-            n_steps=self.n_steps,
-            n_transitions=self.n_transitions,
-            thinning=self.thinning,
-            rng_seed=-1 if self.rng_seed is None else self.rng_seed,
-        )
-
-    @classmethod
-    def load(cls, path) -> "ChainTrace":
-        d = np.load(path, allow_pickle=False)
-        seed = int(d["rng_seed"])
-        return cls(
-            n_sites=int(d["n_sites"]),
-            states=d["states"],
-            energies=d["energies"],
-            accepted=d["accepted"],
-            tags=d["tags"],
-            transition_index=d["transition_index"],
-            tag_legend=tuple(str(s) for s in d["tag_legend"]),
-            n_steps=int(d["n_steps"]),
-            n_transitions=int(d["n_transitions"]),
-            thinning=int(d["thinning"]),
-            rng_seed=None if seed == -1 else seed,
-        )
 
 
 class _TraceBuilder:

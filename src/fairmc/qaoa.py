@@ -16,7 +16,6 @@ both the measurement distribution and the expectation unchanged.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -206,14 +205,3 @@ def schedule_from_json(d: dict) -> LinearSchedule:
     return LinearSchedule(
         d["beta_slope"], d["beta_intcp"], d["gamma_slope"], d["gamma_intcp"]
     )
-
-
-def save_schedule(schedule: LinearSchedule, p: int, value: float, path) -> None:
-    with open(path, "w") as f:
-        json.dump(schedule_to_json(schedule, p, value), f, indent=1)
-
-
-def load_schedule(path) -> tuple[LinearSchedule, int]:
-    with open(path) as f:
-        d = json.load(f)
-    return schedule_from_json(d), d["p"]

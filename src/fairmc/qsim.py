@@ -18,7 +18,6 @@ StateVector values.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -267,11 +266,3 @@ def sample(state: StateVector, count: int, rng: np.random.Generator) -> list[Spi
     p = measure_distribution(state).probs
     zs = rng.choice(len(p), size=count, p=p)
     return [SpinConfig(int(z), state.n_qubits) for z in zs]
-
-
-def distribution_to_csv(dist: OutputDistribution, path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["bitstring", "probability"])
-        for z, p in enumerate(dist.probs):
-            w.writerow([SpinConfig(z, dist.n_qubits).to_bitstring(), f"{p:.12g}"])

@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 
 import pytest
 
@@ -107,8 +108,6 @@ class TestPipelineCommands:
                       "run-chains", "run-baselines", "metrics"):
             main([stage, "--config", cfg, "--out", out])
         first = (tmp_path / "run" / "metrics" / "records.csv").read_bytes()
-        import shutil
-
         shutil.rmtree(tmp_path / "run" / "chains")
         shutil.rmtree(tmp_path / "run" / "metrics")
         for stage in ("run-chains", "run-baselines", "metrics"):
@@ -148,6 +147,62 @@ class TestPipelineCommands:
         a = (tmp_path / "a" / "instances" / "manifest.json").read_text()
         b = (tmp_path / "b" / "instances" / "manifest.json").read_text()
         assert a != b
+
+
+UPSTREAM = ("gen-instances", "optimize-qaoa", "train-made")
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A TINY run directory with instances, schedules and nets."""
+    root = tmp_path_factory.mktemp("trained")
+    cfg = write_cfg(root)
+    for stage in UPSTREAM:
+        assert main([stage, "--config", cfg, "--out", str(root / "run")]) == EXIT_OK
+    return root / "run"
+
+
+def tree_bytes(root):
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestResume:
+    def test_partial_nets_exit_2(self, trained, tmp_path, capsys):
+        run = shutil.copytree(trained, tmp_path / "run")
+        (run / "nets" / "instance_0001.json").unlink()
+        code = main(["run-chains", "--config", write_cfg(tmp_path), "--out", str(run)])
+        assert code == EXIT_CONFIG
+        assert "instance_0001.json" in capsys.readouterr().err
+        assert not (run / "chains").exists()
+
+    @pytest.mark.parametrize("override, flags, key", [
+        ({"chain_steps": 301}, [], "chain_steps"),
+        (None, ["--seed", "12"], "seed"),
+    ])
+    def test_resume_into_other_config_refused(self, trained, tmp_path, capsys,
+                                              override, flags, key):
+        run = shutil.copytree(trained, tmp_path / "run")
+        stored = (run / "resolved_config.json").read_bytes()
+        code = main(["run-chains", "--config", write_cfg(tmp_path, override),
+                     "--out", str(run), *flags])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
+        assert (run / "resolved_config.json").read_bytes() == stored
+        assert not (run / "chains").exists()
+
+    def test_threads_give_identical_outputs(self, trained, tmp_path):
+        cfg = write_cfg(tmp_path)
+        trees = []
+        for threads in ("2", "1"):
+            run = shutil.copytree(trained, tmp_path / f"t{threads}")
+            for stage in ("run-chains", "run-baselines", "metrics"):
+                assert main([stage, "--config", cfg, "--out", str(run),
+                              "--threads", threads]) == EXIT_OK
+            trees.append({part: tree_bytes(run / part) for part in ("chains", "metrics")})
+        assert len(trees[0]["chains"]) == 2 * 2 * 2 + 2 + 2 * 2
+        assert trees[0] == trees[1]
 
 
 class TestSmallExperiments:

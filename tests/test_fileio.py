@@ -1,4 +1,6 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,3 +136,63 @@ def test_failed_degeneracy_leaves_no_manifest(tmp_path, monkeypatch):
     names = sorted(p.name for p in (tmp_path / "instances").iterdir())
     assert names == ["degeneracy.csv", "instance_0000.cnf", "instance_0001.cnf",
                      "manifest.json"]
+
+
+def write_unless_boom(path, text):
+    if text == "boom":
+        raise Interrupted
+    with atomic_write(path) as f:
+        f.write(text)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_runner_keeps_finished_tasks(tmp_path, threads):
+    paths = [tmp_path / f"{i}.txt" for i in range(3)]
+    with pytest.raises(Interrupted):
+        experiments._run_missing(
+            write_unless_boom, [(paths[0], "a"), (paths[1], "b"), (paths[2], "boom")], threads)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["0.txt", "1.txt"]
+
+    # a resume runs only the task whose file is missing
+    experiments._run_missing(
+        write_unless_boom, [(paths[0], "boom"), (paths[1], "boom"), (paths[2], "c")], threads)
+    assert [p.read_text() for p in paths] == ["a", "b", "c"]
+
+
+def in_place_writes(tree):
+    """Calls that write a file other than through `atomic_write`: `open` in a
+    write, append or update mode (or a mode not known before run time),
+    `Path.write_text`/`write_bytes`, and numpy's `save*` functions."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                and func.value.id in ("np", "numpy") and name.startswith("save")):
+            yield node.lineno, f"np.{name}"
+        elif name in ("write_text", "write_bytes"):
+            yield node.lineno, name
+        elif name == "open":
+            # open(path, mode) or path.open(mode)
+            pos = 1 if isinstance(func, ast.Name) else 0
+            modes = node.args[pos:pos + 1] + [k.value for k in node.keywords if k.arg == "mode"]
+            for mode in modes:
+                if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                        and not set(mode.value) & set("wax+")):
+                    yield node.lineno, "open in a writing mode"
+
+
+def test_stage_files_written_only_atomically():
+    src = Path(experiments.__file__).parent
+    found = [
+        f"{path.name}:{line}: {what}"
+        for path in sorted(src.rglob("*.py")) if path.name != "fileio.py"
+        for line, what in in_place_writes(ast.parse(path.read_text()))
+    ]
+    assert found == []
+    # the guard itself sees each kind of in-place write
+    probe = ast.parse('open(p, "w"); open(p, mode="a"); q.open("w+"); open(p, m); '
+                      'q.write_text(s); np.savez(p, a=a); open(p); q.open()')
+    assert [what for _, what in in_place_writes(probe)] == [
+        "open in a writing mode"] * 4 + ["write_text", "np.savez"]

@@ -228,10 +228,3 @@ class TestInvariants:
         copy = pickle.loads(pickle.dumps(m))
         assert copy == m and hash(copy) == hash(m)
         assert m != IsingModel.from_terms(6, [(t.sites, t.coeff) for t in m.terms], 1.0)
-
-    def test_json_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(7)
-        m = random_model(rng, 6, integer=False)
-        p = tmp_path / "model.json"
-        m.save(p)
-        assert IsingModel.load(p) == m

@@ -17,7 +17,6 @@ from fairmc.ising import (
 from fairmc.made import MadeNetwork, exact_probabilities
 from fairmc.mcmc import (
     MADE_BLOCK,
-    ChainTrace,
     HybridUpdate,
     MadeKernel,
     Proposal,
@@ -380,22 +379,6 @@ class TestRunChain:
         trace = run_chain(m, Temperature(beta), SsfSweepUpdate(), 50_000, rng_seed=39)
         freq = np.bincount(trace.states.astype(int), minlength=16) / len(trace)
         assert 0.5 * np.abs(freq - boltzmann(m, beta)).sum() < 0.02
-
-
-class TestTraceIO:
-    def test_csv_and_npz_roundtrip(self, tmp_path):
-        m = random_model(np.random.default_rng(40), 4)
-        net = random_net(4, seed=41)
-        trace = run_chain(m, Temperature(1.0), HybridUpdate(net), 20, rng_seed=42)
-        trace.to_csv(tmp_path / "trace.csv")
-        header = (tmp_path / "trace.csv").read_text().splitlines()[0]
-        assert header == "step,bitstring,energy,accepted,kernel_tag"
-
-        trace.save(tmp_path / "trace.npz")
-        loaded = ChainTrace.load(tmp_path / "trace.npz")
-        assert np.array_equal(loaded.states, trace.states)
-        assert loaded.tag_legend == trace.tag_legend
-        assert loaded.n_transitions == trace.n_transitions
 
 
 class TestErgodicityFloor:

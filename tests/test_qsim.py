@@ -23,7 +23,6 @@ from fairmc.qsim import (
     apply_mixer_layer,
     apply_phase_layer,
     basis_state,
-    distribution_to_csv,
     evolve_fixed,
     linear_schedule,
     measure_distribution,
@@ -306,14 +305,6 @@ class TestMeasurement:
     def test_sample_returns_spin_configs(self):
         out = sample(basis_state(2, 3), 5, np.random.default_rng(0))
         assert all(isinstance(s, SpinConfig) and s.bits == 3 for s in out)
-
-    def test_csv_dump(self, tmp_path):
-        d = measure_distribution(basis_state(2, 1))
-        path = tmp_path / "dist.csv"
-        distribution_to_csv(d, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "bitstring,probability"
-        assert lines[2].startswith("10,")  # z=1 -> bit 0 set -> "10.."
 
 
 class TestDistributionType:
