@@ -28,6 +28,7 @@ from fairmc.experiments import (
     ConfigError,
     ExperimentConfig,
     StageError,
+    require_stage,
     run_anneal_sweep,
     run_ksat,
     run_small_instances,
@@ -97,9 +98,13 @@ def cmd_validate(args) -> int:
 def cmd_stage(args) -> int:
     cfg = _load_config(args)
     out = Path(args.out)
+    stage = args.command
+    # a stage refused for missing inputs must not leave its config behind:
+    # that would pin the directory before gen-instances has run there
+    if stage != "gen-instances":
+        require_stage(out / "instances" / "manifest.json", "gen-instances")
     write_resolved_config(cfg, out)
     threads = args.threads
-    stage = args.command
     if stage == "gen-instances":
         stage_instances(cfg, out)
     elif stage == "optimize-qaoa":

@@ -253,14 +253,14 @@ def stage_instances(cfg: ExperimentConfig, out: Path):
     return instset
 
 
-def _require_stage(path: Path, stage_cmd: str):
+def require_stage(path: Path, stage_cmd: str):
     if not path.exists():
         raise StageError(f"missing {path}; run the '{stage_cmd}' stage first")
 
 
 def _instances(out: Path):
     inst_dir = out / "instances"
-    _require_stage(inst_dir / "manifest.json", "gen-instances")
+    require_stage(inst_dir / "manifest.json", "gen-instances")
     return load_instance_set(inst_dir)
 
 
@@ -306,7 +306,7 @@ def _train_one(path, model, schedule, p, n_samples, train_cfg):
 def stage_nets(cfg: ExperimentConfig, out: Path, threads: int = 1):
     instset = _instances(out)
     sched_dir = out / "schedules"
-    _require_stage(sched_dir / "fixed_angles.json", "optimize-qaoa")
+    require_stage(sched_dir / "fixed_angles.json", "optimize-qaoa")
     nets_dir = out / "nets"
     nets_dir.mkdir(exist_ok=True)
     sched_paths = [
@@ -363,7 +363,7 @@ def stage_chains(cfg: ExperimentConfig, out: Path, threads: int = 1):
     tasks = []
     for i, entry in enumerate(instset.entries):
         net_path = out / "nets" / f"instance_{i:04d}.json"
-        _require_stage(net_path, "train-made")
+        require_stage(net_path, "train-made")
         model, net = to_ising(entry.formula), load_checkpoint(net_path)
         tasks += [
             (_summary_path(out, algo, i, trial), model, entry.solutions, algo, net,
@@ -636,8 +636,9 @@ def run_validation() -> list[dict]:
     the MADE independence kernel and of the QE kernel at a fixed (w, t)
     draw, and stationarity of the single-spin-flip sweep and the hybrid
     composite.  Then MADE normalization and gradients, the clause-penalty
-    equivalence, cluster-move conservation, the dense QAOA and time
-    evolution against scipy's expm, and a sampling chi-square.
+    equivalence, cluster-move conservation, the dense QAOA, its adjoint
+    gradient and time evolution against scipy's expm, and a sampling
+    chi-square.
     """
     from scipy import stats as scistats
     from scipy.linalg import expm
@@ -646,6 +647,7 @@ def run_validation() -> list[dict]:
     from fairmc.baselines import icm_move
     from fairmc.ising import basis_energies, energy
     from fairmc.made import MadeNetwork, _nll_and_grads, exact_probabilities
+    from fairmc.qaoa import QaoaParams, expectation_and_gradient
     from fairmc.qsim import basis_state, evolve_fixed, problem_norm_ratio, uniform_state
     from fairmc.sat import generate_instance, unsatisfied_counts_all
 
@@ -756,14 +758,28 @@ def run_validation() -> list[dict]:
     m3 = rand_model(3, integer=False)
     dim = 8
     hd, hp = exact.dense_driver(3), exact.dense_problem(m3)
+
+    def expm_qaoa(gammas, betas):
+        u = np.eye(dim, dtype=complex)
+        for g, b in zip(gammas, betas):
+            u = expm(-1j * b * hd) @ expm(-1j * g * hp) @ u
+        return u @ uniform_state(3).amplitudes
+
     gammas, betas = [0.37, -0.21], [0.52, 0.18]
-    u = np.eye(dim, dtype=complex)
-    for g, b in zip(gammas, betas):
-        u = expm(-1j * b * hd) @ expm(-1j * g * hp) @ u
-    oracle = u @ uniform_state(3).amplitudes
     got = run_qaoa(m3, gammas, betas).amplitudes
-    err_qaoa = float(np.max(np.abs(got - oracle)))
+    err_qaoa = float(np.max(np.abs(got - expm_qaoa(gammas, betas))))
     results.append(_check("qaoa_expm_oracle", err_qaoa < 1e-10, f"max={err_qaoa:.2e}"))
+
+    # adjoint QAOA gradient against central differences of the expm oracle
+    def expm_value(x):
+        psi = expm_qaoa(x[:2], x[2:])
+        return float(np.real(np.vdot(psi, hp @ psi)))
+
+    x, h = np.array(gammas + betas), 1e-6
+    fd = [(expm_value(x + h * e) - expm_value(x - h * e)) / (2 * h) for e in np.eye(4)]
+    _, d_gamma, d_beta = expectation_and_gradient(m3, QaoaParams(tuple(gammas), tuple(betas)))
+    err_grad = float(np.max(np.abs(np.concatenate((d_gamma, d_beta)) - fd)))
+    results.append(_check("qaoa_adjoint_gradient", err_grad < 1e-6, f"max={err_grad:.2e}"))
 
     w, t = 0.4, 1.3
     alpha = problem_norm_ratio(m3)

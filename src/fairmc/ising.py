@@ -272,6 +272,21 @@ def basis_energies(model: IsingModel) -> np.ndarray:
     return e
 
 
+@lru_cache(maxsize=64)
+def energy_levels(model: IsingModel) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct basis energies and, per basis state, its level's index:
+    `levels[idx]` equals `basis_energies(model)` exactly.
+
+    A k-SAT instance has few levels (21 at n = 16), so a function of the
+    energy evaluated on `levels` and gathered through `idx` costs a fraction
+    of evaluating it on all 2^n entries, and gives the same bits.
+    """
+    levels, idx = np.unique(basis_energies(model), return_inverse=True)
+    levels.setflags(write=False)
+    idx.setflags(write=False)
+    return levels, idx
+
+
 def ground_states_bruteforce(model: IsingModel) -> tuple[float, list[SpinConfig]]:
     """Exhaustive minimum energy and all attaining configs, ascending bit order.
 

@@ -9,6 +9,12 @@ Two parameterizations are supported: free angles (2p parameters) and the
 whose optima concentrate strongly across instances, making instance-
 independent "fixed angles" (component-wise medians) practical.
 
+Both are optimized by multi-start BFGS on exact gradients from adjoint
+differentiation (Jones & Gacon 2020, arXiv:2009.02823): one forward circuit
+gives the expectation, and one backward sweep that un-applies the layers
+gives its derivative in all 2p angles.  The linear schedule's gradient
+follows by the chain rule.
+
 Returned parameters are sign-canonicalized so the summed effective time is
 nonnegative; flipping the sign of every angle conjugates the state and leaves
 both the measurement distribution and the expectation unchanged.
@@ -23,9 +29,8 @@ import numpy as np
 from scipy import optimize as sciopt
 
 from fairmc.ising import IsingModel, basis_energies
-from fairmc.qsim import run_qaoa
+from fairmc.qsim import apply_driver, phase_factors, rotate_mixer, run_qaoa
 
-FD_STEP = 1e-4
 DEFAULT_STARTS = 10
 START_BOX = 2.0  # multi-start initial points are uniform in [-2, 2]^d
 
@@ -88,6 +93,59 @@ def expectation(model: IsingModel, params: QaoaParams) -> float:
     return float(state.probabilities() @ basis_energies(model))
 
 
+def expectation_and_gradient(
+    model: IsingModel, params: QaoaParams
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """The cost expectation and its derivatives in the gammas and the betas.
+
+    Adjoint differentiation: with psi the output state and lambda = H_P psi,
+    walk the layers backwards.  At each mixer d/d beta_l = 2 Im<lambda|H_d psi>,
+    at each phase layer d/d gamma_l = 2 Im<lambda|H_P psi>, and the layer is
+    then un-applied to both vectors.  The value is bitwise equal to
+    `expectation`.
+    """
+    n = model.n_sites
+    e = basis_energies(model)
+    state = run_qaoa(model, params.gammas, params.betas)
+    value = float(state.probabilities() @ e)
+    # rows psi and lambda, carried back through the circuit together
+    pair = np.stack((state.amplitudes, e * state.amplitudes))
+    d_gamma, d_beta = np.empty(params.p), np.empty(params.p)
+    for layer in reversed(range(params.p)):
+        psi, lam = pair
+        d_beta[layer] = 2.0 * np.vdot(lam, apply_driver(psi, n)).imag
+        pair = rotate_mixer(pair, n, -params.betas[layer])
+        psi, lam = pair
+        d_gamma[layer] = 2.0 * np.vdot(lam, e * psi).imag
+        pair = pair * phase_factors(model, -params.gammas[layer])
+    return value, d_gamma, d_beta
+
+
+def linear_objective(model: IsingModel, p: int):
+    """x -> (expectation, gradient) over the linear-schedule parameters
+    x = [beta_slope, beta_intcp, gamma_slope, gamma_intcp]."""
+    fracs = np.arange(1, p + 1) / p
+
+    def fun(x):
+        value, d_gamma, d_beta = expectation_and_gradient(
+            model, expand(LinearSchedule.from_array(x), p))
+        return value, np.array(
+            [fracs @ d_beta, d_beta.sum(), fracs @ d_gamma, d_gamma.sum()])
+
+    return fun
+
+
+def free_objective(model: IsingModel, p: int):
+    """x -> (expectation, gradient) over the free angles x = [gammas, betas]."""
+
+    def fun(x):
+        value, d_gamma, d_beta = expectation_and_gradient(
+            model, QaoaParams(tuple(x[:p]), tuple(x[p:])))
+        return value, np.concatenate((d_gamma, d_beta))
+
+    return fun
+
+
 def effective_time(params: QaoaParams) -> float:
     """Total evolution time when each angle is read as a duration."""
     return float(sum(params.betas) + sum(params.gammas))
@@ -101,27 +159,27 @@ def _canonical_sign(x: np.ndarray, p: int, free: bool) -> np.ndarray:
     return -x if total < 0 else x
 
 
-def _central_diff_grad(fun, x, h=FD_STEP):
-    g = np.empty_like(x)
-    for i in range(len(x)):
-        e = np.zeros_like(x)
-        e[i] = h
-        g[i] = (fun(x + e) - fun(x - e)) / (2 * h)
-    return g
-
-
 def _multistart_minimize(fun, dim, starts, rng):
+    """BFGS from `starts` random points on `fun(x) -> (value, gradient)`."""
     best = None
     traces = None
     for start_idx in range(starts):
         x0 = rng.uniform(-START_BOX, START_BOX, size=dim)
-        trace = [(x0.copy(), fun(x0))]
-        if not np.isfinite(trace[0][1]):
+        first = fun(x0)
+        trace = [(x0.copy(), first[0])]
+        if not np.isfinite(first[0]):
             continue
+        # BFGS opens by evaluating x0: hand it the evaluation already made
+        pending = {x0.tobytes(): first}
+
+        def fun_reusing_first(x):
+            hit = pending.pop(x.tobytes(), None)
+            return fun(x) if hit is None else hit
+
         res = sciopt.minimize(
-            fun,
+            fun_reusing_first,
             x0,
-            jac=lambda x: _central_diff_grad(fun, x),
+            jac=True,
             method="BFGS",
             # the iterate's value comes with it: no extra circuit run
             callback=lambda intermediate_result: trace.append(
@@ -148,18 +206,15 @@ def optimize(
 ) -> tuple[LinearSchedule, list]:
     """Minimize the cost expectation over the 4-dim linear-schedule space.
 
-    Quasi-Newton (BFGS) with central-difference gradients, multi-start from
-    `starts` random points.  Returns the best schedule and the trace of the
-    winning start as (iterate, value) pairs.
+    BFGS on adjoint gradients (`linear_objective`), multi-start from
+    `starts` random points: each evaluation is one forward circuit and one
+    backward sweep.  Returns the best schedule and the trace of the winning
+    start as (iterate, value) pairs.
     """
     if p < 1 or starts < 1:
         raise ValueError("need p >= 1 and starts >= 1")
     rng = rng or np.random.default_rng()
-
-    def fun(x):
-        return expectation(model, expand(LinearSchedule.from_array(x), p))
-
-    x, _, trace = _multistart_minimize(fun, 4, starts, rng)
+    x, _, trace = _multistart_minimize(linear_objective(model, p), 4, starts, rng)
     return LinearSchedule.from_array(_canonical_sign(x, p, free=False)), trace
 
 
@@ -173,11 +228,7 @@ def optimize_free(
     if p < 1 or starts < 1:
         raise ValueError("need p >= 1 and starts >= 1")
     rng = rng or np.random.default_rng()
-
-    def fun(x):
-        return expectation(model, QaoaParams(tuple(x[:p]), tuple(x[p:])))
-
-    x, _, trace = _multistart_minimize(fun, 2 * p, starts, rng)
+    x, _, trace = _multistart_minimize(free_objective(model, p), 2 * p, starts, rng)
     x = _canonical_sign(x, p, free=True)
     return QaoaParams(tuple(x[:p]), tuple(x[p:])), trace
 

@@ -5,7 +5,10 @@ packed-bits integer of a SpinConfig (bit 1 <=> spin -1).  The driver is the
 transverse field H_d = -sum_i sigma_x_i throughout; diagonal problem terms
 come from an IsingModel.
 
-QAOA layers are applied directly, one qubit rotation at a time, at any size.
+QAOA layers are applied directly, one qubit rotation at a time, at any size;
+phase factors are computed once per distinct energy level.  The array-level
+layers (`phase_factors`, `rotate_mixer`, `apply_driver`) also serve the
+adjoint gradient in `qaoa`.
 Time evolution under any other Hamiltonian builds the real-symmetric
 2^n x 2^n matrix H and diagonalises it, exp(-iHt) = V exp(-i Lambda t) V^T:
 `evolve_fixed` is exact, and `run_annealing` uses the fourth-order
@@ -31,6 +34,7 @@ from fairmc.ising import (
     IsingModel,
     SpinConfig,
     basis_energies,
+    energy_levels,
 )
 
 # dense time evolution (one eigh per exponential) up to this many sites.  The
@@ -96,27 +100,52 @@ def uniform_state(n_qubits: int) -> StateVector:
     return StateVector(np.full(dim, dim**-0.5, dtype=np.complex128), n_qubits)
 
 
+def phase_factors(model: IsingModel, gamma: float) -> np.ndarray:
+    """exp(-i * gamma * E(z)) for every basis state z.
+
+    Evaluated once per energy level and gathered through the level index;
+    each entry is bitwise equal to np.exp(-1j * gamma * basis_energies(model)).
+    """
+    levels, idx = energy_levels(model)
+    return np.exp(-1j * gamma * levels)[idx]
+
+
 def apply_phase_layer(state: StateVector, model: IsingModel, gamma: float) -> StateVector:
     """Multiply each amplitude by exp(-i * gamma * E(z)); diagonal, unitary."""
     if model.n_sites != state.n_qubits:
         raise DimensionError(
             f"model has {model.n_sites} sites, state has {state.n_qubits} qubits"
         )
-    phases = np.exp(-1j * gamma * basis_energies(model))
-    return StateVector(state.amplitudes * phases, state.n_qubits)
+    return StateVector(state.amplitudes * phase_factors(model, gamma), state.n_qubits)
+
+
+def rotate_mixer(amps: np.ndarray, n_qubits: int, beta: float) -> np.ndarray:
+    """exp(-i * beta * H_d) applied along the last axis of `amps`, whose
+    length is 2^n_qubits: exp(+i beta sigma_x) on every qubit, the 2x2
+    rotation [[cos b, i sin b], [i sin b, cos b]].  Leading axes are
+    independent states, rotated together."""
+    c, s = np.cos(beta), 1j * np.sin(beta)
+    shape = amps.shape
+    for qubit in range(n_qubits):
+        a = amps.reshape(-1, 2, 1 << qubit)
+        lo, hi = a[:, 0, :], a[:, 1, :]
+        amps = np.stack((c * lo + s * hi, s * lo + c * hi), axis=1)
+    return amps.reshape(shape)
+
+
+def apply_driver(amps: np.ndarray, n_qubits: int) -> np.ndarray:
+    """H_d psi = -sum_i psi[z ^ 2^i], from the reshape `rotate_mixer` uses."""
+    out = np.zeros_like(amps)
+    for qubit in range(n_qubits):
+        view = out.reshape(-1, 2, 1 << qubit)
+        view -= amps.reshape(-1, 2, 1 << qubit)[:, ::-1, :]
+    return out
 
 
 def apply_mixer_layer(state: StateVector, beta: float) -> StateVector:
-    """exp(-i * beta * H_d) with H_d = -sum sigma_x, i.e. exp(+i beta sigma_x)
-    on every qubit: the 2x2 rotation [[cos b, i sin b], [i sin b, cos b]]."""
-    c, s = np.cos(beta), 1j * np.sin(beta)
-    amps = state.amplitudes
-    for qubit in range(state.n_qubits):
-        a = amps.reshape(-1, 2, 1 << qubit)
-        lo, hi = a[:, 0, :], a[:, 1, :]
-        a = np.stack((c * lo + s * hi, s * lo + c * hi), axis=1)
-        amps = a.reshape(-1)
-    return StateVector(amps, state.n_qubits)
+    """exp(-i * beta * H_d) with H_d = -sum sigma_x (see `rotate_mixer`)."""
+    return StateVector(rotate_mixer(state.amplitudes, state.n_qubits, beta),
+                       state.n_qubits)
 
 
 def run_qaoa(

@@ -120,6 +120,16 @@ class TestPipelineCommands:
         code = main(["run-chains", "--config", cfg, "--out", str(tmp_path / "empty")])
         assert code == EXIT_CONFIG
 
+    def test_refused_stage_leaves_no_config_behind(self, tmp_path, capsys):
+        out = tmp_path / "empty"
+        code = main(["run-chains", "--config", write_cfg(tmp_path), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "gen-instances" in capsys.readouterr().err
+        assert not (out / "resolved_config.json").exists()
+        # so the directory still takes instances built from another config
+        other = write_cfg(tmp_path, {"per_size": 1})
+        assert main(["gen-instances", "--config", other, "--out", str(out)]) == EXIT_OK
+
     def test_bad_config_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"kind": "NOT_A_KIND"}')
@@ -246,5 +256,5 @@ class TestValidateCommand:
             "made_normalization", "made_corrupted_mask_detected",
             "made_gradient_check", "sat_ising_equivalence",
             "icm_pair_energy_conserved", "qaoa_expm_oracle",
-            "evolve_expm_oracle", "measurement_chi2",
+            "qaoa_adjoint_gradient", "evolve_expm_oracle", "measurement_chi2",
         ]

@@ -15,6 +15,7 @@ from fairmc.ising import (
     energy,
     energy_of_bits,
     energy_of_bits_batch,
+    energy_levels,
     ground_states_bruteforce,
 )
 
@@ -104,6 +105,15 @@ class TestEnergy:
         e = basis_energies(m)
         for z in range(64):
             assert e[z] == pytest.approx(energy(m, SpinConfig(z, 6)), abs=1e-12)
+
+    @pytest.mark.parametrize("integer", [True, False])
+    def test_energy_levels_index_back_to_basis_energies(self, integer):
+        m = random_model(np.random.default_rng(9), 8, integer=integer)
+        e = basis_energies(m)
+        levels, idx = energy_levels(m)
+        assert np.array_equal(levels[idx], e)
+        assert np.all(np.diff(levels) > 0)
+        assert not levels.flags.writeable and not idx.flags.writeable
 
     def test_batch_energies_bitwise_equal_to_scalar(self):
         # same terms added in the same order: equal, not merely close

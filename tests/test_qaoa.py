@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from fairmc import qaoa
+from fairmc.experiments import ALPHA_C, to_ising
 from fairmc.ising import IsingModel, basis_energies
 from fairmc.qaoa import (
     FixedAngles,
@@ -11,22 +13,40 @@ from fairmc.qaoa import (
     effective_time,
     expand,
     expectation,
+    expectation_and_gradient,
     fixed_angles_from_set,
+    free_objective,
+    linear_objective,
     optimize,
     optimize_free,
     schedule_from_json,
     schedule_to_json,
 )
 from fairmc.qsim import run_qaoa
+from fairmc.sat import generate_instance
 
 
-def random_model(rng, n, n_terms=8):
+def random_model(rng, n, n_terms=8, integer=False, max_order=2):
     terms = []
     for _ in range(n_terms):
-        order = int(rng.integers(1, 3))
+        order = int(rng.integers(1, min(max_order, n) + 1))
         sites = sorted(rng.choice(n, size=order, replace=False).tolist())
-        terms.append((sites, float(rng.normal())))
+        coeff = float(rng.choice([-1.0, 1.0])) if integer else float(rng.normal())
+        terms.append((sites, coeff))
     return IsingModel.from_terms(n, terms)
+
+
+def central_diff(fun, x, h=1e-6):
+    """The oracle: (f(x + h e_i) - f(x - h e_i)) / 2h per coordinate."""
+    return np.array([(fun(x + h * e) - fun(x - h * e)) / (2 * h) for e in np.eye(len(x))])
+
+
+def linear_value(model, p):
+    return lambda x: expectation(model, expand(LinearSchedule.from_array(x), p))
+
+
+def free_value(model, p):
+    return lambda x: expectation(model, QaoaParams(tuple(x[:p]), tuple(x[p:])))
 
 
 class TestExpand:
@@ -96,6 +116,45 @@ class TestExpectation:
         )
 
 
+class TestAdjointGradient:
+    @pytest.mark.parametrize("integer", [False, True])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_central_differences(self, n, integer):
+        rng = np.random.default_rng(100 + 2 * n + integer)
+        for p in range(1, 6):
+            m = random_model(rng, n, integer=integer, max_order=3)
+            for objective, value, dim in (
+                (linear_objective(m, p), linear_value(m, p), 4),
+                (free_objective(m, p), free_value(m, p), 2 * p),
+            ):
+                x = rng.uniform(-2.0, 2.0, size=dim)
+                _, grad = objective(x)
+                np.testing.assert_allclose(grad, central_diff(value, x), rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("integer", [False, True])
+    def test_value_bitwise_equals_expectation(self, integer):
+        rng = np.random.default_rng(110 + integer)
+        m = random_model(rng, 5, integer=integer, max_order=3)
+        for p in (1, 3, 5):
+            x = rng.uniform(-2.0, 2.0, size=4)
+            assert linear_objective(m, p)(x)[0] == linear_value(m, p)(x)
+            x = rng.uniform(-2.0, 2.0, size=2 * p)
+            assert free_objective(m, p)(x)[0] == free_value(m, p)(x)
+
+    def test_one_circuit_per_evaluation(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(qaoa, "run_qaoa", lambda *a: calls.append(a) or run_qaoa(*a))
+        m = random_model(np.random.default_rng(120), 4)
+        expectation_and_gradient(m, QaoaParams((0.3, -0.2), (0.5, 0.1)))
+        assert len(calls) == 1
+
+    def test_gamma_gradient_vanishes_without_mixer(self):
+        # at beta = 0 the phase layer leaves every |amplitude| uniform
+        m = random_model(np.random.default_rng(121), 4)
+        _, d_gamma, _ = expectation_and_gradient(m, QaoaParams((0.7,), (0.0,)))
+        assert d_gamma[0] == pytest.approx(0.0, abs=1e-12)
+
+
 class TestEffectiveTime:
     def test_zeros(self):
         assert effective_time(QaoaParams((0.0, 0.0), (0.0, 0.0))) == 0.0
@@ -148,6 +207,16 @@ class TestOptimize:
         m = random_model(np.random.default_rng(12), 3)
         params, _ = optimize_free(m, p=2, starts=3, rng=np.random.default_rng(13))
         assert effective_time(params) >= 0.0
+
+    def test_golden_best_values_on_3sat(self):
+        # best of 10 starts at p = 5, recorded with central-difference
+        # gradients; exact gradients must reach the same minima
+        golden = {0: 0.5764458930651133, 1: 1.6841116123609283, 2: 1.0428564849464628}
+        for seed, best in golden.items():
+            m = to_ising(generate_instance(8, 3, ALPHA_C[3], 1000 + seed))
+            schedule, trace = optimize(m, 5, 10, np.random.default_rng(seed))
+            assert trace[-1][1] == pytest.approx(best, abs=1e-6)
+            assert expectation(m, expand(schedule, 5)) == pytest.approx(best, abs=1e-6)
 
 
 class TestFixedAngles:

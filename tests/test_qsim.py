@@ -8,30 +8,36 @@ from scipy.linalg import expm
 
 from fairmc.exact import dense_driver, dense_problem
 from fairmc.fixtures import load_fixture
+from fairmc.experiments import ALPHA_C, to_ising
 from fairmc.ising import (
     CapacityError,
     DimensionError,
     IsingModel,
     SpinConfig,
     Temperature,
+    basis_energies,
 )
 from fairmc.mcmc import QeHyper, kernel_qe_mcmc, run_chain
 from fairmc.qsim import (
     AnnealSchedule,
     OutputDistribution,
     StateVector,
+    apply_driver,
     apply_mixer_layer,
     apply_phase_layer,
     basis_state,
     evolve_fixed,
     linear_schedule,
     measure_distribution,
+    phase_factors,
     problem_norm_ratio,
+    rotate_mixer,
     run_annealing,
     run_qaoa,
     sample,
     uniform_state,
 )
+from fairmc.sat import generate_instance
 
 def random_model(rng, n, n_terms=8):
     terms = []
@@ -70,6 +76,19 @@ class TestPhaseLayer:
         np.testing.assert_allclose(out.amplitudes, expected, atol=1e-10)
 
 
+    @pytest.mark.parametrize("integer", [True, False])
+    def test_level_indexed_phases_bitwise_equal_to_direct(self, integer):
+        rng = np.random.default_rng(3)
+        if integer:
+            m = to_ising(generate_instance(10, 3, ALPHA_C[3], 4))
+        else:
+            # float couplings: nearly every basis state has its own level
+            m = IsingModel.from_terms(10, [((i,), float(rng.normal())) for i in range(10)])
+        e = basis_energies(m)
+        for gamma in rng.normal(scale=2.0, size=20):
+            assert np.array_equal(phase_factors(m, gamma), np.exp(-1j * gamma * e))
+
+
 class TestMixerLayer:
     def test_beta_zero_identity(self):
         s = uniform_state(3)
@@ -87,6 +106,19 @@ class TestMixerLayer:
         expected = expm(-1j * beta * dense_driver(3)) @ s.amplitudes
         out = apply_mixer_layer(s, beta)
         np.testing.assert_allclose(out.amplitudes, expected, atol=1e-10)
+
+
+    def test_stacked_states_rotate_independently(self):
+        rng = np.random.default_rng(7)
+        pair = np.stack([random_state(rng, 4).amplitudes for _ in range(2)])
+        out = rotate_mixer(pair, 4, 0.63)
+        for row, amps in zip(out, pair):
+            assert np.array_equal(row, rotate_mixer(amps, 4, 0.63))
+
+    def test_driver_matches_dense_matrix(self):
+        rng = np.random.default_rng(8)
+        psi = random_state(rng, 4).amplitudes
+        np.testing.assert_allclose(apply_driver(psi, 4), dense_driver(4) @ psi, atol=1e-14)
 
 
 class TestRunQaoa:
