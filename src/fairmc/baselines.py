@@ -133,7 +133,6 @@ def pt_icm_run(
     model: IsingModel,
     cfg: PtIcmConfig,
     steps: int,
-    init: SpinConfig | None = None,
 ) -> tuple[ChainTrace, PtIcmStats]:
     """`steps` PT rounds; returns the coldest (largest-beta) replica's trace
     from the first family plus exchange/ICM statistics.
@@ -152,12 +151,10 @@ def pt_icm_run(
 
     # two families x n_temps replicas
     bits = [[rng.getrandbits(n) for _ in range(n_temps)] for _ in range(2)]
-    if init is not None:
-        bits = [[init.bits for _ in range(n_temps)] for _ in range(2)]
     energies = [[energy_of_bits(model, z) for z in fam] for fam in bits]
 
     cold = n_temps - 1
-    builder = _TraceBuilder(n, 1, cfg.rng_seed)
+    builder = _TraceBuilder(n)
     ssf_tag = builder.tag_id("ssf")
     ex_tag = builder.tag_id("exchange")
     icm_tag = builder.tag_id("icm")
@@ -239,7 +236,6 @@ class WalkSatConfig:
 class WalkSatResult:
     solution: SpinConfig | None  # None = NOT_FOUND within the flip budget
     flips_used: int
-    unsat_trace: list[int]  # unsatisfied-clause count after each flip
 
     @property
     def found(self) -> bool:
@@ -391,7 +387,6 @@ def walksat_run(
     formula: CnfFormula,
     cfg: WalkSatConfig,
     rng: random.Random | None = None,
-    record_unsat: bool = False,
     assignment: _Assignment | None = None,
 ) -> WalkSatResult:
     """Stochastic local search from a uniform random assignment.
@@ -402,18 +397,15 @@ def walksat_run(
     rng = rng or random.Random(cfg.rng_seed)
     asg = assignment if assignment is not None else _Assignment(formula)
     asg.reset(rng.getrandbits(formula.n_vars))
-    unsat_trace: list[int] = []
     for flips in range(cfg.max_flips + 1):
         if not asg.unsat:
-            return WalkSatResult(SpinConfig(asg.bits, formula.n_vars), flips, unsat_trace)
+            return WalkSatResult(SpinConfig(asg.bits, formula.n_vars), flips)
         if flips == cfg.max_flips:
             break
         ci = asg.unsat[rng.randrange(len(asg.unsat))]
         v = _pick_variable(asg, asg.variables(ci), cfg, rng)
         asg.flip(v)
-        if record_unsat:
-            unsat_trace.append(len(asg.unsat))
-    return WalkSatResult(None, cfg.max_flips, unsat_trace)
+    return WalkSatResult(None, cfg.max_flips)
 
 
 @dataclass

@@ -12,7 +12,11 @@
 Common flags: --config FILE, --out DIR, --seed N, --threads N.
 Exit codes: 0 success, 1 validation failure, 2 configuration/usage error,
 a missing earlier stage, or a resume into an --out directory written by a
-different config (seed included).
+different config (seed included).  Exit 2 with nothing written also covers a
+config whose count fields (per_size, trials, chain_steps, ...) are below 1,
+whose beta is not finite and positive, or whose sizes are empty or outside
+k..24; `metrics` exits 2 when an algorithm's chains/<algo>/ directory lacks
+any expected trial summary, naming the first missing file.
 """
 
 from __future__ import annotations

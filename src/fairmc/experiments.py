@@ -26,7 +26,11 @@ stage stopped midway resumes with the tasks that did not finish.
                  step counts and seeds); needs instances/ and chains/
 
 A stage whose inputs are missing raises `StageError` naming the first
-missing file.
+missing file; for `metrics` that includes any trial summary missing from an
+algorithm's chains/<algo>/ directory, so partial runs are never pooled.  A
+config with a count field below 1, a beta that is not finite and positive,
+or sizes that are empty or outside k..24 is refused with `ConfigError` when
+it is loaded, before anything is written.
 """
 
 from __future__ import annotations
@@ -50,7 +54,13 @@ from fairmc.baselines import (
 )
 from fairmc.fileio import atomic_write
 from fairmc.fixtures import FIXTURE_NAMES, SIXFOLD_FIXTURE, load_fixture
-from fairmc.ising import IsingModel, SpinConfig, Temperature, ground_states_bruteforce
+from fairmc.ising import (
+    MAX_BRUTEFORCE_SITES,
+    IsingModel,
+    SpinConfig,
+    Temperature,
+    ground_states_bruteforce,
+)
 from fairmc.made import (
     TrainConfig,
     load_checkpoint,
@@ -58,7 +68,7 @@ from fairmc.made import (
     train,
     training_digest,
 )
-from fairmc.mcmc import HybridUpdate, kernel_made, kernel_qe_mcmc, run_chain
+from fairmc.mcmc import HybridUpdate, MadeKernel, QeKernel, run_chain
 from fairmc.metrics import (
     GroundStateHistogram,
     ResultRecord,
@@ -92,6 +102,11 @@ from fairmc.sat import (
 KINDS = ("SMALL_INSTANCES", "ANNEAL_SWEEP", "KSAT_FAIRNESS", "KSAT_COUNTING")
 SAMPLER_ALGOS = ("qaoa-nmc", "qaoa-hmc")
 ALL_ALGOS = SAMPLER_ALGOS + ("pt-icm", "walksat")
+# config fields that count something and so must be at least 1
+COUNT_FIELDS = ("per_size", "qaoa_depth", "qaoa_starts", "train_samples", "made_epochs",
+                "made_batch", "chain_steps", "trials", "pt_n_temps", "pt_sweeps",
+                "pt_icm_every", "pt_rounds", "walksat_max_flips", "anneal_grid_points",
+                "samples")
 
 
 class ConfigError(ValueError):
@@ -151,12 +166,19 @@ class ExperimentConfig:
             raise ConfigError(
                 f"anneal grid needs finite 0 < anneal_grid_min <= anneal_grid_max, "
                 f"got {lo}, {hi}")
-        if self.anneal_grid_points < 1:
-            raise ConfigError(
-                f"anneal_grid_points must be at least 1, got {self.anneal_grid_points}")
+        for name in COUNT_FIELDS:
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ConfigError(f"{name} must be at least 1, got {value}")
+        if not (math.isfinite(self.beta) and self.beta > 0):
+            raise ConfigError(f"beta must be finite and positive, got {self.beta}")
+        self.sizes = tuple(self.sizes)
+        if not self.sizes or not all(
+                self.k <= n <= MAX_BRUTEFORCE_SITES for n in self.sizes):
+            raise ConfigError(f"sizes must be a non-empty list of sizes in "
+                              f"{self.k}..{MAX_BRUTEFORCE_SITES}, got {list(self.sizes)}")
         if self.alpha_c is None:
             self.alpha_c = ALPHA_C[self.k]
-        self.sizes = tuple(self.sizes)
         self.algorithms = tuple(self.algorithms)
 
     @classmethod
@@ -288,9 +310,9 @@ def stage_schedules(cfg: ExperimentConfig, out: Path, threads: int = 1):
     ], threads)
 
     schedules = [_read_schedule(path) for path in paths]
-    fa = fixed_angles_from_set(schedules)
+    fixed = fixed_angles_from_set(schedules)
     with atomic_write(sched_dir / "fixed_angles.json") as f:
-        json.dump(schedule_to_json(fa.schedule, cfg.qaoa_depth, math.nan), f, indent=1)
+        json.dump(schedule_to_json(fixed, cfg.qaoa_depth, math.nan), f, indent=1)
     return schedules
 
 
@@ -350,7 +372,7 @@ def _chain_summary(trace, solutions, algo, instance, trial, seed, **extra):
 
 def _run_sampler_trial(path, model, solutions, algo, net, beta, steps, instance, trial,
                        seed):
-    update = kernel_made(net) if algo == "qaoa-nmc" else HybridUpdate(net)
+    update = MadeKernel(net) if algo == "qaoa-nmc" else HybridUpdate(net)
     trace = run_chain(model, Temperature(beta), update, steps, rng_seed=seed)
     _write_summary(path, _chain_summary(trace, solutions, algo, instance, trial, seed))
 
@@ -395,21 +417,16 @@ def _run_pt_trial(path, model, solutions, pt_cfg, rounds, instance):
 
 def _run_walksat_trial(path, formula, solutions, ws_cfg, instance, trial):
     res = walksat_enumerate(formula, ws_cfg)
-    found_bits = [s.bits for s in res.solutions]
     _write_summary(path, {
         "algorithm": "walksat",
         "instance": instance,
         "trial": trial,
         "seed": ws_cfg.rng_seed,
-        "found": found_bits,
+        "found": [s.bits for s in res.solutions],
         "flips_at_solution": res.flips_at_solution,
         "total_flips": res.total_flips,
         "complete": res.complete,
-        "steps_to_enumerate": (
-            res.flips_to_last_solution
-            if res.complete and set(found_bits) == {s.bits for s in solutions}
-            else None
-        ),
+        "steps_to_enumerate": steps_to_enumerate(res, solutions),
     })
 
 
@@ -438,16 +455,21 @@ def stage_baselines(cfg: ExperimentConfig, out: Path, threads: int = 1):
         ], threads)
 
 
-def _load_summaries(out: Path, algo: str, instance: int) -> list[dict]:
-    paths = (out / "chains" / algo).glob(f"instance_{instance:04d}_trial*.json")
-    return [json.loads(path.read_text()) for path in sorted(paths)]
+def _load_summaries(cfg: ExperimentConfig, out: Path, algo: str, instance: int) -> list[dict]:
+    """Every summary that `algo` must have for `instance`: trials
+    0..trials-1, or trial 0 alone for PT-ICM.  A missing one, as a killed
+    stage leaves, raises StageError instead of being pooled over."""
+    stage = "run-chains" if algo in SAMPLER_ALGOS else "run-baselines"
+    summaries = []
+    for trial in range(1 if algo == "pt-icm" else cfg.trials):
+        path = _summary_path(out, algo, instance, trial)
+        require_stage(path, stage)
+        summaries.append(json.loads(path.read_text()))
+    return summaries
 
 
 def stage_metrics(cfg: ExperimentConfig, out: Path):
     instset = _instances(out)
-    mdir = out / "metrics"
-    mdir.mkdir(exist_ok=True)
-
     records: list[ResultRecord] = []
     trial_rows: list[dict] = []
     algos_present = [a for a in cfg.algorithms if (out / "chains" / a).exists()]
@@ -459,9 +481,7 @@ def stage_metrics(cfg: ExperimentConfig, out: Path):
         n = entry.formula.n_vars
         n_ground = len(entry.solutions)
         for algo in algos_present:
-            summaries = _load_summaries(out, algo, i)
-            if not summaries:
-                continue
+            summaries = _load_summaries(cfg, out, algo, i)
             steps_list = []
             for s in summaries:
                 trial_rows.append(
@@ -474,11 +494,7 @@ def stage_metrics(cfg: ExperimentConfig, out: Path):
             mean_steps = float(np.mean(steps_list)) if steps_list else None
 
             if algo == "walksat":
-                all_found = any(
-                    s["complete"]
-                    and set(s["found"]) == {sol.bits for sol in entry.solutions}
-                    for s in summaries
-                )
+                all_found = bool(steps_list)
                 ratio, tvd = None, math.nan
             else:
                 counts = np.sum([np.array(s["counts"]) for s in summaries], axis=0)
@@ -493,6 +509,8 @@ def stage_metrics(cfg: ExperimentConfig, out: Path):
                 )
             )
 
+    mdir = out / "metrics"
+    mdir.mkdir(exist_ok=True)
     records_to_csv(records, mdir / "records.csv")
     rows_to_csv(aggregate(records), mdir / "summary.csv")
     sup = superiority_counts(records)
@@ -551,7 +569,7 @@ def run_small_instances(cfg: ExperimentConfig, out: Path):
         qaoa_hist = histogram(measure_distribution(qaoa_state), gs)
 
         qe_trace = run_chain(
-            model, Temperature(cfg.beta), kernel_qe_mcmc(model), cfg.samples,
+            model, Temperature(cfg.beta), QeKernel(model), cfg.samples,
             rng_seed=derive_seed(cfg.seed, "fx-qe", fx_idx),
         )
         qe_hist = histogram(qe_trace, gs)
@@ -567,7 +585,7 @@ def run_small_instances(cfg: ExperimentConfig, out: Path):
                         rng_seed=derive_seed(cfg.seed, "fx-net", fx_idx)),
         )
         nmc_trace = run_chain(
-            model, Temperature(cfg.beta), kernel_made(net), cfg.samples,
+            model, Temperature(cfg.beta), MadeKernel(net), cfg.samples,
             rng_seed=derive_seed(cfg.seed, "fx-nmc", fx_idx),
         )
         nmc_hist = histogram(nmc_trace, gs)

@@ -241,22 +241,6 @@ def energy_of_bits_batch(model: IsingModel, z: np.ndarray) -> np.ndarray:
     return e
 
 
-def delta_energy_flip(model: IsingModel, config: SpinConfig, site: int) -> float:
-    """E(flip(config, site)) - E(config), touching only terms containing `site`."""
-    _check_dims(model, config)
-    if not 0 <= site < model.n_sites:
-        raise IndexError(f"site {site} out of range")
-    d = 0.0
-    for mask, coeff in model.site_masks[site]:
-        d -= 2.0 * coeff * (1 - 2 * ((config.bits & mask).bit_count() & 1))
-    return d
-
-
-def boltzmann_weight(model: IsingModel, config: SpinConfig, t: Temperature) -> float:
-    """Unnormalized exp(-beta * E); the partition function is never computed."""
-    return float(np.exp(-t.beta * energy(model, config)))
-
-
 @lru_cache(maxsize=64)
 def basis_energies(model: IsingModel) -> np.ndarray:
     """Energies of all 2^n basis states, indexed by the packed-bits integer.

@@ -1,37 +1,38 @@
-"""Metropolis-Hastings engine with pluggable proposal kernels.
+"""Metropolis-Hastings chain engine.
 
-Acceptance follows min(1, exp(-beta*dE) * Q(cur|cand)/Q(cand|cur)); kernels
-that guarantee Q symmetry return no log-q values and the ratio drops out.
-Three proposal families are provided:
+`run_chain` runs one of three update families, each with one acceptance rule:
 
-* QeKernel    -- measure after short symmetric-unitary evolution from the
-                 current basis state.  The evolution operator is the exact
-                 dense exp(-iHt), so U = U^T, |U_zz'| = |U_z'z| and the
-                 proposal is exactly symmetric given the per-step draw of
-                 (driver weight, time), which is made before proposing.
-                 Models above qsim._DENSE_MAX sites raise CapacityError.
 * MadeKernel  -- state-independent draws from a trained autoregressive net
-                 (independence sampler; exact log-q both ways).
-* single-spin-flip sweeps and the hybrid composite (one neural independence
-  step followed by one N-flip sweep), which preserve the target because each
-  sub-update does.
+                 (independence sampler), accepted with
+                 min(1, exp(-beta*dE) * q(cur)/q(cand)) from the net's exact
+                 log q.
+* single-spin-flip sweeps (SsfSweepUpdate) and the hybrid composite
+  (HybridUpdate: one neural independence step followed by one N-flip sweep),
+  which preserve the target because each sub-update does.
+* a generic kernel: any object with a `tag` and `propose(current, rng)`
+  returning the candidate SpinConfig.  The proposal must be symmetric,
+  q(a|b) = q(b|a), and is accepted with min(1, exp(-beta*dE)).  QeKernel is
+  one: it measures after short evolution from the current basis state under
+  the exact dense exp(-iHt), so U = U^T and |U_zz'| = |U_z'z| given the
+  per-step draw of (driver weight, time), made before proposing.  Models
+  above qsim._DENSE_MAX sites raise CapacityError.
 
-`run_chain` is the only chain engine; PT-ICM reuses its sweep.  MADE
-candidates (MadeKernel and HybridUpdate) are drawn in blocks of up to
-MADE_BLOCK: one `made.sample_batch`, one `made.log_prob_batch` and one
-`ising.energy_of_bits_batch` call per block.  The proposal ignores the
-current state, so candidates drawn ahead of time are i.i.d. with exactly the
-per-step proposal distribution.  The chain carries log q of its current
-state; after a sweep moves it, log q is looked up in a per-chain table filled
-from the blocks, or computed once with `made.log_prob` on a miss.
+PT-ICM reuses the sweep.  MADE candidates (MadeKernel and HybridUpdate) are
+drawn in blocks of up to MADE_BLOCK: one `made.sample_batch`, one
+`made.log_prob_batch` and one `ising.energy_of_bits_batch` call per block.
+The proposal ignores the current state, so candidates drawn ahead of time are
+i.i.d. with exactly the per-step proposal distribution.  The chain carries
+log q of its current state; after a sweep moves it, log q is looked up in a
+per-chain table filled from the blocks, or computed once with
+`made.log_prob` on a miss.
 
 Random streams: the candidates come from a numpy Generator seeded from
 `rng_seed` alone; the chain's `random.Random(rng_seed)` draws the initial
-state, every accept test, the sweep orders and the QE/uniform/custom
+state, every accept test, the sweep orders and the generic kernel's
 proposals.  A chain is therefore deterministic for a fixed seed.
 
-Step accounting: a neural or quantum-evolution update is 1 transition, a
-sweep is N transitions, a hybrid step is N+1.  Traces record every transition
+Step accounting: a neural or generic-kernel update is 1 transition, a sweep
+is N transitions, a hybrid step is N+1.  Traces record every transition
 including rejections (the repeated state is what histograms must count).
 """
 
@@ -40,7 +41,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Protocol, Union
+from typing import Union
 
 import numpy as np
 
@@ -56,44 +57,13 @@ from fairmc.ising import (
 from fairmc.made import MadeNetwork
 from fairmc.qsim import basis_state, evolve_fixed, measure_distribution
 
-SYMMETRIC = None
-
 # MADE candidates drawn per block (capped at the steps left in the chain)
 MADE_BLOCK = 256
 _MADE_STREAM = 0x4D414445  # tags the candidate generator's seed
 
 
-@dataclass(frozen=True)
-class Proposal:
-    candidate: SpinConfig
-    log_q_forward: float | None = SYMMETRIC
-    log_q_reverse: float | None = SYMMETRIC
-
-
-class ProposalKernel(Protocol):
-    tag: str
-
-    def propose(self, current: SpinConfig, rng) -> Proposal: ...
-
-
 # ---------------------------------------------------------------------------
 # kernels
-
-
-class UniformKernel:
-    """Uniform independence proposals; trivially symmetric."""
-
-    tag = "uniform"
-
-    def __init__(self, n_sites: int):
-        self.n_sites = n_sites
-
-    def propose(self, current, rng) -> Proposal:
-        if hasattr(rng, "getrandbits"):
-            z = rng.getrandbits(self.n_sites)
-        else:
-            z = int(rng.integers(1 << self.n_sites))
-        return Proposal(SpinConfig(z, self.n_sites))
 
 
 class MadeKernel:
@@ -111,16 +81,6 @@ class MadeKernel:
         self.net = net
 
 
-def kernel_made(net: MadeNetwork) -> MadeKernel:
-    return MadeKernel(net)
-
-
-def proposal_floor(net: MadeNetwork) -> float:
-    """Every state's proposal probability is at least EPS^N (clamped
-    conditionals), which is what keeps independence chains irreducible."""
-    return made_mod.EPS**net.n_inputs
-
-
 @dataclass
 class QeHyper:
     """Per-proposal draw ranges for the quantum-evolution kernel: the
@@ -136,7 +96,8 @@ class QeKernel:
     H = (1-w) * alpha * H_P + w * H_d with (w, t) drawn fresh per proposal
     *before* evolving, so forward and reverse proposals share the same
     unitary and q(a|b) = q(b|a) exactly (U = exp(-iHt) is exact, from one
-    eigh of the dense H, and complex-symmetric).  Proposing raises
+    eigh of the dense H, and complex-symmetric).  `run_chain` therefore
+    accepts its candidates with no q ratio.  Proposing raises
     ising.CapacityError for a model above qsim._DENSE_MAX sites.
     """
 
@@ -146,7 +107,7 @@ class QeKernel:
         self.model = model
         self.hyper = hyper or QeHyper()
 
-    def propose(self, current, rng) -> Proposal:
+    def propose(self, current, rng) -> SpinConfig:
         lo, hi = self.hyper.driver_weight_range
         w = lo + (hi - lo) * rng.random()
         t0, t1 = self.hyper.time_range
@@ -156,11 +117,7 @@ class QeKernel:
         probs = measure_distribution(state).probs
         z = int(np.searchsorted(np.cumsum(probs), rng.random()))
         z = min(z, len(probs) - 1)
-        return Proposal(SpinConfig(z, self.model.n_sites))
-
-
-def kernel_qe_mcmc(model: IsingModel, hyper: QeHyper | None = None) -> QeKernel:
-    return QeKernel(model, hyper)
+        return SpinConfig(z, self.model.n_sites)
 
 
 # ---------------------------------------------------------------------------
@@ -214,10 +171,10 @@ def _made_candidates(model, net, steps, rng_seed, log_q_table):
 
 @dataclass
 class ChainTrace:
-    """Per-transition record of a chain run (append-only, thinned)."""
+    """Per-transition record of a chain run (append-only)."""
 
     n_sites: int
-    states: np.ndarray  # uint64 packed bits, one per kept transition
+    states: np.ndarray  # uint64 packed bits, one per transition
     energies: np.ndarray
     accepted: np.ndarray
     tags: np.ndarray  # uint8 index into tag_legend
@@ -225,8 +182,6 @@ class ChainTrace:
     tag_legend: tuple[str, ...]
     n_steps: int  # composite steps executed
     n_transitions: int
-    thinning: int = 1
-    rng_seed: int | None = None
 
     def __len__(self) -> int:
         return len(self.states)
@@ -236,15 +191,12 @@ class ChainTrace:
 
 
 class _TraceBuilder:
-    def __init__(self, n_sites, thinning, rng_seed):
+    def __init__(self, n_sites):
         self.n_sites = n_sites
-        self.thinning = thinning
-        self.rng_seed = rng_seed
         self.states: list[int] = []
         self.energies: list[float] = []
         self.accepted: list[bool] = []
         self.tags: list[int] = []
-        self.tindex: list[int] = []
         self.legend: list[str] = []
         self._legend_ids: dict[str, int] = {}
         self.transitions = 0
@@ -257,12 +209,10 @@ class _TraceBuilder:
 
     def record(self, bits, e, acc, tag_id):
         self.transitions += 1
-        if self.transitions % self.thinning == 0:
-            self.states.append(bits)
-            self.energies.append(e)
-            self.accepted.append(acc)
-            self.tags.append(tag_id)
-            self.tindex.append(self.transitions)
+        self.states.append(bits)
+        self.energies.append(e)
+        self.accepted.append(acc)
+        self.tags.append(tag_id)
 
     def build(self, n_steps) -> ChainTrace:
         return ChainTrace(
@@ -271,12 +221,10 @@ class _TraceBuilder:
             energies=np.array(self.energies, dtype=np.float64),
             accepted=np.array(self.accepted, dtype=bool),
             tags=np.array(self.tags, dtype=np.uint8),
-            transition_index=np.array(self.tindex, dtype=np.uint64),
+            transition_index=np.arange(1, self.transitions + 1, dtype=np.uint64),
             tag_legend=tuple(self.legend),
             n_steps=n_steps,
             n_transitions=self.transitions,
-            thinning=self.thinning,
-            rng_seed=self.rng_seed,
         )
 
 
@@ -297,7 +245,8 @@ class HybridUpdate:
     net: MadeNetwork
 
 
-Update = Union[ProposalKernel, SsfSweepUpdate, HybridUpdate]
+# QeKernel stands for any generic kernel: a `tag` and a symmetric `propose`
+Update = Union[MadeKernel, SsfSweepUpdate, HybridUpdate, QeKernel]
 
 RANDOM_INIT = "random"
 
@@ -309,14 +258,19 @@ def run_chain(
     steps: int,
     init: SpinConfig | str = RANDOM_INIT,
     rng_seed: int = 0,
-    thinning: int = 1,
 ) -> ChainTrace:
     """Run `steps` composite updates and record every transition.
 
+    One acceptance rule per update family: MadeKernel and the neural half of
+    HybridUpdate accept with min(1, exp(-beta*dE) * q(cur)/q(cand)); sweeps
+    accept each flip with min(1, exp(-beta*dE)); any other `update` is a
+    generic kernel whose `propose(current, rng)` returns the candidate
+    SpinConfig, and whose proposal must be symmetric, since it is accepted
+    with min(1, exp(-beta*dE)) and no q ratio.
+
     Deterministic for a fixed seed.  `init` is a SpinConfig or RANDOM_INIT
-    for a uniform draw.  The trace keeps every `thinning`-th transition.
-    Raises DimensionError when a MADE net's input count differs from the
-    model's site count.
+    for a uniform draw.  Raises DimensionError when a MADE net's input count
+    differs from the model's site count.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -334,7 +288,7 @@ def run_chain(
     else:
         raise ValueError(f"bad init {init!r}")
 
-    builder = _TraceBuilder(n, thinning, rng_seed)
+    builder = _TraceBuilder(n)
     beta = t.beta
     site_masks = model.site_masks
     energy = energy_of_bits(model, bits)
@@ -373,13 +327,10 @@ def run_chain(
     else:
         tag_id = builder.tag_id(getattr(update, "tag", "kernel"))
         for _ in range(steps):
-            prop = update.propose(SpinConfig(bits, n), rng)
-            cand_e = energy_of_bits(model, prop.candidate.bits)
-            log_ratio = -beta * (cand_e - energy)
-            if prop.log_q_forward is not None:
-                log_ratio += prop.log_q_reverse - prop.log_q_forward
-            if _accept(log_ratio, rng):
-                bits, energy, acc = prop.candidate.bits, cand_e, True
+            cand = update.propose(SpinConfig(bits, n), rng).bits
+            cand_e = energy_of_bits(model, cand)
+            if _accept(-beta * (cand_e - energy), rng):
+                bits, energy, acc = cand, cand_e, True
             else:
                 acc = False
             builder.record(bits, energy, acc, tag_id)

@@ -70,13 +70,6 @@ class LinearSchedule:
         return cls(float(x[0]), float(x[1]), float(x[2]), float(x[3]))
 
 
-@dataclass(frozen=True)
-class FixedAngles:
-    """A linear schedule promoted to an instance-independent preset."""
-
-    schedule: LinearSchedule
-
-
 def expand(schedule: LinearSchedule, p: int) -> QaoaParams:
     """Evaluate the linear schedule at layer fractions l/p, l = 1..p."""
     if p < 1:
@@ -233,12 +226,13 @@ def optimize_free(
     return QaoaParams(tuple(x[:p]), tuple(x[p:])), trace
 
 
-def fixed_angles_from_set(schedules: Sequence[LinearSchedule]) -> FixedAngles:
-    """Component-wise median over a set of per-instance optimized schedules."""
+def fixed_angles_from_set(schedules: Sequence[LinearSchedule]) -> LinearSchedule:
+    """The instance-independent preset: the component-wise median over a set
+    of per-instance optimized schedules."""
     if not schedules:
         raise ValueError("need at least one schedule")
     arr = np.stack([s.as_array() for s in schedules])
-    return FixedAngles(LinearSchedule.from_array(np.median(arr, axis=0)))
+    return LinearSchedule.from_array(np.median(arr, axis=0))
 
 
 def schedule_to_json(schedule: LinearSchedule, p: int, value: float) -> dict:

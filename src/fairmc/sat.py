@@ -234,9 +234,6 @@ class InstanceSet:
     k: int
     alpha: float
 
-    def by_size(self, n: int) -> list[InstanceEntry]:
-        return [e for e in self.entries if e.formula.n_vars == n]
-
 
 def _draw_seed(base_seed: int, n: int, attempt: int) -> int:
     # distinct deterministic stream per (size, attempt) task
@@ -255,6 +252,8 @@ def build_instance_set(
     Instances with fewer than two solutions are discarded and redrawn with a
     fresh derived seed, up to GENERATION_RETRY_BUDGET draws per size.
     """
+    if per_size < 1:
+        raise ValueError(f"per_size must be at least 1, got {per_size}")
     entries: list[InstanceEntry] = []
     for n in sizes:
         accepted = 0

@@ -17,6 +17,7 @@ from fairmc.baselines import (
     walksat_enumerate,
     walksat_run,
 )
+from fairmc.exact import boltzmann
 from fairmc.ising import IsingModel, SpinConfig, Temperature, basis_energies, energy
 from fairmc.mcmc import SsfSweepUpdate, run_chain
 from fairmc.sat import (
@@ -38,12 +39,6 @@ def random_2body_model(rng, n, n_terms=10):
         sites = sorted(rng.choice(n, size=order, replace=False).tolist())
         terms.append((sites, float(rng.choice([-1, 1]))))
     return IsingModel.from_terms(n, terms)
-
-
-def boltzmann(model, beta):
-    e = basis_energies(model)
-    w = np.exp(-beta * (e - e.min()))
-    return w / w.sum()
 
 
 class TestConfig:
@@ -294,18 +289,30 @@ class TestWalkSatEnumerateGolden:
         assert res.complete and res.solutions == [] and res.total_flips == 0
 
 
+class _UnsatRecorder(_Assignment):
+    """Records the unsatisfied-clause count after each flip."""
+
+    def __init__(self, formula, bits=0):
+        self.unsat_trace = []
+        super().__init__(formula, bits)
+
+    def flip(self, v):
+        super().flip(v)
+        self.unsat_trace.append(len(self.unsat))
+
+
 class TestBlockedSolutionBookkeeping:
     """Blocked solutions must act exactly as the blocking clauses that
     `add_blocking_clause` appends: same unsatisfied list (order included,
     since WalkSAT draws from it by position) and same flip scores."""
 
     @staticmethod
-    def _pair(formula, blocked, bits):
+    def _pair(formula, blocked, bits, assignment=_Assignment):
         appended = formula
         for s in blocked:
             appended = add_blocking_clause(appended, s)
-        reference = _Assignment(appended, bits)
-        asg = _Assignment(formula)
+        reference = assignment(appended, bits)
+        asg = assignment(formula)
         for s in blocked:
             asg.block(s.bits)
         asg.reset(bits)
@@ -341,11 +348,12 @@ class TestBlockedSolutionBookkeeping:
         formula = generate_instance(9, 2, 1.0, 3)
         sols = enumerate_solutions(formula)
         blocked = sols[: len(sols) - 1]
-        reference, asg = self._pair(formula, blocked, 0)
+        reference, asg = self._pair(formula, blocked, 0, _UnsatRecorder)
         appended = CnfFormula(9, reference.clauses, formula.k)
         cfg = WalkSatConfig(max_flips=5000, variant="lm", rng_seed=0)
-        a = walksat_run(appended, cfg, rng=random.Random(1), record_unsat=True)
-        b = walksat_run(formula, cfg, rng=random.Random(1), record_unsat=True, assignment=asg)
+        a = walksat_run(appended, cfg, rng=random.Random(1), assignment=reference)
+        b = walksat_run(formula, cfg, rng=random.Random(1), assignment=asg)
         assert a.found and a.solution == b.solution == sols[-1]
         assert a.flips_used == b.flips_used
-        assert a.unsat_trace == b.unsat_trace
+        assert len(reference.unsat_trace) == a.flips_used
+        assert reference.unsat_trace == asg.unsat_trace

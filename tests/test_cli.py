@@ -57,6 +57,13 @@ class TestConfig:
         {"anneal_grid_max": float("inf")},
         {"anneal_grid_min": 10.0, "anneal_grid_max": 5.0},
         {"anneal_grid_points": 0},
+        # checked for every kind, like the anneal settings above
+        {"per_size": 0}, {"qaoa_depth": 0}, {"qaoa_starts": 0}, {"train_samples": 0},
+        {"made_epochs": 0}, {"made_batch": 0}, {"chain_steps": 0}, {"trials": 0},
+        {"pt_n_temps": 0}, {"pt_sweeps": 0}, {"pt_icm_every": 0}, {"pt_rounds": 0},
+        {"walksat_max_flips": 0}, {"samples": 0}, {"per_size": -3},
+        {"beta": -1.0}, {"beta": 0.0}, {"beta": float("inf")}, {"beta": float("nan")},
+        {"sizes": []}, {"sizes": [8, 25]}, {"sizes": [1]}, {"k": 3, "sizes": [2]},
     ])
     def test_bad_anneal_settings_rejected(self, bad):
         with pytest.raises(ConfigError):
@@ -140,6 +147,9 @@ class TestPipelineCommands:
     @pytest.mark.parametrize("fig, bad", [
         ("fig1", {"anneal_time": -5.0}),
         ("fig2", {"anneal_grid_min": 0.0}),
+        ("fig1", {"beta": -1.0}),
+        ("fig6", {"sizes": []}),
+        ("fig6", {"sizes": [8], "per_size": 1, "qaoa_starts": 0}),
     ])
     def test_bad_anneal_config_exits_2(self, tmp_path, capsys, fig, bad):
         path = tmp_path / "bad.json"
@@ -201,6 +211,26 @@ class TestResume:
         assert "config error" in err and key in err
         assert (run / "resolved_config.json").read_bytes() == stored
         assert not (run / "chains").exists()
+
+    @pytest.mark.parametrize("algo, stage, first_missing", [
+        ("qaoa-nmc", "run-chains", "instance_0000_trial01.json"),
+        ("walksat", "run-baselines", "instance_0000_trial01.json"),
+        ("pt-icm", "run-baselines", "instance_0001_trial00.json"),
+    ])
+    def test_partial_summaries_exit_2(self, trained, tmp_path, capsys, algo, stage,
+                                      first_missing):
+        # a killed stage leaves only its first summaries; metrics must not
+        # pool over the trials that happen to be there
+        cfg = write_cfg(tmp_path)
+        run = shutil.copytree(trained, tmp_path / "run")
+        assert main([stage, "--config", cfg, "--out", str(run)]) == EXIT_OK
+        for path in sorted((run / "chains" / algo).iterdir())[1:]:
+            path.unlink()
+        capsys.readouterr()
+        assert main(["metrics", "--config", cfg, "--out", str(run)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert first_missing in err and f"'{stage}'" in err
+        assert not (run / "metrics").exists()
 
     def test_threads_give_identical_outputs(self, trained, tmp_path):
         cfg = write_cfg(tmp_path)

@@ -1,8 +1,10 @@
 import pickle
+import random
 
 import numpy as np
 import pytest
 
+from fairmc.exact import boltzmann
 from fairmc.ising import (
     CapacityError,
     DimensionError,
@@ -10,14 +12,13 @@ from fairmc.ising import (
     SpinConfig,
     Temperature,
     basis_energies,
-    boltzmann_weight,
-    delta_energy_flip,
     energy,
     energy_of_bits,
     energy_of_bits_batch,
     energy_levels,
     ground_states_bruteforce,
 )
+from fairmc.mcmc import spin_flip_sweep
 
 
 def random_model(rng, n, max_order=3, n_terms=None, integer=True):
@@ -132,52 +133,50 @@ class TestEnergy:
 
 
 class TestDeltaEnergy:
-    def test_pair_flip(self):
-        m = IsingModel.from_terms(2, [((0, 1), -1.0)])
-        c = SpinConfig.from_spins([1, 1])
-        assert delta_energy_flip(m, c, 0) == 2.0
-
-    def test_term_without_site_contributes_zero(self):
-        m = IsingModel.from_terms(3, [((1, 2), 5.0)])
-        c = SpinConfig(0, 3)
-        assert delta_energy_flip(m, c, 0) == 0.0
-
     def test_matches_full_recompute_all_sites_all_configs(self):
+        # at beta = 0 the sweep accepts every flip, so each incremental
+        # difference lands in the tracked energy
         rng = np.random.default_rng(3)
         m = random_model(rng, 8, max_order=3, n_terms=20)
-        for z in range(256):
-            c = SpinConfig(z, 8)
-            e0 = energy(m, c)
-            for site in range(8):
-                assert delta_energy_flip(m, c, site) == energy(m, c.flip(site)) - e0
+        recorded = []
 
-    def test_out_of_range_site(self):
-        m = IsingModel.from_terms(2, [((0,), 1.0)])
-        with pytest.raises(IndexError):
-            delta_energy_flip(m, SpinConfig(0, 2), 5)
+        def record(bits, e, accepted, tag_id):
+            assert accepted
+            recorded.append((bits, e))
+
+        for z in range(256):
+            spin_flip_sweep(z, energy_of_bits(m, z), 0.0, m.site_masks,
+                            random.Random(z), record)
+        assert len(recorded) == 256 * 8
+        for bits, e in recorded:
+            assert e == energy_of_bits(m, bits)
 
 
 class TestBoltzmannWeight:
+    """The exact Boltzmann distribution the oracle tests compare against."""
+
     def test_zero_energy_weight_one(self):
         m = IsingModel.from_terms(2, [])
-        assert boltzmann_weight(m, SpinConfig(0, 2), Temperature(3.7)) == 1.0
+        assert boltzmann(m, 3.7).tolist() == [0.25] * 4
 
     def test_definition(self):
-        m = IsingModel.from_terms(1, [((0,), 1.5)])
-        w = boltzmann_weight(m, SpinConfig(0, 1), Temperature(2.0))
-        assert w == pytest.approx(np.exp(-2.0 * 1.5), rel=1e-15)
+        m = IsingModel.from_terms(1, [((0,), 1.5)])  # E = +1.5 at bits 0
+        p = boltzmann(m, 2.0)
+        assert p[0] / p[1] == pytest.approx(np.exp(-2.0 * 3.0), rel=1e-12)
+        assert p.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_weight_ratio_identity(self):
         rng = np.random.default_rng(4)
         m = random_model(rng, 6, integer=False)
-        t = Temperature(0.8)
+        beta = 0.8
+        p = boltzmann(m, beta)
         for _ in range(20):
-            a = SpinConfig(int(rng.integers(64)), 6)
-            b = SpinConfig(int(rng.integers(64)), 6)
-            ratio = boltzmann_weight(m, b, t) / boltzmann_weight(m, a, t)
-            expected = np.exp(-t.beta * (energy(m, b) - energy(m, a)))
-            assert ratio == pytest.approx(expected, rel=1e-12)
+            a, b = int(rng.integers(64)), int(rng.integers(64))
+            expected = np.exp(-beta * (energy_of_bits(m, b) - energy_of_bits(m, a)))
+            assert p[b] / p[a] == pytest.approx(expected, rel=1e-12)
 
+
+class TestTemperature:
     def test_beta_must_be_positive(self):
         with pytest.raises(ValueError):
             Temperature(0.0)

@@ -7,7 +7,6 @@ from fairmc import qaoa
 from fairmc.experiments import ALPHA_C, to_ising
 from fairmc.ising import IsingModel, basis_energies
 from fairmc.qaoa import (
-    FixedAngles,
     LinearSchedule,
     QaoaParams,
     effective_time,
@@ -222,13 +221,12 @@ class TestOptimize:
 class TestFixedAngles:
     def test_single_schedule_is_itself(self):
         s = LinearSchedule(0.1, 0.2, 0.3, 0.4)
-        assert fixed_angles_from_set([s]).schedule == s
+        assert fixed_angles_from_set([s]) == s
 
     def test_symmetric_pair_gives_center(self):
         a = LinearSchedule(0.0, 0.0, 0.0, 0.0)
         b = LinearSchedule(1.0, 2.0, 3.0, 4.0)
-        fa = fixed_angles_from_set([a, b])
-        assert fa.schedule == LinearSchedule(0.5, 1.0, 1.5, 2.0)
+        assert fixed_angles_from_set([a, b]) == LinearSchedule(0.5, 1.0, 1.5, 2.0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -236,7 +234,7 @@ class TestFixedAngles:
 
     def test_is_preset_type(self):
         fa = fixed_angles_from_set([LinearSchedule(0, 0, 0, 0)])
-        assert isinstance(fa, FixedAngles)
+        assert isinstance(fa, LinearSchedule)
 
 
 class TestPersistence:

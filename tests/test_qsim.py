@@ -17,7 +17,7 @@ from fairmc.ising import (
     Temperature,
     basis_energies,
 )
-from fairmc.mcmc import QeHyper, kernel_qe_mcmc, run_chain
+from fairmc.mcmc import QeHyper, QeKernel, run_chain
 from fairmc.qsim import (
     AnnealSchedule,
     OutputDistribution,
@@ -291,7 +291,7 @@ def test_capacity_above_dense_max():
     with pytest.raises(CapacityError):
         run_annealing(m, linear_schedule(1.0))
     with pytest.raises(CapacityError):
-        run_chain(m, Temperature(1.0), kernel_qe_mcmc(m), 1, rng_seed=66)
+        run_chain(m, Temperature(1.0), QeKernel(m), 1, rng_seed=66)
     # the input checks come first
     with pytest.raises(ValueError, match="anneal time"):
         run_annealing(m, linear_schedule(-1.0))
