@@ -37,16 +37,14 @@ class UnsupportedModelError(ValueError):
 # PT-ICM
 
 
-def geometric_beta_ladder(
-    n_temps: int = 8, beta_min: float = 0.1, beta_max: float = 10.0
-) -> tuple[float, ...]:
+def geometric_beta_ladder(n_temps: int = 8, beta_min: float = 0.1,
+                          beta_max: float = 10.0) -> tuple[float, ...]:
     return tuple(np.geomspace(beta_min, beta_max, n_temps).tolist())
 
 
 @dataclass
 class PtIcmConfig:
     replica_betas: tuple[float, ...] = field(default_factory=geometric_beta_ladder)
-    sweeps_between_exchanges: int = 1
     icm_every: int = 1
     rng_seed: int = 0
 
@@ -70,7 +68,7 @@ class PtIcmStats:
     exchange_accepts: int = 0
     icm_attempts: int = 0
     icm_moves: int = 0  # attempts with a nonempty cluster
-    total_transitions: int = 0  # all replicas: sweeps*N + exchanges + icm
+    total_transitions: int = 0  # all replicas: N per sweep + exchanges + icm
     coldest_transitions: int = 0  # coldest replica only
 
 
@@ -137,7 +135,7 @@ def pt_icm_run(
     """`steps` PT rounds; returns the coldest (largest-beta) replica's trace
     from the first family plus exchange/ICM statistics.
 
-    Each round: SSF sweeps per replica, neighbor exchanges within each
+    Each round: one SSF sweep per replica, neighbor exchanges within each
     family, and (every icm_every rounds) one Houdayer move per temperature
     across the families.
     """
@@ -165,12 +163,11 @@ def pt_icm_run(
         for fam in (0, 1):
             for ti in range(n_temps):
                 record = builder.record if fam == 0 and ti == cold else None
-                for _ in range(cfg.sweeps_between_exchanges):
-                    bits[fam][ti], energies[fam][ti] = spin_flip_sweep(
-                        bits[fam][ti], energies[fam][ti], betas[ti], site_masks,
-                        rng, record, ssf_tag,
-                    )
-        stats.total_transitions += 2 * n_temps * cfg.sweeps_between_exchanges * n
+                bits[fam][ti], energies[fam][ti] = spin_flip_sweep(
+                    bits[fam][ti], energies[fam][ti], betas[ti], site_masks,
+                    rng, record, ssf_tag,
+                )
+        stats.total_transitions += 2 * n_temps * n
 
         for fam in (0, 1):
             for ti in range(n_temps - 1):
@@ -216,13 +213,15 @@ def pt_icm_run(
 # ---------------------------------------------------------------------------
 # WalkSAT
 
+# WalkSATlm's weights of make1 and make2 in its tie-break score
+LM_WEIGHTS = (6.0, 1.0)
+
 
 @dataclass
 class WalkSatConfig:
     noise_p: float = 0.5
     max_flips: int = 10**6
     variant: str = "plain"  # "plain" | "lm"
-    lm_weights: tuple[float, float] = (6.0, 1.0)
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -368,7 +367,7 @@ class _Assignment:
 def _pick_variable(asg: _Assignment, clause_vars, cfg: WalkSatConfig, rng) -> int:
     if rng.random() < cfg.noise_p:
         return clause_vars[rng.randrange(len(clause_vars))]
-    w1, w2 = cfg.lm_weights
+    w1, w2 = LM_WEIGHTS
     best, best_key = [], None
     for v in clause_vars:
         brk, mk1, mk2 = asg.scores(v)

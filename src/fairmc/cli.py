@@ -9,14 +9,15 @@
     fairmc metrics        --config CFG    fairness + counting summaries
     fairmc fig1 .. fig7                   preset end-to-end experiments
 
-Common flags: --config FILE, --out DIR, --seed N, --threads N.
+Common flags: --config FILE, --out DIR, --seed N, --threads N (at least 1).
 Exit codes: 0 success, 1 validation failure, 2 configuration/usage error,
 a missing earlier stage, or a resume into an --out directory written by a
 different config (seed included).  Exit 2 with nothing written also covers a
-config whose count fields (per_size, trials, chain_steps, ...) are below 1,
-whose beta is not finite and positive, or whose sizes are empty or outside
-k..24; `metrics` exits 2 when an algorithm's chains/<algo>/ directory lacks
-any expected trial summary, naming the first missing file.
+config whose count fields (per_size, trials, ...), k or sizes are not integers,
+whose counts are below 1, beta not finite and positive, sizes empty or outside
+k..24, or that a worker config of the run rejects (an unknown walksat_variant;
+with PT-ICM, beta < 0.1); `metrics` exits 2 when an algorithm's chains/<algo>/
+directory lacks any expected trial summary, naming the first missing file.
 """
 
 from __future__ import annotations
@@ -136,7 +137,7 @@ def cmd_fig(args) -> int:
     elif name == "fig3":
         # degeneracy scatter needs both clause widths
         for k in (2, 3):
-            sub = dataclasses.replace(cfg, k=k, alpha_c=None)
+            sub = dataclasses.replace(cfg, k=k)
             write_resolved_config(sub, out / f"k{k}")
             stage_instances(sub, out / f"k{k}")
     else:
@@ -180,6 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "threads", 1) < 1:
+        parser.error("--threads must be at least 1")  # exits 2
     try:
         return args.fn(args)
     except ConfigError as exc:

@@ -28,9 +28,10 @@ stage stopped midway resumes with the tasks that did not finish.
 A stage whose inputs are missing raises `StageError` naming the first
 missing file; for `metrics` that includes any trial summary missing from an
 algorithm's chains/<algo>/ directory, so partial runs are never pooled.  A
-config with a count field below 1, a beta that is not finite and positive,
-or sizes that are empty or outside k..24 is refused with `ConfigError` when
-it is loaded, before anything is written.
+config is refused with `ConfigError` at load, before anything is written, if
+a count field, k or a size is not an integer, a count is below 1, beta is not
+finite and positive, sizes are empty or outside k..24, or a worker config of
+the run rejects a value (an unknown walksat_variant; with PT-ICM, beta < 0.1).
 """
 
 from __future__ import annotations
@@ -99,14 +100,13 @@ from fairmc.sat import (
     to_ising,
 )
 
-KINDS = ("SMALL_INSTANCES", "ANNEAL_SWEEP", "KSAT_FAIRNESS", "KSAT_COUNTING")
+KSAT_KINDS = ("KSAT_FAIRNESS", "KSAT_COUNTING")
+KINDS = ("SMALL_INSTANCES", "ANNEAL_SWEEP", *KSAT_KINDS)
 SAMPLER_ALGOS = ("qaoa-nmc", "qaoa-hmc")
 ALL_ALGOS = SAMPLER_ALGOS + ("pt-icm", "walksat")
-# config fields that count something and so must be at least 1
+# config fields that count something and so must be integers of at least 1
 COUNT_FIELDS = ("per_size", "qaoa_depth", "qaoa_starts", "train_samples", "made_epochs",
-                "made_batch", "chain_steps", "trials", "pt_n_temps", "pt_sweeps",
-                "pt_icm_every", "pt_rounds", "walksat_max_flips", "anneal_grid_points",
-                "samples")
+                "chain_steps", "trials", "walksat_max_flips", "anneal_grid_points", "samples")
 
 
 class ConfigError(ValueError):
@@ -119,28 +119,26 @@ class StageError(RuntimeError):
 
 @dataclass
 class ExperimentConfig:
+    """What an experiment varies.  A setting no experiment varies lives only
+    where it is used, and the `*_config` builders add what varies.  MADE: batch
+    64, learning rate 1e-3 (`TrainConfig`), width 4N (`train`).  PT-ICM: 8
+    betas from 0.1 (`geometric_beta_ladder`), a sweep and a Houdayer move a
+    round (`pt_icm_run`, `PtIcmConfig`), rounds from `_matched_pt_rounds`.
+    WalkSAT: noise 0.5 (`WalkSatConfig`), `LM_WEIGHTS`.  Density: `ALPHA_C[k]`."""
+
     kind: str
     k: int = 2
     sizes: tuple[int, ...] = (8, 9, 10, 11, 12, 13, 14, 15, 16)
     per_size: int = 100
-    alpha_c: float | None = None  # None -> standard threshold for k
     beta: float = 10.0
     qaoa_depth: int = 5
     qaoa_starts: int = 10
     use_fixed_angles: bool = False
     train_samples: int = 1000
     made_epochs: int = 500
-    made_batch: int = 64
-    made_lr: float = 1e-3
     chain_steps: int = 10_000
     trials: int = 10
     algorithms: tuple[str, ...] = ALL_ALGOS
-    pt_n_temps: int = 8
-    pt_beta_min: float = 0.1
-    pt_sweeps: int = 1
-    pt_icm_every: int = 1
-    pt_rounds: int | None = None  # None -> match sampler transition counts
-    walksat_noise: float = 0.5
     walksat_max_flips: int = 10**6
     walksat_variant: str = "lm"
     anneal_time: float = 1000.0
@@ -153,8 +151,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.k not in (2, 3):
-            raise ConfigError("k must be 2 or 3")
+        # type() and not isinstance(): bool is an int subclass and is refused
+        if type(self.k) is not int or self.k not in (2, 3):
+            raise ConfigError(f"k must be 2 or 3, got {self.k!r}")
         unknown = set(self.algorithms) - set(ALL_ALGOS)
         if unknown:
             raise ConfigError(f"unknown algorithms {sorted(unknown)}")
@@ -168,23 +167,46 @@ class ExperimentConfig:
                 f"got {lo}, {hi}")
         for name in COUNT_FIELDS:
             value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ConfigError(f"{name} must be at least 1, got {value}")
+            if type(value) is not int or value < 1:
+                raise ConfigError(f"{name} must be an integer of at least 1, got {value!r}")
         if not (math.isfinite(self.beta) and self.beta > 0):
             raise ConfigError(f"beta must be finite and positive, got {self.beta}")
         self.sizes = tuple(self.sizes)
         if not self.sizes or not all(
-                self.k <= n <= MAX_BRUTEFORCE_SITES for n in self.sizes):
-            raise ConfigError(f"sizes must be a non-empty list of sizes in "
+                type(n) is int and self.k <= n <= MAX_BRUTEFORCE_SITES for n in self.sizes):
+            raise ConfigError(f"sizes must be a non-empty list of integers in "
                               f"{self.k}..{MAX_BRUTEFORCE_SITES}, got {list(self.sizes)}")
-        if self.alpha_c is None:
-            self.alpha_c = ALPHA_C[self.k]
         self.algorithms = tuple(self.algorithms)
+        try:  # refuse here what a worker config rejects, not after the run is pinned
+            self.walksat_config(0)
+            if self.runs_pt_icm:
+                self.pt_config(0)
+        except ValueError as exc:
+            raise ConfigError(f"{exc} (beta {self.beta}, walksat_variant "
+                              f"{self.walksat_variant!r})") from exc
+
+    @property
+    def alpha_c(self) -> float:
+        return ALPHA_C[self.k]
+
+    @property
+    def runs_pt_icm(self) -> bool:  # cluster moves need 2-body terms: 2-SAT only
+        return self.kind in KSAT_KINDS and "pt-icm" in self.algorithms and self.k == 2
+
+    def train_config(self, seed: int) -> TrainConfig:
+        return TrainConfig(epochs=self.made_epochs, rng_seed=seed)
+
+    def pt_config(self, seed: int) -> PtIcmConfig:
+        return PtIcmConfig(replica_betas=geometric_beta_ladder(beta_max=self.beta),
+                           rng_seed=seed)
+
+    def walksat_config(self, seed: int) -> WalkSatConfig:
+        return WalkSatConfig(max_flips=self.walksat_max_flips,
+                             variant=self.walksat_variant, rng_seed=seed)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        valid = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - valid
+        unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys {sorted(unknown)}")
         if "kind" not in d:
@@ -205,11 +227,6 @@ class ExperimentConfig:
             raise ConfigError("config must be a JSON object")
         return cls.from_dict(data)
 
-    def resolved(self) -> dict:
-        d = asdict(self)
-        d["fairmc_version"] = fairmc.__version__
-        return d
-
 
 def derive_seed(*parts) -> int:
     """Stable 63-bit seed from structured parts (platform independent)."""
@@ -223,7 +240,8 @@ def write_resolved_config(cfg: ExperimentConfig, out: Path) -> None:
     resolved values differ is refused and the stored file is left as it is."""
     out.mkdir(parents=True, exist_ok=True)
     path = out / "resolved_config.json"
-    resolved = json.loads(json.dumps(cfg.resolved()))  # tuples read back as lists
+    resolved = {**asdict(cfg), "fairmc_version": fairmc.__version__}
+    resolved = json.loads(json.dumps(resolved))  # tuples read back as lists
     if path.exists():
         with open(path) as f:
             stored = json.load(f)
@@ -248,7 +266,8 @@ def _run_missing(fn, tasks, threads: int) -> None:
         for task in todo:
             fn(*task)
         return
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    # a forked pool starts all its workers at the first submit
+    with ProcessPoolExecutor(max_workers=min(threads, len(todo))) as pool:
         list(pool.map(fn, *zip(*todo)))
 
 
@@ -338,8 +357,7 @@ def stage_nets(cfg: ExperimentConfig, out: Path, threads: int = 1):
     _run_missing(_train_one, [
         (nets_dir / f"instance_{i:04d}.json", to_ising(entry.formula),
          _read_schedule(sched_path), cfg.qaoa_depth, cfg.train_samples,
-         TrainConfig(epochs=cfg.made_epochs, batch_size=cfg.made_batch,
-                     learning_rate=cfg.made_lr, rng_seed=derive_seed(cfg.seed, "net", i)))
+         cfg.train_config(derive_seed(cfg.seed, "net", i)))
         for i, (entry, sched_path) in enumerate(zip(instset.entries, sched_paths))
     ], threads)
 
@@ -432,25 +450,18 @@ def _run_walksat_trial(path, formula, solutions, ws_cfg, instance, trial):
 
 def stage_baselines(cfg: ExperimentConfig, out: Path, threads: int = 1):
     instset = _instances(out)
-    if "pt-icm" in cfg.algorithms and cfg.k == 2:
-        betas = geometric_beta_ladder(cfg.pt_n_temps, cfg.pt_beta_min, cfg.beta)
+    if cfg.runs_pt_icm:
         _run_missing(_run_pt_trial, [
             (_summary_path(out, "pt-icm", i, 0), to_ising(entry.formula),
-             entry.solutions,
-             PtIcmConfig(replica_betas=betas, sweeps_between_exchanges=cfg.pt_sweeps,
-                         icm_every=cfg.pt_icm_every,
-                         rng_seed=derive_seed(cfg.seed, "pt", i)),
-             cfg.pt_rounds or _matched_pt_rounds(cfg, entry.formula.n_vars), i)
+             entry.solutions, cfg.pt_config(derive_seed(cfg.seed, "pt", i)),
+             _matched_pt_rounds(cfg, entry.formula.n_vars), i)
             for i, entry in enumerate(instset.entries)
         ], threads)
 
     if "walksat" in cfg.algorithms:
         _run_missing(_run_walksat_trial, [
             (_summary_path(out, "walksat", i, trial), entry.formula, entry.solutions,
-             WalkSatConfig(noise_p=cfg.walksat_noise, max_flips=cfg.walksat_max_flips,
-                           variant=cfg.walksat_variant,
-                           rng_seed=derive_seed(cfg.seed, "walksat", i, trial)),
-             i, trial)
+             cfg.walksat_config(derive_seed(cfg.seed, "walksat", i, trial)), i, trial)
             for i, entry in enumerate(instset.entries) for trial in range(cfg.trials)
         ], threads)
 
@@ -578,12 +589,7 @@ def run_small_instances(cfg: ExperimentConfig, out: Path):
             qaoa_state, cfg.train_samples,
             np.random.default_rng(derive_seed(cfg.seed, "fx-train", fx_idx)),
         )
-        net, _ = train(
-            draws,
-            TrainConfig(epochs=cfg.made_epochs, batch_size=cfg.made_batch,
-                        learning_rate=cfg.made_lr,
-                        rng_seed=derive_seed(cfg.seed, "fx-net", fx_idx)),
-        )
+        net, _ = train(draws, cfg.train_config(derive_seed(cfg.seed, "fx-net", fx_idx)))
         nmc_trace = run_chain(
             model, Temperature(cfg.beta), MadeKernel(net), cfg.samples,
             rng_seed=derive_seed(cfg.seed, "fx-nmc", fx_idx),

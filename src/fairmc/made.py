@@ -8,15 +8,15 @@ state's probability at EPS^N > 0 and keeps independence-sampler chains
 irreducible.
 
 Implemented directly in numpy with analytic backprop: the network is tiny
-(one hidden layer of width 4N by default) and this keeps training
-bit-reproducible with no framework dependency.
+(one hidden layer of width 4N) and this keeps training bit-reproducible with
+no framework dependency.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -36,7 +36,6 @@ class TrainConfig:
     epochs: int = 500
     batch_size: int = 64
     learning_rate: float = 1e-3
-    hidden_sizes: tuple[int, ...] | None = None  # None -> one layer of width 4N
     rng_seed: int = 0
     plateau_epochs: int = 50
     plateau_tol: float = 1e-5
@@ -210,8 +209,7 @@ def train(
     x_all = np.stack([s.bit_array().astype(np.float64) for s in samples])
 
     rng = np.random.default_rng(cfg.rng_seed)
-    hidden = cfg.hidden_sizes if cfg.hidden_sizes is not None else (4 * n,)
-    net = MadeNetwork(n, hidden, rng=rng)
+    net = MadeNetwork(n, (4 * n,), rng=rng)
 
     params = net.weights + net.biases
     m = [np.zeros_like(p) for p in params]
@@ -263,15 +261,9 @@ def training_digest(samples: Sequence[SpinConfig]) -> str:
     return h.hexdigest()[:16]
 
 
-def save_checkpoint(net: MadeNetwork, path, *, config: TrainConfig | None = None,
-                    digest: str = "") -> None:
-    d = net.to_json_dict()
-    d["train_config"] = vars(config) if config else None
-    if d["train_config"] and d["train_config"]["hidden_sizes"] is not None:
-        d["train_config"]["hidden_sizes"] = list(d["train_config"]["hidden_sizes"])
-    d["training_data_digest"] = digest
+def save_checkpoint(net: MadeNetwork, path, *, digest: str = "") -> None:
     with atomic_write(path) as f:
-        json.dump(d, f)
+        json.dump({**net.to_json_dict(), "training_data_digest": digest}, f)
 
 
 def load_checkpoint(path) -> MadeNetwork:

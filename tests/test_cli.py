@@ -2,10 +2,13 @@ import csv
 import json
 import shutil
 
+import numpy as np
 import pytest
 
+from fairmc.baselines import LM_WEIGHTS, PtIcmConfig, WalkSatConfig
 from fairmc.cli import EXIT_CONFIG, EXIT_OK, FIG_KINDS, load_preset, main
 from fairmc.experiments import ConfigError, ExperimentConfig, derive_seed
+from fairmc.made import TrainConfig
 from fairmc.metrics import records_from_csv
 
 TINY = {
@@ -19,7 +22,6 @@ TINY = {
     "made_epochs": 100,
     "walksat_max_flips": 20000,
     "algorithms": ["qaoa-nmc", "qaoa-hmc", "pt-icm", "walksat"],
-    "pt_rounds": 400,
     "seed": 11,
 }
 
@@ -59,15 +61,47 @@ class TestConfig:
         {"anneal_grid_points": 0},
         # checked for every kind, like the anneal settings above
         {"per_size": 0}, {"qaoa_depth": 0}, {"qaoa_starts": 0}, {"train_samples": 0},
-        {"made_epochs": 0}, {"made_batch": 0}, {"chain_steps": 0}, {"trials": 0},
-        {"pt_n_temps": 0}, {"pt_sweeps": 0}, {"pt_icm_every": 0}, {"pt_rounds": 0},
+        {"made_epochs": 0}, {"chain_steps": 0}, {"trials": 0},
         {"walksat_max_flips": 0}, {"samples": 0}, {"per_size": -3},
         {"beta": -1.0}, {"beta": 0.0}, {"beta": float("inf")}, {"beta": float("nan")},
         {"sizes": []}, {"sizes": [8, 25]}, {"sizes": [1]}, {"k": 3, "sizes": [2]},
+        # counts, k and sizes must be ints: 2.5 instances per size are never met
+        {"per_size": 2.5}, {"chain_steps": 1.5}, {"made_epochs": 100.0},
+        {"qaoa_depth": True}, {"k": 2.0}, {"sizes": [8.0]}, {"sizes": [8, 9.5]},
     ])
     def test_bad_anneal_settings_rejected(self, bad):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"kind": "ANNEAL_SWEEP", **bad})
+
+    @pytest.mark.parametrize("bad, message", [
+        # a ladder from beta 0.1 up to beta 0.05 is not ascending
+        ({"algorithms": ["pt-icm"], "beta": 0.05}, "replica_betas must be ascending"),
+        ({"walksat_variant": "foo"}, "unknown variant 'foo'"),
+    ])
+    def test_bad_worker_settings_rejected(self, bad, message):
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig.from_dict({"kind": "KSAT_COUNTING", "k": 2, **bad})
+
+    @pytest.mark.parametrize("config", [
+        {"kind": "KSAT_FAIRNESS", "k": 3, "algorithms": ["qaoa-nmc", "qaoa-hmc"]},
+        {"kind": "SMALL_INSTANCES"},  # PT-ICM runs only in a k-SAT run
+    ])
+    def test_low_beta_accepted_without_pt_icm(self, config):
+        assert ExperimentConfig.from_dict({**config, "beta": 0.05}).beta == 0.05
+
+    @pytest.mark.parametrize("preset", [None, *FIG_KINDS])
+    def test_worker_configs_pinned(self, preset):
+        # the values every preset ran with when they were config fields
+        cfg = ExperimentConfig.from_dict(
+            load_preset(preset) if preset else {"kind": "KSAT_COUNTING"})
+        assert cfg.train_config(5) == TrainConfig(
+            epochs=500, batch_size=64, learning_rate=1e-3, rng_seed=5,
+            plateau_epochs=50, plateau_tol=1e-5)
+        assert cfg.pt_config(6) == PtIcmConfig(
+            replica_betas=tuple(np.geomspace(0.1, 10.0, 8).tolist()), icm_every=1, rng_seed=6)
+        assert cfg.walksat_config(7) == WalkSatConfig(
+            noise_p=0.5, max_flips=10**6, variant="lm", rng_seed=7)
+        assert LM_WEIGHTS == (6.0, 1.0)
 
     def test_anneal_grid_of_one_point_accepted(self):
         cfg = ExperimentConfig.from_dict(
@@ -150,6 +184,11 @@ class TestPipelineCommands:
         ("fig1", {"beta": -1.0}),
         ("fig6", {"sizes": []}),
         ("fig6", {"sizes": [8], "per_size": 1, "qaoa_starts": 0}),
+        # small, so that a config that is not refused fails fast in its stage
+        ("fig4", {"beta": 0.05, "sizes": [8], "per_size": 1, "qaoa_starts": 1,
+                  "made_epochs": 1, "train_samples": 10, "algorithms": ["pt-icm"]}),
+        ("fig6", {"walksat_variant": "foo", "sizes": [8], "per_size": 1, "qaoa_starts": 1,
+                  "made_epochs": 1, "train_samples": 10, "algorithms": ["walksat"]}),
     ])
     def test_bad_anneal_config_exits_2(self, tmp_path, capsys, fig, bad):
         path = tmp_path / "bad.json"
@@ -157,6 +196,14 @@ class TestPipelineCommands:
         code = main([fig, "--config", str(path), "--out", str(tmp_path / "x")])
         assert code == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_exit_2(self, tmp_path, threads):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-instances", "--config", write_cfg(tmp_path),
+                  "--out", str(tmp_path / "x"), "--threads", threads])
+        assert exc.value.code == EXIT_CONFIG
         assert not (tmp_path / "x").exists()
 
     def test_seed_override_changes_outputs(self, tmp_path):

@@ -159,6 +159,33 @@ def test_runner_keeps_finished_tasks(tmp_path, threads):
     assert [p.read_text() for p in paths] == ["a", "b", "c"]
 
 
+def test_runner_starts_no_more_workers_than_tasks(tmp_path, monkeypatch):
+    # a forked pool starts every worker at the first submit, idle or not
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records its size, starts no process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    paths = [tmp_path / f"{i}.txt" for i in range(3)]
+    paths[0].write_text("done")
+    experiments._run_missing(write_unless_boom, [(p, p.name) for p in paths], 64)
+    assert sizes == [2]
+    assert [p.read_text() for p in paths] == ["done", "1.txt", "2.txt"]
+
+
 def in_place_writes(tree):
     """Calls that write a file other than through `atomic_write`: `open` in a
     write, append or update mode (or a mode not known before run time),

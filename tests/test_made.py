@@ -202,7 +202,7 @@ class TestCheckpoint:
         net = random_net(5, seed=14)
         samples = [SpinConfig(z, 5) for z in range(10)]
         path = tmp_path / "net.json"
-        save_checkpoint(net, path, config=TrainConfig(), digest=training_digest(samples))
+        save_checkpoint(net, path, digest=training_digest(samples))
         loaded = load_checkpoint(path)
         assert loaded.variable_order == net.variable_order
         x = np.array([1.0, 0, 1, 0, 1])
