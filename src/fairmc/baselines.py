@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from fairmc.ising import IsingModel, SpinConfig, energy_of_bits
-from fairmc.mcmc import ChainTrace, _TraceBuilder, spin_flip_sweep
+from fairmc.mcmc import ChainTrace, _sweep_for, _TraceBuilder
 from fairmc.sat import Clause, CnfFormula, enumerate_solutions
 
 
@@ -138,6 +138,12 @@ def pt_icm_run(
     Each round: one SSF sweep per replica, neighbor exchanges within each
     family, and (every icm_every rounds) one Houdayer move per temperature
     across the families.
+
+    The sweeps are those of `run_chain` (`mcmc._sweep_for`).  Where they read
+    the basis-energy table, the initial energies and the energies after a
+    Houdayer move are read from it too; elsewhere `energy_of_bits` computes
+    them.  Both give the same bits on a model with exact energies, so the
+    trace does not depend on which path ran.
     """
     adj = _interaction_adjacency(model)  # validates 2-body up front
     betas = cfg.replica_betas
@@ -145,11 +151,16 @@ def pt_icm_run(
     n = model.n_sites
     rng = random.Random(cfg.rng_seed)
 
-    site_masks = model.site_masks
+    sweep, table = _sweep_for(model)
+    if table is not None:
+        energy_of = table.__getitem__
+    else:
+        def energy_of(z):
+            return energy_of_bits(model, z)
 
     # two families x n_temps replicas
     bits = [[rng.getrandbits(n) for _ in range(n_temps)] for _ in range(2)]
-    energies = [[energy_of_bits(model, z) for z in fam] for fam in bits]
+    energies = [[energy_of(z) for z in fam] for fam in bits]
 
     cold = n_temps - 1
     builder = _TraceBuilder(n)
@@ -163,9 +174,8 @@ def pt_icm_run(
         for fam in (0, 1):
             for ti in range(n_temps):
                 record = builder.record if fam == 0 and ti == cold else None
-                bits[fam][ti], energies[fam][ti] = spin_flip_sweep(
-                    bits[fam][ti], energies[fam][ti], betas[ti], site_masks,
-                    rng, record, ssf_tag,
+                bits[fam][ti], energies[fam][ti] = sweep(
+                    bits[fam][ti], energies[fam][ti], betas[ti], rng, record, ssf_tag
                 )
         stats.total_transitions += 2 * n_temps * n
 
@@ -198,8 +208,8 @@ def pt_icm_run(
                     stats.icm_moves += 1
                     bits[0][ti] ^= cluster
                     bits[1][ti] ^= cluster
-                    energies[0][ti] = energy_of_bits(model, bits[0][ti])
-                    energies[1][ti] = energy_of_bits(model, bits[1][ti])
+                    energies[0][ti] = energy_of(bits[0][ti])
+                    energies[1][ti] = energy_of(bits[1][ti])
                 if ti == cold:
                     builder.record(
                         bits[0][cold], energies[0][cold], bool(cluster), icm_tag

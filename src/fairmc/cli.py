@@ -13,11 +13,13 @@ Common flags: --config FILE, --out DIR, --seed N, --threads N (at least 1).
 Exit codes: 0 success, 1 validation failure, 2 configuration/usage error,
 a missing earlier stage, or a resume into an --out directory written by a
 different config (seed included).  Exit 2 with nothing written also covers a
-config whose count fields (per_size, trials, ...), k or sizes are not integers,
-whose counts are below 1, beta not finite and positive, sizes empty or outside
-k..24, or that a worker config of the run rejects (an unknown walksat_variant;
-with PT-ICM, beta < 0.1); `metrics` exits 2 when an algorithm's chains/<algo>/
-directory lacks any expected trial summary, naming the first missing file.
+config whose count fields (per_size, trials, ...), k, sizes or seed are not
+integers, whose beta or anneal settings are not numbers, whose use_fixed_angles
+is not a bool, whose counts are below 1, beta not finite and positive, sizes
+empty or outside k..24, or that a worker config of the run rejects (an unknown
+walksat_variant; with PT-ICM, beta < 0.1); `metrics` exits 2 when an
+algorithm's chains/<algo>/ directory lacks any expected trial summary, naming
+the first missing file.
 """
 
 from __future__ import annotations

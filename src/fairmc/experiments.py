@@ -29,9 +29,11 @@ A stage whose inputs are missing raises `StageError` naming the first
 missing file; for `metrics` that includes any trial summary missing from an
 algorithm's chains/<algo>/ directory, so partial runs are never pooled.  A
 config is refused with `ConfigError` at load, before anything is written, if
-a count field, k or a size is not an integer, a count is below 1, beta is not
-finite and positive, sizes are empty or outside k..24, or a worker config of
-the run rejects a value (an unknown walksat_variant; with PT-ICM, beta < 0.1).
+a count field, k, a size or the seed is not an integer, beta or an anneal
+setting is not a number, use_fixed_angles is not a bool, a count is below 1,
+beta is not finite and positive, sizes are empty or outside k..24, or a worker
+config of the run rejects a value (an unknown walksat_variant; with PT-ICM,
+beta < 0.1).
 """
 
 from __future__ import annotations
@@ -107,6 +109,8 @@ ALL_ALGOS = SAMPLER_ALGOS + ("pt-icm", "walksat")
 # config fields that count something and so must be integers of at least 1
 COUNT_FIELDS = ("per_size", "qaoa_depth", "qaoa_starts", "train_samples", "made_epochs",
                 "chain_steps", "trials", "walksat_max_flips", "anneal_grid_points", "samples")
+# config fields that hold a real number
+REAL_FIELDS = ("beta", "anneal_time", "anneal_grid_min", "anneal_grid_max")
 
 
 class ConfigError(ValueError):
@@ -154,6 +158,15 @@ class ExperimentConfig:
         # type() and not isinstance(): bool is an int subclass and is refused
         if type(self.k) is not int or self.k not in (2, 3):
             raise ConfigError(f"k must be 2 or 3, got {self.k!r}")
+        if type(self.seed) is not int:
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if type(self.use_fixed_angles) is not bool:
+            raise ConfigError(
+                f"use_fixed_angles must be true or false, got {self.use_fixed_angles!r}")
+        for name in REAL_FIELDS:
+            value = getattr(self, name)
+            if type(value) not in (int, float):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
         unknown = set(self.algorithms) - set(ALL_ALGOS)
         if unknown:
             raise ConfigError(f"unknown algorithms {sorted(unknown)}")

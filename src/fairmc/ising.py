@@ -14,6 +14,7 @@ mapping (x = (1 - s)/2).  All values are immutable; operations are pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
@@ -23,7 +24,7 @@ import numpy as np
 MAX_SITES = 64
 MAX_BRUTEFORCE_SITES = 24
 
-# tie tolerance for ground-state detection on non-integer models
+# tie tolerance for ground-state detection on models without exact energies
 DEGENERACY_ATOL = 1e-9
 
 
@@ -49,16 +50,6 @@ class SpinConfig:
             raise ValueError("bits out of range for n sites")
 
     @classmethod
-    def from_spins(cls, spins: Sequence[int]) -> "SpinConfig":
-        bits = 0
-        for i, s in enumerate(spins):
-            if s == -1:
-                bits |= 1 << i
-            elif s != 1:
-                raise ValueError(f"spin values must be +1/-1, got {s}")
-        return cls(bits, len(spins))
-
-    @classmethod
     def from_bits(cls, bits: Sequence[int]) -> "SpinConfig":
         """Build from Boolean values x_i (x=1 <=> s=-1)."""
         packed = 0
@@ -67,14 +58,8 @@ class SpinConfig:
                 packed |= 1 << i
         return cls(packed, len(bits))
 
-    def spin(self, site: int) -> int:
-        return 1 - 2 * ((self.bits >> site) & 1)
-
     def bit(self, site: int) -> int:
         return (self.bits >> site) & 1
-
-    def spins(self) -> np.ndarray:
-        return 1 - 2 * self.bit_array()
 
     def bit_array(self) -> np.ndarray:
         z = np.uint64(self.bits)
@@ -84,9 +69,6 @@ class SpinConfig:
         if not 0 <= site < self.n:
             raise IndexError(f"site {site} out of range for {self.n} sites")
         return SpinConfig(self.bits ^ (1 << site), self.n)
-
-    def invert(self) -> "SpinConfig":
-        return SpinConfig(self.bits ^ ((1 << self.n) - 1), self.n)
 
     def to_bitstring(self) -> str:
         """x_0 x_1 ... x_{n-1}, left to right."""
@@ -158,9 +140,23 @@ class IsingModel:
     def max_order(self) -> int:
         return max((len(t.sites) for t in self.terms), default=0)
 
-    def is_integer(self) -> bool:
+    def has_exact_energies(self) -> bool:
+        """True when float64 evaluates every energy and energy difference of
+        the model exactly, whatever the order of the additions.
+
+        Every float is a dyadic rational; with 2^-D the smallest power of two
+        that all coefficients and the offset are multiples of, every partial
+        sum is a multiple of 2^-D bounded by (sum |c| + |offset|), so it is
+        exact when that bound times 2^D is below 2^53.  k-SAT models (quarter
+        and eighth coefficients) and the fixtures qualify; Gaussian
+        coefficients, with 52-bit fractions, do not.
+        """
         vals = [t.coeff for t in self.terms] + [self.offset]
-        return all(abs(v - round(v)) < 1e-12 for v in vals)
+        if not all(math.isfinite(v) for v in vals):
+            return False
+        ratios = [float(v).as_integer_ratio() for v in vals]
+        den = max(q for _, q in ratios)  # 2^D: every q is a power of two
+        return sum(abs(p) * (den // q) for p, q in ratios) < 1 << 53
 
     def __hash__(self) -> int:
         return self._hash
@@ -274,11 +270,11 @@ def energy_levels(model: IsingModel) -> tuple[np.ndarray, np.ndarray]:
 def ground_states_bruteforce(model: IsingModel) -> tuple[float, list[SpinConfig]]:
     """Exhaustive minimum energy and all attaining configs, ascending bit order.
 
-    Ties are exact for integer-coefficient models and tolerance-based
-    (DEGENERACY_ATOL) otherwise.
+    Ties are exact for models with exact energies (`has_exact_energies`) and
+    tolerance-based (DEGENERACY_ATOL) otherwise.
     """
     e = basis_energies(model)
     emin = float(e.min())
-    atol = 0.0 if model.is_integer() else DEGENERACY_ATOL
+    atol = 0.0 if model.has_exact_energies() else DEGENERACY_ATOL
     idx = np.nonzero(e <= emin + atol)[0]
     return emin, [SpinConfig(int(z), model.n_sites) for z in idx]

@@ -17,14 +17,22 @@
   per-step draw of (driver weight, time), made before proposing.  Models
   above qsim._DENSE_MAX sites raise CapacityError.
 
-PT-ICM reuses the sweep.  MADE candidates (MadeKernel and HybridUpdate) are
-drawn in blocks of up to MADE_BLOCK: one `made.sample_batch`, one
-`made.log_prob_batch` and one `ising.energy_of_bits_batch` call per block.
-The proposal ignores the current state, so candidates drawn ahead of time are
-i.i.d. with exactly the per-step proposal distribution.  The chain carries
-log q of its current state; after a sweep moves it, log q is looked up in a
-per-chain table filled from the blocks, or computed once with
-`made.log_prob` on a miss.
+Sweeps: `run_chain` and PT-ICM take their sweep from `_sweep_for`.  On a
+model with exact energies (`IsingModel.has_exact_energies`: every k-SAT
+model and every fixture) of at most _TABLE_MAX_SITES sites, the sweep reads
+each flip's energy from the basis-energy table; otherwise it sums the flip's
+energy difference over the site's terms (`spin_flip_sweep`).  On an exact
+model both give the same bits: every partial sum is exact in float64, so the
+table entries, the popcount sums and the tracked energies are the same
+numbers, and the same flips are accepted with the same random draws.
+
+MADE candidates (MadeKernel and HybridUpdate) are drawn in blocks of up to
+MADE_BLOCK: one `made.sample_batch`, one `made.log_prob_batch` and one
+`ising.energy_of_bits_batch` call per block.  The proposal ignores the
+current state, so candidates drawn ahead of time are i.i.d. with exactly
+the per-step proposal distribution.  The chain carries log q of its current
+state; after a sweep moves it, log q is looked up in a per-chain table
+filled from the blocks, or computed once with `made.log_prob` on a miss.
 
 Random streams: the candidates come from a numpy Generator seeded from
 `rng_seed` alone; the chain's `random.Random(rng_seed)` draws the initial
@@ -51,6 +59,7 @@ from fairmc.ising import (
     IsingModel,
     SpinConfig,
     Temperature,
+    basis_energies,
     energy_of_bits,
     energy_of_bits_batch,
 )
@@ -60,6 +69,8 @@ from fairmc.qsim import basis_state, evolve_fixed, measure_distribution
 # MADE candidates drawn per block (capped at the steps left in the chain)
 MADE_BLOCK = 256
 _MADE_STREAM = 0x4D414445  # tags the candidate generator's seed
+# largest model whose sweeps read the basis-energy table (2^20 entries)
+_TABLE_MAX_SITES = 20
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +144,10 @@ def spin_flip_sweep(bits, energy, beta, site_masks, rng, record=None, tag_id=0):
     site order; each flip uses the incremental energy difference from
     `site_masks` (`IsingModel.site_masks`).  Calls `record(bits, energy,
     accepted, tag_id)` after every site when given.  Returns (bits, energy).
+
+    The chains run this sweep on models without exact energies only; on the
+    others `_sweep_for` hands them `_table_sweep`, which draws the same site
+    order and uniforms and returns the same bits (module docstring).
     """
     order = list(range(len(site_masks)))
     rng.shuffle(order)
@@ -148,6 +163,47 @@ def spin_flip_sweep(bits, energy, beta, site_masks, rng, record=None, tag_id=0):
         elif record is not None:
             record(bits, energy, False, tag_id)
     return bits, energy
+
+
+def _table_sweep(bits, energy, beta, table, rng, record=None, tag_id=0):
+    """`spin_flip_sweep` reading the energies from `table`, the model's basis
+    energies as a list: a flip's difference is table[flipped] - energy."""
+    order = list(range(len(table).bit_length() - 1))  # len(table) = 2^N
+    rng.shuffle(order)
+    for site in order:
+        flipped = bits ^ (1 << site)
+        d = table[flipped] - energy
+        if d <= 0.0 or rng.random() < math.exp(-beta * d):
+            bits, energy = flipped, table[flipped]
+            if record is not None:
+                record(bits, energy, True, tag_id)
+        elif record is not None:
+            record(bits, energy, False, tag_id)
+    return bits, energy
+
+
+def _sweep_for(model: IsingModel):
+    """The sweep of the chains on `model` and its energy table: (sweep, table)
+    with `sweep(bits, energy, beta, rng, record=None, tag_id=0)`.
+
+    The table (basis energies as a list) and `_table_sweep` serve models with
+    exact energies of at most _TABLE_MAX_SITES sites; every other model gets
+    `spin_flip_sweep` on its site masks and no table (None).  `energy` must
+    be the energy of `bits`, as the chains keep it.
+    """
+    if model.n_sites <= _TABLE_MAX_SITES and model.has_exact_energies():
+        table = basis_energies(model).tolist()
+
+        def sweep(bits, energy, beta, rng, record=None, tag_id=0):
+            return _table_sweep(bits, energy, beta, table, rng, record, tag_id)
+
+        return sweep, table
+    site_masks = model.site_masks
+
+    def sweep(bits, energy, beta, rng, record=None, tag_id=0):
+        return spin_flip_sweep(bits, energy, beta, site_masks, rng, record, tag_id)
+
+    return sweep, None
 
 
 def _made_candidates(model, net, steps, rng_seed, log_q_table):
@@ -185,9 +241,6 @@ class ChainTrace:
 
     def __len__(self) -> int:
         return len(self.states)
-
-    def configs(self) -> list[SpinConfig]:
-        return [SpinConfig(int(z), self.n_sites) for z in self.states]
 
 
 class _TraceBuilder:
@@ -290,17 +343,17 @@ def run_chain(
 
     builder = _TraceBuilder(n)
     beta = t.beta
-    site_masks = model.site_masks
     energy = energy_of_bits(model, bits)
 
     if isinstance(update, SsfSweepUpdate):
+        sweep, _ = _sweep_for(model)
         tag_id = builder.tag_id("ssf")
         for _ in range(steps):
-            bits, energy = spin_flip_sweep(
-                bits, energy, beta, site_masks, rng, builder.record, tag_id
-            )
+            bits, energy = sweep(bits, energy, beta, rng, builder.record, tag_id)
     elif neural:
         hybrid = isinstance(update, HybridUpdate)
+        if hybrid:
+            sweep, _ = _sweep_for(model)
         made_tag = builder.tag_id("made")
         ssf_tag = builder.tag_id("ssf") if hybrid else None
         log_q_table: dict[int, float] = {}
@@ -319,9 +372,7 @@ def run_chain(
                 acc = False
             builder.record(bits, energy, acc, made_tag)
             if hybrid:
-                swept, energy = spin_flip_sweep(
-                    bits, energy, beta, site_masks, rng, builder.record, ssf_tag
-                )
+                swept, energy = sweep(bits, energy, beta, rng, builder.record, ssf_tag)
                 if swept != bits:
                     bits, log_q = swept, None
     else:

@@ -23,6 +23,7 @@ from fairmc.mcmc import ChainTrace
 from fairmc.qsim import OutputDistribution
 
 INCOMPLETE = None  # sentinel for runs that never visited every ground state
+_WALK_CHUNK = 1024  # trace records converted at a time by steps_to_enumerate
 
 
 @dataclass(frozen=True)
@@ -62,10 +63,11 @@ def histogram(source, ground_states: Sequence[SpinConfig]) -> GroundStateHistogr
 
     if isinstance(source, ChainTrace):
         counts = np.zeros(len(gs))
-        for z in source.states:
-            i = index.get(int(z))
+        states, hits = np.unique(source.states, return_counts=True)
+        for z, hit in zip(states.tolist(), hits.tolist()):
+            i = index.get(z)
             if i is not None:
-                counts[i] += 1
+                counts[i] = hit
         return GroundStateHistogram(gs, counts, float(counts.sum()))
 
     if isinstance(source, OutputDistribution):
@@ -99,10 +101,13 @@ def steps_to_enumerate(run, ground_states: Sequence[SpinConfig]):
     targets = {s.bits for s in ground_states}
     if isinstance(run, ChainTrace):
         remaining = set(targets)
-        for z, tidx in zip(run.states, run.transition_index):
-            remaining.discard(int(z))
-            if not remaining:
-                return int(tidx)
+        # walk Python ints, converted a chunk at a time so that an early
+        # finish converts few records
+        for start in range(0, len(run.states), _WALK_CHUNK):
+            for i, z in enumerate(run.states[start:start + _WALK_CHUNK].tolist(), start):
+                remaining.discard(z)
+                if not remaining:
+                    return int(run.transition_index[i])
         return INCOMPLETE
     if isinstance(run, EnumerationResult):
         remaining = set(targets)

@@ -96,10 +96,6 @@ class CnfFormula:
     def n_clauses(self) -> int:
         return len(self.clauses)
 
-    @property
-    def density(self) -> float:
-        return self.n_clauses / self.n_vars
-
 
 def eval_clause(clause: Clause, assignment: SpinConfig) -> bool:
     """True iff at least one literal is true under the assignment."""

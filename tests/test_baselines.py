@@ -17,8 +17,16 @@ from fairmc.baselines import (
     walksat_enumerate,
     walksat_run,
 )
+from fairmc import mcmc
 from fairmc.exact import boltzmann
-from fairmc.ising import IsingModel, SpinConfig, Temperature, basis_energies, energy
+from fairmc.ising import (
+    IsingModel,
+    SpinConfig,
+    Temperature,
+    basis_energies,
+    energy,
+    energy_of_bits,
+)
 from fairmc.mcmc import SsfSweepUpdate, run_chain
 from fairmc.sat import (
     ALPHA_C,
@@ -29,6 +37,7 @@ from fairmc.sat import (
     count_unsatisfied,
     enumerate_solutions,
     generate_instance,
+    to_ising,
 )
 
 
@@ -178,6 +187,30 @@ class TestPtIcmRun:
             h.update(np.ascontiguousarray(a).tobytes())
         assert h.hexdigest()[:16] == "2c4499ccdcd46345"
         assert (stats_out.exchange_accepts, stats_out.icm_moves) == (596, 553)
+
+
+class TestPtIcmTable:
+    """PT-ICM on a 2-SAT model reads the basis-energy table."""
+
+    def test_matches_mask_sweep(self, monkeypatch):
+        m = to_ising(generate_instance(10, 2, ALPHA_C[2], 65))
+        cfg = PtIcmConfig(rng_seed=66)
+        table, table_stats = pt_icm_run(m, cfg, 200)
+        monkeypatch.setattr(mcmc, "_TABLE_MAX_SITES", 0)
+        mask, mask_stats = pt_icm_run(m, cfg, 200)
+        assert table.states.tolist() == mask.states.tolist()
+        assert table.energies.tobytes() == mask.energies.tobytes()
+        assert table.accepted.tolist() == mask.accepted.tolist()
+        assert table.tags.tolist() == mask.tags.tolist()
+        assert table_stats == mask_stats
+        assert table_stats.icm_moves > 0
+
+    def test_energies_after_houdayer_moves(self):
+        m = to_ising(generate_instance(10, 2, ALPHA_C[2], 67))
+        trace, _ = pt_icm_run(m, PtIcmConfig(rng_seed=68), 200)
+        moved = (trace.tags == trace.tag_legend.index("icm")) & trace.accepted
+        assert moved.sum() > 10
+        assert trace.energies.tolist() == [energy_of_bits(m, z) for z in trace.states.tolist()]
 
 
 class TestWalkSat:

@@ -73,6 +73,24 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"kind": "ANNEAL_SWEEP", **bad})
 
+    @pytest.mark.parametrize("bad", ["false", "true", 0, 1, None])
+    def test_non_bool_flag_rejected(self, bad):
+        # "false" is truthy: it would train every net on the fixed angles
+        with pytest.raises(ConfigError, match="use_fixed_angles"):
+            ExperimentConfig.from_dict({"kind": "KSAT_FAIRNESS", "use_fixed_angles": bad})
+
+    @pytest.mark.parametrize("bad", [1.5, 2.0, True, "7", None])
+    def test_non_int_seed_rejected(self, bad):
+        with pytest.raises(ConfigError, match="seed"):
+            ExperimentConfig.from_dict({"kind": "KSAT_FAIRNESS", "seed": bad})
+
+    @pytest.mark.parametrize("name", ["beta", "anneal_time", "anneal_grid_min",
+                                      "anneal_grid_max"])
+    @pytest.mark.parametrize("bad", [True, "10"])
+    def test_non_number_real_rejected(self, name, bad):
+        with pytest.raises(ConfigError, match=name):
+            ExperimentConfig.from_dict({"kind": "ANNEAL_SWEEP", name: bad})
+
     @pytest.mark.parametrize("bad, message", [
         # a ladder from beta 0.1 up to beta 0.05 is not ascending
         ({"algorithms": ["pt-icm"], "beta": 0.05}, "replica_betas must be ascending"),
@@ -189,6 +207,9 @@ class TestPipelineCommands:
                   "made_epochs": 1, "train_samples": 10, "algorithms": ["pt-icm"]}),
         ("fig6", {"walksat_variant": "foo", "sizes": [8], "per_size": 1, "qaoa_starts": 1,
                   "made_epochs": 1, "train_samples": 10, "algorithms": ["walksat"]}),
+        ("fig5", {"use_fixed_angles": "false", "sizes": [8], "per_size": 1,
+                  "qaoa_starts": 1, "made_epochs": 1, "train_samples": 10,
+                  "chain_steps": 1, "trials": 1}),
     ])
     def test_bad_anneal_config_exits_2(self, tmp_path, capsys, fig, bad):
         path = tmp_path / "bad.json"

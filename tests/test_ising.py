@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fairmc.exact import boltzmann
+from fairmc.fixtures import load_all
 from fairmc.ising import (
     CapacityError,
     DimensionError,
@@ -19,6 +20,7 @@ from fairmc.ising import (
     ground_states_bruteforce,
 )
 from fairmc.mcmc import spin_flip_sweep
+from fairmc.sat import ALPHA_C, generate_instance, to_ising
 
 
 def random_model(rng, n, max_order=3, n_terms=None, integer=True):
@@ -34,7 +36,7 @@ def random_model(rng, n, max_order=3, n_terms=None, integer=True):
 
 def energy_scalar_loop(model, config):
     """Independent oracle: plain per-term loop over explicit spin values."""
-    spins = config.spins()
+    spins = 1 - 2 * config.bit_array()
     e = model.offset
     for t in model.terms:
         p = 1
@@ -50,30 +52,26 @@ class TestSpinConfig:
         for _ in range(50):
             n = int(rng.integers(1, 20))
             spins = rng.choice([-1, 1], size=n).tolist()
-            c = SpinConfig.from_spins(spins)
-            assert c.spins().tolist() == spins
+            c = SpinConfig(sum(1 << i for i, s in enumerate(spins) if s == -1), n)
+            assert (1 - 2 * c.bit_array()).tolist() == spins
             assert SpinConfig.from_bitstring(c.to_bitstring()) == c
 
     def test_convention_bit1_is_spin_down(self):
         c = SpinConfig(0b101, 3)
-        assert c.spins().tolist() == [-1, 1, -1]
+        assert (1 - 2 * c.bit_array()).tolist() == [-1, 1, -1]
         assert c.bit_array().tolist() == [1, 0, 1]
 
     def test_flip(self):
         c = SpinConfig(0, 4)
-        assert c.flip(2).spins().tolist() == [1, 1, -1, 1]
+        assert (1 - 2 * c.flip(2).bit_array()).tolist() == [1, 1, -1, 1]
         with pytest.raises(IndexError):
             c.flip(4)
-
-    def test_invert(self):
-        c = SpinConfig(0b0011, 4)
-        assert c.invert().bits == 0b1100
 
 
 class TestEnergy:
     def test_ferromagnetic_aligned_pair(self):
         m = IsingModel.from_terms(2, [((0, 1), -1.0)])
-        assert energy(m, SpinConfig.from_spins([1, 1])) == -1.0
+        assert energy(m, SpinConfig(0, 2)) == -1.0  # s = (+1, +1)
 
     def test_empty_terms_gives_offset(self):
         m = IsingModel.from_terms(3, [], offset=2.5)
@@ -195,7 +193,7 @@ class TestGroundStates:
         m = IsingModel.from_terms(1, [((0,), 1.0)])
         emin, states = ground_states_bruteforce(m)
         assert emin == -1.0
-        assert [s.spins().tolist() for s in states] == [[-1]]
+        assert [(1 - 2 * s.bit_array()).tolist() for s in states] == [[-1]]
 
     def test_states_sorted_and_attain_minimum(self):
         rng = np.random.default_rng(5)
@@ -214,6 +212,34 @@ class TestGroundStates:
             ground_states_bruteforce(m)
 
 
+class TestExactEnergies:
+    """`IsingModel.has_exact_energies`: float64 sums of the model are exact."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_ksat_models_qualify(self, k):
+        for seed in range(20):
+            m = to_ising(generate_instance(12, k, ALPHA_C[k], seed))
+            assert m.has_exact_energies()
+
+    def test_fixtures_qualify(self):
+        for m in load_all().values():
+            assert m.has_exact_energies()
+
+    def test_gaussian_models_do_not(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            assert not random_model(rng, 6, integer=False).has_exact_energies()
+
+    def test_mantissa_bound(self):
+        # in units of 1/2, the magnitudes sum to 2^52 + 1 (exact) and to
+        # 2^53 + 1, where 2^52 + 0.5 already rounds
+        fits = IsingModel.from_terms(2, [((0,), 0.5), ((1,), 2.0**51)])
+        assert fits.has_exact_energies()
+        overflows = IsingModel.from_terms(2, [((0,), 0.5), ((1,), 2.0**52)])
+        assert not overflows.has_exact_energies()
+        assert not IsingModel.from_terms(1, [((0,), float("inf"))]).has_exact_energies()
+
+
 class TestInvariants:
     def test_spin_inversion_symmetry_even_models(self):
         rng = np.random.default_rng(6)
@@ -225,7 +251,8 @@ class TestInvariants:
             m = IsingModel.from_terms(8, terms)
             for _ in range(20):
                 c = SpinConfig(int(rng.integers(256)), 8)
-                assert energy(m, c) == pytest.approx(energy(m, c.invert()), abs=1e-12)
+                flipped = SpinConfig(c.bits ^ 0xFF, 8)  # every spin inverted
+                assert energy(m, c) == pytest.approx(energy(m, flipped), abs=1e-12)
 
     def test_hash_and_equality_are_those_of_the_fields(self):
         rng = np.random.default_rng(9)

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from fairmc import mcmc
 from fairmc.exact import boltzmann, mh_matrix, qe_proposal_matrix, ssf_sweep_matrix
 from fairmc.ising import (
     DimensionError,
@@ -25,6 +26,7 @@ from fairmc.mcmc import (
     run_chain,
 )
 from fairmc.qsim import basis_state, evolve_fixed, measure_distribution
+from fairmc.sat import ALPHA_C, generate_instance, to_ising
 
 
 def random_model(rng, n, n_terms=8, integer=True):
@@ -75,6 +77,12 @@ def trace_digest(trace):
     return h.hexdigest()[:16]
 
 
+def transitions(trace):
+    """The per-transition sequence of a trace, energies as their bytes."""
+    return (trace.states.tolist(), trace.energies.tobytes(), trace.accepted.tolist(),
+            trace.tags.tolist(), trace.tag_legend)
+
+
 def final_state(trace):
     return SpinConfig(int(trace.states[-1]), trace.n_sites)
 
@@ -84,11 +92,11 @@ class TestMhStep:
 
     def test_downhill_always_accepted(self):
         m = IsingModel.from_terms(1, [((0,), 1.0)])  # flipping 0 from +1 lowers E
-        init = SpinConfig.from_spins([1])
+        init = SpinConfig(0, 1)  # s = +1
         for seed in range(50):
             trace = run_chain(m, Temperature(2.0), FlipKernel(0), 1, init=init,
                               rng_seed=seed)
-            assert final_state(trace).spins()[0] == -1
+            assert final_state(trace).bit(0) == 1  # s_0 = -1
             assert trace.accepted[0]
 
     def test_uphill_acceptance_frequency(self):
@@ -97,7 +105,7 @@ class TestMhStep:
         h, beta = 0.7, 0.9
         m = IsingModel.from_terms(1, [((0,), h)])
         trace = run_chain(m, Temperature(beta), FlipKernel(0), 130_000,
-                          init=SpinConfig.from_spins([-1]), rng_seed=1)
+                          init=SpinConfig(1, 1), rng_seed=1)
         before = np.concatenate(([1], trace.states[:-1].astype(int)))
         uphill = before == 1
         trials = int(uphill.sum())
@@ -109,7 +117,7 @@ class TestMhStep:
 
     def test_step_index_advances_on_reject(self):
         m = IsingModel.from_terms(1, [((0,), 100.0)])
-        init = SpinConfig.from_spins([-1])
+        init = SpinConfig(1, 1)  # s = -1
         trace = run_chain(m, Temperature(5.0), FlipKernel(0), 1, init=init, rng_seed=2)
         assert trace.n_steps == 1 and trace.transition_index.tolist() == [1]
         assert final_state(trace) == init  # enormous uphill move rejected
@@ -121,8 +129,8 @@ class TestMhStep:
         net = random_net(5)
         trace = run_chain(m, Temperature(1.0), MadeKernel(net), 30,
                           init=SpinConfig(17, 5), rng_seed=3)
-        for config, e in zip(trace.configs(), trace.energies):
-            assert e == pytest.approx(energy(m, config), abs=1e-12)
+        for z, e in zip(trace.states.tolist(), trace.energies):
+            assert e == pytest.approx(energy(m, SpinConfig(z, 5)), abs=1e-12)
 
 
 class TestDetailedBalance:
@@ -192,8 +200,8 @@ class TestSsfSweep:
         m = random_model(np.random.default_rng(15), 6, integer=False)
         trace = run_chain(m, Temperature(0.7), SsfSweepUpdate(), 20,
                           init=SpinConfig(11, 6), rng_seed=16)
-        for config, e in zip(trace.configs(), trace.energies):
-            assert e == pytest.approx(energy(m, config), abs=1e-10)
+        for z, e in zip(trace.states.tolist(), trace.energies):
+            assert e == pytest.approx(energy(m, SpinConfig(z, 6)), abs=1e-10)
 
     def test_pinned_traces(self):
         # captured before the sweep was shared with PT-ICM; must not change
@@ -206,6 +214,28 @@ class TestSsfSweep:
         mf = random_model(np.random.default_rng(52), 6, n_terms=12, integer=False)
         trace = run_chain(mf, Temperature(1.3), SsfSweepUpdate(), 300, rng_seed=53)
         assert trace_digest(trace) == "2c3e1da2320659da"
+
+
+class TestTableSweep:
+    """On a model with exact energies the sweeps read the basis-energy table;
+    the mask sweep on the same model and seed gives the same transitions."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("hybrid", [False, True])
+    def test_run_chain_matches_mask_sweep(self, monkeypatch, k, hybrid):
+        m = to_ising(generate_instance(10, k, ALPHA_C[k], 62 + k))
+        update = HybridUpdate(random_net(10, seed=63)) if hybrid else SsfSweepUpdate()
+        assert mcmc._sweep_for(m)[1] is not None
+        table = run_chain(m, Temperature(2.0), update, 300, rng_seed=64)
+        monkeypatch.setattr(mcmc, "_TABLE_MAX_SITES", 0)
+        assert mcmc._sweep_for(m)[1] is None
+        mask = run_chain(m, Temperature(2.0), update, 300, rng_seed=64)
+        assert transitions(table) == transitions(mask)
+        assert table.accepted.any() and not table.accepted.all()
+
+    def test_models_without_exact_energies_keep_the_mask_sweep(self):
+        m = random_model(np.random.default_rng(65), 5, integer=False)
+        assert mcmc._sweep_for(m)[1] is None
 
 
 class TestQeKernel:
@@ -324,9 +354,10 @@ class TestRunChain:
         made = trace.tags == trace.tag_legend.index("made")
         assert made.sum() == 2 * MADE_BLOCK + 7
         assert trace.accepted[made].any()
-        for config, e, is_made, acc in zip(
-            trace.configs(), trace.energies, made, trace.accepted
+        for z, e, is_made, acc in zip(
+            trace.states.tolist(), trace.energies, made, trace.accepted
         ):
+            config = SpinConfig(z, 6)
             if is_made and (acc or not hybrid):
                 # a candidate's energy, or a made chain's carried one
                 assert e == energy(m, config)
