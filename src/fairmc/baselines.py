@@ -8,7 +8,7 @@ total energy.  Cluster moves need an interaction graph, so models with
 3-body terms are rejected.
 
 WalkSAT flips variables of uniformly chosen unsatisfied clauses: a random
-variable with probability `noise_p`, otherwise the variant's greedy pick.
+variable with probability `NOISE_P`, otherwise the variant's greedy pick.
 Enumeration mode alternates solving with blocking clauses until as many
 distinct solutions have been found as the exact enumerator counts up front.
 Blocking clauses are kept as a table of blocked solutions rather than as
@@ -61,7 +61,8 @@ class PtIcmConfig:
 
 @dataclass
 class PtIcmStats:
-    """Exchange/cluster accounting emitted alongside the coldest trace."""
+    """Exchange/cluster accounting over all replicas, emitted alongside the
+    coldest trace."""
 
     rounds: int = 0
     exchange_attempts: int = 0
@@ -69,7 +70,6 @@ class PtIcmStats:
     icm_attempts: int = 0
     icm_moves: int = 0  # attempts with a nonempty cluster
     total_transitions: int = 0  # all replicas: N per sweep + exchanges + icm
-    coldest_transitions: int = 0  # coldest replica only
 
 
 def _interaction_adjacency(model: IsingModel) -> list[list[int]]:
@@ -133,7 +133,10 @@ def pt_icm_run(
     steps: int,
 ) -> tuple[ChainTrace, PtIcmStats]:
     """`steps` PT rounds; returns the coldest (largest-beta) replica's trace
-    from the first family plus exchange/ICM statistics.
+    from the first family and the exchange/ICM statistics of all replicas.
+    The trace records every transition of that replica: the N flips of its
+    sweep, its exchange with the next-warmer replica and its Houdayer move;
+    `PtIcmStats.total_transitions` counts those of every replica.
 
     Each round: one SSF sweep per replica, neighbor exchanges within each
     family, and (every icm_every rounds) one Houdayer move per temperature
@@ -215,28 +218,25 @@ def pt_icm_run(
                         bits[0][cold], energies[0][cold], bool(cluster), icm_tag
                     )
 
-    trace = builder.build(steps)
-    stats.coldest_transitions = trace.n_transitions
-    return trace, stats
+    return builder.build(steps), stats
 
 
 # ---------------------------------------------------------------------------
 # WalkSAT
 
+# probability of a random variable instead of the greedy pick
+NOISE_P = 0.5
 # WalkSATlm's weights of make1 and make2 in its tie-break score
 LM_WEIGHTS = (6.0, 1.0)
 
 
 @dataclass
 class WalkSatConfig:
-    noise_p: float = 0.5
     max_flips: int = 10**6
     variant: str = "plain"  # "plain" | "lm"
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.noise_p <= 1.0:
-            raise ValueError("noise_p must be in [0, 1]")
         if self.variant not in ("plain", "lm"):
             raise ValueError(f"unknown variant {self.variant!r}")
 
@@ -375,7 +375,7 @@ class _Assignment:
 
 
 def _pick_variable(asg: _Assignment, clause_vars, cfg: WalkSatConfig, rng) -> int:
-    if rng.random() < cfg.noise_p:
+    if rng.random() < NOISE_P:
         return clause_vars[rng.randrange(len(clause_vars))]
     w1, w2 = LM_WEIGHTS
     best, best_key = [], None

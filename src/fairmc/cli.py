@@ -12,14 +12,10 @@
 Common flags: --config FILE, --out DIR, --seed N, --threads N (at least 1).
 Exit codes: 0 success, 1 validation failure, 2 configuration/usage error,
 a missing earlier stage, or a resume into an --out directory written by a
-different config (seed included).  Exit 2 with nothing written also covers a
-config whose count fields (per_size, trials, ...), k, sizes or seed are not
-integers, whose beta or anneal settings are not numbers, whose use_fixed_angles
-is not a bool, whose counts are below 1, beta not finite and positive, sizes
-empty or outside k..24, or that a worker config of the run rejects (an unknown
-walksat_variant; with PT-ICM, beta < 0.1); `metrics` exits 2 when an
-algorithm's chains/<algo>/ directory lacks any expected trial summary, naming
-the first missing file.
+different config (seed included).  Exit 2 with nothing written covers every
+config that `fairmc.experiments` refuses at load (see its docstring), and a
+config whose kind the command does not run: fig1 and fig2 need the kind of
+their preset (`FIG_KINDS`), fig3-fig7 and the stage commands a k-SAT kind.
 """
 
 from __future__ import annotations
@@ -32,6 +28,7 @@ from importlib import resources
 from pathlib import Path
 
 from fairmc.experiments import (
+    KSAT_KINDS,
     ConfigError,
     ExperimentConfig,
     StageError,
@@ -74,13 +71,17 @@ def load_preset(name: str) -> dict:
         return json.load(f)
 
 
-def _load_config(args, preset: str | None = None) -> ExperimentConfig:
+def _load_config(args, kinds, preset: str | None = None) -> ExperimentConfig:
+    """The command's config; ConfigError unless its kind is one of `kinds`."""
     if args.config:
         cfg = ExperimentConfig.load(args.config)
     elif preset:
         cfg = ExperimentConfig.from_dict(load_preset(preset))
     else:
         raise ConfigError("--config is required for this command")
+    if cfg.kind not in kinds:
+        raise ConfigError(f"{args.command} runs a config of kind "
+                          f"{' or '.join(kinds)}, got {cfg.kind!r}")
     if args.seed is not None:
         cfg.seed = args.seed
     return cfg
@@ -103,7 +104,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_stage(args) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args, KSAT_KINDS)
     out = Path(args.out)
     stage = args.command
     # a stage refused for missing inputs must not leave its config behind:
@@ -130,7 +131,8 @@ def cmd_stage(args) -> int:
 
 def cmd_fig(args) -> int:
     name = args.command
-    cfg = _load_config(args, preset=name)
+    kinds = KSAT_KINDS if FIG_KINDS[name] in KSAT_KINDS else (FIG_KINDS[name],)
+    cfg = _load_config(args, kinds, preset=name)
     out = Path(args.out)
     if name == "fig1":
         run_small_instances(cfg, out)

@@ -128,7 +128,7 @@ class ExperimentConfig:
     64, learning rate 1e-3 (`TrainConfig`), width 4N (`train`).  PT-ICM: 8
     betas from 0.1 (`geometric_beta_ladder`), a sweep and a Houdayer move a
     round (`pt_icm_run`, `PtIcmConfig`), rounds from `_matched_pt_rounds`.
-    WalkSAT: noise 0.5 (`WalkSatConfig`), `LM_WEIGHTS`.  Density: `ALPHA_C[k]`."""
+    WalkSAT: noise 0.5 (`NOISE_P`), `LM_WEIGHTS`.  Density: `ALPHA_C[k]`."""
 
     kind: str
     k: int = 2
@@ -324,7 +324,7 @@ def _read_schedule(path: Path):
 
 
 def _optimize_one(path, model, p, starts, seed):
-    schedule, _ = optimize(model, p, starts, np.random.default_rng(seed))
+    schedule = optimize(model, p, starts, np.random.default_rng(seed))
     value = expectation(model, expand(schedule, p))
     with atomic_write(path) as f:
         json.dump(schedule_to_json(schedule, p, value), f, indent=1)
@@ -546,8 +546,7 @@ def stage_metrics(cfg: ExperimentConfig, out: Path):
 
 def metrics_hist(solutions, counts):
     gs = tuple(sorted(solutions, key=lambda s: s.bits))
-    counts = np.asarray(counts, dtype=float)
-    return GroundStateHistogram(gs, counts, float(counts.sum()))
+    return GroundStateHistogram(gs, np.asarray(counts, dtype=float))
 
 
 def run_ksat(cfg: ExperimentConfig, out: Path, threads: int = 1):
@@ -585,7 +584,7 @@ def run_small_instances(cfg: ExperimentConfig, out: Path):
         qa_state = run_annealing(model, linear_schedule(cfg.anneal_time))
         qa_hist = histogram(measure_distribution(qa_state), gs)
 
-        params, _ = optimize_free(
+        params = optimize_free(
             model, cfg.qaoa_depth, cfg.qaoa_starts,
             np.random.default_rng(derive_seed(cfg.seed, "fx-qaoa", fx_idx)),
         )
@@ -647,7 +646,7 @@ def run_anneal_sweep(cfg: ExperimentConfig, out: Path):
             )
     rows_to_csv(rows, out / "anneal_sweep.csv")
 
-    params, _ = optimize_free(
+    params = optimize_free(
         model, cfg.qaoa_depth, cfg.qaoa_starts,
         np.random.default_rng(derive_seed(cfg.seed, "sweep-qaoa")),
     )

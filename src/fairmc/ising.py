@@ -65,11 +65,6 @@ class SpinConfig:
         z = np.uint64(self.bits)
         return ((z >> np.arange(self.n, dtype=np.uint64)) & np.uint64(1)).astype(np.int64)
 
-    def flip(self, site: int) -> "SpinConfig":
-        if not 0 <= site < self.n:
-            raise IndexError(f"site {site} out of range for {self.n} sites")
-        return SpinConfig(self.bits ^ (1 << site), self.n)
-
     def to_bitstring(self) -> str:
         """x_0 x_1 ... x_{n-1}, left to right."""
         return "".join(str((self.bits >> i) & 1) for i in range(self.n))

@@ -234,12 +234,15 @@ class ChainTrace:
     energies: np.ndarray
     accepted: np.ndarray
     tags: np.ndarray  # uint8 index into tag_legend
-    transition_index: np.ndarray  # 1-based cumulative transition count
     tag_legend: tuple[str, ...]
     n_steps: int  # composite steps executed
-    n_transitions: int
 
     def __len__(self) -> int:
+        return len(self.states)
+
+    @property
+    def n_transitions(self) -> int:
+        """Every transition is recorded: record i is transition i + 1."""
         return len(self.states)
 
 
@@ -252,7 +255,6 @@ class _TraceBuilder:
         self.tags: list[int] = []
         self.legend: list[str] = []
         self._legend_ids: dict[str, int] = {}
-        self.transitions = 0
 
     def tag_id(self, tag: str) -> int:
         if tag not in self._legend_ids:
@@ -261,7 +263,6 @@ class _TraceBuilder:
         return self._legend_ids[tag]
 
     def record(self, bits, e, acc, tag_id):
-        self.transitions += 1
         self.states.append(bits)
         self.energies.append(e)
         self.accepted.append(acc)
@@ -274,10 +275,8 @@ class _TraceBuilder:
             energies=np.array(self.energies, dtype=np.float64),
             accepted=np.array(self.accepted, dtype=bool),
             tags=np.array(self.tags, dtype=np.uint8),
-            transition_index=np.arange(1, self.transitions + 1, dtype=np.uint64),
             tag_legend=tuple(self.legend),
             n_steps=n_steps,
-            n_transitions=self.transitions,
         )
 
 

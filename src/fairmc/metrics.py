@@ -36,12 +36,16 @@ class GroundStateHistogram:
 
     ground_states: tuple[SpinConfig, ...]
     counts: np.ndarray
-    total_gs_samples: float
+
+    @property
+    def total_gs_samples(self) -> float:
+        return float(self.counts.sum())
 
     def frequencies(self) -> np.ndarray:
-        if self.total_gs_samples == 0:
+        total = self.total_gs_samples
+        if total == 0:
             return np.zeros_like(self.counts)
-        return self.counts / self.total_gs_samples
+        return self.counts / total
 
 
 @dataclass(frozen=True)
@@ -50,7 +54,6 @@ class FairnessReport:
     all_found: bool
     tvd_to_uniform: float
     n_ground: int
-    samples_used: float
 
 
 def histogram(source, ground_states: Sequence[SpinConfig]) -> GroundStateHistogram:
@@ -68,13 +71,13 @@ def histogram(source, ground_states: Sequence[SpinConfig]) -> GroundStateHistogr
             i = index.get(z)
             if i is not None:
                 counts[i] = hit
-        return GroundStateHistogram(gs, counts, float(counts.sum()))
+        return GroundStateHistogram(gs, counts)
 
     if isinstance(source, OutputDistribution):
         raw = np.array([source.probs[s.bits] for s in gs])
         total = raw.sum()
         counts = raw / total if total > 0 else raw
-        return GroundStateHistogram(gs, counts, float(counts.sum()))
+        return GroundStateHistogram(gs, counts)
 
     raise TypeError(f"cannot histogram {type(source).__name__}")
 
@@ -88,13 +91,13 @@ def fairness(hist: GroundStateHistogram) -> FairnessReport:
         tvd = math.nan
     else:
         tvd = float(0.5 * np.abs(freqs - 1.0 / n).sum())
-    return FairnessReport(ratio, all_found, tvd, n, float(hist.total_gs_samples))
+    return FairnessReport(ratio, all_found, tvd, n)
 
 
 def steps_to_enumerate(run, ground_states: Sequence[SpinConfig]):
     """Transition count at which every ground state has been visited.
 
-    Accepts a ChainTrace (uses its per-record transition index) or a WalkSAT
+    Accepts a ChainTrace (record i is transition i + 1) or a WalkSAT
     EnumerationResult (uses cumulative flips).  Returns INCOMPLETE when the
     run ended first.
     """
@@ -107,7 +110,7 @@ def steps_to_enumerate(run, ground_states: Sequence[SpinConfig]):
             for i, z in enumerate(run.states[start:start + _WALK_CHUNK].tolist(), start):
                 remaining.discard(z)
                 if not remaining:
-                    return int(run.transition_index[i])
+                    return i + 1
         return INCOMPLETE
     if isinstance(run, EnumerationResult):
         remaining = set(targets)

@@ -153,42 +153,19 @@ def _canonical_sign(x: np.ndarray, p: int, free: bool) -> np.ndarray:
 
 
 def _multistart_minimize(fun, dim, starts, rng):
-    """BFGS from `starts` random points on `fun(x) -> (value, gradient)`."""
+    """BFGS from `starts` random points on `fun(x) -> (value, gradient)`;
+    returns the best optimum.  Starts ending on a non-finite value are
+    skipped."""
     best = None
-    traces = None
-    for start_idx in range(starts):
+    for _ in range(starts):
         x0 = rng.uniform(-START_BOX, START_BOX, size=dim)
-        first = fun(x0)
-        trace = [(x0.copy(), first[0])]
-        if not np.isfinite(first[0]):
-            continue
-        # BFGS opens by evaluating x0: hand it the evaluation already made
-        pending = {x0.tobytes(): first}
-
-        def fun_reusing_first(x):
-            hit = pending.pop(x.tobytes(), None)
-            return fun(x) if hit is None else hit
-
-        res = sciopt.minimize(
-            fun_reusing_first,
-            x0,
-            jac=True,
-            method="BFGS",
-            # the iterate's value comes with it: no extra circuit run
-            callback=lambda intermediate_result: trace.append(
-                (intermediate_result.x.copy(), float(intermediate_result.fun))
-            ),
-        )
-        if not np.isfinite(res.fun):
-            continue
-        trace.append((res.x.copy(), float(res.fun)))
+        res = sciopt.minimize(fun, x0, jac=True, method="BFGS")
         # strict < keeps the lowest start index on ties
-        if best is None or res.fun < best[1]:
-            best = (res.x, float(res.fun), start_idx)
-            traces = trace
+        if np.isfinite(res.fun) and (best is None or res.fun < best.fun):
+            best = res
     if best is None:
         raise OptimizationError("all optimization starts diverged")
-    return best[0], best[1], traces
+    return best.x
 
 
 def optimize(
@@ -196,19 +173,19 @@ def optimize(
     p: int,
     starts: int = DEFAULT_STARTS,
     rng: np.random.Generator | None = None,
-) -> tuple[LinearSchedule, list]:
+) -> LinearSchedule:
     """Minimize the cost expectation over the 4-dim linear-schedule space.
 
     BFGS on adjoint gradients (`linear_objective`), multi-start from
     `starts` random points: each evaluation is one forward circuit and one
-    backward sweep.  Returns the best schedule and the trace of the winning
-    start as (iterate, value) pairs.
+    backward sweep.  Returns the best schedule, sign-canonicalized.  Raises
+    OptimizationError when every start ends on a non-finite value.
     """
     if p < 1 or starts < 1:
         raise ValueError("need p >= 1 and starts >= 1")
     rng = rng or np.random.default_rng()
-    x, _, trace = _multistart_minimize(linear_objective(model, p), 4, starts, rng)
-    return LinearSchedule.from_array(_canonical_sign(x, p, free=False)), trace
+    x = _multistart_minimize(linear_objective(model, p), 4, starts, rng)
+    return LinearSchedule.from_array(_canonical_sign(x, p, free=False))
 
 
 def optimize_free(
@@ -216,14 +193,15 @@ def optimize_free(
     p: int,
     starts: int = DEFAULT_STARTS,
     rng: np.random.Generator | None = None,
-) -> tuple[QaoaParams, list]:
-    """Same optimizer core over the unconstrained 2p angles (gammas, betas)."""
+) -> QaoaParams:
+    """`optimize` over the unconstrained 2p angles (gammas, betas): returns
+    the best angles, sign-canonicalized."""
     if p < 1 or starts < 1:
         raise ValueError("need p >= 1 and starts >= 1")
     rng = rng or np.random.default_rng()
-    x, _, trace = _multistart_minimize(free_objective(model, p), 2 * p, starts, rng)
+    x = _multistart_minimize(free_objective(model, p), 2 * p, starts, rng)
     x = _canonical_sign(x, p, free=True)
-    return QaoaParams(tuple(x[:p]), tuple(x[p:])), trace
+    return QaoaParams(tuple(x[:p]), tuple(x[p:]))
 
 
 def fixed_angles_from_set(schedules: Sequence[LinearSchedule]) -> LinearSchedule:

@@ -56,9 +56,6 @@ class StateVector:
         if self.amplitudes.shape != (1 << self.n_qubits,):
             raise ValueError("amplitude count must be 2**n_qubits")
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 

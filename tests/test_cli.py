@@ -5,7 +5,7 @@ import shutil
 import numpy as np
 import pytest
 
-from fairmc.baselines import LM_WEIGHTS, PtIcmConfig, WalkSatConfig
+from fairmc.baselines import LM_WEIGHTS, NOISE_P, PtIcmConfig, WalkSatConfig
 from fairmc.cli import EXIT_CONFIG, EXIT_OK, FIG_KINDS, load_preset, main
 from fairmc.experiments import ConfigError, ExperimentConfig, derive_seed
 from fairmc.made import TrainConfig
@@ -118,7 +118,8 @@ class TestConfig:
         assert cfg.pt_config(6) == PtIcmConfig(
             replica_betas=tuple(np.geomspace(0.1, 10.0, 8).tolist()), icm_every=1, rng_seed=6)
         assert cfg.walksat_config(7) == WalkSatConfig(
-            noise_p=0.5, max_flips=10**6, variant="lm", rng_seed=7)
+            max_flips=10**6, variant="lm", rng_seed=7)
+        assert NOISE_P == 0.5
         assert LM_WEIGHTS == (6.0, 1.0)
 
     def test_anneal_grid_of_one_point_accepted(self):
@@ -218,6 +219,37 @@ class TestPipelineCommands:
         assert code == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command, kind", [
+        ("gen-instances", "SMALL_INSTANCES"),
+        ("gen-instances", "ANNEAL_SWEEP"),
+        ("metrics", "SMALL_INSTANCES"),
+        ("fig1", "ANNEAL_SWEEP"),
+        ("fig1", "KSAT_FAIRNESS"),
+        ("fig2", "SMALL_INSTANCES"),
+        ("fig3", "SMALL_INSTANCES"),
+        ("fig5", "ANNEAL_SWEEP"),
+        ("fig6", "SMALL_INSTANCES"),
+    ])
+    def test_config_of_other_kind_exits_2(self, tmp_path, capsys, command, kind):
+        # a command given a config it does not run must not run its own work
+        # on that config's other settings
+        path = tmp_path / "other.json"
+        path.write_text(json.dumps({"kind": kind, "sizes": [8], "per_size": 1}))
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "x")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and kind in err
+        assert not (tmp_path / "x").exists()
+
+    def test_fig4_runs_a_counting_config(self, tmp_path):
+        # fig3-fig7 take either k-SAT kind; the metrics are the same files
+        path = tmp_path / "counting.json"
+        path.write_text(json.dumps({**TINY, "kind": "KSAT_COUNTING", "per_size": 1,
+                                    "algorithms": ["walksat"]}))
+        out = tmp_path / "run"
+        assert main(["fig4", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        assert (out / "metrics" / "records.csv").exists()
 
     @pytest.mark.parametrize("threads", ["0", "-2"])
     def test_threads_below_one_exit_2(self, tmp_path, threads):

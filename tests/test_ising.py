@@ -61,12 +61,6 @@ class TestSpinConfig:
         assert (1 - 2 * c.bit_array()).tolist() == [-1, 1, -1]
         assert c.bit_array().tolist() == [1, 0, 1]
 
-    def test_flip(self):
-        c = SpinConfig(0, 4)
-        assert (1 - 2 * c.flip(2).bit_array()).tolist() == [1, 1, -1, 1]
-        with pytest.raises(IndexError):
-            c.flip(4)
-
 
 class TestEnergy:
     def test_ferromagnetic_aligned_pair(self):

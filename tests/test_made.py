@@ -178,7 +178,7 @@ class TestTrain:
         from fairmc.sat import generate_instance, to_ising
 
         model = to_ising(generate_instance(6, 2, 1.0, 3))
-        schedule, _ = optimize(model, p=5, starts=3, rng=np.random.default_rng(12))
+        schedule = optimize(model, p=5, starts=3, rng=np.random.default_rng(12))
         params = expand(schedule, 5)
         state = run_qaoa(model, params.gammas, params.betas)
         target = measure_distribution(state).probs

@@ -9,7 +9,6 @@ from fairmc.ising import IsingModel, SpinConfig, Temperature
 from fairmc.mcmc import SsfSweepUpdate, run_chain
 from fairmc.metrics import (
     INCOMPLETE,
-    FairnessReport,
     GroundStateHistogram,
     ResultRecord,
     aggregate,
@@ -81,28 +80,28 @@ class TestHistogram:
 
 class TestFairness:
     def test_uniform_counts(self):
-        hist = GroundStateHistogram(tuple(gs_list([0, 1, 2])), np.array([5.0, 5, 5]), 15)
+        hist = GroundStateHistogram(tuple(gs_list([0, 1, 2])), np.array([5.0, 5, 5]))
         rep = fairness(hist)
         assert rep.max_min_ratio == 1.0
         assert rep.tvd_to_uniform == 0.0
         assert rep.all_found
 
     def test_three_one_counts(self):
-        hist = GroundStateHistogram(tuple(gs_list([0, 1])), np.array([3.0, 1.0]), 4)
+        hist = GroundStateHistogram(tuple(gs_list([0, 1])), np.array([3.0, 1.0]))
         rep = fairness(hist)
         assert rep.max_min_ratio == pytest.approx(3.0)
         assert rep.tvd_to_uniform == pytest.approx(0.25)
 
     def test_zero_count_undefined_ratio(self):
-        hist = GroundStateHistogram(tuple(gs_list([0, 1])), np.array([4.0, 0.0]), 4)
+        hist = GroundStateHistogram(tuple(gs_list([0, 1])), np.array([4.0, 0.0]))
         rep = fairness(hist)
         assert rep.max_min_ratio is None
         assert not rep.all_found
         assert rep.tvd_to_uniform == pytest.approx(0.5)
 
     def test_scale_invariance(self):
-        a = GroundStateHistogram(tuple(gs_list([0, 1, 2])), np.array([2.0, 6, 4]), 12)
-        b = GroundStateHistogram(tuple(gs_list([0, 1, 2])), np.array([20.0, 60, 40]), 120)
+        a = GroundStateHistogram(tuple(gs_list([0, 1, 2])), np.array([2.0, 6, 4]))
+        b = GroundStateHistogram(tuple(gs_list([0, 1, 2])), np.array([20.0, 60, 40]))
         ra, rb = fairness(a), fairness(b)
         assert ra.max_min_ratio == rb.max_min_ratio
         assert ra.tvd_to_uniform == rb.tvd_to_uniform
@@ -116,7 +115,7 @@ class TestFairness:
         for _ in range(2000):
             counts = rng.multinomial(1000, np.full(6, 1 / 6))
             hist = GroundStateHistogram(
-                tuple(gs_list(list(range(6)), n=3)), counts.astype(float), 1000
+                tuple(gs_list(list(range(6)), n=3)), counts.astype(float)
             )
             rep = fairness(hist)
             assert rep.all_found
