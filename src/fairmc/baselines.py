@@ -37,20 +37,23 @@ class UnsupportedModelError(ValueError):
 # PT-ICM
 
 
-def geometric_beta_ladder(n_temps: int = 8, beta_min: float = 0.1,
-                          beta_max: float = 10.0) -> tuple[float, ...]:
-    return tuple(np.geomspace(beta_min, beta_max, n_temps).tolist())
+# the ladder's temperature count and its hottest beta
+N_TEMPS = 8
+BETA_MIN = 0.1
+
+
+def geometric_beta_ladder(beta_max: float = 10.0) -> tuple[float, ...]:
+    return tuple(np.geomspace(BETA_MIN, beta_max, N_TEMPS).tolist())
 
 
 @dataclass
 class PtIcmConfig:
     replica_betas: tuple[float, ...] = field(default_factory=geometric_beta_ladder)
-    icm_every: int = 1
     rng_seed: int = 0
 
     def __post_init__(self):
-        # a single temperature degenerates to a plain SSF chain (useful for
-        # validation); real runs want >= 2
+        # a single temperature leaves two SSF replicas joined only by
+        # Houdayer moves; real runs want >= 2
         betas = tuple(self.replica_betas)
         if len(betas) < 1:
             raise ValueError("need at least one temperature")
@@ -72,7 +75,9 @@ class PtIcmStats:
     total_transitions: int = 0  # all replicas: N per sweep + exchanges + icm
 
 
-def _interaction_adjacency(model: IsingModel) -> list[list[int]]:
+def interaction_adjacency(model: IsingModel) -> list[list[int]]:
+    """Each site's neighbours in the model's 2-body terms; raises
+    UnsupportedModelError for a model with 3-body terms."""
     if model.max_order > 2:
         raise UnsupportedModelError(
             "PT-ICM needs a pairwise interaction graph; model has "
@@ -87,10 +92,15 @@ def _interaction_adjacency(model: IsingModel) -> list[list[int]]:
     return adj
 
 
-def _houdayer_cluster(bits_a: int, bits_b: int, adj, rng) -> int:
-    """Mask of a uniformly chosen anti-aligned site's connected component
-    inside the anti-aligned (overlap -1) domain of the two replicas; 0 (and
-    no random draw) when the replicas are equal."""
+def houdayer_cluster(bits_a: int, bits_b: int, adj, rng) -> int:
+    """The Houdayer move of two bit-packed replicas: the mask of a uniformly
+    chosen anti-aligned site's connected component, over the adjacency `adj`
+    (`interaction_adjacency`), inside the anti-aligned (overlap -1) domain;
+    0, and no random draw, when the replicas are equal.
+
+    Flipping the mask in both replicas changes E_a and E_b by opposite
+    amounts, so E_a + E_b is invariant.
+    """
     diff = bits_a ^ bits_b
     if diff == 0:
         return 0
@@ -108,25 +118,6 @@ def _houdayer_cluster(bits_a: int, bits_b: int, adj, rng) -> int:
     return cluster
 
 
-def icm_move(
-    replica_a: SpinConfig, replica_b: SpinConfig, model: IsingModel, rng
-) -> tuple[SpinConfig, SpinConfig]:
-    """Houdayer move: flip one anti-aligned cluster in both replicas.
-
-    Flipping a whole overlap(-1) component changes E_a and E_b by opposite
-    amounts, so E_a + E_b is invariant; with no anti-aligned site the move is
-    a no-op.
-    """
-    adj = _interaction_adjacency(model)
-    cluster = _houdayer_cluster(replica_a.bits, replica_b.bits, adj, rng)
-    if cluster == 0:
-        return replica_a, replica_b
-    return (
-        SpinConfig(replica_a.bits ^ cluster, model.n_sites),
-        SpinConfig(replica_b.bits ^ cluster, model.n_sites),
-    )
-
-
 def pt_icm_run(
     model: IsingModel,
     cfg: PtIcmConfig,
@@ -139,8 +130,8 @@ def pt_icm_run(
     `PtIcmStats.total_transitions` counts those of every replica.
 
     Each round: one SSF sweep per replica, neighbor exchanges within each
-    family, and (every icm_every rounds) one Houdayer move per temperature
-    across the families.
+    family, and one Houdayer move (`houdayer_cluster`) per temperature across
+    the families.
 
     The sweeps are those of `run_chain` (`mcmc._sweep_for`).  Where they read
     the basis-energy table, the initial energies and the energies after a
@@ -148,7 +139,7 @@ def pt_icm_run(
     them.  Both give the same bits on a model with exact energies, so the
     trace does not depend on which path ran.
     """
-    adj = _interaction_adjacency(model)  # validates 2-body up front
+    adj = interaction_adjacency(model)  # validates 2-body up front
     betas = cfg.replica_betas
     n_temps = len(betas)
     n = model.n_sites
@@ -172,7 +163,7 @@ def pt_icm_run(
     icm_tag = builder.tag_id("icm")
     stats = PtIcmStats()
 
-    for round_idx in range(steps):
+    for _ in range(steps):
         stats.rounds += 1
         for fam in (0, 1):
             for ti in range(n_temps):
@@ -201,22 +192,20 @@ def pt_icm_run(
                         bits[0][cold], energies[0][cold], accepted, ex_tag
                     )
 
-        if cfg.icm_every > 0 and (round_idx + 1) % cfg.icm_every == 0:
-            for ti in range(n_temps):
-                stats.icm_attempts += 1
-                stats.total_transitions += 1
-                # the Houdayer move of icm_move, on the adjacency built above
-                cluster = _houdayer_cluster(bits[0][ti], bits[1][ti], adj, rng)
-                if cluster:
-                    stats.icm_moves += 1
-                    bits[0][ti] ^= cluster
-                    bits[1][ti] ^= cluster
-                    energies[0][ti] = energy_of(bits[0][ti])
-                    energies[1][ti] = energy_of(bits[1][ti])
-                if ti == cold:
-                    builder.record(
-                        bits[0][cold], energies[0][cold], bool(cluster), icm_tag
-                    )
+        for ti in range(n_temps):
+            stats.icm_attempts += 1
+            stats.total_transitions += 1
+            cluster = houdayer_cluster(bits[0][ti], bits[1][ti], adj, rng)
+            if cluster:
+                stats.icm_moves += 1
+                bits[0][ti] ^= cluster
+                bits[1][ti] ^= cluster
+                energies[0][ti] = energy_of(bits[0][ti])
+                energies[1][ti] = energy_of(bits[1][ti])
+            if ti == cold:
+                builder.record(
+                    bits[0][cold], energies[0][cold], bool(cluster), icm_tag
+                )
 
     return builder.build(steps), stats
 

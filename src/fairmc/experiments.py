@@ -12,9 +12,10 @@ stage stopped midway resumes with the tasks that did not finish.
 
     instances/   DIMACS + manifest.json + degeneracy.csv
     schedules/   per-instance linear schedules + fixed_angles.json
-                 (needs instances/)
+                 (needs instances/; written only when a sampler runs)
     nets/        per-instance network checkpoints
-                 (needs instances/ and schedules/fixed_angles.json)
+                 (needs instances/ and schedules/fixed_angles.json; written
+                 only when a sampler runs)
     chains/      <algo>/ per-trial summaries of every algorithm: samplers and
                  PT-ICM (counts over solutions, steps), WalkSAT (solutions
                  found, flips); the samplers need a net for every instance,
@@ -31,9 +32,9 @@ algorithm's chains/<algo>/ directory, so partial runs are never pooled.  A
 config is refused with `ConfigError` at load, before anything is written, if
 a count field, k, a size or the seed is not an integer, beta or an anneal
 setting is not a number, use_fixed_angles is not a bool, a count is below 1,
-beta is not finite and positive, sizes are empty or outside k..24, or a worker
-config of the run rejects a value (an unknown walksat_variant; with PT-ICM,
-beta < 0.1).
+beta is not finite and positive, sizes are empty or outside k..24, algorithms
+are empty, or a worker config of the run rejects a value (an unknown
+walksat_variant; with PT-ICM, beta < 0.1).
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ from fairmc.fixtures import FIXTURE_NAMES, SIXFOLD_FIXTURE, load_fixture
 from fairmc.ising import (
     MAX_BRUTEFORCE_SITES,
     IsingModel,
-    SpinConfig,
     Temperature,
     ground_states_bruteforce,
 )
@@ -123,12 +123,15 @@ class StageError(RuntimeError):
 
 @dataclass
 class ExperimentConfig:
-    """What an experiment varies.  A setting no experiment varies lives only
-    where it is used, and the `*_config` builders add what varies.  MADE: batch
-    64, learning rate 1e-3 (`TrainConfig`), width 4N (`train`).  PT-ICM: 8
-    betas from 0.1 (`geometric_beta_ladder`), a sweep and a Houdayer move a
-    round (`pt_icm_run`, `PtIcmConfig`), rounds from `_matched_pt_rounds`.
-    WalkSAT: noise 0.5 (`NOISE_P`), `LM_WEIGHTS`.  Density: `ALPHA_C[k]`."""
+    """What an experiment varies.  A setting no experiment varies is a
+    constant of the module that uses it, and the `*_config` builders add what
+    varies.  MADE: `made.BATCH_SIZE`, `LEARNING_RATE`, the plateau stop
+    `PLATEAU_EPOCHS` and `PLATEAU_TOL`, width 4N (`train`).  PT-ICM:
+    `baselines.N_TEMPS` betas from `BETA_MIN` (`geometric_beta_ladder`), a
+    sweep and a Houdayer move a round (`pt_icm_run`), rounds from
+    `_matched_pt_rounds`.  WalkSAT: `NOISE_P`, `LM_WEIGHTS`.  QE-MCMC: (w, t)
+    from `mcmc.QE_DRIVER_WEIGHT_RANGE` and `QE_TIME_RANGE`.  Annealing:
+    ceil(64 sqrt(T)) CF4 steps (`run_annealing`).  Density: `ALPHA_C[k]`."""
 
     kind: str
     k: int = 2
@@ -170,6 +173,8 @@ class ExperimentConfig:
         unknown = set(self.algorithms) - set(ALL_ALGOS)
         if unknown:
             raise ConfigError(f"unknown algorithms {sorted(unknown)}")
+        if not self.algorithms:
+            raise ConfigError(f"algorithms must name at least one of {list(ALL_ALGOS)}")
         if not (math.isfinite(self.anneal_time) and self.anneal_time >= 0):
             raise ConfigError(
                 f"anneal_time must be finite and non-negative, got {self.anneal_time}")
@@ -201,6 +206,10 @@ class ExperimentConfig:
     @property
     def alpha_c(self) -> float:
         return ALPHA_C[self.k]
+
+    @property
+    def samplers(self) -> tuple[str, ...]:
+        return tuple(a for a in self.algorithms if a in SAMPLER_ALGOS)
 
     @property
     def runs_pt_icm(self) -> bool:  # cluster moves need 2-body terms: 2-SAT only
@@ -332,6 +341,8 @@ def _optimize_one(path, model, p, starts, seed):
 
 def stage_schedules(cfg: ExperimentConfig, out: Path, threads: int = 1):
     instset = _instances(out)
+    if not cfg.samplers:
+        return None
     sched_dir = out / "schedules"
     sched_dir.mkdir(exist_ok=True)
     paths = [sched_dir / f"instance_{i:04d}.json" for i in range(len(instset.entries))]
@@ -359,6 +370,8 @@ def _train_one(path, model, schedule, p, n_samples, train_cfg):
 
 def stage_nets(cfg: ExperimentConfig, out: Path, threads: int = 1):
     instset = _instances(out)
+    if not cfg.samplers:
+        return
     sched_dir = out / "schedules"
     require_stage(sched_dir / "fixed_angles.json", "optimize-qaoa")
     nets_dir = out / "nets"
@@ -410,7 +423,7 @@ def _run_sampler_trial(path, model, solutions, algo, net, beta, steps, instance,
 
 def stage_chains(cfg: ExperimentConfig, out: Path, threads: int = 1):
     instset = _instances(out)
-    algos = [a for a in cfg.algorithms if a in SAMPLER_ALGOS]
+    algos = cfg.samplers
     if not algos:
         return
     tasks = []
@@ -680,8 +693,8 @@ def run_validation() -> list[dict]:
     from scipy.linalg import expm
 
     from fairmc import exact
-    from fairmc.baselines import icm_move
-    from fairmc.ising import basis_energies, energy
+    from fairmc.baselines import houdayer_cluster, interaction_adjacency
+    from fairmc.ising import basis_energies, energy_of_bits
     from fairmc.made import MadeNetwork, _nll_and_grads, exact_probabilities
     from fairmc.qaoa import QaoaParams, expectation_and_gradient
     from fairmc.qsim import basis_state, evolve_fixed, problem_norm_ratio, uniform_state
@@ -783,10 +796,10 @@ def run_validation() -> list[dict]:
     prng = pyrandom.Random(11)
     for _ in range(50):
         m2 = rand_model(6)
-        a = SpinConfig(int(rng.integers(64)), 6)
-        b = SpinConfig(int(rng.integers(64)), 6)
-        na, nb = icm_move(a, b, m2, prng)
-        if energy(m2, na) + energy(m2, nb) != energy(m2, a) + energy(m2, b):
+        a, b = int(rng.integers(64)), int(rng.integers(64))
+        cluster = houdayer_cluster(a, b, interaction_adjacency(m2), prng)
+        if (energy_of_bits(m2, a ^ cluster) + energy_of_bits(m2, b ^ cluster)
+                != energy_of_bits(m2, a) + energy_of_bits(m2, b)):
             ok_icm = False
     results.append(_check("icm_pair_energy_conserved", ok_icm, "50 random moves"))
 

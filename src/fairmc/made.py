@@ -25,6 +25,13 @@ from fairmc.fileio import atomic_write
 from fairmc.ising import DimensionError, SpinConfig
 
 EPS = 1e-7
+# minibatch Adam's batch size and step size
+BATCH_SIZE = 64
+LEARNING_RATE = 1e-3
+# training stops once this many epochs pass without improving the best
+# dataset NLL by more than PLATEAU_TOL
+PLATEAU_EPOCHS = 50
+PLATEAU_TOL = 1e-5
 
 
 class TrainingError(RuntimeError):
@@ -34,21 +41,13 @@ class TrainingError(RuntimeError):
 @dataclass
 class TrainConfig:
     epochs: int = 500
-    batch_size: int = 64
-    learning_rate: float = 1e-3
     rng_seed: int = 0
-    plateau_epochs: int = 50
-    plateau_tol: float = 1e-5
-
-    def __post_init__(self):
-        if self.epochs <= 0 or self.batch_size <= 0 or self.learning_rate <= 0:
-            raise ValueError("epochs, batch_size and learning_rate must be positive")
 
 
 class MadeNetwork:
     """Masked MLP; `weights[l]` maps layer l activations, masks fixed at build."""
 
-    def __init__(self, n_inputs, hidden_sizes, variable_order=None, rng=None):
+    def __init__(self, n_inputs, hidden_sizes, variable_order=None, *, rng):
         if n_inputs < 1:
             raise ValueError("need at least one input")
         self.n_inputs = n_inputs
@@ -80,7 +79,6 @@ class MadeNetwork:
                 m = cur[:, None] >= prev[None, :]
             self.masks.append(m.astype(np.float64))
 
-        rng = rng or np.random.default_rng()
         self.weights = []
         self.biases = []
         sizes = [n, *self.hidden_sizes, n]
@@ -198,8 +196,8 @@ def train(
 
     The loss curve holds the full-dataset NLL after every epoch; the returned
     network is the best-epoch snapshot, so its final NLL never exceeds the
-    initial one.  Training stops early once `plateau_epochs` epochs pass
-    without improving the best NLL by more than `plateau_tol`.
+    initial one.  Training stops early once PLATEAU_EPOCHS epochs pass
+    without improving the best NLL by more than PLATEAU_TOL.
     """
     if not samples:
         raise ValueError("need a nonempty training set")
@@ -227,8 +225,8 @@ def train(
 
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(len(x_all))
-        for lo in range(0, len(x_all), cfg.batch_size):
-            batch = x_all[order[lo : lo + cfg.batch_size]]
+        for lo in range(0, len(x_all), BATCH_SIZE):
+            batch = x_all[order[lo : lo + BATCH_SIZE]]
             nll, gw, gb = _nll_and_grads(net, batch)
             if not np.isfinite(nll):
                 raise TrainingError(f"non-finite loss at epoch {epoch}")
@@ -238,16 +236,16 @@ def train(
                 v[i] = beta2 * v[i] + (1 - beta2) * g * g
                 mhat = m[i] / (1 - beta1**step)
                 vhat = v[i] / (1 - beta2**step)
-                params[i] -= cfg.learning_rate * mhat / (np.sqrt(vhat) + adam_eps)
+                params[i] -= LEARNING_RATE * mhat / (np.sqrt(vhat) + adam_eps)
         curve.append(dataset_nll())
-        if curve[-1] < best_nll - cfg.plateau_tol:
+        if curve[-1] < best_nll - PLATEAU_TOL:
             best_nll = curve[-1]
             best_snapshot = (
                 [w.copy() for w in net.weights],
                 [b.copy() for b in net.biases],
             )
             best_epoch = epoch
-        elif epoch - best_epoch >= cfg.plateau_epochs:
+        elif epoch - best_epoch >= PLATEAU_EPOCHS:
             break
 
     net.weights, net.biases = best_snapshot

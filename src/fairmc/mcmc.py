@@ -14,8 +14,9 @@
   q(a|b) = q(b|a), and is accepted with min(1, exp(-beta*dE)).  QeKernel is
   one: it measures after short evolution from the current basis state under
   the exact dense exp(-iHt), so U = U^T and |U_zz'| = |U_z'z| given the
-  per-step draw of (driver weight, time), made before proposing.  Models
-  above qsim._DENSE_MAX sites raise CapacityError.
+  per-step draw of (driver weight, time), uniform in QE_DRIVER_WEIGHT_RANGE
+  and QE_TIME_RANGE and made before proposing.  Models above
+  qsim._DENSE_MAX sites raise CapacityError.
 
 Sweeps: `run_chain` and PT-ICM take their sweep from `_sweep_for`.  On a
 model with exact energies (`IsingModel.has_exact_energies`: every k-SAT
@@ -71,6 +72,9 @@ MADE_BLOCK = 256
 _MADE_STREAM = 0x4D414445  # tags the candidate generator's seed
 # largest model whose sweeps read the basis-energy table (2^20 entries)
 _TABLE_MAX_SITES = 20
+# QeKernel's ranges of the driver weight w and the evolution time t
+QE_DRIVER_WEIGHT_RANGE = (0.25, 0.6)
+QE_TIME_RANGE = (2.0, 20.0)
 
 
 # ---------------------------------------------------------------------------
@@ -92,36 +96,27 @@ class MadeKernel:
         self.net = net
 
 
-@dataclass
-class QeHyper:
-    """Per-proposal draw ranges for the quantum-evolution kernel: the
-    driver weight w and the evolution time t, each uniform in its range."""
-
-    driver_weight_range: tuple[float, float] = (0.25, 0.6)
-    time_range: tuple[float, float] = (2.0, 20.0)
-
-
 class QeKernel:
     """Propose by measuring exp(-iHt)|current> with a mixed Hamiltonian.
 
-    H = (1-w) * alpha * H_P + w * H_d with (w, t) drawn fresh per proposal
-    *before* evolving, so forward and reverse proposals share the same
-    unitary and q(a|b) = q(b|a) exactly (U = exp(-iHt) is exact, from one
-    eigh of the dense H, and complex-symmetric).  `run_chain` therefore
-    accepts its candidates with no q ratio.  Proposing raises
-    ising.CapacityError for a model above qsim._DENSE_MAX sites.
+    H = (1-w) * alpha * H_P + w * H_d with (w, t) drawn fresh per proposal,
+    uniform in QE_DRIVER_WEIGHT_RANGE and QE_TIME_RANGE, *before* evolving,
+    so forward and reverse proposals share the same unitary and
+    q(a|b) = q(b|a) exactly (U = exp(-iHt) is exact, from one eigh of the
+    dense H, and complex-symmetric).  `run_chain` therefore accepts its
+    candidates with no q ratio.  Proposing raises ising.CapacityError for a
+    model above qsim._DENSE_MAX sites.
     """
 
     tag = "qe"
 
-    def __init__(self, model: IsingModel, hyper: QeHyper | None = None):
+    def __init__(self, model: IsingModel):
         self.model = model
-        self.hyper = hyper or QeHyper()
 
     def propose(self, current, rng) -> SpinConfig:
-        lo, hi = self.hyper.driver_weight_range
+        lo, hi = QE_DRIVER_WEIGHT_RANGE
         w = lo + (hi - lo) * rng.random()
-        t0, t1 = self.hyper.time_range
+        t0, t1 = QE_TIME_RANGE
         t = t0 + (t1 - t0) * rng.random()
         n = self.model.n_sites
         state = evolve_fixed(basis_state(n, current.bits), self.model, w, t)

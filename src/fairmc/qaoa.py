@@ -31,7 +31,6 @@ from scipy import optimize as sciopt
 from fairmc.ising import IsingModel, basis_energies
 from fairmc.qsim import apply_driver, phase_factors, rotate_mixer, run_qaoa
 
-DEFAULT_STARTS = 10
 START_BOX = 2.0  # multi-start initial points are uniform in [-2, 2]^d
 
 
@@ -169,10 +168,7 @@ def _multistart_minimize(fun, dim, starts, rng):
 
 
 def optimize(
-    model: IsingModel,
-    p: int,
-    starts: int = DEFAULT_STARTS,
-    rng: np.random.Generator | None = None,
+    model: IsingModel, p: int, starts: int, rng: np.random.Generator
 ) -> LinearSchedule:
     """Minimize the cost expectation over the 4-dim linear-schedule space.
 
@@ -183,22 +179,17 @@ def optimize(
     """
     if p < 1 or starts < 1:
         raise ValueError("need p >= 1 and starts >= 1")
-    rng = rng or np.random.default_rng()
     x = _multistart_minimize(linear_objective(model, p), 4, starts, rng)
     return LinearSchedule.from_array(_canonical_sign(x, p, free=False))
 
 
 def optimize_free(
-    model: IsingModel,
-    p: int,
-    starts: int = DEFAULT_STARTS,
-    rng: np.random.Generator | None = None,
+    model: IsingModel, p: int, starts: int, rng: np.random.Generator
 ) -> QaoaParams:
     """`optimize` over the unconstrained 2p angles (gammas, betas): returns
     the best angles, sign-canonicalized."""
     if p < 1 or starts < 1:
         raise ValueError("need p >= 1 and starts >= 1")
-    rng = rng or np.random.default_rng()
     x = _multistart_minimize(free_objective(model, p), 2 * p, starts, rng)
     x = _canonical_sign(x, p, free=True)
     return QaoaParams(tuple(x[:p]), tuple(x[p:]))

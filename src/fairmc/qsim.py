@@ -251,34 +251,24 @@ def _anneal_cf4(model: IsingModel, schedule: AnnealSchedule, n_steps: int) -> np
     return psi
 
 
-def run_annealing(
-    model: IsingModel,
-    schedule: AnnealSchedule,
-    *,
-    dt: float | None = None,
-) -> StateVector:
+def run_annealing(model: IsingModel, schedule: AnnealSchedule) -> StateVector:
     """Integrate i d|psi>/dt = [A(t) H_d + B(t) H_P] |psi> from the uniform
     superposition (the driver ground state) to t = total_time.
 
     CF4, the fourth-order commutator-free Magnus integrator (Blanes & Moan
     2006), whose steps are two exact dense exponentials of H at the Gauss
-    nodes; ceil(64 sqrt(T)) steps unless `dt` is given.  A given `dt` is
-    shortened so that a whole number of steps spans T.
+    nodes, in ceil(64 sqrt(T)) equal steps (`_anneal_cf4`).
 
-    Raises ValueError for a negative or non-finite total time and for a
-    non-finite or non-positive `dt`, or one too small to count its steps,
-    and CapacityError above _DENSE_MAX sites.
+    Raises ValueError for a negative or non-finite total time and
+    CapacityError above _DENSE_MAX sites.
     """
     T = schedule.total_time
     if not (np.isfinite(T) and T >= 0.0):
         raise ValueError(f"anneal time must be finite and non-negative, got {T}")
-    if dt is not None and not (np.isfinite(dt) and dt > 0 and np.isfinite(T / dt)):
-        raise ValueError(f"step size must be finite, positive and give a finite "
-                         f"step count, got {dt} for total time {T}")
     _require_dense(model.n_sites)
     if T == 0.0:
         return uniform_state(model.n_sites)
-    n_steps = math.ceil(64 * math.sqrt(T)) if dt is None else math.ceil(T / dt)
+    n_steps = math.ceil(64 * math.sqrt(T))
     return StateVector(_anneal_cf4(model, schedule, n_steps), model.n_sites)
 
 

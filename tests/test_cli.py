@@ -8,7 +8,13 @@ import pytest
 from fairmc.baselines import LM_WEIGHTS, NOISE_P, PtIcmConfig, WalkSatConfig
 from fairmc.cli import EXIT_CONFIG, EXIT_OK, FIG_KINDS, load_preset, main
 from fairmc.experiments import ConfigError, ExperimentConfig, derive_seed
-from fairmc.made import TrainConfig
+from fairmc.made import (
+    BATCH_SIZE,
+    LEARNING_RATE,
+    PLATEAU_EPOCHS,
+    PLATEAU_TOL,
+    TrainConfig,
+)
 from fairmc.metrics import records_from_csv
 
 TINY = {
@@ -112,11 +118,11 @@ class TestConfig:
         # the values every preset ran with when they were config fields
         cfg = ExperimentConfig.from_dict(
             load_preset(preset) if preset else {"kind": "KSAT_COUNTING"})
-        assert cfg.train_config(5) == TrainConfig(
-            epochs=500, batch_size=64, learning_rate=1e-3, rng_seed=5,
-            plateau_epochs=50, plateau_tol=1e-5)
+        assert cfg.train_config(5) == TrainConfig(epochs=500, rng_seed=5)
+        assert (BATCH_SIZE, LEARNING_RATE) == (64, 1e-3)
+        assert (PLATEAU_EPOCHS, PLATEAU_TOL) == (50, 1e-5)
         assert cfg.pt_config(6) == PtIcmConfig(
-            replica_betas=tuple(np.geomspace(0.1, 10.0, 8).tolist()), icm_every=1, rng_seed=6)
+            replica_betas=tuple(np.geomspace(0.1, 10.0, 8).tolist()), rng_seed=6)
         assert cfg.walksat_config(7) == WalkSatConfig(
             max_flips=10**6, variant="lm", rng_seed=7)
         assert NOISE_P == 0.5
@@ -211,6 +217,7 @@ class TestPipelineCommands:
         ("fig5", {"use_fixed_angles": "false", "sizes": [8], "per_size": 1,
                   "qaoa_starts": 1, "made_epochs": 1, "train_samples": 10,
                   "chain_steps": 1, "trials": 1}),
+        ("fig6", {"algorithms": [], "sizes": [8], "per_size": 1}),
     ])
     def test_bad_anneal_config_exits_2(self, tmp_path, capsys, fig, bad):
         path = tmp_path / "bad.json"
@@ -250,6 +257,8 @@ class TestPipelineCommands:
         out = tmp_path / "run"
         assert main(["fig4", "--config", str(path), "--out", str(out)]) == EXIT_OK
         assert (out / "metrics" / "records.csv").exists()
+        # no sampler runs, so nothing reads schedules or nets
+        assert not (out / "schedules").exists() and not (out / "nets").exists()
 
     @pytest.mark.parametrize("threads", ["0", "-2"])
     def test_threads_below_one_exit_2(self, tmp_path, threads):

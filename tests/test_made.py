@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from fairmc import made
 from fairmc.ising import SpinConfig
 from fairmc.made import (
     EPS,
@@ -125,10 +126,11 @@ class TestSample:
 
 
 class TestTrain:
-    def test_memorizes_single_string(self):
+    def test_memorizes_single_string(self, monkeypatch):
+        monkeypatch.setattr(made, "LEARNING_RATE", 0.02)
+        monkeypatch.setattr(made, "PLATEAU_EPOCHS", 800)
         target = SpinConfig.from_bitstring("10110100")
-        cfg = TrainConfig(epochs=800, batch_size=64, learning_rate=0.02,
-                          rng_seed=1, plateau_epochs=800)
+        cfg = TrainConfig(epochs=800, rng_seed=1)
         net, curve = train([target] * 200, cfg)
         assert curve[-1] < 0.05
         bits = sample_batch(net, 5000, np.random.default_rng(8))

@@ -20,7 +20,6 @@ from fairmc.mcmc import (
     MADE_BLOCK,
     HybridUpdate,
     MadeKernel,
-    QeHyper,
     QeKernel,
     SsfSweepUpdate,
     run_chain,
@@ -240,9 +239,10 @@ class TestTableSweep:
 
 
 class TestQeKernel:
-    def test_zero_time_self_proposal(self):
+    def test_zero_time_self_proposal(self, monkeypatch):
+        monkeypatch.setattr(mcmc, "QE_TIME_RANGE", (0.0, 0.0))
         m = random_model(np.random.default_rng(17), 3)
-        kernel = QeKernel(m, QeHyper(time_range=(0.0, 0.0)))
+        kernel = QeKernel(m)
         cur = SpinConfig(5, 3)
         assert kernel.propose(cur, random.Random(18)) == cur
 
@@ -255,13 +255,15 @@ class TestQeKernel:
             probs_from[z] = measure_distribution(out).probs
         assert probs_from[3][12] == pytest.approx(probs_from[12][3], abs=1e-10)
 
-    def test_exact_detailed_balance_fixed_draw(self):
-        # collapsed QeHyper ranges fix (w, t); the kernel then draws from the
+    def test_exact_detailed_balance_fixed_draw(self, monkeypatch):
+        # collapsed QE ranges fix (w, t); the kernel then draws from the
         # rows of q below, and the MH matrix, which accepts as the kernel does
         # (no q ratio), balances every pair of states
         m = random_model(np.random.default_rng(72), 4, integer=False)
         w, t = 0.4, 6.5
-        kernel = QeKernel(m, QeHyper(driver_weight_range=(w, w), time_range=(t, t)))
+        monkeypatch.setattr(mcmc, "QE_DRIVER_WEIGHT_RANGE", (w, w))
+        monkeypatch.setattr(mcmc, "QE_TIME_RANGE", (t, t))
+        kernel = QeKernel(m)
         q = qe_proposal_matrix(m, w, t)
         for z in range(16):
             upper = np.cumsum(q[z])

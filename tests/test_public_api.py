@@ -10,10 +10,21 @@ method or attribute can hide it.
 Every field of a public dataclass must likewise be read in `src/fairmc`, as
 an attribute or as a string (`getattr`, CSV and JSON keys), or be named in a
 `bench/*.py` file: a value the library stores and nothing reads is waste.
+
+Every defaulted field of a public dataclass, and every defaulted parameter
+of a public function or method (`__init__` included), must be set somewhere
+in `src/fairmc` or `bench/*.py`: by a keyword, positional, `*` or `**`
+argument in a call of its name, by `cls(...)` in one of its class's
+classmethods, or, for a field, by an attribute store.  A value that only the tests set is an
+option with one caller in use, and is a module constant instead.  Calls are
+matched by the callee's name alone, so a function of the same name elsewhere
+can hide an unset parameter.
 """
 
 import ast
 import re
+from collections import Counter
+from functools import lru_cache
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -24,20 +35,31 @@ FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 # WalkSAT bookkeeping (baselines._Assignment.block) reproduces without it.
 TEST_REFERENCES = ("add_blocking_clause",)
 
+# Settings that only the tests set and that no module constant can replace:
+# the acceptance-rule tests start a chain from a scripted state.
+TEST_SETTINGS = ("run_chain(init=)",)
 
-def _reads(node, skip=None):
-    """Names read (loaded) in `node`'s subtree, except inside `skip`."""
-    names = []
-    stack = [node]
-    while stack:
-        cur = stack.pop()
-        if cur is skip:
-            continue
+
+@lru_cache(maxsize=None)
+def _sources(src_dir: Path, bench_dir: Path):
+    """The library's parsed modules by path, the benchmark's parsed modules,
+    and the benchmark's text."""
+    trees = {path: ast.parse(path.read_text()) for path in sorted(src_dir.glob("*.py"))}
+    bench_paths = sorted(bench_dir.glob("*.py"))
+    bench_trees = [ast.parse(p.read_text()) for p in bench_paths]
+    bench_text = "\n".join(p.read_text() for p in bench_paths)
+    return trees, bench_trees, bench_text
+
+
+def _loads(node) -> Counter:
+    """How often each name is loaded in `node`'s subtree, as a name or as an
+    attribute."""
+    names = Counter()
+    for cur in ast.walk(node):
         if isinstance(cur, ast.Name) and isinstance(cur.ctx, ast.Load):
-            names.append(cur.id)
+            names[cur.id] += 1
         elif isinstance(cur, ast.Attribute) and isinstance(cur.ctx, ast.Load):
-            names.append(cur.attr)
-        stack.extend(ast.iter_child_nodes(cur))
+            names[cur.attr] += 1
     return names
 
 
@@ -52,13 +74,6 @@ def _public_definitions(tree):
             for item in node.body:
                 if isinstance(item, FUNCTIONS) and not item.name.startswith("_"):
                     yield f"{node.name}.{item.name}", item
-
-
-def _sources(src_dir: Path, bench_dir: Path):
-    """The library's parsed modules by path, and the benchmark's text."""
-    trees = {path: ast.parse(path.read_text()) for path in sorted(src_dir.glob("*.py"))}
-    bench_text = "\n".join(p.read_text() for p in sorted(bench_dir.glob("*.py")))
-    return trees, bench_text
 
 
 def _named_in(name, text):
@@ -84,37 +99,123 @@ def _is_dataclass(node):
     return False
 
 
+def _public_dataclasses(tree):
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_") \
+                and _is_dataclass(node):
+            yield node
+
+
+def _fields(node):
+    """(name, has a default) of a dataclass's fields, in order."""
+    return [(item.target.id, item.value is not None) for item in node.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+
+
 def unread_dataclass_fields(src_dir: Path, bench_dir: Path) -> list[str]:
-    trees, bench_text = _sources(src_dir, bench_dir)
+    trees, _, bench_text = _sources(src_dir, bench_dir)
     read = set().union(*(_field_reads(tree) for tree in trees.values()))
-    unread = []
-    for path, tree in trees.items():
-        for node in tree.body:
-            if (not isinstance(node, ast.ClassDef) or node.name.startswith("_")
-                    or not _is_dataclass(node)):
-                continue
-            for item in node.body:
-                if not (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)):
-                    continue
-                name = item.target.id
-                if name not in read and not _named_in(name, bench_text):
-                    unread.append(f"{path.stem}.{node.name}.{name}")
-    return sorted(unread)
+    return sorted(
+        f"{path.stem}.{node.name}.{name}"
+        for path, tree in trees.items() for node in _public_dataclasses(tree)
+        for name, _ in _fields(node)
+        if name not in read and not _named_in(name, bench_text)
+    )
 
 
 def unreached_public_names(src_dir: Path, bench_dir: Path) -> list[str]:
-    trees, bench_text = _sources(src_dir, bench_dir)
+    trees, _, bench_text = _sources(src_dir, bench_dir)
+    loads = sum((_loads(tree) for tree in trees.values()), Counter())
     unreached = []
     for path, tree in trees.items():
         for qualified, node in _public_definitions(tree):
             name = node.name
-            read = any(
-                name in _reads(other, skip=node if other is tree else None)
-                for other in trees.values()
-            )
-            if not read and not _named_in(name, bench_text):
+            # every load of the name lies inside its own definition
+            if loads[name] == _loads(node)[name] and not _named_in(name, bench_text):
                 unreached.append(f"{path.stem}.{qualified}")
     return sorted(unreached)
+
+
+def _call(node: ast.Call):
+    """(positional count, keyword names, passes `**`) of a call; a `*`
+    argument fills every position."""
+    starred = any(isinstance(a, ast.Starred) for a in node.args)
+    keywords = {k.arg for k in node.keywords}
+    return (float("inf") if starred else len(node.args),
+            keywords - {None}, None in keywords)
+
+
+def _settings(tree, calls, stores):
+    """Add `tree`'s calls to `calls` (callee name -> list of `_call`) and its
+    stored attribute names to `stores`.  A call of the first parameter of a
+    classmethod (`cls(...)`) is also a call of the class."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            calls.setdefault(name, []).append(_call(node))
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            stores.add(node.attr)
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, FUNCTIONS) and item.args.args and any(
+                        isinstance(d, ast.Name) and d.id == "classmethod"
+                        for d in item.decorator_list)):
+                    first = item.args.args[0].arg
+                    calls.setdefault(node.name, []).extend(
+                        _call(c) for c in ast.walk(item) if isinstance(c, ast.Call)
+                        and isinstance(c.func, ast.Name) and c.func.id == first)
+
+
+def _is_set(calls, callee, param, index):
+    """Whether a call of `callee` passes `param`, by keyword, by `**` or at
+    positional `index` (None for a keyword-only parameter)."""
+    return any(star or param in keywords or (index is not None and n_pos > index)
+               for n_pos, keywords, star in calls.get(callee, ()))
+
+
+def _defaulted_parameters(fn: ast.FunctionDef, method: bool):
+    """(name, positional index or None) of `fn`'s parameters with a default;
+    a method's index does not count self or cls."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    skip = method and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                              for d in fn.decorator_list)
+    first_default = len(positional) - len(args.defaults)
+    for i, arg in enumerate(positional):
+        if i >= first_default:
+            yield arg.arg, i - skip
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def unset_defaults(src_dir: Path, bench_dir: Path) -> list[str]:
+    trees, bench_trees, _ = _sources(src_dir, bench_dir)
+    calls, stores = {}, set()
+    for tree in (*trees.values(), *bench_trees):
+        _settings(tree, calls, stores)
+    unset = []
+    for path, tree in trees.items():
+        for node in _public_dataclasses(tree):
+            for index, (name, defaulted) in enumerate(_fields(node)):
+                if defaulted and name not in stores and not _is_set(
+                        calls, node.name, name, index):
+                    unset.append(f"{path.stem}.{node.name}.{name}")
+        for qualified, node in _public_definitions(tree):
+            # (label, callee name, function, is a method); a class is called
+            # by its own name
+            if isinstance(node, ast.ClassDef):
+                targets = [(f"{qualified}.__init__", node.name, fn, True)
+                           for fn in node.body
+                           if isinstance(fn, FUNCTIONS) and fn.name == "__init__"]
+            else:
+                targets = [(qualified, node.name, node, "." in qualified)]
+            for label, callee, fn, method in targets:
+                for param, index in _defaulted_parameters(fn, method):
+                    if not _is_set(calls, callee, param, index):
+                        unset.append(f"{path.stem}.{label}({param}=)")
+    return sorted(unset)
 
 
 def test_every_public_name_is_reached_outside_the_tests():
@@ -126,3 +227,10 @@ def test_every_public_name_is_reached_outside_the_tests():
 
 def test_every_dataclass_field_is_read_outside_the_tests():
     assert unread_dataclass_fields(ROOT / "src" / "fairmc", ROOT / "bench") == []
+
+
+def test_every_default_is_set_outside_the_tests():
+    # equality, as above: an exempt setting the library starts to set must
+    # leave the exemptions too
+    unset = unset_defaults(ROOT / "src" / "fairmc", ROOT / "bench")
+    assert [u.split(".", 1)[1] for u in unset] == sorted(TEST_SETTINGS)
