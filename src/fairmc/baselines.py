@@ -1,4 +1,4 @@
-"""Classical baselines: PT-ICM for 2-body models, WalkSAT/WalkSATlm for CNF.
+"""Classical baselines: PT-ICM for 2-body models, WalkSATlm for CNF.
 
 PT-ICM runs two independent replica families over a temperature ladder;
 neighboring temperatures exchange configurations with probability
@@ -8,7 +8,9 @@ total energy.  Cluster moves need an interaction graph, so models with
 3-body terms are rejected.
 
 WalkSAT flips variables of uniformly chosen unsatisfied clauses: a random
-variable with probability `NOISE_P`, otherwise the variant's greedy pick.
+variable with probability `NOISE_P`, otherwise WalkSATlm's greedy pick (Cai,
+Luo & Su 2015): the fewest broken clauses, ties broken by the largest
+lmake = w1 make1 + w2 make2 (`LM_WEIGHTS`).
 Enumeration mode alternates solving with blocking clauses until as many
 distinct solutions have been found as the exact enumerator counts up front.
 Blocking clauses are kept as a table of blocked solutions rather than as
@@ -157,7 +159,7 @@ def pt_icm_run(
     energies = [[energy_of(z) for z in fam] for fam in bits]
 
     cold = n_temps - 1
-    builder = _TraceBuilder(n)
+    builder = _TraceBuilder()
     ssf_tag = builder.tag_id("ssf")
     ex_tag = builder.tag_id("exchange")
     icm_tag = builder.tag_id("icm")
@@ -222,12 +224,7 @@ LM_WEIGHTS = (6.0, 1.0)
 @dataclass
 class WalkSatConfig:
     max_flips: int = 10**6
-    variant: str = "plain"  # "plain" | "lm"
     rng_seed: int = 0
-
-    def __post_init__(self):
-        if self.variant not in ("plain", "lm"):
-            raise ValueError(f"unknown variant {self.variant!r}")
 
 
 @dataclass
@@ -363,17 +360,14 @@ class _Assignment:
                     self._toggle(ci)
 
 
-def _pick_variable(asg: _Assignment, clause_vars, cfg: WalkSatConfig, rng) -> int:
+def _pick_variable(asg: _Assignment, clause_vars, rng) -> int:
     if rng.random() < NOISE_P:
         return clause_vars[rng.randrange(len(clause_vars))]
     w1, w2 = LM_WEIGHTS
     best, best_key = [], None
     for v in clause_vars:
         brk, mk1, mk2 = asg.scores(v)
-        if cfg.variant == "plain":
-            key = (brk - mk1,)  # net change in unsatisfied clauses
-        else:
-            key = (brk, -(w1 * mk1 + w2 * mk2))  # freebies first, then lmake
+        key = (brk, -(w1 * mk1 + w2 * mk2))  # freebies first, then lmake
         if best_key is None or key < best_key:
             best, best_key = [v], key
         elif key == best_key:
@@ -384,16 +378,16 @@ def _pick_variable(asg: _Assignment, clause_vars, cfg: WalkSatConfig, rng) -> in
 def walksat_run(
     formula: CnfFormula,
     cfg: WalkSatConfig,
-    rng: random.Random | None = None,
-    assignment: _Assignment | None = None,
+    rng: random.Random,
+    asg: _Assignment,
 ) -> WalkSatResult:
-    """Stochastic local search from a uniform random assignment.
+    """Stochastic local search from a uniform random assignment.  `rng`
+    draws the start and every pick (`walksat_enumerate` seeds it from
+    `cfg.rng_seed`).
 
-    `assignment`, built over `formula`, carries the clause bookkeeping and
-    the blocked solutions from one run of an enumeration to the next.
+    `asg`, built over `formula`, carries the clause bookkeeping and the
+    blocked solutions from one run of an enumeration to the next.
     """
-    rng = rng or random.Random(cfg.rng_seed)
-    asg = assignment if assignment is not None else _Assignment(formula)
     asg.reset(rng.getrandbits(formula.n_vars))
     for flips in range(cfg.max_flips + 1):
         if not asg.unsat:
@@ -401,7 +395,7 @@ def walksat_run(
         if flips == cfg.max_flips:
             break
         ci = asg.unsat[rng.randrange(len(asg.unsat))]
-        v = _pick_variable(asg, asg.variables(ci), cfg, rng)
+        v = _pick_variable(asg, asg.variables(ci), rng)
         asg.flip(v)
     return WalkSatResult(None, cfg.max_flips)
 
@@ -437,7 +431,7 @@ def walksat_enumerate(formula: CnfFormula, cfg: WalkSatConfig) -> EnumerationRes
     flips_at: list[int] = []
     total = 0
     while len(solutions) < n_solutions:
-        res = walksat_run(formula, cfg, rng=rng, assignment=asg)
+        res = walksat_run(formula, cfg, rng, asg)
         total += res.flips_used
         if not res.found:
             return EnumerationResult(solutions, total, flips_at, complete=False)

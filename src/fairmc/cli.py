@@ -5,7 +5,7 @@
     fairmc optimize-qaoa  --config CFG    per-instance linear schedules
     fairmc train-made     --config CFG    train proposal networks
     fairmc run-chains     --config CFG    neural / hybrid sampler chains
-    fairmc run-baselines  --config CFG    PT-ICM and WalkSAT runs
+    fairmc run-baselines  --config CFG    PT-ICM and WalkSATlm runs
     fairmc metrics        --config CFG    fairness + counting summaries
     fairmc fig1 .. fig7                   preset end-to-end experiments
 
@@ -16,6 +16,10 @@ different config (seed included).  Exit 2 with nothing written covers every
 config that `fairmc.experiments` refuses at load (see its docstring), and a
 config whose kind the command does not run: fig1 and fig2 need the kind of
 their preset (`FIG_KINDS`), fig3-fig7 and the stage commands a k-SAT kind.
+fig3 runs its config at k = 2 and at k = 3, so both must pass the load
+checks: sizes [3], for one, is refused at k = 3.  A key that is not a config
+field is refused too; `walksat_variant` is none, as WalkSATlm is the only
+WalkSAT.
 """
 
 from __future__ import annotations
@@ -139,9 +143,10 @@ def cmd_fig(args) -> int:
     elif name == "fig2":
         run_anneal_sweep(cfg, out)
     elif name == "fig3":
-        # degeneracy scatter needs both clause widths
-        for k in (2, 3):
-            sub = dataclasses.replace(cfg, k=k)
+        # degeneracy scatter needs both clause widths; both configs are
+        # checked before either is written
+        subs = {k: dataclasses.replace(cfg, k=k) for k in (2, 3)}
+        for k, sub in subs.items():
             write_resolved_config(sub, out / f"k{k}")
             stage_instances(sub, out / f"k{k}")
     else:

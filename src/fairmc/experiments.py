@@ -32,9 +32,11 @@ algorithm's chains/<algo>/ directory, so partial runs are never pooled.  A
 config is refused with `ConfigError` at load, before anything is written, if
 a count field, k, a size or the seed is not an integer, beta or an anneal
 setting is not a number, use_fixed_angles is not a bool, a count is below 1,
-beta is not finite and positive, sizes are empty or outside k..24, algorithms
-are empty, or a worker config of the run rejects a value (an unknown
-walksat_variant; with PT-ICM, beta < 0.1).
+beta is not finite and positive, sizes are empty or outside k+1..24 (at
+n = k a 2-SAT draw has one solution, and the instance filter keeps only
+draws with at least two; a 3-SAT draw needs more distinct clauses than exist),
+algorithms are empty, or, with PT-ICM, beta is below 0.1, so that the ladder
+from `BETA_MIN` is not ascending.
 """
 
 from __future__ import annotations
@@ -73,6 +75,7 @@ from fairmc.made import (
 )
 from fairmc.mcmc import HybridUpdate, MadeKernel, QeKernel, run_chain
 from fairmc.metrics import (
+    INCOMPLETE,
     GroundStateHistogram,
     ResultRecord,
     aggregate,
@@ -129,9 +132,10 @@ class ExperimentConfig:
     `PLATEAU_EPOCHS` and `PLATEAU_TOL`, width 4N (`train`).  PT-ICM:
     `baselines.N_TEMPS` betas from `BETA_MIN` (`geometric_beta_ladder`), a
     sweep and a Houdayer move a round (`pt_icm_run`), rounds from
-    `_matched_pt_rounds`.  WalkSAT: `NOISE_P`, `LM_WEIGHTS`.  QE-MCMC: (w, t)
-    from `mcmc.QE_DRIVER_WEIGHT_RANGE` and `QE_TIME_RANGE`.  Annealing:
-    ceil(64 sqrt(T)) CF4 steps (`run_annealing`).  Density: `ALPHA_C[k]`."""
+    `_matched_pt_rounds`.  WalkSAT: WalkSATlm with `NOISE_P` and `LM_WEIGHTS`.
+    QE-MCMC: (w, t) from `mcmc.QE_DRIVER_WEIGHT_RANGE` and `QE_TIME_RANGE`.
+    Annealing: ceil(64 sqrt(T)) CF4 steps (`run_annealing`).  Density:
+    `ALPHA_C[k]`."""
 
     kind: str
     k: int = 2
@@ -147,7 +151,6 @@ class ExperimentConfig:
     trials: int = 10
     algorithms: tuple[str, ...] = ALL_ALGOS
     walksat_max_flips: int = 10**6
-    walksat_variant: str = "lm"
     anneal_time: float = 1000.0
     anneal_grid_min: float = 0.1
     anneal_grid_max: float = 1000.0
@@ -191,17 +194,15 @@ class ExperimentConfig:
             raise ConfigError(f"beta must be finite and positive, got {self.beta}")
         self.sizes = tuple(self.sizes)
         if not self.sizes or not all(
-                type(n) is int and self.k <= n <= MAX_BRUTEFORCE_SITES for n in self.sizes):
+                type(n) is int and self.k < n <= MAX_BRUTEFORCE_SITES for n in self.sizes):
             raise ConfigError(f"sizes must be a non-empty list of integers in "
-                              f"{self.k}..{MAX_BRUTEFORCE_SITES}, got {list(self.sizes)}")
+                              f"{self.k + 1}..{MAX_BRUTEFORCE_SITES}, got {list(self.sizes)}")
         self.algorithms = tuple(self.algorithms)
-        try:  # refuse here what a worker config rejects, not after the run is pinned
-            self.walksat_config(0)
-            if self.runs_pt_icm:
+        if self.runs_pt_icm:  # refuse what PT-ICM rejects before the run is pinned
+            try:
                 self.pt_config(0)
-        except ValueError as exc:
-            raise ConfigError(f"{exc} (beta {self.beta}, walksat_variant "
-                              f"{self.walksat_variant!r})") from exc
+            except ValueError as exc:
+                raise ConfigError(f"{exc} (beta {self.beta})") from exc
 
     @property
     def alpha_c(self) -> float:
@@ -223,8 +224,7 @@ class ExperimentConfig:
                            rng_seed=seed)
 
     def walksat_config(self, seed: int) -> WalkSatConfig:
-        return WalkSatConfig(max_flips=self.walksat_max_flips,
-                             variant=self.walksat_variant, rng_seed=seed)
+        return WalkSatConfig(max_flips=self.walksat_max_flips, rng_seed=seed)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -459,7 +459,7 @@ def _run_pt_trial(path, model, solutions, pt_cfg, rounds, instance):
     ))
 
 
-def _run_walksat_trial(path, formula, solutions, ws_cfg, instance, trial):
+def _run_walksat_trial(path, formula, ws_cfg, instance, trial):
     res = walksat_enumerate(formula, ws_cfg)
     _write_summary(path, {
         "algorithm": "walksat",
@@ -470,7 +470,8 @@ def _run_walksat_trial(path, formula, solutions, ws_cfg, instance, trial):
         "flips_at_solution": res.flips_at_solution,
         "total_flips": res.total_flips,
         "complete": res.complete,
-        "steps_to_enumerate": steps_to_enumerate(res, solutions),
+        # complete: as many distinct solutions as the exact count, so all of them
+        "steps_to_enumerate": res.flips_to_last_solution if res.complete else INCOMPLETE,
     })
 
 
@@ -486,7 +487,7 @@ def stage_baselines(cfg: ExperimentConfig, out: Path, threads: int = 1):
 
     if "walksat" in cfg.algorithms:
         _run_missing(_run_walksat_trial, [
-            (_summary_path(out, "walksat", i, trial), entry.formula, entry.solutions,
+            (_summary_path(out, "walksat", i, trial), entry.formula,
              cfg.walksat_config(derive_seed(cfg.seed, "walksat", i, trial)), i, trial)
             for i, entry in enumerate(instset.entries) for trial in range(cfg.trials)
         ], threads)

@@ -199,24 +199,13 @@ class Temperature:
             raise ValueError(f"beta must be positive and finite, got {self.beta}")
 
 
-def _check_dims(model: IsingModel, config: SpinConfig) -> None:
-    if config.n != model.n_sites:
-        raise DimensionError(f"config has {config.n} spins, model has {model.n_sites}")
-
-
 def energy_of_bits(model: IsingModel, bits: int) -> float:
-    """Energy of a raw bit-packed state (hot path for samplers)."""
+    """E(s) = offset + sum_t c_t * prod_{i in t} s_i of a bit-packed state."""
     e = model.offset
     for mask, coeff in model.term_masks:
         # product of spins = (-1)^{popcount of down spins in the term}
         e += coeff * (1 - 2 * ((bits & mask).bit_count() & 1))
     return e
-
-
-def energy(model: IsingModel, config: SpinConfig) -> float:
-    """E(s) = offset + sum_t c_t * prod_{i in t} s_i."""
-    _check_dims(model, config)
-    return energy_of_bits(model, config.bits)
 
 
 def energy_of_bits_batch(model: IsingModel, z: np.ndarray) -> np.ndarray:

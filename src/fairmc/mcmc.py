@@ -224,7 +224,6 @@ def _made_candidates(model, net, steps, rng_seed, log_q_table):
 class ChainTrace:
     """Per-transition record of a chain run (append-only)."""
 
-    n_sites: int
     states: np.ndarray  # uint64 packed bits, one per transition
     energies: np.ndarray
     accepted: np.ndarray
@@ -242,8 +241,7 @@ class ChainTrace:
 
 
 class _TraceBuilder:
-    def __init__(self, n_sites):
-        self.n_sites = n_sites
+    def __init__(self):
         self.states: list[int] = []
         self.energies: list[float] = []
         self.accepted: list[bool] = []
@@ -265,7 +263,6 @@ class _TraceBuilder:
 
     def build(self, n_steps) -> ChainTrace:
         return ChainTrace(
-            n_sites=self.n_sites,
             states=np.array(self.states, dtype=np.uint64),
             energies=np.array(self.energies, dtype=np.float64),
             accepted=np.array(self.accepted, dtype=bool),
@@ -335,7 +332,7 @@ def run_chain(
     else:
         raise ValueError(f"bad init {init!r}")
 
-    builder = _TraceBuilder(n)
+    builder = _TraceBuilder()
     beta = t.beta
     energy = energy_of_bits(model, bits)
 

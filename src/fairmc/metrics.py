@@ -16,7 +16,6 @@ from typing import Sequence
 
 import numpy as np
 
-from fairmc.baselines import EnumerationResult
 from fairmc.fileio import atomic_write
 from fairmc.ising import SpinConfig
 from fairmc.mcmc import ChainTrace
@@ -94,32 +93,20 @@ def fairness(hist: GroundStateHistogram) -> FairnessReport:
     return FairnessReport(ratio, all_found, tvd, n)
 
 
-def steps_to_enumerate(run, ground_states: Sequence[SpinConfig]):
-    """Transition count at which every ground state has been visited.
-
-    Accepts a ChainTrace (record i is transition i + 1) or a WalkSAT
-    EnumerationResult (uses cumulative flips).  Returns INCOMPLETE when the
-    run ended first.
+def steps_to_enumerate(trace: ChainTrace, ground_states: Sequence[SpinConfig]):
+    """Transition count at which every ground state has been visited (record
+    i is transition i + 1), or INCOMPLETE when the chain ended first.  A
+    WalkSAT enumeration reads its count off itself (`_run_walksat_trial`).
     """
-    targets = {s.bits for s in ground_states}
-    if isinstance(run, ChainTrace):
-        remaining = set(targets)
-        # walk Python ints, converted a chunk at a time so that an early
-        # finish converts few records
-        for start in range(0, len(run.states), _WALK_CHUNK):
-            for i, z in enumerate(run.states[start:start + _WALK_CHUNK].tolist(), start):
-                remaining.discard(z)
-                if not remaining:
-                    return i + 1
-        return INCOMPLETE
-    if isinstance(run, EnumerationResult):
-        remaining = set(targets)
-        for s, flips in zip(run.solutions, run.flips_at_solution):
-            remaining.discard(s.bits)
+    remaining = {s.bits for s in ground_states}
+    # walk Python ints, converted a chunk at a time so that an early finish
+    # converts few records
+    for start in range(0, len(trace.states), _WALK_CHUNK):
+        for i, z in enumerate(trace.states[start:start + _WALK_CHUNK].tolist(), start):
+            remaining.discard(z)
             if not remaining:
-                return int(flips)
-        return INCOMPLETE
-    raise TypeError(f"cannot count steps of {type(run).__name__}")
+                return i + 1
+    return INCOMPLETE
 
 
 # ---------------------------------------------------------------------------

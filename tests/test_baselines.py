@@ -194,24 +194,28 @@ class TestPtIcmTable:
         assert trace.energies.tolist() == [energy_of_bits(m, z) for z in trace.states.tolist()]
 
 
+def run_once(formula, cfg):
+    """One WalkSAT run seeded from the config, with fresh bookkeeping."""
+    return walksat_run(formula, cfg, random.Random(cfg.rng_seed), _Assignment(formula))
+
+
 class TestWalkSat:
     def test_empty_formula_zero_flips(self):
         f = CnfFormula(4, ())
-        res = walksat_run(f, WalkSatConfig(rng_seed=0))
+        res = run_once(f, WalkSatConfig(rng_seed=0))
         assert res.found and res.flips_used == 0
 
     def test_single_unit_clause(self):
         f = CnfFormula(1, (Clause.from_ints([1]),))
-        res = walksat_run(f, WalkSatConfig(rng_seed=1))
+        res = run_once(f, WalkSatConfig(rng_seed=1))
         assert res.found and res.flips_used <= 2
         assert res.solution.bit(0) == 1
 
-    @pytest.mark.parametrize("variant", ["plain", "lm"])
-    def test_solves_generated_instances(self, variant):
+    def test_solves_generated_instances(self):
         instset = build_instance_set([12], k=3, per_size=100, alpha_c=ALPHA_C[3], seed=2)
-        cfg = WalkSatConfig(variant=variant, max_flips=10**6, rng_seed=3)
+        cfg = WalkSatConfig(max_flips=10**6, rng_seed=3)
         for entry in instset.entries:
-            res = walksat_run(entry.formula, cfg)
+            res = run_once(entry.formula, cfg)
             assert res.found
             assert count_unsatisfied(entry.formula, res.solution) == 0
 
@@ -259,25 +263,20 @@ class TestWalkSatEnumerateGolden:
     # blocking clauses and ran a last WalkSAT run on the UNSAT remainder;
     # solutions, their flip counts and completeness must not change
     @pytest.mark.parametrize(
-        "instance_seed, alpha, variant, rng_seed, max_flips, bits, flips_at, complete",
+        "instance_seed, alpha, rng_seed, max_flips, bits, flips_at, complete",
         [
-            (6, 1.5, "lm", 31, 20_000,
+            (6, 1.5, 31, 20_000,
              [252, 248, 508, 504, 760, 1020, 764, 1016],
              [30, 36, 68, 83, 87, 91, 123, 127], True),
-            (9, 1.5, "plain", 32, 20_000,
-             [92, 536, 88, 28, 540, 152, 220, 156, 24, 216],
-             [5, 6, 10, 28, 32, 34, 38, 43, 71, 108], True),
-            (5, 2.0, "lm", 33, 20_000, [487, 455, 471], [38, 134, 190], True),
-            (1, 1.0, "plain", 36, 10, [496, 591, 500, 847], [4, 5, 9, 14], False),
+            (5, 2.0, 33, 20_000, [487, 455, 471], [38, 134, 190], True),
+            (1, 1.0, 36, 10, [496, 591, 359, 847], [4, 5, 9, 14], False),
         ],
     )
     def test_pinned_enumerations(
-        self, instance_seed, alpha, variant, rng_seed, max_flips, bits, flips_at, complete
+        self, instance_seed, alpha, rng_seed, max_flips, bits, flips_at, complete
     ):
         f = generate_instance(10, 2, alpha, instance_seed)
-        res = walksat_enumerate(
-            f, WalkSatConfig(max_flips=max_flips, variant=variant, rng_seed=rng_seed)
-        )
+        res = walksat_enumerate(f, WalkSatConfig(max_flips=max_flips, rng_seed=rng_seed))
         assert [s.bits for s in res.solutions] == bits
         assert res.flips_at_solution == flips_at
         assert res.complete is complete
@@ -360,9 +359,9 @@ class TestBlockedSolutionBookkeeping:
         blocked = sols[: len(sols) - 1]
         reference, asg = self._pair(formula, blocked, 0, _UnsatRecorder)
         appended = CnfFormula(9, reference.clauses, formula.k)
-        cfg = WalkSatConfig(max_flips=5000, variant="lm", rng_seed=0)
-        a = walksat_run(appended, cfg, rng=random.Random(1), assignment=reference)
-        b = walksat_run(formula, cfg, rng=random.Random(1), assignment=asg)
+        cfg = WalkSatConfig(max_flips=5000, rng_seed=0)
+        a = walksat_run(appended, cfg, random.Random(1), reference)
+        b = walksat_run(formula, cfg, random.Random(1), asg)
         assert a.found and a.solution == b.solution == sols[-1]
         assert a.flips_used == b.flips_used
         assert len(reference.unsat_trace) == a.flips_used

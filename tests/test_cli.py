@@ -71,6 +71,9 @@ class TestConfig:
         {"walksat_max_flips": 0}, {"samples": 0}, {"per_size": -3},
         {"beta": -1.0}, {"beta": 0.0}, {"beta": float("inf")}, {"beta": float("nan")},
         {"sizes": []}, {"sizes": [8, 25]}, {"sizes": [1]}, {"k": 3, "sizes": [2]},
+        # n = k: a 3-SAT draw needs 13 distinct clauses of the 8 there are, and
+        # every 2-SAT draw has one solution, so the filter would redraw forever
+        {"k": 3, "sizes": [3]}, {"sizes": [2]},
         # counts, k and sizes must be ints: 2.5 instances per size are never met
         {"per_size": 2.5}, {"chain_steps": 1.5}, {"made_epochs": 100.0},
         {"qaoa_depth": True}, {"k": 2.0}, {"sizes": [8.0]}, {"sizes": [8, 9.5]},
@@ -100,7 +103,6 @@ class TestConfig:
     @pytest.mark.parametrize("bad, message", [
         # a ladder from beta 0.1 up to beta 0.05 is not ascending
         ({"algorithms": ["pt-icm"], "beta": 0.05}, "replica_betas must be ascending"),
-        ({"walksat_variant": "foo"}, "unknown variant 'foo'"),
     ])
     def test_bad_worker_settings_rejected(self, bad, message):
         with pytest.raises(ConfigError, match=message):
@@ -123,8 +125,7 @@ class TestConfig:
         assert (PLATEAU_EPOCHS, PLATEAU_TOL) == (50, 1e-5)
         assert cfg.pt_config(6) == PtIcmConfig(
             replica_betas=tuple(np.geomspace(0.1, 10.0, 8).tolist()), rng_seed=6)
-        assert cfg.walksat_config(7) == WalkSatConfig(
-            max_flips=10**6, variant="lm", rng_seed=7)
+        assert cfg.walksat_config(7) == WalkSatConfig(max_flips=10**6, rng_seed=7)
         assert NOISE_P == 0.5
         assert LM_WEIGHTS == (6.0, 1.0)
 
@@ -212,12 +213,15 @@ class TestPipelineCommands:
         # small, so that a config that is not refused fails fast in its stage
         ("fig4", {"beta": 0.05, "sizes": [8], "per_size": 1, "qaoa_starts": 1,
                   "made_epochs": 1, "train_samples": 10, "algorithms": ["pt-icm"]}),
-        ("fig6", {"walksat_variant": "foo", "sizes": [8], "per_size": 1, "qaoa_starts": 1,
-                  "made_epochs": 1, "train_samples": 10, "algorithms": ["walksat"]}),
+        # WalkSATlm is the only WalkSAT: a config that selects it has an unknown key
+        ("fig6", {"walksat_variant": "lm", "sizes": [8], "per_size": 1, "trials": 1,
+                  "algorithms": ["walksat"]}),
         ("fig5", {"use_fixed_angles": "false", "sizes": [8], "per_size": 1,
                   "qaoa_starts": 1, "made_epochs": 1, "train_samples": 10,
                   "chain_steps": 1, "trials": 1}),
         ("fig6", {"algorithms": [], "sizes": [8], "per_size": 1}),
+        # fig3 also runs k = 3, where size 3 is refused
+        ("fig3", {"k": 2, "sizes": [3], "per_size": 1}),
     ])
     def test_bad_anneal_config_exits_2(self, tmp_path, capsys, fig, bad):
         path = tmp_path / "bad.json"

@@ -8,12 +8,10 @@ from fairmc.exact import boltzmann
 from fairmc.fixtures import load_all
 from fairmc.ising import (
     CapacityError,
-    DimensionError,
     IsingModel,
     SpinConfig,
     Temperature,
     basis_energies,
-    energy,
     energy_of_bits,
     energy_of_bits_batch,
     energy_levels,
@@ -65,24 +63,19 @@ class TestSpinConfig:
 class TestEnergy:
     def test_ferromagnetic_aligned_pair(self):
         m = IsingModel.from_terms(2, [((0, 1), -1.0)])
-        assert energy(m, SpinConfig(0, 2)) == -1.0  # s = (+1, +1)
+        assert energy_of_bits(m, 0) == -1.0  # s = (+1, +1)
 
     def test_empty_terms_gives_offset(self):
         m = IsingModel.from_terms(3, [], offset=2.5)
         for z in range(8):
-            assert energy(m, SpinConfig(z, 3)) == 2.5
+            assert energy_of_bits(m, z) == 2.5
 
     def test_matches_scalar_loop_oracle_all_configs(self):
         rng = np.random.default_rng(1)
         m = random_model(rng, 5, max_order=3)
         for z in range(32):
             c = SpinConfig(z, 5)
-            assert energy(m, c) == pytest.approx(energy_scalar_loop(m, c), abs=1e-12)
-
-    def test_dimension_mismatch(self):
-        m = IsingModel.from_terms(3, [((0, 1), 1.0)])
-        with pytest.raises(DimensionError):
-            energy(m, SpinConfig(0, 4))
+            assert energy_of_bits(m, c.bits) == pytest.approx(energy_scalar_loop(m, c), abs=1e-12)
 
     def test_duplicate_terms_merged(self):
         m = IsingModel.from_terms(2, [((0, 1), 1.0), ((1, 0), 2.0)])
@@ -97,7 +90,7 @@ class TestEnergy:
         m = random_model(rng, 6, integer=False)
         e = basis_energies(m)
         for z in range(64):
-            assert e[z] == pytest.approx(energy(m, SpinConfig(z, 6)), abs=1e-12)
+            assert e[z] == pytest.approx(energy_of_bits(m, z), abs=1e-12)
 
     @pytest.mark.parametrize("integer", [True, False])
     def test_energy_levels_index_back_to_basis_energies(self, integer):
@@ -198,7 +191,7 @@ class TestGroundStates:
             bits = [s.bits for s in states]
             assert bits == sorted(bits)
             for s in states:
-                assert energy(m, s) == pytest.approx(emin, abs=1e-9)
+                assert energy_of_bits(m, s.bits) == pytest.approx(emin, abs=1e-9)
 
     def test_capacity_guard(self):
         m = IsingModel.from_terms(25, [((0,), 1.0)])
@@ -244,9 +237,10 @@ class TestInvariants:
                 terms.append((sites, float(rng.normal())))
             m = IsingModel.from_terms(8, terms)
             for _ in range(20):
-                c = SpinConfig(int(rng.integers(256)), 8)
-                flipped = SpinConfig(c.bits ^ 0xFF, 8)  # every spin inverted
-                assert energy(m, c) == pytest.approx(energy(m, flipped), abs=1e-12)
+                z = int(rng.integers(256))
+                flipped = z ^ 0xFF  # every spin inverted
+                assert energy_of_bits(m, z) == pytest.approx(
+                    energy_of_bits(m, flipped), abs=1e-12)
 
     def test_hash_and_equality_are_those_of_the_fields(self):
         rng = np.random.default_rng(9)

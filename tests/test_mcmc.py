@@ -13,7 +13,7 @@ from fairmc.ising import (
     SpinConfig,
     Temperature,
     basis_energies,
-    energy,
+    energy_of_bits,
 )
 from fairmc.made import EPS, MadeNetwork, exact_probabilities
 from fairmc.mcmc import (
@@ -83,8 +83,8 @@ def transitions(trace):
             trace.tags.tolist(), trace.tag_legend)
 
 
-def final_state(trace):
-    return SpinConfig(int(trace.states[-1]), trace.n_sites)
+def final_state(trace, model):
+    return SpinConfig(int(trace.states[-1]), model.n_sites)
 
 
 class TestMhStep:
@@ -96,7 +96,7 @@ class TestMhStep:
         for seed in range(50):
             trace = run_chain(m, Temperature(2.0), FlipKernel(0), 1, init=init,
                               rng_seed=seed)
-            assert final_state(trace).bit(0) == 1  # s_0 = -1
+            assert final_state(trace, m).bit(0) == 1  # s_0 = -1
             assert trace.accepted[0]
 
     def test_uphill_acceptance_frequency(self):
@@ -120,7 +120,7 @@ class TestMhStep:
         init = SpinConfig(1, 1)  # s = -1
         trace = run_chain(m, Temperature(5.0), FlipKernel(0), 1, init=init, rng_seed=2)
         assert trace.n_steps == 1 and trace.n_transitions == 1
-        assert final_state(trace) == init  # enormous uphill move rejected
+        assert final_state(trace, m) == init  # enormous uphill move rejected
         assert not trace.accepted[0]
 
     def test_energy_cache_coherent(self):
@@ -130,7 +130,7 @@ class TestMhStep:
         trace = run_chain(m, Temperature(1.0), MadeKernel(net), 30,
                           init=SpinConfig(17, 5), rng_seed=3)
         for z, e in zip(trace.states.tolist(), trace.energies):
-            assert e == pytest.approx(energy(m, SpinConfig(z, 5)), abs=1e-12)
+            assert e == pytest.approx(energy_of_bits(m, z), abs=1e-12)
 
 
 class TestDetailedBalance:
@@ -188,7 +188,7 @@ class TestSsfSweep:
         trace = run_chain(m, Temperature(1.0), SsfSweepUpdate(), 1,
                           init=SpinConfig(0, 4), rng_seed=13)
         # with vanishing couplings every flip is ~free: all 4 sites flipped
-        assert final_state(trace).bits == 0b1111
+        assert final_state(trace, m).bits == 0b1111
 
     def test_strong_coupling_only_downhill(self):
         m = IsingModel.from_terms(2, [((0, 1), 1.0)])  # AFM pair
@@ -201,7 +201,7 @@ class TestSsfSweep:
         trace = run_chain(m, Temperature(0.7), SsfSweepUpdate(), 20,
                           init=SpinConfig(11, 6), rng_seed=16)
         for z, e in zip(trace.states.tolist(), trace.energies):
-            assert e == pytest.approx(energy(m, SpinConfig(z, 6)), abs=1e-10)
+            assert e == pytest.approx(energy_of_bits(m, z), abs=1e-10)
 
     def test_pinned_traces(self):
         # captured before the sweep was shared with PT-ICM; must not change
@@ -308,7 +308,8 @@ class TestHybrid:
         net = random_net(4, seed=25)
         trace = run_chain(m, Temperature(1.0), HybridUpdate(net), 1,
                           init=SpinConfig(0, 4), rng_seed=26)
-        assert trace.energies[-1] == pytest.approx(energy(m, final_state(trace)), abs=1e-12)
+        final = energy_of_bits(m, int(trace.states[-1]))
+        assert trace.energies[-1] == pytest.approx(final, abs=1e-12)
 
     def test_matches_boltzmann(self):
         # a peaked proposal and a hot target: the sweep moves the state often
@@ -360,13 +361,12 @@ class TestRunChain:
         for z, e, is_made, acc in zip(
             trace.states.tolist(), trace.energies, made, trace.accepted
         ):
-            config = SpinConfig(z, 6)
             if is_made and (acc or not hybrid):
                 # a candidate's energy, or a made chain's carried one
-                assert e == energy(m, config)
+                assert e == energy_of_bits(m, z)
             else:
                 # sweeps track the energy incrementally
-                assert e == pytest.approx(energy(m, config), abs=1e-12)
+                assert e == pytest.approx(energy_of_bits(m, z), abs=1e-12)
 
     @pytest.mark.parametrize("hybrid", [False, True])
     def test_net_size_mismatch_refused(self, hybrid):

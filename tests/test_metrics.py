@@ -1,10 +1,11 @@
+import json
 import math
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from fairmc.baselines import EnumerationResult
+from fairmc.experiments import ExperimentConfig, stage_baselines, stage_instances
 from fairmc.ising import IsingModel, SpinConfig, Temperature
 from fairmc.mcmc import SsfSweepUpdate, run_chain
 from fairmc.metrics import (
@@ -27,10 +28,10 @@ def gs_list(bits_list, n=4):
     return [SpinConfig(b, n) for b in bits_list]
 
 
-def synthetic_trace(states, n=4):
+def synthetic_trace(states):
     from fairmc.mcmc import _TraceBuilder
 
-    b = _TraceBuilder(n)
+    b = _TraceBuilder()
     tid = b.tag_id("test")
     for z in states:
         b.record(z, 0.0, True, tid)
@@ -141,12 +142,25 @@ class TestStepsToEnumerate:
         assert idx == 4
         assert steps_to_enumerate(full, gs_list([0, 1, 2])) == idx
 
-    def test_walksat_enumeration_result(self):
-        sols = gs_list([0, 5])
-        res = EnumerationResult(sols, 900, [100, 700], complete=True)
-        assert steps_to_enumerate(res, sols) == 700
-        partial = EnumerationResult(sols[:1], 900, [100], complete=False)
-        assert steps_to_enumerate(partial, sols) is INCOMPLETE
+    def test_walksat_steps_read_off_the_enumeration(self, tmp_path):
+        # a budget small enough that some enumerations stop early
+        cfg = ExperimentConfig.from_dict({
+            "kind": "KSAT_COUNTING", "k": 2, "sizes": [8], "per_size": 2, "trials": 3,
+            "walksat_max_flips": 60, "algorithms": ["walksat"], "seed": 1})
+        instset = stage_instances(cfg, tmp_path)
+        stage_baselines(cfg, tmp_path)
+        complete = []
+        for path in sorted((tmp_path / "chains" / "walksat").glob("*.json")):
+            summary = json.loads(path.read_text())
+            solutions = instset.entries[summary["instance"]].solutions
+            if summary["complete"]:
+                # every solution found: the last one's flips are the steps
+                assert set(summary["found"]) == {s.bits for s in solutions}
+                assert summary["steps_to_enumerate"] == summary["flips_at_solution"][-1]
+            else:
+                assert summary["steps_to_enumerate"] is None
+            complete.append(summary["complete"])
+        assert len(complete) == 6 and 0 < sum(complete) < 6
 
     def test_coupon_collector_uniform_sampler(self):
         # independence sampling over 6 equally likely states: mean steps to
@@ -157,7 +171,7 @@ class TestStepsToEnumerate:
         gs6 = gs_list(list(range(6)), n=3)
         for seed in range(300):
             draws = rng.integers(0, 6, size=400)
-            trace = synthetic_trace(draws.tolist(), n=3)
+            trace = synthetic_trace(draws.tolist())
             got = steps_to_enumerate(trace, gs6)
             assert got is not INCOMPLETE
             totals.append(got)

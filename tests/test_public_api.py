@@ -5,7 +5,8 @@ public method or property of a public class, must be read somewhere in
 `src/fairmc` outside its own definition, or be named in a `bench/*.py` file
 (the benchmark patches layers by attribute-name string).  A method counts as
 read when any attribute of its name is, so a name shared with another
-method or attribute can hide it.
+method or attribute can hide it.  A load of a parameter or local variable
+of an enclosing function does not count, whatever its name.
 
 Every field of a public dataclass must likewise be read in `src/fairmc`, as
 an attribute or as a string (`getattr`, CSV and JSON keys), or be named in a
@@ -51,15 +52,57 @@ def _sources(src_dir: Path, bench_dir: Path):
     return trees, bench_trees, bench_text
 
 
+def _bound_names(fn) -> set[str]:
+    """The names a function or lambda binds: its parameters and the names it
+    stores, imports or defines, less those it declares global or nonlocal."""
+    args = fn.args
+    names = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                             args.vararg, args.kwarg) if a is not None}
+    free = set()
+    stack = list(fn.body) if isinstance(fn.body, list) else [fn.body]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            free.update(node.names)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            names.add(node.name)
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+            names.add(node.name)  # a nested scope: its own names are not ours
+        elif not isinstance(node, ast.Lambda):
+            stack.extend(ast.iter_child_nodes(node))
+    return names - free
+
+
 def _loads(node) -> Counter:
-    """How often each name is loaded in `node`'s subtree, as a name or as an
-    attribute."""
+    """How often each name is loaded in `node`'s subtree, as an attribute or
+    as a name that is not a parameter or local of an enclosing function: a
+    local `energy` does not reach the function `energy`."""
     names = Counter()
-    for cur in ast.walk(node):
+
+    def visit(cur, local):
+        if isinstance(cur, (*FUNCTIONS, ast.Lambda)):
+            # decorators, defaults and annotations belong to the outer scope
+            outer = [*getattr(cur, "decorator_list", ()), cur.args,
+                     *([cur.returns] if getattr(cur, "returns", None) else [])]
+            for child in outer:
+                visit(child, local)
+            inner = local | _bound_names(cur)
+            for child in (cur.body if isinstance(cur.body, list) else [cur.body]):
+                visit(child, inner)
+            return
         if isinstance(cur, ast.Name) and isinstance(cur.ctx, ast.Load):
-            names[cur.id] += 1
+            if cur.id not in local:
+                names[cur.id] += 1
         elif isinstance(cur, ast.Attribute) and isinstance(cur.ctx, ast.Load):
             names[cur.attr] += 1
+        for child in ast.iter_child_nodes(cur):
+            visit(child, local)
+
+    visit(node, frozenset())
     return names
 
 
@@ -234,3 +277,19 @@ def test_every_default_is_set_outside_the_tests():
     # leave the exemptions too
     unset = unset_defaults(ROOT / "src" / "fairmc", ROOT / "bench")
     assert [u.split(".", 1)[1] for u in unset] == sorted(TEST_SETTINGS)
+
+
+def test_a_local_of_the_same_name_is_not_a_reach(tmp_path):
+    src, bench = tmp_path / "src", tmp_path / "bench"
+    src.mkdir()
+    bench.mkdir()
+    (src / "mod.py").write_text(
+        "def energy(x):\n    return x\n\n\n"
+        "def _sweep(energy, bits):\n    return energy + bits\n\n\n"
+        "def _total(model):\n    energy = model.offset\n"
+        "    return [energy for _ in range(2)]\n")
+    assert unreached_public_names(src, bench) == ["mod.energy"]
+    # a call from a scope that binds no such local is a reach
+    (src / "use.py").write_text("def _use():\n    return energy(1)\n")
+    _sources.cache_clear()
+    assert unreached_public_names(src, bench) == []
