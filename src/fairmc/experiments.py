@@ -32,11 +32,12 @@ algorithm's chains/<algo>/ directory, so partial runs are never pooled.  A
 config is refused with `ConfigError` at load, before anything is written, if
 a count field, k, a size or the seed is not an integer, beta or an anneal
 setting is not a number, use_fixed_angles is not a bool, a count is below 1,
-beta is not finite and positive, sizes are empty or outside k+1..24 (at
-n = k a 2-SAT draw has one solution, and the instance filter keeps only
-draws with at least two; a 3-SAT draw needs more distinct clauses than exist),
-algorithms are empty, or, with PT-ICM, beta is below 0.1, so that the ladder
-from `BETA_MIN` is not ascending.
+beta is not finite and positive, sizes are empty, repeated (a size's draws
+are seeded by the size, so a repeat builds the same instances again) or
+outside k+1..24 (at n = k a 2-SAT draw has one solution, and the instance
+filter keeps only draws with at least two; a 3-SAT draw needs more distinct
+clauses than exist), algorithms are empty, or, with PT-ICM, beta is below
+0.1, so that the ladder from `BETA_MIN` is not ascending.
 """
 
 from __future__ import annotations
@@ -197,6 +198,8 @@ class ExperimentConfig:
                 type(n) is int and self.k < n <= MAX_BRUTEFORCE_SITES for n in self.sizes):
             raise ConfigError(f"sizes must be a non-empty list of integers in "
                               f"{self.k + 1}..{MAX_BRUTEFORCE_SITES}, got {list(self.sizes)}")
+        if len(set(self.sizes)) != len(self.sizes):
+            raise ConfigError(f"sizes must not repeat, got {list(self.sizes)}")
         self.algorithms = tuple(self.algorithms)
         if self.runs_pt_icm:  # refuse what PT-ICM rejects before the run is pinned
             try:
@@ -459,8 +462,8 @@ def _run_pt_trial(path, model, solutions, pt_cfg, rounds, instance):
     ))
 
 
-def _run_walksat_trial(path, formula, ws_cfg, instance, trial):
-    res = walksat_enumerate(formula, ws_cfg)
+def _run_walksat_trial(path, formula, n_solutions, ws_cfg, instance, trial):
+    res = walksat_enumerate(formula, ws_cfg, n_solutions)
     _write_summary(path, {
         "algorithm": "walksat",
         "instance": instance,
@@ -487,7 +490,7 @@ def stage_baselines(cfg: ExperimentConfig, out: Path, threads: int = 1):
 
     if "walksat" in cfg.algorithms:
         _run_missing(_run_walksat_trial, [
-            (_summary_path(out, "walksat", i, trial), entry.formula,
+            (_summary_path(out, "walksat", i, trial), entry.formula, len(entry.solutions),
              cfg.walksat_config(derive_seed(cfg.seed, "walksat", i, trial)), i, trial)
             for i, entry in enumerate(instset.entries) for trial in range(cfg.trials)
         ], threads)
@@ -687,8 +690,9 @@ def run_validation() -> list[dict]:
     draw, and stationarity of the single-spin-flip sweep and the hybrid
     composite.  Then MADE normalization and gradients, the clause-penalty
     equivalence, cluster-move conservation, the dense QAOA, its adjoint
-    gradient and time evolution against scipy's expm, and a sampling
-    chi-square.
+    gradient and time evolution against scipy's expm, a sampling
+    chi-square, and the blocked QAOA mixer against expm and against the
+    driver it is the exponential of.
     """
     from scipy import stats as scistats
     from scipy.linalg import expm
@@ -698,7 +702,14 @@ def run_validation() -> list[dict]:
     from fairmc.ising import basis_energies, energy_of_bits
     from fairmc.made import MadeNetwork, _nll_and_grads, exact_probabilities
     from fairmc.qaoa import QaoaParams, expectation_and_gradient
-    from fairmc.qsim import basis_state, evolve_fixed, problem_norm_ratio, uniform_state
+    from fairmc.qsim import (
+        apply_driver,
+        basis_state,
+        evolve_fixed,
+        problem_norm_ratio,
+        rotate_mixer,
+        uniform_state,
+    )
     from fairmc.sat import generate_instance, unsatisfied_counts_all
 
     results = []
@@ -847,5 +858,22 @@ def run_validation() -> list[dict]:
     counts = np.bincount([s.bits for s in draws], minlength=16)
     _, pval = scistats.chisquare(counts, f_exp=probs * 100_000)
     results.append(_check("measurement_chi2", pval > 0.001, f"p={pval:.4f}"))
+
+    # the blocked mixer's rounding depends on the local BLAS: against expm at
+    # N=7 (two blocks), and at N=12 (three blocks) its beta derivative against
+    # the driver, which is applied one qubit at a time: d/db U psi = -i H_d U psi
+    mrng = np.random.default_rng(13)
+    psi7 = mrng.normal(size=128) + 1j * mrng.normal(size=128)
+    psi7 /= np.linalg.norm(psi7)
+    err_mix = float(np.max(np.abs(
+        rotate_mixer(psi7, 7, 0.41) - expm(-0.41j * exact.dense_driver(7)) @ psi7)))
+    psi12 = mrng.normal(size=4096) + 1j * mrng.normal(size=4096)
+    psi12 /= np.linalg.norm(psi12)
+    b, h = 0.83, 1e-5
+    fd = (rotate_mixer(psi12, 12, b + h) - rotate_mixer(psi12, 12, b - h)) / (2 * h)
+    err_der = float(np.max(np.abs(fd + 1j * apply_driver(rotate_mixer(psi12, 12, b), 12))))
+    results.append(_check("mixer_kronecker_oracle", err_mix < 1e-10 and err_der < 1e-8,
+                          f"expm max={err_mix:.2e} (< 1e-10), "
+                          f"derivative max={err_der:.2e} (< 1e-8)"))
 
     return results

@@ -5,10 +5,12 @@ packed-bits integer of a SpinConfig (bit 1 <=> spin -1).  The driver is the
 transverse field H_d = -sum_i sigma_x_i throughout; diagonal problem terms
 come from an IsingModel.
 
-QAOA layers are applied directly, one qubit rotation at a time, at any size;
-phase factors are computed once per distinct energy level.  The array-level
-layers (`phase_factors`, `rotate_mixer`, `apply_driver`) also serve the
-adjoint gradient in `qaoa`.
+QAOA layers are applied directly at any size.  Phase factors are computed
+once per distinct energy level.  The mixer is a product of commuting
+single-qubit rotations, so it factors over blocks of up to _MIXER_BLOCK
+qubits: each block is one small matmul with that block's Kronecker power of
+the rotation.  The array-level layers (`phase_factors`, `rotate_mixer`,
+`apply_driver`) also serve the adjoint gradient in `qaoa`.
 Time evolution under any other Hamiltonian builds the real-symmetric
 2^n x 2^n matrix H and diagonalises it, exp(-iHt) = V exp(-i Lambda t) V^T:
 `evolve_fixed` is exact, and `run_annealing` uses the fourth-order
@@ -41,6 +43,12 @@ from fairmc.ising import (
 # pipeline evolves only the five-site fixtures; at n = 9 one T = 20 CF4 anneal
 # would take 26 s on a 2-vCPU Xeon VM, where the old matrix-free RK4 took 2.8 s
 _DENSE_MAX = 7
+
+# qubits per mixer matmul.  A block's matrix is 2^k x 2^k, so larger blocks
+# mean fewer passes over the state but 2^k flops per amplitude each.  5 was
+# fastest or within noise of it at n = 5..16, with two BLAS threads and with
+# one, on a 2-vCPU Xeon VM; 8 was 2.5-4.5x slower at n = 16
+_MIXER_BLOCK = 5
 
 # CF4 (Blanes & Moan 2006): Gauss nodes and the weights of its two exponentials
 _CF4_NODES = (0.5 - math.sqrt(3) / 6, 0.5 + math.sqrt(3) / 6)
@@ -116,22 +124,59 @@ def apply_phase_layer(state: StateVector, model: IsingModel, gamma: float) -> St
     return StateVector(state.amplitudes * phase_factors(model, gamma), state.n_qubits)
 
 
+@lru_cache(maxsize=_MIXER_BLOCK)
+def _hamming_distances(k: int) -> np.ndarray:
+    """popcount(i ^ j) for all i, j < 2^k, read-only."""
+    z = np.arange(1 << k)
+    d = np.bitwise_count(z[:, None] ^ z)
+    d.setflags(write=False)
+    return d
+
+
+def _block_rotation(k: int, beta: float) -> np.ndarray:
+    """R^{(x)k} for the one-qubit R = [[cos b, i sin b], [i sin b, cos b]]:
+    entry (i, j) is cos(b)^(k-d) (i sin b)^d with d = popcount(i ^ j),
+    gathered from the k + 1 powers.  Complex-symmetric."""
+    d = np.arange(k + 1)
+    return (np.cos(beta) ** (k - d) * (1j * np.sin(beta)) ** d)[_hamming_distances(k)]
+
+
 def rotate_mixer(amps: np.ndarray, n_qubits: int, beta: float) -> np.ndarray:
     """exp(-i * beta * H_d) applied along the last axis of `amps`, whose
     length is 2^n_qubits: exp(+i beta sigma_x) on every qubit, the 2x2
-    rotation [[cos b, i sin b], [i sin b, cos b]].  Leading axes are
-    independent states, rotated together."""
-    c, s = np.cos(beta), 1j * np.sin(beta)
+    rotation R = [[cos b, i sin b], [i sin b, cos b]].
+
+    The qubits are split into ceil(n / _MIXER_BLOCK) blocks of near-equal
+    size, and each block of k qubits is rotated by one matmul with R^{(x)k}
+    (`_block_rotation`): the lowest block multiplies the rows of
+    amps.reshape(..., 2^k) from the right (R^{(x)k} is symmetric), every
+    other block multiplies amps.reshape(..., 2^k, 2^low) from the left, low
+    being the number of qubits below it.
+    Leading axes are independent states: each is its own matmul batch item,
+    so a stacked row rotates bitwise as it would alone.
+    """
     shape = amps.shape
-    for qubit in range(n_qubits):
-        a = amps.reshape(-1, 2, 1 << qubit)
-        lo, hi = a[:, 0, :], a[:, 1, :]
-        amps = np.stack((c * lo + s * hi, s * lo + c * hi), axis=1)
+    n_blocks = -(-n_qubits // _MIXER_BLOCK)
+    rows = amps.size >> n_qubits
+    low, r = 0, None
+    for block in range(n_blocks):
+        k = n_qubits // n_blocks + (block < n_qubits % n_blocks)
+        if r is None or len(r) != 1 << k:  # blocks of equal size share R
+            r = _block_rotation(k, beta)
+        if low == 0:
+            amps = amps.reshape(rows, -1, 1 << k) @ r
+        else:
+            amps = r @ amps.reshape(-1, 1 << k, 1 << low)
+        low += k
     return amps.reshape(shape)
 
 
 def apply_driver(amps: np.ndarray, n_qubits: int) -> np.ndarray:
-    """H_d psi = -sum_i psi[z ^ 2^i], from the reshape `rotate_mixer` uses."""
+    """H_d psi = -sum_i psi[z ^ 2^i] along the last axis, one qubit at a
+    time: the amplitude pairs of qubit i are swapped through a
+    (..., 2, 2^i) view and subtracted.  It shares no code with
+    `rotate_mixer`, so it serves as an independent check of it
+    (d/d beta rotate_mixer(psi, n, beta) = -i H_d rotate_mixer(psi, n, beta))."""
     out = np.zeros_like(amps)
     for qubit in range(n_qubits):
         view = out.reshape(-1, 2, 1 << qubit)

@@ -226,7 +226,7 @@ class TestWalkSatEnumerate:
         f = CnfFormula(3, (Clause.from_ints([1]), Clause.from_ints([-2])))
         expected = {s.bits for s in enumerate_solutions(f)}
         assert len(expected) == 2
-        res = walksat_enumerate(f, WalkSatConfig(max_flips=10_000, rng_seed=4))
+        res = walksat_enumerate(f, WalkSatConfig(max_flips=10_000, rng_seed=4), len(expected))
         assert res.complete
         assert {s.bits for s in res.solutions} == expected
 
@@ -234,7 +234,8 @@ class TestWalkSatEnumerate:
         instset = build_instance_set([10], k=2, per_size=4, alpha_c=1.0, seed=5)
         for entry in instset.entries:
             res = walksat_enumerate(
-                entry.formula, WalkSatConfig(max_flips=20_000, rng_seed=6)
+                entry.formula, WalkSatConfig(max_flips=20_000, rng_seed=6),
+                len(enumerate_solutions(entry.formula)),
             )
             assert res.complete
             assert {s.bits for s in res.solutions} == {
@@ -248,13 +249,15 @@ class TestWalkSatEnumerate:
     def test_incomplete_when_budget_tiny(self):
         # dozens of solutions but almost no flips allowed
         f = CnfFormula(10, (Clause.from_ints([1, 2]),))
-        res = walksat_enumerate(f, WalkSatConfig(max_flips=1, rng_seed=7))
+        res = walksat_enumerate(
+            f, WalkSatConfig(max_flips=1, rng_seed=7), len(enumerate_solutions(f)))
         assert isinstance(res, EnumerationResult)
         assert not res.complete
 
     def test_unsat_input_immediately_complete(self):
         f = CnfFormula(2, (Clause.from_ints([1]), Clause.from_ints([-1])))
-        res = walksat_enumerate(f, WalkSatConfig(max_flips=500, rng_seed=8))
+        res = walksat_enumerate(
+            f, WalkSatConfig(max_flips=500, rng_seed=8), len(enumerate_solutions(f)))
         assert res.complete and res.solutions == []
 
 
@@ -276,7 +279,8 @@ class TestWalkSatEnumerateGolden:
         self, instance_seed, alpha, rng_seed, max_flips, bits, flips_at, complete
     ):
         f = generate_instance(10, 2, alpha, instance_seed)
-        res = walksat_enumerate(f, WalkSatConfig(max_flips=max_flips, rng_seed=rng_seed))
+        res = walksat_enumerate(f, WalkSatConfig(max_flips=max_flips, rng_seed=rng_seed),
+                                len(enumerate_solutions(f)))
         assert [s.bits for s in res.solutions] == bits
         assert res.flips_at_solution == flips_at
         assert res.complete is complete
@@ -287,14 +291,16 @@ class TestWalkSatEnumerateGolden:
         instset = build_instance_set([10], k=2, per_size=4, alpha_c=1.0, seed=5)
         for entry in instset.entries:
             res = walksat_enumerate(
-                entry.formula, WalkSatConfig(max_flips=20_000, rng_seed=6)
+                entry.formula, WalkSatConfig(max_flips=20_000, rng_seed=6),
+                len(enumerate_solutions(entry.formula)),
             )
             assert res.complete
             assert res.total_flips == res.flips_to_last_solution
 
     def test_unsat_input_takes_no_flips(self):
         f = CnfFormula(2, (Clause.from_ints([1]), Clause.from_ints([-1])))
-        res = walksat_enumerate(f, WalkSatConfig(max_flips=500, rng_seed=8))
+        res = walksat_enumerate(
+            f, WalkSatConfig(max_flips=500, rng_seed=8), len(enumerate_solutions(f)))
         assert res.complete and res.solutions == [] and res.total_flips == 0
 
 

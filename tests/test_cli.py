@@ -77,6 +77,8 @@ class TestConfig:
         # counts, k and sizes must be ints: 2.5 instances per size are never met
         {"per_size": 2.5}, {"chain_steps": 1.5}, {"made_epochs": 100.0},
         {"qaoa_depth": True}, {"k": 2.0}, {"sizes": [8.0]}, {"sizes": [8, 9.5]},
+        # a repeated size draws the same instances twice under new indices
+        {"sizes": [8, 8]},
     ])
     def test_bad_anneal_settings_rejected(self, bad):
         with pytest.raises(ConfigError):
@@ -222,6 +224,8 @@ class TestPipelineCommands:
         ("fig6", {"algorithms": [], "sizes": [8], "per_size": 1}),
         # fig3 also runs k = 3, where size 3 is refused
         ("fig3", {"k": 2, "sizes": [3], "per_size": 1}),
+        ("fig6", {"sizes": [8, 9, 8], "per_size": 1, "trials": 1,
+                  "algorithms": ["walksat"]}),
     ])
     def test_bad_anneal_config_exits_2(self, tmp_path, capsys, fig, bad):
         path = tmp_path / "bad.json"
@@ -400,4 +404,5 @@ class TestValidateCommand:
             "made_gradient_check", "sat_ising_equivalence",
             "icm_pair_energy_conserved", "qaoa_expm_oracle",
             "qaoa_adjoint_gradient", "evolve_expm_oracle", "measurement_chi2",
+            "mixer_kronecker_oracle",
         ]

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from fairmc import qaoa
+from fairmc import qaoa, qsim
 from fairmc.experiments import ALPHA_C, to_ising
 from fairmc.ising import IsingModel, basis_energies
 from fairmc.qaoa import (
@@ -117,7 +117,8 @@ class TestExpectation:
 
 class TestAdjointGradient:
     @pytest.mark.parametrize("integer", [False, True])
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    # 2 * _MIXER_BLOCK + 1: the backward pair rotation runs through three blocks
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 2 * qsim._MIXER_BLOCK + 1])
     def test_matches_central_differences(self, n, integer):
         rng = np.random.default_rng(100 + 2 * n + integer)
         for p in range(1, 6):

@@ -101,21 +101,40 @@ class TestMixerLayer:
         out = apply_mixer_layer(basis_state(1, 0), np.pi / 2)
         assert out.probabilities()[1] == pytest.approx(1.0, abs=1e-12)
 
-    def test_matches_expm_oracle(self):
+    # with 5-qubit blocks: one block up to n = 5, two equal or unequal blocks
+    # at 6..8; three and four blocks are checked at n = 12 and 16 below
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_expm_oracle(self, n):
         rng = np.random.default_rng(2)
-        s = random_state(rng, 3)
+        s = random_state(rng, n)
         beta = 0.41
-        expected = expm(-1j * beta * dense_driver(3)) @ s.amplitudes
+        expected = expm(-1j * beta * dense_driver(n)) @ s.amplitudes
         out = apply_mixer_layer(s, beta)
         np.testing.assert_allclose(out.amplitudes, expected, atol=1e-10)
 
-
-    def test_stacked_states_rotate_independently(self):
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_stacked_states_rotate_independently(self, n):
         rng = np.random.default_rng(7)
-        pair = np.stack([random_state(rng, 4).amplitudes for _ in range(2)])
-        out = rotate_mixer(pair, 4, 0.63)
+        pair = np.stack([random_state(rng, n).amplitudes for _ in range(2)])
+        out = rotate_mixer(pair, n, 0.63)
         for row, amps in zip(out, pair):
-            assert np.array_equal(row, rotate_mixer(amps, 4, 0.63))
+            assert np.array_equal(row, rotate_mixer(amps, n, 0.63))
+
+    # no dense matrix at these sizes: apply_driver, which rotates nothing, is
+    # the oracle of the derivative, and the inverse rotation that of the norm
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_beta_derivative_is_driver(self, n):
+        psi = random_state(np.random.default_rng(9), n).amplitudes
+        beta, h = 0.83, 1e-5
+        fd = (rotate_mixer(psi, n, beta + h) - rotate_mixer(psi, n, beta - h)) / (2 * h)
+        exact = -1j * apply_driver(rotate_mixer(psi, n, beta), n)
+        np.testing.assert_allclose(fd, exact, rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_inverse_rotation_restores_state(self, n):
+        psi = random_state(np.random.default_rng(10), n).amplitudes
+        back = rotate_mixer(rotate_mixer(psi, n, 1.37), n, -1.37)
+        np.testing.assert_allclose(back, psi, rtol=0, atol=1e-13)
 
     def test_driver_matches_dense_matrix(self):
         rng = np.random.default_rng(8)
