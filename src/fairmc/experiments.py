@@ -45,6 +45,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -691,16 +692,17 @@ def run_validation() -> list[dict]:
     composite.  Then MADE normalization and gradients, the clause-penalty
     equivalence, cluster-move conservation, the dense QAOA, its adjoint
     gradient and time evolution against scipy's expm, a sampling
-    chi-square, and the blocked QAOA mixer against expm and against the
-    driver it is the exponential of.
+    chi-square, the blocked QAOA mixer against expm and against the
+    driver it is the exponential of, and two MADE trainings from one seed
+    that must write the same checkpoint bytes.
     """
     from scipy import stats as scistats
     from scipy.linalg import expm
 
     from fairmc import exact
     from fairmc.baselines import houdayer_cluster, interaction_adjacency
-    from fairmc.ising import basis_energies, energy_of_bits
-    from fairmc.made import MadeNetwork, _nll_and_grads, exact_probabilities
+    from fairmc.ising import SpinConfig, basis_energies, energy_of_bits
+    from fairmc.made import MadeNetwork, _gradient_error, exact_probabilities
     from fairmc.qaoa import QaoaParams, expectation_and_gradient
     from fairmc.qsim import (
         apply_driver,
@@ -771,24 +773,10 @@ def run_validation() -> list[dict]:
                f"sum={bad_total:.6f}")
     )
 
-    # analytic vs central-difference gradients on a tiny net
+    # the training step's analytic gradients vs central differences, tiny net
     gnet = MadeNetwork(3, (8,), rng=np.random.default_rng(9))
     batch = (np.random.default_rng(10).random((12, 3)) > 0.5).astype(float)
-    _, gw, gb = _nll_and_grads(gnet, batch)
-    worst = 0.0
-    h = 1e-5
-    for p_arr, g_arr in zip(gnet.weights + gnet.biases, gw + gb):
-        flat_p, flat_g = p_arr.ravel(), g_arr.ravel()
-        for idx in range(flat_p.size):
-            orig = flat_p[idx]
-            flat_p[idx] = orig + h
-            up, _, _ = _nll_and_grads(gnet, batch)
-            flat_p[idx] = orig - h
-            dn, _, _ = _nll_and_grads(gnet, batch)
-            flat_p[idx] = orig
-            fd = (up - dn) / (2 * h)
-            if abs(fd) > 1e-12 or abs(flat_g[idx]) > 1e-12:
-                worst = max(worst, abs(fd - flat_g[idx]) / max(abs(fd), abs(flat_g[idx])))
+    worst = _gradient_error(gnet, batch)
     results.append(_check("made_gradient_check", worst < 1e-4, f"rel={worst:.2e}"))
 
     # clause penalty == unsatisfied count, exhaustive at N=10
@@ -875,5 +863,17 @@ def run_validation() -> list[dict]:
     results.append(_check("mixer_kronecker_oracle", err_mix < 1e-10 and err_der < 1e-8,
                           f"expm max={err_mix:.2e} (< 1e-10), "
                           f"derivative max={err_der:.2e} (< 1e-8)"))
+
+    # training is claimed bit-reproducible on the local BLAS: one seed, two runs
+    draws = [SpinConfig(int(z), 5) for z in rng.integers(0, 32, size=200)]
+    blobs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for run in range(2):
+            path = Path(tmp) / f"net{run}.json"
+            save_checkpoint(train(draws, TrainConfig(epochs=30, rng_seed=14))[0], path)
+            blobs.append(path.read_bytes())
+    results.append(_check("made_training_reproducible", blobs[0] == blobs[1],
+                          "checkpoint sha256 "
+                          + " / ".join(hashlib.sha256(b).hexdigest()[:12] for b in blobs)))
 
     return results

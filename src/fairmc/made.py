@@ -9,7 +9,10 @@ irreducible.
 
 Implemented directly in numpy with analytic backprop: the network is tiny
 (one hidden layer of width 4N) and this keeps training bit-reproducible with
-no framework dependency.
+no framework dependency.  While `train` runs, every weight and bias is a view
+into one flat parameter buffer and Adam updates it in one in-place pass per
+step: at these sizes a step costs numpy calls, not arithmetic.  Training is
+bit-reproducible: a fixed seed gives the same checkpoint bytes.
 """
 
 from __future__ import annotations
@@ -91,19 +94,31 @@ class MadeNetwork:
 
     def conditionals(self, x: np.ndarray) -> np.ndarray:
         """q(b_i = 1 | bits before i), clamped to [EPS, 1-EPS].  x: (..., N)."""
-        h, _ = self._forward(np.atleast_2d(x))
+        h, _, _ = self._forward(np.atleast_2d(x))
         return h if x.ndim > 1 else h[0]
 
     def _forward(self, x):
-        """Returns (clamped conditionals, per-layer activations for backprop)."""
+        """Returns (clamped conditionals, per-layer activations for backprop,
+        masked weights)."""
+        masked = [w * m for w, m in zip(self.weights, self.masks)]
         acts = [x]
         h = x
-        for l in range(len(self.weights) - 1):
-            h = np.tanh(h @ (self.weights[l] * self.masks[l]).T + self.biases[l])
+        for wm, b in zip(masked[:-1], self.biases):
+            h = h @ wm.T
+            h += b
+            np.tanh(h, out=h)
             acts.append(h)
-        logits = h @ (self.weights[-1] * self.masks[-1]).T + self.biases[-1]
-        p = 1.0 / (1.0 + np.exp(-logits))
-        return np.clip(p, EPS, 1.0 - EPS), acts
+        p = h @ masked[-1].T
+        p += self.biases[-1]
+        # p = 1 / (1 + exp(-logits)), in place
+        np.negative(p, out=p)
+        np.exp(p, out=p)
+        p += 1.0
+        np.divide(1.0, p, out=p)
+        # the clamp, as np.clip computes it; a NaN stays NaN for train's check
+        np.maximum(p, EPS, out=p)
+        np.minimum(p, 1.0 - EPS, out=p)
+        return p, acts, masked
 
     # -- persistence ---------------------------------------------------------
 
@@ -169,24 +184,54 @@ def exact_probabilities(net: MadeNetwork) -> np.ndarray:
     return np.exp(log_prob_batch(net, bits.astype(np.float64)))
 
 
-def _nll_and_grads(net, batch):
-    """Mean negative log-likelihood and its analytic parameter gradients."""
-    q1, acts = net._forward(batch)
-    b = batch
-    nll = -np.mean(np.sum(np.where(b > 0.5, np.log(q1), np.log1p(-q1)), axis=1))
-
-    bsz = batch.shape[0]
+def _gradients(net, batch, grads_w, grads_b):
+    """Mean-NLL gradients over `batch` by analytic backprop, written into the
+    arrays `grads_w` and `grads_b`; returns the batch's clamped conditionals."""
+    q1, acts, masked = net._forward(batch)
     # d(nll)/d(logit) = (q - b)/bsz; zero where the clamp is active
     active = (q1 > EPS) & (q1 < 1.0 - EPS)
-    delta = (q1 - b) * active / bsz
-
-    grads_w, grads_b = [], []
-    for l in reversed(range(len(net.weights))):
-        grads_w.append((delta.T @ acts[l]) * net.masks[l])
-        grads_b.append(delta.sum(axis=0))
+    delta = q1 - batch
+    delta *= active
+    delta /= len(batch)
+    for l in reversed(range(len(masked))):
+        np.matmul(delta.T, acts[l], out=grads_w[l])
+        grads_w[l] *= net.masks[l]
+        np.add.reduce(delta, axis=0, out=grads_b[l])
         if l > 0:
-            delta = (delta @ (net.weights[l] * net.masks[l])) * (1.0 - acts[l] ** 2)
-    return nll, grads_w[::-1], grads_b[::-1]
+            delta = delta @ masked[l]
+            delta *= 1.0 - acts[l] ** 2
+    return q1
+
+
+def _gradient_error(net, batch) -> float:
+    """Worst relative gap between `_gradients` and central differences of the
+    mean NLL from `log_prob_batch`, over every parameter of `net`."""
+    grads_w = [np.empty_like(w) for w in net.weights]
+    grads_b = [np.empty_like(b) for b in net.biases]
+    _gradients(net, batch, grads_w, grads_b)
+    h = 1e-5
+    worst = 0.0
+    for p_arr, g_arr in zip(net.weights + net.biases, grads_w + grads_b):
+        for idx in np.ndindex(p_arr.shape):
+            orig = p_arr[idx]
+            p_arr[idx] = orig + h
+            up = -np.mean(log_prob_batch(net, batch))
+            p_arr[idx] = orig - h
+            dn = -np.mean(log_prob_batch(net, batch))
+            p_arr[idx] = orig
+            fd, g = (up - dn) / (2 * h), g_arr[idx]
+            if abs(fd) > 1e-12 or abs(g) > 1e-12:
+                worst = max(worst, abs(fd - g) / max(abs(fd), abs(g)))
+    return float(worst)
+
+
+def _views(flat, net):
+    """Arrays shaped as `net`'s weights and biases, as views into `flat`."""
+    views, lo = [], 0
+    for a in net.weights + net.biases:
+        views.append(flat[lo : lo + a.size].reshape(a.shape))
+        lo += a.size
+    return views[: len(net.weights)], views[len(net.weights) :]
 
 
 def train(
@@ -198,6 +243,11 @@ def train(
     network is the best-epoch snapshot, so its final NLL never exceeds the
     initial one.  Training stops early once PLATEAU_EPOCHS epochs pass
     without improving the best NLL by more than PLATEAU_TOL.
+
+    During training the weights and biases are views into one flat buffer
+    and the gradients into another, so each Adam step is one in-place pass
+    over all parameters.  A fixed seed reproduces the network bit for bit;
+    the returned network owns its arrays.
     """
     if not samples:
         raise ValueError("need a nonempty training set")
@@ -205,13 +255,19 @@ def train(
     if any(s.n != n for s in samples):
         raise DimensionError("training samples must share one length")
     x_all = np.stack([s.bit_array().astype(np.float64) for s in samples])
+    batch_size, lr = BATCH_SIZE, LEARNING_RATE
 
     rng = np.random.default_rng(cfg.rng_seed)
     net = MadeNetwork(n, (4 * n,), rng=rng)
 
-    params = net.weights + net.biases
-    m = [np.zeros_like(p) for p in params]
-    v = [np.zeros_like(p) for p in params]
+    theta = np.concatenate([p.ravel() for p in net.weights + net.biases])
+    net.weights, net.biases = _views(theta, net)
+    grad = np.empty_like(theta)
+    grads_w, grads_b = _views(grad, net)
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
+    update = np.empty_like(theta)
+    denom = np.empty_like(theta)
     beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
     step = 0
 
@@ -220,35 +276,46 @@ def train(
 
     curve = [dataset_nll()]
     best_nll = curve[0]
-    best_snapshot = ([w.copy() for w in net.weights], [b.copy() for b in net.biases])
+    best = theta.copy()
     best_epoch = 0
 
     for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(len(x_all))
-        for lo in range(0, len(x_all), BATCH_SIZE):
-            batch = x_all[order[lo : lo + BATCH_SIZE]]
-            nll, gw, gb = _nll_and_grads(net, batch)
-            if not np.isfinite(nll):
+        shuffled = x_all[rng.permutation(len(x_all))]
+        for lo in range(0, len(x_all), batch_size):
+            q1 = _gradients(net, shuffled[lo : lo + batch_size], grads_w, grads_b)
+            # the clamp bounds every q1, so the loss is non-finite only on a NaN
+            if np.isnan(q1.sum()):
                 raise TrainingError(f"non-finite loss at epoch {epoch}")
             step += 1
-            for i, g in enumerate(gw + gb):
-                m[i] = beta1 * m[i] + (1 - beta1) * g
-                v[i] = beta2 * v[i] + (1 - beta2) * g * g
-                mhat = m[i] / (1 - beta1**step)
-                vhat = v[i] / (1 - beta2**step)
-                params[i] -= LEARNING_RATE * mhat / (np.sqrt(vhat) + adam_eps)
+            # the operation order sets how every parameter rounds, and with
+            # it the checkpoint bytes: m = beta1*m + (1-beta1)*g,
+            # v = beta2*v + ((1-beta2)*g)*g, then
+            # theta -= (lr * m/(1-beta1^t)) / (sqrt(v/(1-beta2^t)) + eps)
+            m *= beta1
+            np.multiply(grad, 1 - beta1, out=update)
+            m += update
+            v *= beta2
+            np.multiply(grad, 1 - beta2, out=update)
+            update *= grad
+            v += update
+            np.divide(m, 1 - beta1**step, out=update)
+            update *= lr
+            np.divide(v, 1 - beta2**step, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += adam_eps
+            update /= denom
+            theta -= update
         curve.append(dataset_nll())
         if curve[-1] < best_nll - PLATEAU_TOL:
             best_nll = curve[-1]
-            best_snapshot = (
-                [w.copy() for w in net.weights],
-                [b.copy() for b in net.biases],
-            )
+            np.copyto(best, theta)
             best_epoch = epoch
         elif epoch - best_epoch >= PLATEAU_EPOCHS:
             break
 
-    net.weights, net.biases = best_snapshot
+    best_w, best_b = _views(best, net)
+    net.weights = [w.copy() for w in best_w]
+    net.biases = [b.copy() for b in best_b]
     return net, curve
 
 

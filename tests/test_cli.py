@@ -404,5 +404,5 @@ class TestValidateCommand:
             "made_gradient_check", "sat_ising_equivalence",
             "icm_pair_energy_conserved", "qaoa_expm_oracle",
             "qaoa_adjoint_gradient", "evolve_expm_oracle", "measurement_chi2",
-            "mixer_kronecker_oracle",
+            "mixer_kronecker_oracle", "made_training_reproducible",
         ]

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -148,31 +150,10 @@ class TestTrain:
         assert final <= curve[0] + 1e-9
 
     def test_gradient_check_finite_differences(self):
-        from fairmc.made import _nll_and_grads
-
         net = random_net(3, hidden=(8,), seed=10, scale=0.5)
         rng = np.random.default_rng(11)
         batch = (rng.random((16, 3)) > 0.5).astype(float)
-        _, gw, gb = _nll_and_grads(net, batch)
-        analytic = gw + gb
-        params = net.weights + net.biases
-        h = 1e-5
-        worst = 0.0
-        for p_arr, g_arr in zip(params, analytic):
-            flat_p = p_arr.ravel()
-            flat_g = g_arr.ravel()
-            for i in range(flat_p.size):
-                orig = flat_p[i]
-                flat_p[i] = orig + h
-                up, _, _ = _nll_and_grads(net, batch)
-                flat_p[i] = orig - h
-                dn, _, _ = _nll_and_grads(net, batch)
-                flat_p[i] = orig
-                fd = (up - dn) / (2 * h)
-                denom = max(abs(fd), abs(flat_g[i]), 1e-8)
-                if abs(fd) > 1e-12 or abs(flat_g[i]) > 1e-12:
-                    worst = max(worst, abs(fd - flat_g[i]) / denom)
-        assert worst < 1e-4
+        assert made._gradient_error(net, batch) < 1e-4
 
     def test_beats_uniform_baseline_on_circuit_samples(self):
         from fairmc.qaoa import expand, optimize
@@ -191,6 +172,61 @@ class TestTrain:
         tvd_net = 0.5 * np.abs(learned - target).sum()
         tvd_uniform = 0.5 * np.abs(np.full(64, 1 / 64) - target).sum()
         assert tvd_net < tvd_uniform
+
+    # (n, samples, epochs, seed, skewed samples) -> (epochs run, sha256 of the
+    # checkpoint bytes, sha256 of the space-joined float.hex of the loss curve),
+    # recorded before training moved to one flat parameter buffer; the last
+    # case stops on the plateau rule
+    PINNED = {
+        (5, 200, 50, 1, True): (
+            50,
+            "baa8070eb8a230deb51a126f437d3cd1586bf6b8a76de71a15eedde85319ad53",
+            "8a089fd4099fb0be60874dc1f49f17a8ad666e71d6bc29a78f139a16f946fed8"),
+        (10, 500, 100, 2, True): (
+            100,
+            "e2b9e4a48ce1352f5f0c687e1736febde057ab4266cb106d10680673c6f3b0f0",
+            "1c611c2218434b7c0a300ae01c1f2b6abf3d6864081cdb032ab97e65a8d12d26"),
+        (5, 200, 2000, 3, False): (
+            397,
+            "e6553ec4c6e911023d2bdfefeb162c3d33c1952763b9584331d31c6c163f7c9e",
+            "1a28e758a465b54200ee8d18c8c8b367238ff41478f1c8052ab968cb447e090d"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_pinned_training(self, case, tmp_path):
+        n, size, epochs, seed, skew = case
+        rng = np.random.default_rng(seed)
+        z = rng.integers(0, 1 << n, size)
+        if skew:
+            z &= rng.integers(0, 1 << n, size)
+        samples = [SpinConfig(int(v), n) for v in z]
+        net, curve = train(samples, TrainConfig(epochs=epochs, rng_seed=seed))
+        save_checkpoint(net, tmp_path / "net.json")
+        checkpoint = hashlib.sha256((tmp_path / "net.json").read_bytes()).hexdigest()
+        losses = hashlib.sha256(" ".join(map(float.hex, curve)).encode()).hexdigest()
+        assert (len(curve) - 1, checkpoint, losses) == self.PINNED[case]
+
+    def test_non_finite_loss_raises(self, monkeypatch):
+        monkeypatch.setattr(made, "LEARNING_RATE", float("inf"))
+        samples = [SpinConfig(z % 32, 5) for z in range(200)]
+        with np.errstate(all="ignore"), pytest.raises(made.TrainingError, match="epoch 1"):
+            train(samples, TrainConfig(epochs=5, rng_seed=0))
+
+    def test_returned_net_owns_its_arrays(self):
+        rng = np.random.default_rng(15)
+        samples = [SpinConfig(int(z), 6) for z in rng.integers(0, 64, size=300)]
+        net, curve = train(samples, TrainConfig(epochs=30, rng_seed=4))
+        arrays = net.weights + net.biases
+        for i, a in enumerate(arrays):
+            assert a.base is None
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
+        x = np.stack([s.bit_array() for s in samples]).astype(float)
+        assert float(-np.mean(log_prob_batch(net, x))) in curve
+        weights = [w.copy() for w in net.weights]
+        net.biases[-1][:] = 5.0
+        for w, before in zip(net.weights, weights):
+            np.testing.assert_array_equal(w, before)
 
     def test_rejects_empty_and_ragged(self):
         with pytest.raises(ValueError):
