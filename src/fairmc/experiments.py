@@ -78,12 +78,11 @@ from fairmc.made import (
 from fairmc.mcmc import HybridUpdate, MadeKernel, QeKernel, run_chain
 from fairmc.metrics import (
     INCOMPLETE,
-    GroundStateHistogram,
     ResultRecord,
     aggregate,
     fairness,
+    frequencies,
     histogram,
-    records_to_csv,
     rows_to_csv,
     steps_to_enumerate,
     superiority_counts,
@@ -403,14 +402,14 @@ def _write_summary(path: Path, payload: dict):
 
 
 def _chain_summary(trace, solutions, algo, instance, trial, seed, **extra):
-    hist = histogram(trace, solutions)
+    counts = histogram(trace, solutions)
     return {
         "algorithm": algo,
         "instance": instance,
         "trial": trial,
         "seed": seed,
-        "counts": hist.counts.tolist(),
-        "total_gs_samples": hist.total_gs_samples,
+        "counts": counts.tolist(),
+        "total_gs_samples": float(counts.sum()),
         "steps_to_enumerate": steps_to_enumerate(trace, solutions),
         "n_steps": trace.n_steps,
         "n_transitions": trace.n_transitions,
@@ -539,9 +538,7 @@ def stage_metrics(cfg: ExperimentConfig, out: Path):
                 all_found = bool(steps_list)
                 ratio, tvd = None, math.nan
             else:
-                counts = np.sum([np.array(s["counts"]) for s in summaries], axis=0)
-                hist = metrics_hist(entry.solutions, counts)
-                rep = fairness(hist)
+                rep = fairness(np.sum([s["counts"] for s in summaries], axis=0))
                 all_found, ratio, tvd = rep.all_found, rep.max_min_ratio, rep.tvd_to_uniform
             records.append(
                 ResultRecord(
@@ -553,18 +550,13 @@ def stage_metrics(cfg: ExperimentConfig, out: Path):
 
     mdir = out / "metrics"
     mdir.mkdir(exist_ok=True)
-    records_to_csv(records, mdir / "records.csv")
+    rows_to_csv([asdict(r) for r in records], mdir / "records.csv")
     rows_to_csv(aggregate(records), mdir / "summary.csv")
     sup = superiority_counts(records)
     if sup:
         rows_to_csv(sup, mdir / "superiority.csv")
     rows_to_csv(trial_rows, mdir / "trials.csv")
     return records
-
-
-def metrics_hist(solutions, counts):
-    gs = tuple(sorted(solutions, key=lambda s: s.bits))
-    return GroundStateHistogram(gs, np.asarray(counts, dtype=float))
 
 
 def run_ksat(cfg: ExperimentConfig, out: Path, threads: int = 1):
@@ -581,12 +573,12 @@ def run_ksat(cfg: ExperimentConfig, out: Path, threads: int = 1):
 # small fixed instances
 
 
-def _restricted_rows(name, method, hist):
-    freqs = hist.frequencies()
+def _restricted_rows(name, method, gs, counts):
+    # gs in ascending-bits order, the order of the weights in `counts`
     return [
         {"fixture": name, "method": method, "bitstring": s.to_bitstring(),
-         "frequency": float(freqs[i])}
-        for i, s in enumerate(hist.ground_states)
+         "frequency": float(f)}
+        for s, f in zip(gs, frequencies(counts))
     ]
 
 
@@ -600,20 +592,20 @@ def run_small_instances(cfg: ExperimentConfig, out: Path):
         emin, gs = ground_states_bruteforce(model)
 
         qa_state = run_annealing(model, linear_schedule(cfg.anneal_time))
-        qa_hist = histogram(measure_distribution(qa_state), gs)
+        qa_counts = histogram(measure_distribution(qa_state), gs)
 
         params = optimize_free(
             model, cfg.qaoa_depth, cfg.qaoa_starts,
             np.random.default_rng(derive_seed(cfg.seed, "fx-qaoa", fx_idx)),
         )
         qaoa_state = run_qaoa(model, params.gammas, params.betas)
-        qaoa_hist = histogram(measure_distribution(qaoa_state), gs)
+        qaoa_counts = histogram(measure_distribution(qaoa_state), gs)
 
         qe_trace = run_chain(
             model, Temperature(cfg.beta), QeKernel(model), cfg.samples,
             rng_seed=derive_seed(cfg.seed, "fx-qe", fx_idx),
         )
-        qe_hist = histogram(qe_trace, gs)
+        qe_counts = histogram(qe_trace, gs)
 
         draws = sample(
             qaoa_state, cfg.train_samples,
@@ -624,14 +616,14 @@ def run_small_instances(cfg: ExperimentConfig, out: Path):
             model, Temperature(cfg.beta), MadeKernel(net), cfg.samples,
             rng_seed=derive_seed(cfg.seed, "fx-nmc", fx_idx),
         )
-        nmc_hist = histogram(nmc_trace, gs)
+        nmc_counts = histogram(nmc_trace, gs)
 
-        for method, hist in (
-            ("qa", qa_hist), ("qaoa", qaoa_hist),
-            ("qe-mcmc", qe_hist), ("qaoa-nmc", nmc_hist),
+        for method, counts in (
+            ("qa", qa_counts), ("qaoa", qaoa_counts),
+            ("qe-mcmc", qe_counts), ("qaoa-nmc", nmc_counts),
         ):
-            rows.extend(_restricted_rows(name, method, hist))
-            rep = fairness(hist)
+            rows.extend(_restricted_rows(name, method, gs, counts))
+            rep = fairness(counts)
             summary.append(
                 {"fixture": name, "method": method, "n_ground": rep.n_ground,
                  "all_found": rep.all_found, "max_min_ratio": rep.max_min_ratio,
@@ -654,13 +646,12 @@ def run_anneal_sweep(cfg: ExperimentConfig, out: Path):
     rows = []
     for t_a in grid:
         state = run_annealing(model, linear_schedule(float(t_a)))
-        hist = histogram(measure_distribution(state), gs)
-        rep = fairness(hist)
-        freqs = hist.frequencies()
-        for i, s in enumerate(hist.ground_states):
+        counts = histogram(measure_distribution(state), gs)
+        rep = fairness(counts)
+        for s, f in zip(gs, frequencies(counts)):
             rows.append(
                 {"anneal_time": float(t_a), "bitstring": s.to_bitstring(),
-                 "frequency": float(freqs[i]), "max_min_ratio": rep.max_min_ratio}
+                 "frequency": float(f), "max_min_ratio": rep.max_min_ratio}
             )
     rows_to_csv(rows, out / "anneal_sweep.csv")
 

@@ -5,13 +5,19 @@ ground state (1 = perfectly fair); it is undefined whenever some ground state
 was never sampled, and such runs are excluded from ratio averages.  A
 total-variation distance to the uniform ground-state distribution is emitted
 alongside as a supplementary, noise-robust measure.
+
+A count vector is the one type these statistics pass around: a float ndarray
+holding one weight per ground state, in ascending-bits order.  `histogram`
+makes one from a chain trace (occurrence counts) or from an exact output
+distribution (probabilities); pooled trials add theirs elementwise, and an
+i.i.d. draw of hits is one as it stands.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -26,28 +32,6 @@ _WALK_CHUNK = 1024  # trace records converted at a time by steps_to_enumerate
 
 
 @dataclass(frozen=True)
-class GroundStateHistogram:
-    """Sample weight per ground state, in canonical (ascending-bits) order.
-
-    Counts are real-valued so exact distributions can be binned with the same
-    type; trace histograms hold integers.
-    """
-
-    ground_states: tuple[SpinConfig, ...]
-    counts: np.ndarray
-
-    @property
-    def total_gs_samples(self) -> float:
-        return float(self.counts.sum())
-
-    def frequencies(self) -> np.ndarray:
-        total = self.total_gs_samples
-        if total == 0:
-            return np.zeros_like(self.counts)
-        return self.counts / total
-
-
-@dataclass(frozen=True)
 class FairnessReport:
     max_min_ratio: float | None  # None when some ground state has zero weight
     all_found: bool
@@ -55,38 +39,45 @@ class FairnessReport:
     n_ground: int
 
 
-def histogram(source, ground_states: Sequence[SpinConfig]) -> GroundStateHistogram:
-    """Bin a chain trace (occurrence counts) or an exact output distribution
-    (probabilities restricted to the ground manifold, renormalized)."""
-    gs = tuple(sorted(ground_states, key=lambda s: s.bits))
-    if not gs:
+def frequencies(counts: np.ndarray) -> np.ndarray:
+    """Weights scaled to sum to one; all zeros when they sum to zero."""
+    total = counts.sum()
+    if total == 0:
+        return np.zeros_like(counts)
+    return counts / total
+
+
+def histogram(source, ground_states: Sequence[SpinConfig]) -> np.ndarray:
+    """Weight per ground state, in ascending-bits order: occurrence counts of
+    a chain trace, or an exact output distribution's probabilities restricted
+    to the ground manifold, renormalized."""
+    bits = sorted(s.bits for s in ground_states)
+    if not bits:
         raise ValueError("ground-state list must be nonempty")
-    index = {s.bits: i for i, s in enumerate(gs)}
 
     if isinstance(source, ChainTrace):
-        counts = np.zeros(len(gs))
+        index = {z: i for i, z in enumerate(bits)}
+        counts = np.zeros(len(bits))
         states, hits = np.unique(source.states, return_counts=True)
         for z, hit in zip(states.tolist(), hits.tolist()):
             i = index.get(z)
             if i is not None:
                 counts[i] = hit
-        return GroundStateHistogram(gs, counts)
+        return counts
 
     if isinstance(source, OutputDistribution):
-        raw = np.array([source.probs[s.bits] for s in gs])
-        total = raw.sum()
-        counts = raw / total if total > 0 else raw
-        return GroundStateHistogram(gs, counts)
+        return frequencies(source.probs[bits])
 
     raise TypeError(f"cannot histogram {type(source).__name__}")
 
 
-def fairness(hist: GroundStateHistogram) -> FairnessReport:
-    n = len(hist.ground_states)
-    freqs = hist.frequencies()
-    all_found = bool(np.all(hist.counts > 0))
+def fairness(counts: np.ndarray) -> FairnessReport:
+    """Fairness of a `histogram` weight vector."""
+    n = len(counts)
+    freqs = frequencies(counts)
+    all_found = bool(np.all(counts > 0))
     ratio = float(freqs.max() / freqs.min()) if all_found else None
-    if hist.total_gs_samples == 0:
+    if counts.sum() == 0:
         tvd = math.nan
     else:
         tvd = float(0.5 * np.abs(freqs - 1.0 / n).sum())
@@ -203,15 +194,6 @@ def superiority_counts(records: Sequence[ResultRecord]) -> list[dict]:
                 else:
                     row["ties"] += 1
     return [pair_rows[k] for k in sorted(pair_rows)]
-
-
-def records_to_csv(records: Sequence[ResultRecord], path) -> None:
-    cols = [f.name for f in fields(ResultRecord)]
-    with atomic_write(path) as f:
-        w = csv.writer(f)
-        w.writerow(cols)
-        for r in records:
-            w.writerow(["" if getattr(r, c) is None else getattr(r, c) for c in cols])
 
 
 def records_from_csv(path) -> list[ResultRecord]:

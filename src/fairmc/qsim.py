@@ -17,8 +17,12 @@ Time evolution under any other Hamiltonian builds the real-symmetric
 commutator-free Magnus integrator CF4 (two such exponentials per step).
 That is limited to _DENSE_MAX sites; both raise ising.CapacityError above it.
 
-All public operations preserve the norm to ~1e-9 or better and return new
-StateVector values.
+The operations that return a StateVector (`apply_phase_layer`,
+`apply_mixer_layer`, `run_qaoa`, `evolve_fixed`, `run_annealing`) return new
+values and preserve the norm to ~1e-9 or better.  The array-level layers
+return arrays: `phase_factors` the unit-modulus factors, `rotate_mixer` its
+input rotated by a unitary (norm kept), and `apply_driver` H_d psi, whose
+norm is not psi's.
 """
 
 from __future__ import annotations
@@ -73,7 +77,6 @@ class OutputDistribution:
     """Measurement probabilities |<z|psi>|^2 over the computational basis."""
 
     probs: np.ndarray
-    n_qubits: int
 
     def __post_init__(self):
         if not np.isclose(self.probs.sum(), 1.0, atol=1e-9):
@@ -319,7 +322,7 @@ def run_annealing(model: IsingModel, schedule: AnnealSchedule) -> StateVector:
 
 def measure_distribution(state: StateVector) -> OutputDistribution:
     p = state.probabilities()
-    return OutputDistribution(p / p.sum(), state.n_qubits)
+    return OutputDistribution(p / p.sum())
 
 
 def sample(state: StateVector, count: int, rng: np.random.Generator) -> list[SpinConfig]:

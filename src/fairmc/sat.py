@@ -82,15 +82,12 @@ class Clause:
 class CnfFormula:
     n_vars: int
     clauses: tuple[Clause, ...]
-    k: int = 0  # nominal clause width; 0 = derive from the widest clause
 
     def __post_init__(self):
         for c in self.clauses:
             for l in c.literals:
                 if not 0 <= l.variable < self.n_vars:
                     raise ValueError(f"variable {l.variable} out of range")
-        if self.k == 0 and self.clauses:
-            object.__setattr__(self, "k", max(len(c) for c in self.clauses))
 
     @property
     def n_clauses(self) -> int:
@@ -177,7 +174,7 @@ def generate_instance(n: int, k: int, alpha_c: float, rng_seed) -> CnfFormula:
         clauses.append(
             Clause(tuple(Literal(int(v), bool(s)) for v, s in key))
         )
-    return CnfFormula(n, tuple(clauses), k)
+    return CnfFormula(n, tuple(clauses))
 
 
 def _unsat_mask_per_clause(clause: Clause, z: np.ndarray) -> np.ndarray:
@@ -212,7 +209,7 @@ def add_blocking_clause(formula: CnfFormula, solution: SpinConfig) -> CnfFormula
     lits = tuple(
         Literal(v, negated=bool(solution.bit(v))) for v in range(formula.n_vars)
     )
-    return CnfFormula(formula.n_vars, formula.clauses + (Clause(lits),), formula.k)
+    return CnfFormula(formula.n_vars, formula.clauses + (Clause(lits),))
 
 
 @dataclass(frozen=True)

@@ -364,7 +364,7 @@ class TestBlockedSolutionBookkeeping:
         sols = enumerate_solutions(formula)
         blocked = sols[: len(sols) - 1]
         reference, asg = self._pair(formula, blocked, 0, _UnsatRecorder)
-        appended = CnfFormula(9, reference.clauses, formula.k)
+        appended = CnfFormula(9, reference.clauses)
         cfg = WalkSatConfig(max_flips=5000, rng_seed=0)
         a = walksat_run(appended, cfg, random.Random(1), reference)
         b = walksat_run(formula, cfg, random.Random(1), asg)

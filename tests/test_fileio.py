@@ -8,7 +8,7 @@ import pytest
 from fairmc import cli, experiments
 from fairmc.fileio import atomic_write
 from fairmc.made import MadeNetwork, save_checkpoint
-from fairmc.metrics import ResultRecord, records_to_csv, rows_to_csv
+from fairmc.metrics import rows_to_csv
 from fairmc.sat import ALPHA_C, Clause, build_instance_set, save_instance_set, write_dimacs
 
 
@@ -57,15 +57,11 @@ def test_failed_write_keeps_old_content(tmp_path, dump_dies_midway):
     assert path.read_text() == "old"
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
-    # the CSV writers: the first row is written, the second fails
+    # the CSV writer: the first row is written, the second fails
     path = tmp_path / "out.csv"
     path.write_text("old")
     with pytest.raises(Interrupted):
         rows_to_csv([{"a": 1}, {"a": DiesWhenWritten()}], path)
-    record = ResultRecord(2, 5, "walksat", 0, 2, 1.0, True, 0.0, 3.0)
-    dies = ResultRecord(2, 5, "walksat", 1, 2, DiesWhenWritten(), True, 0.0, 3.0)
-    with pytest.raises(Interrupted):
-        records_to_csv([record, dies], path)
     assert path.read_text() == "old"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.json"]
 

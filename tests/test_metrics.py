@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -10,13 +10,11 @@ from fairmc.ising import IsingModel, SpinConfig, Temperature
 from fairmc.mcmc import SsfSweepUpdate, run_chain
 from fairmc.metrics import (
     INCOMPLETE,
-    GroundStateHistogram,
     ResultRecord,
     aggregate,
     fairness,
     histogram,
     records_from_csv,
-    records_to_csv,
     rows_to_csv,
     steps_to_enumerate,
     superiority_counts,
@@ -43,36 +41,39 @@ class TestHistogram:
         m = IsingModel.from_terms(4, [((0, 1), -1.0), ((2, 3), 1.0)])
         trace = run_chain(m, Temperature(1.0), SsfSweepUpdate(), 500, rng_seed=0)
         gs = gs_list([0, 3, 5, 12])
-        hist = histogram(trace, gs)
-        for i, s in enumerate(hist.ground_states):
-            naive = int(np.sum(trace.states == s.bits))
-            assert hist.counts[i] == naive
+        counts = histogram(trace, gs)
+        for s, count in zip(gs, counts):
+            assert count == int(np.sum(trace.states == s.bits))
 
     def test_trace_never_visiting_ground_states(self):
         trace = synthetic_trace([7, 7, 9])
-        hist = histogram(trace, gs_list([0, 1]))
-        assert hist.counts.tolist() == [0.0, 0.0]
-        assert hist.total_gs_samples == 0
+        counts = histogram(trace, gs_list([0, 1]))
+        assert counts.tolist() == [0.0, 0.0]
 
     def test_distribution_binning_renormalizes(self):
         probs = np.zeros(16)
         probs[[1, 2]] = 0.3, 0.1
         probs[5] = 0.6
-        dist = OutputDistribution(probs, 4)
-        hist = histogram(dist, gs_list([1, 2]))
-        np.testing.assert_allclose(hist.counts, [0.75, 0.25])
-        assert hist.total_gs_samples == pytest.approx(1.0)
+        dist = OutputDistribution(probs)
+        counts = histogram(dist, gs_list([1, 2]))
+        np.testing.assert_allclose(counts, [0.75, 0.25])
+        assert counts.sum() == pytest.approx(1.0)
 
     def test_exact_uniform_distribution_equal_bins(self):
-        dist = OutputDistribution(np.full(16, 1 / 16), 4)
-        hist = histogram(dist, gs_list([0, 5, 9]))
-        np.testing.assert_allclose(hist.counts, np.full(3, 1 / 3))
+        dist = OutputDistribution(np.full(16, 1 / 16))
+        counts = histogram(dist, gs_list([0, 5, 9]))
+        np.testing.assert_allclose(counts, np.full(3, 1 / 3))
+
+    def test_distribution_without_ground_weight_gives_zeros(self):
+        probs = np.zeros(16)
+        probs[[3, 7]] = 0.5
+        counts = histogram(OutputDistribution(probs), gs_list([1, 2]))
+        assert counts.tolist() == [0.0, 0.0]
 
     def test_canonical_order(self):
+        # weights follow ascending bits, whatever order the states come in
         trace = synthetic_trace([9, 5, 9])
-        hist = histogram(trace, gs_list([9, 5]))
-        assert [s.bits for s in hist.ground_states] == [5, 9]
-        assert hist.counts.tolist() == [1.0, 2.0]
+        assert histogram(trace, gs_list([9, 5])).tolist() == [1.0, 2.0]
 
     def test_empty_ground_states_rejected(self):
         with pytest.raises(ValueError):
@@ -81,29 +82,25 @@ class TestHistogram:
 
 class TestFairness:
     def test_uniform_counts(self):
-        hist = GroundStateHistogram(tuple(gs_list([0, 1, 2])), np.array([5.0, 5, 5]))
-        rep = fairness(hist)
+        rep = fairness(np.array([5.0, 5, 5]))
         assert rep.max_min_ratio == 1.0
         assert rep.tvd_to_uniform == 0.0
         assert rep.all_found
 
     def test_three_one_counts(self):
-        hist = GroundStateHistogram(tuple(gs_list([0, 1])), np.array([3.0, 1.0]))
-        rep = fairness(hist)
+        rep = fairness(np.array([3.0, 1.0]))
         assert rep.max_min_ratio == pytest.approx(3.0)
         assert rep.tvd_to_uniform == pytest.approx(0.25)
 
     def test_zero_count_undefined_ratio(self):
-        hist = GroundStateHistogram(tuple(gs_list([0, 1])), np.array([4.0, 0.0]))
-        rep = fairness(hist)
+        rep = fairness(np.array([4.0, 0.0]))
         assert rep.max_min_ratio is None
         assert not rep.all_found
         assert rep.tvd_to_uniform == pytest.approx(0.5)
 
     def test_scale_invariance(self):
-        a = GroundStateHistogram(tuple(gs_list([0, 1, 2])), np.array([2.0, 6, 4]))
-        b = GroundStateHistogram(tuple(gs_list([0, 1, 2])), np.array([20.0, 60, 40]))
-        ra, rb = fairness(a), fairness(b)
+        ra = fairness(np.array([2.0, 6, 4]))
+        rb = fairness(np.array([20.0, 60, 40]))
         assert ra.max_min_ratio == rb.max_min_ratio
         assert ra.tvd_to_uniform == rb.tvd_to_uniform
         assert ra.all_found == rb.all_found
@@ -114,15 +111,18 @@ class TestFairness:
         rng = np.random.default_rng(1)
         ratios = []
         for _ in range(2000):
-            counts = rng.multinomial(1000, np.full(6, 1 / 6))
-            hist = GroundStateHistogram(
-                tuple(gs_list(list(range(6)), n=3)), counts.astype(float)
-            )
-            rep = fairness(hist)
+            rep = fairness(rng.multinomial(1000, np.full(6, 1 / 6)).astype(float))
             assert rep.all_found
             ratios.append(rep.max_min_ratio)
         assert np.median(ratios) < 1.5
         assert np.quantile(ratios, 0.99) < 2.0
+
+    def test_all_zero_counts(self):
+        rep = fairness(np.zeros(3))
+        assert rep.max_min_ratio is None
+        assert not rep.all_found
+        assert math.isnan(rep.tvd_to_uniform)
+        assert rep.n_ground == 3
 
 
 class TestStepsToEnumerate:
@@ -222,7 +222,7 @@ class TestAggregate:
         recs = self.make_records()
         recs[1].steps = None
         path = tmp_path / "records.csv"
-        records_to_csv(recs, path)
+        rows_to_csv([asdict(r) for r in recs], path)
         loaded = records_from_csv(path)
         assert loaded == recs
         assert aggregate(loaded) == aggregate(recs)
@@ -236,7 +236,7 @@ class TestAggregate:
             ResultRecord(3, 10, "walksat", 0, 4, None, True, math.nan, 76.5),
         ]
         path = tmp_path / "records.csv"
-        records_to_csv(recs, path)
+        rows_to_csv([asdict(r) for r in recs], path)
         loaded = records_from_csv(path)
         assert len(loaded) == len(recs)
         for got, want in zip(loaded, recs):

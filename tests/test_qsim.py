@@ -355,4 +355,4 @@ class TestMeasurement:
 class TestDistributionType:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
-            OutputDistribution(np.array([0.5, 0.2]), 1)
+            OutputDistribution(np.array([0.5, 0.2]))
