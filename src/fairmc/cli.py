@@ -15,11 +15,12 @@ a missing earlier stage, or a resume into an --out directory written by a
 different config (seed included).  Exit 2 with nothing written covers every
 config that `fairmc.experiments` refuses at load (see its docstring), and a
 config whose kind the command does not run: fig1 and fig2 need the kind of
-their preset (`FIG_KINDS`), fig3-fig7 and the stage commands a k-SAT kind.
-fig3 runs its config at k = 2 and at k = 3, so both must pass the load
-checks: sizes [3], for one, is refused at k = 3.  A key that is not a config
-field is refused too; `walksat_variant` is none, as WalkSATlm is the only
-WalkSAT.
+their preset, fig3-fig7 and the stage commands a k-SAT kind.  fig3 runs its
+config at k = 2 and at k = 3, so both must pass the load checks: sizes [3],
+for one, is refused at k = 3.  A key that is not a config field is refused
+too; `walksat_variant` is none, as WalkSATlm is the only WalkSAT, and nor
+are `beta` and the anneal grid, the constants `BETA` and `ANNEAL_GRID` of
+`fairmc.experiments`.
 """
 
 from __future__ import annotations
@@ -55,15 +56,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_CONFIG = 2
 
-FIG_KINDS = {
-    "fig1": "SMALL_INSTANCES",
-    "fig2": "ANNEAL_SWEEP",
-    "fig3": "KSAT_FAIRNESS",
-    "fig4": "KSAT_FAIRNESS",
-    "fig5": "KSAT_FAIRNESS",
-    "fig6": "KSAT_COUNTING",
-    "fig7": "KSAT_COUNTING",
-}
+FIGS = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7")
 
 STAGE_COMMANDS = ("gen-instances", "optimize-qaoa", "train-made",
                   "run-chains", "run-baselines", "metrics")
@@ -135,7 +128,8 @@ def cmd_stage(args) -> int:
 
 def cmd_fig(args) -> int:
     name = args.command
-    kinds = KSAT_KINDS if FIG_KINDS[name] in KSAT_KINDS else (FIG_KINDS[name],)
+    kind = load_preset(name)["kind"]
+    kinds = KSAT_KINDS if kind in KSAT_KINDS else (kind,)
     cfg = _load_config(args, kinds, preset=name)
     out = Path(args.out)
     if name == "fig1":
@@ -179,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
         add_common(ps)
         ps.set_defaults(fn=cmd_stage)
 
-    for fig in FIG_KINDS:
+    for fig in FIGS:
         pf = sub.add_parser(fig, help=f"preset experiment {fig}")
         add_common(pf)
         pf.set_defaults(fn=cmd_fig)

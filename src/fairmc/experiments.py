@@ -30,14 +30,13 @@ A stage whose inputs are missing raises `StageError` naming the first
 missing file; for `metrics` that includes any trial summary missing from an
 algorithm's chains/<algo>/ directory, so partial runs are never pooled.  A
 config is refused with `ConfigError` at load, before anything is written, if
-a count field, k, a size or the seed is not an integer, beta or an anneal
-setting is not a number, use_fixed_angles is not a bool, a count is below 1,
-beta is not finite and positive, sizes are empty, repeated (a size's draws
-are seeded by the size, so a repeat builds the same instances again) or
-outside k+1..24 (at n = k a 2-SAT draw has one solution, and the instance
-filter keeps only draws with at least two; a 3-SAT draw needs more distinct
-clauses than exist), algorithms are empty, or, with PT-ICM, beta is below
-0.1, so that the ladder from `BETA_MIN` is not ascending.
+a count field, k, a size or the seed is not an integer, anneal_time is not a
+finite non-negative number, use_fixed_angles is not a bool, a count is below
+1, sizes are empty, repeated (a size's draws are seeded by the size, so a
+repeat builds the same instances again) or outside k+1..24 (at n = k a 2-SAT
+draw has one solution, and the instance filter keeps only draws with at
+least two; a 3-SAT draw needs more distinct clauses than exist), or
+algorithms are empty.
 """
 
 from __future__ import annotations
@@ -112,9 +111,11 @@ SAMPLER_ALGOS = ("qaoa-nmc", "qaoa-hmc")
 ALL_ALGOS = SAMPLER_ALGOS + ("pt-icm", "walksat")
 # config fields that count something and so must be integers of at least 1
 COUNT_FIELDS = ("per_size", "qaoa_depth", "qaoa_starts", "train_samples", "made_epochs",
-                "chain_steps", "trials", "walksat_max_flips", "anneal_grid_points", "samples")
-# config fields that hold a real number
-REAL_FIELDS = ("beta", "anneal_time", "anneal_grid_min", "anneal_grid_max")
+                "chain_steps", "trials", "walksat_max_flips", "samples")
+# the target inverse temperature of every chain and the top of the PT-ICM ladder
+BETA = 10.0
+# fig2's anneal times
+ANNEAL_GRID = np.geomspace(0.1, 1000.0, 30)
 
 
 class ConfigError(ValueError):
@@ -135,14 +136,14 @@ class ExperimentConfig:
     sweep and a Houdayer move a round (`pt_icm_run`), rounds from
     `_matched_pt_rounds`.  WalkSAT: WalkSATlm with `NOISE_P` and `LM_WEIGHTS`.
     QE-MCMC: (w, t) from `mcmc.QE_DRIVER_WEIGHT_RANGE` and `QE_TIME_RANGE`.
-    Annealing: ceil(64 sqrt(T)) CF4 steps (`run_annealing`).  Density:
-    `ALPHA_C[k]`."""
+    Chains: the inverse temperature `BETA`, also the top of the PT-ICM
+    ladder.  Annealing: ceil(64 sqrt(T)) CF4 steps (`run_annealing`), and
+    fig2's anneal times `ANNEAL_GRID`.  Density: `ALPHA_C[k]`."""
 
     kind: str
     k: int = 2
     sizes: tuple[int, ...] = (8, 9, 10, 11, 12, 13, 14, 15, 16)
     per_size: int = 100
-    beta: float = 10.0
     qaoa_depth: int = 5
     qaoa_starts: int = 10
     use_fixed_angles: bool = False
@@ -153,9 +154,6 @@ class ExperimentConfig:
     algorithms: tuple[str, ...] = ALL_ALGOS
     walksat_max_flips: int = 10**6
     anneal_time: float = 1000.0
-    anneal_grid_min: float = 0.1
-    anneal_grid_max: float = 1000.0
-    anneal_grid_points: int = 30
     samples: int = 1000  # measurement/trace draws for the small instances
     seed: int = 0
 
@@ -170,10 +168,8 @@ class ExperimentConfig:
         if type(self.use_fixed_angles) is not bool:
             raise ConfigError(
                 f"use_fixed_angles must be true or false, got {self.use_fixed_angles!r}")
-        for name in REAL_FIELDS:
-            value = getattr(self, name)
-            if type(value) not in (int, float):
-                raise ConfigError(f"{name} must be a number, got {value!r}")
+        if type(self.anneal_time) not in (int, float):
+            raise ConfigError(f"anneal_time must be a number, got {self.anneal_time!r}")
         unknown = set(self.algorithms) - set(ALL_ALGOS)
         if unknown:
             raise ConfigError(f"unknown algorithms {sorted(unknown)}")
@@ -182,17 +178,10 @@ class ExperimentConfig:
         if not (math.isfinite(self.anneal_time) and self.anneal_time >= 0):
             raise ConfigError(
                 f"anneal_time must be finite and non-negative, got {self.anneal_time}")
-        lo, hi = self.anneal_grid_min, self.anneal_grid_max
-        if not (math.isfinite(lo) and math.isfinite(hi) and 0 < lo <= hi):
-            raise ConfigError(
-                f"anneal grid needs finite 0 < anneal_grid_min <= anneal_grid_max, "
-                f"got {lo}, {hi}")
         for name in COUNT_FIELDS:
             value = getattr(self, name)
             if type(value) is not int or value < 1:
                 raise ConfigError(f"{name} must be an integer of at least 1, got {value!r}")
-        if not (math.isfinite(self.beta) and self.beta > 0):
-            raise ConfigError(f"beta must be finite and positive, got {self.beta}")
         self.sizes = tuple(self.sizes)
         if not self.sizes or not all(
                 type(n) is int and self.k < n <= MAX_BRUTEFORCE_SITES for n in self.sizes):
@@ -201,11 +190,6 @@ class ExperimentConfig:
         if len(set(self.sizes)) != len(self.sizes):
             raise ConfigError(f"sizes must not repeat, got {list(self.sizes)}")
         self.algorithms = tuple(self.algorithms)
-        if self.runs_pt_icm:  # refuse what PT-ICM rejects before the run is pinned
-            try:
-                self.pt_config(0)
-            except ValueError as exc:
-                raise ConfigError(f"{exc} (beta {self.beta})") from exc
 
     @property
     def alpha_c(self) -> float:
@@ -223,7 +207,7 @@ class ExperimentConfig:
         return TrainConfig(epochs=self.made_epochs, rng_seed=seed)
 
     def pt_config(self, seed: int) -> PtIcmConfig:
-        return PtIcmConfig(replica_betas=geometric_beta_ladder(beta_max=self.beta),
+        return PtIcmConfig(replica_betas=geometric_beta_ladder(beta_max=BETA),
                            rng_seed=seed)
 
     def walksat_config(self, seed: int) -> WalkSatConfig:
@@ -417,10 +401,9 @@ def _chain_summary(trace, solutions, algo, instance, trial, seed, **extra):
     }
 
 
-def _run_sampler_trial(path, model, solutions, algo, net, beta, steps, instance, trial,
-                       seed):
+def _run_sampler_trial(path, model, solutions, algo, net, steps, instance, trial, seed):
     update = MadeKernel(net) if algo == "qaoa-nmc" else HybridUpdate(net)
-    trace = run_chain(model, Temperature(beta), update, steps, rng_seed=seed)
+    trace = run_chain(model, Temperature(BETA), update, steps, rng_seed=seed)
     _write_summary(path, _chain_summary(trace, solutions, algo, instance, trial, seed))
 
 
@@ -436,7 +419,7 @@ def stage_chains(cfg: ExperimentConfig, out: Path, threads: int = 1):
         model, net = to_ising(entry.formula), load_checkpoint(net_path)
         tasks += [
             (_summary_path(out, algo, i, trial), model, entry.solutions, algo, net,
-             cfg.beta, cfg.chain_steps, i, trial,
+             cfg.chain_steps, i, trial,
              derive_seed(cfg.seed, "chain", algo, i, trial))
             for algo in algos for trial in range(cfg.trials)
         ]
@@ -602,7 +585,7 @@ def run_small_instances(cfg: ExperimentConfig, out: Path):
         qaoa_counts = histogram(measure_distribution(qaoa_state), gs)
 
         qe_trace = run_chain(
-            model, Temperature(cfg.beta), QeKernel(model), cfg.samples,
+            model, Temperature(BETA), QeKernel(model), cfg.samples,
             rng_seed=derive_seed(cfg.seed, "fx-qe", fx_idx),
         )
         qe_counts = histogram(qe_trace, gs)
@@ -613,7 +596,7 @@ def run_small_instances(cfg: ExperimentConfig, out: Path):
         )
         net, _ = train(draws, cfg.train_config(derive_seed(cfg.seed, "fx-net", fx_idx)))
         nmc_trace = run_chain(
-            model, Temperature(cfg.beta), MadeKernel(net), cfg.samples,
+            model, Temperature(BETA), MadeKernel(net), cfg.samples,
             rng_seed=derive_seed(cfg.seed, "fx-nmc", fx_idx),
         )
         nmc_counts = histogram(nmc_trace, gs)
@@ -641,10 +624,8 @@ def run_anneal_sweep(cfg: ExperimentConfig, out: Path):
     write_resolved_config(cfg, out)
     model = load_fixture(SIXFOLD_FIXTURE)
     _, gs = ground_states_bruteforce(model)
-    grid = np.geomspace(cfg.anneal_grid_min, cfg.anneal_grid_max,
-                        cfg.anneal_grid_points)
     rows = []
-    for t_a in grid:
+    for t_a in ANNEAL_GRID:
         state = run_annealing(model, linear_schedule(float(t_a)))
         counts = histogram(measure_distribution(state), gs)
         rep = fairness(counts)

@@ -367,7 +367,7 @@ def run_chain(
                 if swept != bits:
                     bits, log_q = swept, None
     else:
-        tag_id = builder.tag_id(getattr(update, "tag", "kernel"))
+        tag_id = builder.tag_id(update.tag)
         for _ in range(steps):
             cand = update.propose(SpinConfig(bits, n), rng).bits
             cand_e = energy_of_bits(model, cand)

@@ -1,13 +1,15 @@
 import csv
 import json
 import shutil
+from importlib import resources
 
 import numpy as np
 import pytest
 
+from fairmc import experiments
 from fairmc.baselines import LM_WEIGHTS, NOISE_P, PtIcmConfig, WalkSatConfig
-from fairmc.cli import EXIT_CONFIG, EXIT_OK, FIG_KINDS, load_preset, main
-from fairmc.experiments import ConfigError, ExperimentConfig, derive_seed
+from fairmc.cli import EXIT_CONFIG, EXIT_OK, FIGS, load_preset, main
+from fairmc.experiments import ANNEAL_GRID, BETA, ConfigError, ExperimentConfig, derive_seed
 from fairmc.made import (
     BATCH_SIZE,
     LEARNING_RATE,
@@ -45,14 +47,21 @@ class TestConfig:
     def test_defaults_resolved(self):
         cfg = ExperimentConfig.from_dict({"kind": "KSAT_FAIRNESS", "k": 3})
         assert cfg.alpha_c == pytest.approx(4.267)
-        assert cfg.beta == 10.0
 
     def test_unknown_key_rejected(self):
         with pytest.raises(Exception):
             ExperimentConfig.from_dict({"kind": "KSAT_FAIRNESS", "bogus": 1})
 
     def test_presets_all_load(self):
-        for fig, kind in FIG_KINDS.items():
+        kinds = {"fig1": "SMALL_INSTANCES", "fig2": "ANNEAL_SWEEP",
+                 "fig3": "KSAT_FAIRNESS", "fig4": "KSAT_FAIRNESS", "fig5": "KSAT_FAIRNESS",
+                 "fig6": "KSAT_COUNTING", "fig7": "KSAT_COUNTING"}
+        # the fig commands are the preset files that ship, in order
+        shipped = sorted(p.name.removesuffix(".json")
+                         for p in resources.files("fairmc").joinpath("presets").iterdir()
+                         if p.name.endswith(".json"))
+        assert list(FIGS) == shipped == list(kinds)
+        for fig, kind in kinds.items():
             cfg = ExperimentConfig.from_dict(load_preset(fig))
             assert cfg.kind == kind
 
@@ -60,16 +69,10 @@ class TestConfig:
         {"anneal_time": -5.0},
         {"anneal_time": float("nan")},
         {"anneal_time": float("inf")},
-        {"anneal_grid_min": 0.0},
-        {"anneal_grid_min": -1.0},
-        {"anneal_grid_max": float("inf")},
-        {"anneal_grid_min": 10.0, "anneal_grid_max": 5.0},
-        {"anneal_grid_points": 0},
-        # checked for every kind, like the anneal settings above
+        # checked for every kind, like the anneal setting above
         {"per_size": 0}, {"qaoa_depth": 0}, {"qaoa_starts": 0}, {"train_samples": 0},
         {"made_epochs": 0}, {"chain_steps": 0}, {"trials": 0},
         {"walksat_max_flips": 0}, {"samples": 0}, {"per_size": -3},
-        {"beta": -1.0}, {"beta": 0.0}, {"beta": float("inf")}, {"beta": float("nan")},
         {"sizes": []}, {"sizes": [8, 25]}, {"sizes": [1]}, {"k": 3, "sizes": [2]},
         # n = k: a 3-SAT draw needs 13 distinct clauses of the 8 there are, and
         # every 2-SAT draw has one solution, so the filter would redraw forever
@@ -79,6 +82,9 @@ class TestConfig:
         {"qaoa_depth": True}, {"k": 2.0}, {"sizes": [8.0]}, {"sizes": [8, 9.5]},
         # a repeated size draws the same instances twice under new indices
         {"sizes": [8, 8]},
+        # an unknown algorithm; a string in place of the list is read as its
+        # letters, none of them an algorithm; a clause width other than 2 or 3
+        {"algorithms": ["qaoa-nmc", "sa"]}, {"algorithms": "walksat"}, {"k": 4},
     ])
     def test_bad_anneal_settings_rejected(self, bad):
         with pytest.raises(ConfigError):
@@ -95,29 +101,22 @@ class TestConfig:
         with pytest.raises(ConfigError, match="seed"):
             ExperimentConfig.from_dict({"kind": "KSAT_FAIRNESS", "seed": bad})
 
-    @pytest.mark.parametrize("name", ["beta", "anneal_time", "anneal_grid_min",
-                                      "anneal_grid_max"])
+    @pytest.mark.parametrize("name", ["anneal_time"])
     @pytest.mark.parametrize("bad", [True, "10"])
     def test_non_number_real_rejected(self, name, bad):
         with pytest.raises(ConfigError, match=name):
             ExperimentConfig.from_dict({"kind": "ANNEAL_SWEEP", name: bad})
 
-    @pytest.mark.parametrize("bad, message", [
-        # a ladder from beta 0.1 up to beta 0.05 is not ascending
-        ({"algorithms": ["pt-icm"], "beta": 0.05}, "replica_betas must be ascending"),
+    @pytest.mark.parametrize("key, value", [
+        ("beta", 10.0), ("anneal_grid_min", 0.1), ("anneal_grid_max", 1000.0),
+        ("anneal_grid_points", 30),
     ])
-    def test_bad_worker_settings_rejected(self, bad, message):
-        with pytest.raises(ConfigError, match=message):
-            ExperimentConfig.from_dict({"kind": "KSAT_COUNTING", "k": 2, **bad})
+    def test_constant_refused_as_key(self, key, value):
+        # experiments.BETA and ANNEAL_GRID: even the value they hold is refused
+        with pytest.raises(ConfigError, match=f"unknown config keys.*{key}"):
+            ExperimentConfig.from_dict({"kind": "ANNEAL_SWEEP", key: value})
 
-    @pytest.mark.parametrize("config", [
-        {"kind": "KSAT_FAIRNESS", "k": 3, "algorithms": ["qaoa-nmc", "qaoa-hmc"]},
-        {"kind": "SMALL_INSTANCES"},  # PT-ICM runs only in a k-SAT run
-    ])
-    def test_low_beta_accepted_without_pt_icm(self, config):
-        assert ExperimentConfig.from_dict({**config, "beta": 0.05}).beta == 0.05
-
-    @pytest.mark.parametrize("preset", [None, *FIG_KINDS])
+    @pytest.mark.parametrize("preset", [None, *FIGS])
     def test_worker_configs_pinned(self, preset):
         # the values every preset ran with when they were config fields
         cfg = ExperimentConfig.from_dict(
@@ -130,12 +129,8 @@ class TestConfig:
         assert cfg.walksat_config(7) == WalkSatConfig(max_flips=10**6, rng_seed=7)
         assert NOISE_P == 0.5
         assert LM_WEIGHTS == (6.0, 1.0)
-
-    def test_anneal_grid_of_one_point_accepted(self):
-        cfg = ExperimentConfig.from_dict(
-            {"kind": "ANNEAL_SWEEP", "anneal_time": 0.0, "anneal_grid_min": 3.0,
-             "anneal_grid_max": 3.0, "anneal_grid_points": 1})
-        assert cfg.anneal_grid_points == 1
+        assert BETA == 10.0
+        np.testing.assert_array_equal(ANNEAL_GRID, np.geomspace(0.1, 1000.0, 30))
 
     def test_derive_seed_stable(self):
         assert derive_seed(1, "stage", 2) == derive_seed(1, "stage", 2)
@@ -208,11 +203,14 @@ class TestPipelineCommands:
 
     @pytest.mark.parametrize("fig, bad", [
         ("fig1", {"anneal_time": -5.0}),
+        # beta and the anneal grid are constants of fairmc.experiments: a
+        # config that sets one has an unknown key
         ("fig2", {"anneal_grid_min": 0.0}),
         ("fig1", {"beta": -1.0}),
         ("fig6", {"sizes": []}),
         ("fig6", {"sizes": [8], "per_size": 1, "qaoa_starts": 0}),
-        # small, so that a config that is not refused fails fast in its stage
+        # small, so that a config that is not refused fails fast in its stage;
+        # beta is an unknown key, as above
         ("fig4", {"beta": 0.05, "sizes": [8], "per_size": 1, "qaoa_starts": 1,
                   "made_epochs": 1, "train_samples": 10, "algorithms": ["pt-icm"]}),
         # WalkSATlm is the only WalkSAT: a config that selects it has an unknown key
@@ -229,7 +227,7 @@ class TestPipelineCommands:
     ])
     def test_bad_anneal_config_exits_2(self, tmp_path, capsys, fig, bad):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"kind": FIG_KINDS[fig], **bad}))
+        path.write_text(json.dumps({"kind": load_preset(fig)["kind"], **bad}))
         code = main([fig, "--config", str(path), "--out", str(tmp_path / "x")])
         assert code == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
@@ -376,13 +374,11 @@ class TestSmallExperiments:
             assert method in text
         assert (out / "fairness_summary.csv").exists()
 
-    def test_fig2_small(self, tmp_path):
+    def test_fig2_small(self, tmp_path, monkeypatch):
+        # three anneal times; the 30 of ANNEAL_GRID would make the test seconds slower
+        monkeypatch.setattr(experiments, "ANNEAL_GRID", np.geomspace(1.0, 8.0, 3))
         cfg = tmp_path / "f2.json"
-        cfg.write_text(json.dumps({
-            "kind": "ANNEAL_SWEEP", "anneal_grid_min": 1.0,
-            "anneal_grid_max": 8.0, "anneal_grid_points": 3,
-            "qaoa_starts": 2, "seed": 3,
-        }))
+        cfg.write_text(json.dumps({"kind": "ANNEAL_SWEEP", "qaoa_starts": 2, "seed": 3}))
         out = tmp_path / "f2"
         assert main(["fig2", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         lines = (out / "anneal_sweep.csv").read_text().strip().splitlines()

@@ -111,10 +111,8 @@ def test_failed_resolved_config_leaves_no_file(tmp_path, dump_dies_midway, monke
     assert list((tmp_path / "validate").iterdir()) == []
     monkeypatch.setattr(experiments, "write_resolved_config",
                         lambda cfg, out: out.mkdir(parents=True))
-    sweep = experiments.ExperimentConfig(
-        kind="ANNEAL_SWEEP", anneal_grid_min=0.1, anneal_grid_max=0.1,
-        anneal_grid_points=1, qaoa_depth=1, qaoa_starts=1,
-    )
+    monkeypatch.setattr(experiments, "ANNEAL_GRID", np.geomspace(0.1, 0.1, 1))
+    sweep = experiments.ExperimentConfig(kind="ANNEAL_SWEEP", qaoa_depth=1, qaoa_starts=1)
     with pytest.raises(Interrupted):
         experiments.run_anneal_sweep(sweep, tmp_path / "sweep")
     assert [p.name for p in (tmp_path / "sweep").iterdir()] == ["anneal_sweep.csv"]

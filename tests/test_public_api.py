@@ -20,13 +20,22 @@ classmethods, or, for a field, by an attribute store.  A value that only the tes
 option with one caller in use, and is a module constant instead.  Calls are
 matched by the callee's name alone, so a function of the same name elsewhere
 can hide an unset parameter.
+
+Every field of `ExperimentConfig` must take at least two values across the
+experiments that exist: the seven fig presets and the benchmark's workload
+configs (`WORKLOADS` in `bench/pipeline.py`, read from its source).  A
+setting every experiment leaves at one value is a constant.
 """
 
 import ast
 import re
 from collections import Counter
+from dataclasses import asdict
 from functools import lru_cache
 from pathlib import Path
+
+from fairmc.cli import FIGS, load_preset
+from fairmc.experiments import ExperimentConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -39,6 +48,12 @@ TEST_REFERENCES = ("add_blocking_clause",)
 # Settings that only the tests set and that no module constant can replace:
 # the acceptance-rule tests start a chain from a scripted state.
 TEST_SETTINGS = ("run_chain(init=)",)
+
+# Config fields that every experiment resolves to one value and that stay
+# settings, with the reason.
+UNVARIED_SETTINGS = {
+    "use_fixed_angles": "the fixed-angle ablation of ROADMAP direction 4 sets it",
+}
 
 
 @lru_cache(maxsize=None)
@@ -293,3 +308,28 @@ def test_a_local_of_the_same_name_is_not_a_reach(tmp_path):
     (src / "use.py").write_text("def _use():\n    return energy(1)\n")
     _sources.cache_clear()
     assert unreached_public_names(src, bench) == []
+
+
+def workload_configs(bench_dir: Path) -> list[dict]:
+    """The config of each benchmark workload, read from the literal
+    `WORKLOADS` in `bench/pipeline.py` without importing it."""
+    tree = ast.parse((bench_dir / "pipeline.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "WORKLOADS" for t in node.targets):
+            return [w["config"] for w in ast.literal_eval(node.value).values()]
+    raise AssertionError(f"no WORKLOADS in {bench_dir / 'pipeline.py'}")
+
+
+def unvaried_settings(configs: list[dict]) -> list[str]:
+    """The config fields that resolve to the same value in every config."""
+    first, *rest = [asdict(ExperimentConfig.from_dict(c)) for c in configs]
+    return sorted(name for name, value in first.items()
+                  if all(r[name] == value for r in rest))
+
+
+def test_every_setting_varies_across_the_experiments():
+    configs = [load_preset(fig) for fig in FIGS] + workload_configs(ROOT / "bench")
+    # equality, as above: an exempt field that starts to vary must leave
+    # the exemptions too
+    assert unvaried_settings(configs) == sorted(UNVARIED_SETTINGS)
