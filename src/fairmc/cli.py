@@ -17,10 +17,11 @@ config that `fairmc.experiments` refuses at load (see its docstring), and a
 config whose kind the command does not run: fig1 and fig2 need the kind of
 their preset, fig3-fig7 and the stage commands a k-SAT kind.  fig3 runs its
 config at k = 2 and at k = 3, so both must pass the load checks: sizes [3],
-for one, is refused at k = 3.  A key that is not a config field is refused
-too; `walksat_variant` is none, as WalkSATlm is the only WalkSAT, and nor
-are `beta` and the anneal grid, the constants `BETA` and `ANNEAL_GRID` of
-`fairmc.experiments`.
+for one, is refused at k = 3.  An algorithm named twice is refused, as
+metrics would pool its records twice.  A key that is not a config field is
+refused too; `walksat_variant` is none, as WalkSATlm is the only WalkSAT,
+and nor are `beta` and the anneal grid, the constants `BETA` and
+`ANNEAL_GRID` of `fairmc.experiments`.
 """
 
 from __future__ import annotations

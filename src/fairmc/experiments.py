@@ -27,16 +27,17 @@ stage stopped midway resumes with the tasks that did not finish.
                  step counts and seeds); needs instances/ and chains/
 
 A stage whose inputs are missing raises `StageError` naming the first
-missing file; for `metrics` that includes any trial summary missing from an
-algorithm's chains/<algo>/ directory, so partial runs are never pooled.  A
-config is refused with `ConfigError` at load, before anything is written, if
-a count field, k, a size or the seed is not an integer, anneal_time is not a
-finite non-negative number, use_fixed_angles is not a bool, a count is below
-1, sizes are empty, repeated (a size's draws are seeded by the size, so a
-repeat builds the same instances again) or outside k+1..24 (at n = k a 2-SAT
-draw has one solution, and the instance filter keeps only draws with at
-least two; a 3-SAT draw needs more distinct clauses than exist), or
-algorithms are empty.
+missing file; for `metrics` that includes any trial summary of an algorithm
+the config runs, so partial runs are never pooled and an algorithm whose
+stage never ran is not dropped.  A config is refused with `ConfigError` at
+load, before anything is written, if a count field, k, a size or the seed is
+not an integer, anneal_time is not a finite non-negative number,
+use_fixed_angles is not a bool, a count is below 1, sizes are empty,
+repeated (a size's draws are seeded by the size, so a repeat builds the same
+instances again) or outside k+1..24 (at n = k a 2-SAT draw has one solution,
+and the instance filter keeps only draws with at least two; a 3-SAT draw
+needs more distinct clauses than exist), or algorithms are empty or repeated
+(metrics would pool a repeated one twice).
 """
 
 from __future__ import annotations
@@ -131,11 +132,13 @@ class ExperimentConfig:
     """What an experiment varies.  A setting no experiment varies is a
     constant of the module that uses it, and the `*_config` builders add what
     varies.  MADE: `made.BATCH_SIZE`, `LEARNING_RATE`, the plateau stop
-    `PLATEAU_EPOCHS` and `PLATEAU_TOL`, width 4N (`train`).  PT-ICM:
-    `baselines.N_TEMPS` betas from `BETA_MIN` (`geometric_beta_ladder`), a
-    sweep and a Houdayer move a round (`pt_icm_run`), rounds from
-    `_matched_pt_rounds`.  WalkSAT: WalkSATlm with `NOISE_P` and `LM_WEIGHTS`.
-    QE-MCMC: (w, t) from `mcmc.QE_DRIVER_WEIGHT_RANGE` and `QE_TIME_RANGE`.
+    `PLATEAU_EPOCHS` and `PLATEAU_TOL`, one hidden layer of width
+    `HIDDEN_PER_INPUT` * N = 4N over the bits in natural order
+    (`MadeNetwork`).  PT-ICM: `baselines.N_TEMPS` betas from `BETA_MIN`
+    (`geometric_beta_ladder`), a sweep and a Houdayer move a round
+    (`pt_icm_run`), rounds from `_matched_pt_rounds`.  WalkSAT: WalkSATlm
+    with `NOISE_P` and `LM_WEIGHTS`.  QE-MCMC: (w, t) from
+    `mcmc.QE_DRIVER_WEIGHT_RANGE` and `QE_TIME_RANGE`.
     Chains: the inverse temperature `BETA`, also the top of the PT-ICM
     ladder.  Annealing: ceil(64 sqrt(T)) CF4 steps (`run_annealing`), and
     fig2's anneal times `ANNEAL_GRID`.  Density: `ALPHA_C[k]`."""
@@ -175,6 +178,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown algorithms {sorted(unknown)}")
         if not self.algorithms:
             raise ConfigError(f"algorithms must name at least one of {list(ALL_ALGOS)}")
+        if len(set(self.algorithms)) != len(self.algorithms):
+            raise ConfigError(f"algorithms must not repeat, got {list(self.algorithms)}")
         if not (math.isfinite(self.anneal_time) and self.anneal_time >= 0):
             raise ConfigError(
                 f"anneal_time must be finite and non-negative, got {self.anneal_time}")
@@ -496,15 +501,15 @@ def stage_metrics(cfg: ExperimentConfig, out: Path):
     instset = _instances(out)
     records: list[ResultRecord] = []
     trial_rows: list[dict] = []
-    algos_present = [a for a in cfg.algorithms if (out / "chains" / a).exists()]
-    if not algos_present:
-        raise StageError("no chain/baseline summaries; run 'run-chains' or "
-                         "'run-baselines' first")
+    algos = [a for a in cfg.algorithms if a != "pt-icm" or cfg.runs_pt_icm]
+    if not algos:
+        raise StageError("the config runs no algorithm here (PT-ICM runs at k = 2 "
+                         "only), so there is nothing to measure")
 
     for i, entry in enumerate(instset.entries):
         n = entry.formula.n_vars
         n_ground = len(entry.solutions)
-        for algo in algos_present:
+        for algo in algos:
             summaries = _load_summaries(cfg, out, algo, i)
             steps_list = []
             for s in summaries:
@@ -673,7 +678,7 @@ def run_validation() -> list[dict]:
 
     from fairmc import exact
     from fairmc.baselines import houdayer_cluster, interaction_adjacency
-    from fairmc.ising import SpinConfig, basis_energies, energy_of_bits
+    from fairmc.ising import basis_energies, bit_rows, energy_of_bits
     from fairmc.made import MadeNetwork, _gradient_error, exact_probabilities
     from fairmc.qaoa import QaoaParams, expectation_and_gradient
     from fairmc.qsim import (
@@ -699,7 +704,7 @@ def run_validation() -> list[dict]:
         return IsingModel.from_terms(n, terms)
 
     def rand_net(n):
-        net = MadeNetwork(n, (4 * n,), rng=np.random.default_rng(7))
+        net = MadeNetwork(n, rng=np.random.default_rng(7))
         g = np.random.default_rng(8)
         net.weights = [w + g.normal(size=w.shape) * 0.3 for w in net.weights]
         net.biases = [g.normal(size=b.shape) * 0.3 for b in net.biases]
@@ -746,7 +751,7 @@ def run_validation() -> list[dict]:
     )
 
     # the training step's analytic gradients vs central differences, tiny net
-    gnet = MadeNetwork(3, (8,), rng=np.random.default_rng(9))
+    gnet = MadeNetwork(3, rng=np.random.default_rng(9))
     batch = (np.random.default_rng(10).random((12, 3)) > 0.5).astype(float)
     worst = _gradient_error(gnet, batch)
     results.append(_check("made_gradient_check", worst < 1e-4, f"rel={worst:.2e}"))
@@ -815,7 +820,7 @@ def run_validation() -> list[dict]:
     state = run_qaoa(model4, [0.4, 0.2], [0.3, 0.5])
     probs = measure_distribution(state).probs
     draws = sample(state, 100_000, np.random.default_rng(12))
-    counts = np.bincount([s.bits for s in draws], minlength=16)
+    counts = np.bincount((draws @ (1 << np.arange(4))).astype(np.int64), minlength=16)
     _, pval = scistats.chisquare(counts, f_exp=probs * 100_000)
     results.append(_check("measurement_chi2", pval > 0.001, f"p={pval:.4f}"))
 
@@ -837,7 +842,7 @@ def run_validation() -> list[dict]:
                           f"derivative max={err_der:.2e} (< 1e-8)"))
 
     # training is claimed bit-reproducible on the local BLAS: one seed, two runs
-    draws = [SpinConfig(int(z), 5) for z in rng.integers(0, 32, size=200)]
+    draws = bit_rows(rng.integers(0, 32, size=200), 5)
     blobs = []
     with tempfile.TemporaryDirectory() as tmp:
         for run in range(2):

@@ -61,10 +61,6 @@ class SpinConfig:
     def bit(self, site: int) -> int:
         return (self.bits >> site) & 1
 
-    def bit_array(self) -> np.ndarray:
-        z = np.uint64(self.bits)
-        return ((z >> np.arange(self.n, dtype=np.uint64)) & np.uint64(1)).astype(np.int64)
-
     def to_bitstring(self) -> str:
         """x_0 x_1 ... x_{n-1}, left to right."""
         return "".join(str((self.bits >> i) & 1) for i in range(self.n))
@@ -75,6 +71,13 @@ class SpinConfig:
 
     def __len__(self) -> int:
         return self.n
+
+
+def bit_rows(z, n: int) -> np.ndarray:
+    """Bits x_0 .. x_{n-1} of packed states as float rows of 0s and 1s: shape
+    (n,) for one state, (count, n) for a vector of `count` states."""
+    z = np.asarray(z, dtype=np.uint64)[..., None]
+    return ((z >> np.arange(n, dtype=np.uint64)) & np.uint64(1)).astype(np.float64)
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,20 @@
 """Masked autoregressive distribution estimator over fixed-length bitstrings.
 
-A small masked MLP factorizes q(b) = prod_i q(b_i | b_before_i) in a fixed
-variable order; masks zero every connection that would violate the ordering,
-so the factorization (and hence normalization) is exact by construction.
-Conditionals are sigmoid outputs clamped to [EPS, 1-EPS], which floors every
-state's probability at EPS^N > 0 and keeps independence-sampler chains
-irreducible.
+A small masked MLP factorizes q(b) = prod_i q(b_i | b_0 .. b_{i-1}) in the
+natural order of the bits; masks zero every connection that would look
+ahead, so the factorization (and hence normalization) is exact by
+construction.  Conditionals are sigmoid outputs clamped to [EPS, 1-EPS],
+which floors every state's probability at EPS^N > 0 and keeps
+independence-sampler chains irreducible.  Bit strings are float rows of 0s
+and 1s, x_0 first (`ising.bit_rows`); a batch is a (count, N) matrix.
 
 Implemented directly in numpy with analytic backprop: the network is tiny
-(one hidden layer of width 4N) and this keeps training bit-reproducible with
-no framework dependency.  While `train` runs, every weight and bias is a view
-into one flat parameter buffer and Adam updates it in one in-place pass per
-step: at these sizes a step costs numpy calls, not arithmetic.  Training is
-bit-reproducible: a fixed seed gives the same checkpoint bytes.
+(one hidden layer of width HIDDEN_PER_INPUT * N = 4N) and this keeps
+training bit-reproducible with no framework dependency.  While `train` runs,
+every weight and bias is a view into one flat parameter buffer and Adam
+updates it in one in-place pass per step: at these sizes a step costs numpy
+calls, not arithmetic.  Training is bit-reproducible: a fixed seed gives the
+same checkpoint bytes.
 """
 
 from __future__ import annotations
@@ -20,14 +22,15 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from fairmc.fileio import atomic_write
-from fairmc.ising import DimensionError, SpinConfig
+from fairmc.ising import bit_rows
 
 EPS = 1e-7
+# the hidden layer's width per input
+HIDDEN_PER_INPUT = 4
 # minibatch Adam's batch size and step size
 BATCH_SIZE = 64
 LEARNING_RATE = 1e-3
@@ -48,47 +51,28 @@ class TrainConfig:
 
 
 class MadeNetwork:
-    """Masked MLP; `weights[l]` maps layer l activations, masks fixed at build."""
+    """Masked MLP over N inputs in natural order: `weights[0]` maps the inputs
+    to a tanh hidden layer of width HIDDEN_PER_INPUT * N and `weights[1]`
+    that layer to the N logits; the masks are fixed at build."""
 
-    def __init__(self, n_inputs, hidden_sizes, variable_order=None, *, rng):
+    def __init__(self, n_inputs, *, rng):
         if n_inputs < 1:
             raise ValueError("need at least one input")
-        self.n_inputs = n_inputs
-        self.hidden_sizes = tuple(hidden_sizes)
-        self.variable_order = tuple(
-            variable_order if variable_order is not None else range(n_inputs)
-        )
-        if sorted(self.variable_order) != list(range(n_inputs)):
-            raise ValueError("variable_order must be a permutation of 0..N-1")
-
-        # degree of input i = 1-based position in the ordering
-        n = n_inputs
-        in_deg = np.empty(n, dtype=np.int64)
-        for pos, v in enumerate(self.variable_order):
-            in_deg[v] = pos + 1
-        self.degrees = [in_deg]
-        for width in self.hidden_sizes:
-            # cyclic degrees 1..N-1 (all 1s when N == 1: outputs see no input)
-            span = max(n - 1, 1)
-            self.degrees.append(np.arange(width, dtype=np.int64) % span + 1)
-        self.degrees.append(in_deg)
-
-        self.masks = []
-        for l in range(len(self.degrees) - 1):
-            prev, cur = self.degrees[l], self.degrees[l + 1]
-            if l == len(self.degrees) - 2:
-                m = cur[:, None] > prev[None, :]  # strict: output i ignores input i
-            else:
-                m = cur[:, None] >= prev[None, :]
-            self.masks.append(m.astype(np.float64))
-
-        self.weights = []
-        self.biases = []
-        sizes = [n, *self.hidden_sizes, n]
-        for fan_in, fan_out in zip(sizes, sizes[1:]):
-            scale = np.sqrt(2.0 / (fan_in + fan_out))
-            self.weights.append(rng.normal(0.0, scale, size=(fan_out, fan_in)))
-            self.biases.append(np.zeros(fan_out))
+        self.n_inputs = n = n_inputs
+        width = HIDDEN_PER_INPUT * n
+        # input and output i have degree i + 1; the hidden degrees cycle
+        # through 1..N-1 (all 1s when N == 1: the outputs see no input)
+        degree = np.arange(1, n + 1)
+        hidden = np.arange(width) % max(n - 1, 1) + 1
+        self.masks = [
+            (hidden[:, None] >= degree[None, :]).astype(np.float64),
+            # strict: output i ignores input i
+            (degree[:, None] > hidden[None, :]).astype(np.float64),
+        ]
+        scale = np.sqrt(2.0 / (n + width))
+        self.weights = [rng.normal(0.0, scale, size=(width, n)),
+                        rng.normal(0.0, scale, size=(n, width))]
+        self.biases = [np.zeros(width), np.zeros(n)]
 
     # -- forward -----------------------------------------------------------
 
@@ -123,11 +107,12 @@ class MadeNetwork:
     # -- persistence ---------------------------------------------------------
 
     def to_json_dict(self) -> dict:
+        n = self.n_inputs
         return {
             "format": 1,
-            "n_inputs": self.n_inputs,
-            "hidden_sizes": list(self.hidden_sizes),
-            "variable_order": list(self.variable_order),
+            "n_inputs": n,
+            "hidden_sizes": [HIDDEN_PER_INPUT * n],
+            "variable_order": list(range(n)),
             "weights": [w.tolist() for w in self.weights],
             "biases": [b.tolist() for b in self.biases],
         }
@@ -136,19 +121,21 @@ class MadeNetwork:
     def from_json_dict(cls, d: dict) -> "MadeNetwork":
         if d.get("format") != 1:
             raise ValueError(f"unknown checkpoint format {d.get('format')}")
-        net = cls(d["n_inputs"], d["hidden_sizes"], d["variable_order"],
-                  rng=np.random.default_rng(0))
+        n = d["n_inputs"]
+        layout = (d["hidden_sizes"], d["variable_order"])
+        if layout != ([HIDDEN_PER_INPUT * n], list(range(n))):
+            raise ValueError(
+                f"checkpoint is not a natural-order net of width {HIDDEN_PER_INPUT}N: "
+                f"hidden_sizes {layout[0]}, variable_order {layout[1]}")
+        net = cls(n, rng=np.random.default_rng(0))
         net.weights = [np.asarray(w, dtype=np.float64) for w in d["weights"]]
         net.biases = [np.asarray(b, dtype=np.float64) for b in d["biases"]]
         return net
 
 
-def log_prob(net: MadeNetwork, config: SpinConfig) -> float:
-    if config.n != net.n_inputs:
-        raise DimensionError(f"config has {config.n} bits, net expects {net.n_inputs}")
-    x = config.bit_array().astype(np.float64)
-    q1 = net.conditionals(x)
-    return float(np.sum(np.where(x > 0.5, np.log(q1), np.log1p(-q1))))
+def log_prob(net: MadeNetwork, x: np.ndarray) -> float:
+    """log q of one bit row: `log_prob_batch` of a one-row matrix."""
+    return float(log_prob_batch(net, x[None])[0])
 
 
 def log_prob_batch(net: MadeNetwork, bits: np.ndarray) -> np.ndarray:
@@ -156,19 +143,16 @@ def log_prob_batch(net: MadeNetwork, bits: np.ndarray) -> np.ndarray:
     return np.sum(np.where(bits > 0.5, np.log(q1), np.log1p(-q1)), axis=-1)
 
 
-def sample(net: MadeNetwork, rng) -> SpinConfig:
-    """One ancestral draw; matches exp(log_prob) exactly, clamping included."""
-    x = np.zeros(net.n_inputs)
-    for v in net.variable_order:
-        q1 = net.conditionals(x)[v]
-        x[v] = 1.0 if rng.random() < q1 else 0.0
-    return SpinConfig.from_bits(x.astype(np.int64))
+def sample(net: MadeNetwork, rng: np.random.Generator) -> np.ndarray:
+    """One ancestral draw as a bit row: `sample_batch` of one row."""
+    return sample_batch(net, 1, rng)[0]
 
 
 def sample_batch(net: MadeNetwork, count: int, rng: np.random.Generator) -> np.ndarray:
-    """(count, N) bit matrix of independent ancestral draws."""
+    """(count, N) bit matrix of independent ancestral draws; they match
+    exp(log_prob) exactly, clamping included."""
     x = np.zeros((count, net.n_inputs))
-    for v in net.variable_order:
+    for v in range(net.n_inputs):
         q1 = net.conditionals(x)[:, v]
         x[:, v] = (rng.random(count) < q1).astype(np.float64)
     return x
@@ -179,9 +163,7 @@ def exact_probabilities(net: MadeNetwork) -> np.ndarray:
     n = net.n_inputs
     if n > 16:
         raise ValueError("exhaustive evaluation limited to 16 inputs")
-    z = np.arange(1 << n, dtype=np.uint64)
-    bits = ((z[:, None] >> np.arange(n, dtype=np.uint64)[None, :]) & np.uint64(1))
-    return np.exp(log_prob_batch(net, bits.astype(np.float64)))
+    return np.exp(log_prob_batch(net, bit_rows(np.arange(1 << n), n)))
 
 
 def _gradients(net, batch, grads_w, grads_b):
@@ -234,10 +216,9 @@ def _views(flat, net):
     return views[: len(net.weights)], views[len(net.weights) :]
 
 
-def train(
-    samples: Sequence[SpinConfig], cfg: TrainConfig
-) -> tuple[MadeNetwork, list[float]]:
-    """Fit by minibatch Adam on the mean NLL; returns (network, loss curve).
+def train(x: np.ndarray, cfg: TrainConfig) -> tuple[MadeNetwork, list[float]]:
+    """Fit to the rows of the (count, N) bit matrix `x` by minibatch Adam on
+    the mean NLL; returns (network, loss curve).
 
     The loss curve holds the full-dataset NLL after every epoch; the returned
     network is the best-epoch snapshot, so its final NLL never exceeds the
@@ -249,16 +230,14 @@ def train(
     over all parameters.  A fixed seed reproduces the network bit for bit;
     the returned network owns its arrays.
     """
-    if not samples:
-        raise ValueError("need a nonempty training set")
-    n = samples[0].n
-    if any(s.n != n for s in samples):
-        raise DimensionError("training samples must share one length")
-    x_all = np.stack([s.bit_array().astype(np.float64) for s in samples])
+    x_all = np.ascontiguousarray(x, dtype=np.float64)
+    if x_all.ndim != 2 or len(x_all) == 0:
+        raise ValueError(f"need a nonempty (count, N) bit matrix, got shape {x_all.shape}")
+    n = x_all.shape[1]
     batch_size, lr = BATCH_SIZE, LEARNING_RATE
 
     rng = np.random.default_rng(cfg.rng_seed)
-    net = MadeNetwork(n, (4 * n,), rng=rng)
+    net = MadeNetwork(n, rng=rng)
 
     theta = np.concatenate([p.ravel() for p in net.weights + net.biases])
     net.weights, net.biases = _views(theta, net)
@@ -319,11 +298,11 @@ def train(
     return net, curve
 
 
-def training_digest(samples: Sequence[SpinConfig]) -> str:
-    h = hashlib.sha256()
-    for s in samples:
-        h.update(s.to_bitstring().encode())
-    return h.hexdigest()[:16]
+def training_digest(x: np.ndarray) -> str:
+    """sha256 prefix of the rows of bit matrix `x`, each written as its
+    '0'/'1' characters x_0 first."""
+    chars = (np.asarray(x) > 0.5).astype(np.uint8) + np.uint8(ord("0"))
+    return hashlib.sha256(chars.tobytes()).hexdigest()[:16]
 
 
 def save_checkpoint(net: MadeNetwork, path, *, digest: str = "") -> None:

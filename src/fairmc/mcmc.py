@@ -61,6 +61,7 @@ from fairmc.ising import (
     SpinConfig,
     Temperature,
     basis_energies,
+    bit_rows,
     energy_of_bits,
     energy_of_bits_batch,
 )
@@ -355,7 +356,7 @@ def run_chain(
             if log_q is None:
                 log_q = log_q_table.get(bits)
                 if log_q is None:
-                    log_q = made_mod.log_prob(update.net, SpinConfig(bits, n))
+                    log_q = made_mod.log_prob(update.net, bit_rows(bits, n))
                     log_q_table[bits] = log_q
             if _accept(-beta * (cand_e - energy) + log_q - cand_log_q, rng):
                 bits, energy, log_q, acc = cand, cand_e, cand_log_q, True

@@ -38,8 +38,8 @@ from fairmc.ising import (
     CapacityError,
     DimensionError,
     IsingModel,
-    SpinConfig,
     basis_energies,
+    bit_rows,
     energy_levels,
 )
 
@@ -325,8 +325,8 @@ def measure_distribution(state: StateVector) -> OutputDistribution:
     return OutputDistribution(p / p.sum())
 
 
-def sample(state: StateVector, count: int, rng: np.random.Generator) -> list[SpinConfig]:
-    """Exact categorical draws from the measurement distribution."""
+def sample(state: StateVector, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Exact categorical draws from the measurement distribution, as the
+    (count, N) bit matrix of `ising.bit_rows`: row j holds draw j's bits."""
     p = measure_distribution(state).probs
-    zs = rng.choice(len(p), size=count, p=p)
-    return [SpinConfig(int(z), state.n_qubits) for z in zs]
+    return bit_rows(rng.choice(len(p), size=count, p=p), state.n_qubits)

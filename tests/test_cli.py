@@ -85,6 +85,8 @@ class TestConfig:
         # an unknown algorithm; a string in place of the list is read as its
         # letters, none of them an algorithm; a clause width other than 2 or 3
         {"algorithms": ["qaoa-nmc", "sa"]}, {"algorithms": "walksat"}, {"k": 4},
+        # metrics would pool a repeated algorithm's records twice
+        {"algorithms": ["walksat", "walksat"]},
     ])
     def test_bad_anneal_settings_rejected(self, bad):
         with pytest.raises(ConfigError):
@@ -224,6 +226,9 @@ class TestPipelineCommands:
         ("fig3", {"k": 2, "sizes": [3], "per_size": 1}),
         ("fig6", {"sizes": [8, 9, 8], "per_size": 1, "trials": 1,
                   "algorithms": ["walksat"]}),
+        # metrics would write every walksat record twice
+        ("fig6", {"sizes": [5], "per_size": 2, "trials": 1,
+                  "algorithms": ["walksat", "walksat"]}),
     ])
     def test_bad_anneal_config_exits_2(self, tmp_path, capsys, fig, bad):
         path = tmp_path / "bad.json"
@@ -338,13 +343,43 @@ class TestResume:
         # pool over the trials that happen to be there
         cfg = write_cfg(tmp_path)
         run = shutil.copytree(trained, tmp_path / "run")
-        assert main([stage, "--config", cfg, "--out", str(run)]) == EXIT_OK
+        for ran in ("run-chains", "run-baselines"):
+            assert main([ran, "--config", cfg, "--out", str(run)]) == EXIT_OK
         for path in sorted((run / "chains" / algo).iterdir())[1:]:
             path.unlink()
         capsys.readouterr()
         assert main(["metrics", "--config", cfg, "--out", str(run)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert first_missing in err and f"'{stage}'" in err
+        assert not (run / "metrics").exists()
+
+    @pytest.mark.parametrize("ran, missing, first_missing", [
+        ("run-chains", "run-baselines", "pt-icm/instance_0000_trial00.json"),
+        ("run-baselines", "run-chains", "qaoa-nmc/instance_0000_trial00.json"),
+    ])
+    def test_missing_algorithm_stage_exits_2(self, trained, tmp_path, capsys, ran,
+                                             missing, first_missing):
+        # an algorithm the config runs but whose stage never ran is not
+        # dropped from the metrics
+        cfg = write_cfg(tmp_path)
+        run = shutil.copytree(trained, tmp_path / "run")
+        assert main([ran, "--config", cfg, "--out", str(run)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["metrics", "--config", cfg, "--out", str(run)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert first_missing in err and f"'{missing}'" in err
+        assert not (run / "metrics").exists()
+
+    def test_config_that_runs_nothing_exits_2(self, tmp_path, capsys):
+        # PT-ICM runs at k = 2 only, so at k = 3 this config has nothing to measure
+        cfg = write_cfg(tmp_path, {"k": 3, "sizes": [5], "per_size": 1,
+                                   "algorithms": ["pt-icm"]})
+        run = tmp_path / "run"
+        for stage in ("gen-instances", "run-baselines"):
+            assert main([stage, "--config", cfg, "--out", str(run)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["metrics", "--config", cfg, "--out", str(run)]) == EXIT_CONFIG
+        assert "runs no algorithm" in capsys.readouterr().err
         assert not (run / "metrics").exists()
 
     def test_threads_give_identical_outputs(self, trained, tmp_path):

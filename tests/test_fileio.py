@@ -75,7 +75,7 @@ def test_failed_summary_leaves_no_file(tmp_path, dump_dies_midway):
 
 
 def test_failed_checkpoint_leaves_no_file(tmp_path, dump_dies_midway):
-    net = MadeNetwork(4, (8,), rng=np.random.default_rng(0))
+    net = MadeNetwork(4, rng=np.random.default_rng(0))
     path = tmp_path / "instance_0000.json"
     with pytest.raises(Interrupted):
         save_checkpoint(net, path)

@@ -12,6 +12,7 @@ from fairmc.ising import (
     SpinConfig,
     Temperature,
     basis_energies,
+    bit_rows,
     energy_of_bits,
     energy_of_bits_batch,
     energy_levels,
@@ -34,7 +35,7 @@ def random_model(rng, n, max_order=3, n_terms=None, integer=True):
 
 def energy_scalar_loop(model, config):
     """Independent oracle: plain per-term loop over explicit spin values."""
-    spins = 1 - 2 * config.bit_array()
+    spins = 1 - 2 * bit_rows(config.bits, config.n)
     e = model.offset
     for t in model.terms:
         p = 1
@@ -51,13 +52,21 @@ class TestSpinConfig:
             n = int(rng.integers(1, 20))
             spins = rng.choice([-1, 1], size=n).tolist()
             c = SpinConfig(sum(1 << i for i, s in enumerate(spins) if s == -1), n)
-            assert (1 - 2 * c.bit_array()).tolist() == spins
+            assert (1 - 2 * bit_rows(c.bits, n)).tolist() == spins
             assert SpinConfig.from_bitstring(c.to_bitstring()) == c
 
     def test_convention_bit1_is_spin_down(self):
         c = SpinConfig(0b101, 3)
-        assert (1 - 2 * c.bit_array()).tolist() == [-1, 1, -1]
-        assert c.bit_array().tolist() == [1, 0, 1]
+        assert (1 - 2 * bit_rows(c.bits, 3)).tolist() == [-1, 1, -1]
+        assert bit_rows(c.bits, 3).tolist() == [1, 0, 1]
+
+    def test_bit_rows_of_a_vector_stack_the_single_rows(self):
+        z = np.array([0, 5, (1 << 40) + 3, (1 << 64) - 1], dtype=np.uint64)
+        rows = bit_rows(z, 64)
+        assert rows.shape == (4, 64) and rows.dtype == np.float64
+        for v, row in zip(z, rows):
+            np.testing.assert_array_equal(row, bit_rows(int(v), 64))
+            assert SpinConfig.from_bits(row.astype(int).tolist()).bits == int(v)
 
 
 class TestEnergy:
@@ -180,7 +189,7 @@ class TestGroundStates:
         m = IsingModel.from_terms(1, [((0,), 1.0)])
         emin, states = ground_states_bruteforce(m)
         assert emin == -1.0
-        assert [(1 - 2 * s.bit_array()).tolist() for s in states] == [[-1]]
+        assert [(1 - 2 * bit_rows(s.bits, 1)).tolist() for s in states] == [[-1]]
 
     def test_states_sorted_and_attain_minimum(self):
         rng = np.random.default_rng(5)

@@ -1,11 +1,12 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from fairmc import made
-from fairmc.ising import SpinConfig
+from fairmc.ising import bit_rows
 from fairmc.made import (
     EPS,
     MadeNetwork,
@@ -22,15 +23,15 @@ from fairmc.made import (
 )
 
 
-def zero_net(n, hidden=None):
-    net = MadeNetwork(n, hidden or (4 * n,), rng=np.random.default_rng(0))
+def zero_net(n):
+    net = MadeNetwork(n, rng=np.random.default_rng(0))
     net.weights = [np.zeros_like(w) for w in net.weights]
     net.biases = [np.zeros_like(b) for b in net.biases]
     return net
 
 
-def random_net(n, hidden=None, seed=0, scale=1.0):
-    net = MadeNetwork(n, hidden or (4 * n,), rng=np.random.default_rng(seed))
+def random_net(n, seed=0, scale=1.0):
+    net = MadeNetwork(n, rng=np.random.default_rng(seed))
     rng = np.random.default_rng(seed + 1)
     net.weights = [w + scale * rng.normal(size=w.shape) * 0.3 for w in net.weights]
     net.biases = [rng.normal(size=b.shape) * 0.3 for b in net.biases]
@@ -41,7 +42,7 @@ class TestLogProb:
     def test_zero_weights_uniform(self):
         net = zero_net(5)
         for z in (0, 7, 31):
-            assert log_prob(net, SpinConfig(z, 5)) == pytest.approx(
+            assert log_prob(net, bit_rows(z, 5)) == pytest.approx(
                 -5 * np.log(2), abs=1e-12
             )
 
@@ -59,36 +60,37 @@ class TestLogProb:
 
     def test_batch_matches_single(self):
         net = random_net(6)
-        bits = np.stack([SpinConfig(z, 6).bit_array() for z in range(20)]).astype(float)
+        bits = bit_rows(np.arange(20), 6)
         batched = log_prob_batch(net, bits)
-        singles = [log_prob(net, SpinConfig(z, 6)) for z in range(20)]
+        singles = [log_prob(net, row) for row in bits]
         np.testing.assert_allclose(batched, singles, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 3, 10])
+    def test_single_is_one_row_of_the_batch(self, n):
+        # bit for bit against a one-row batch; a taller batch may round its
+        # matrix products differently
+        net = random_net(n, seed=n)
+        for x in bit_rows(np.random.default_rng(n).integers(0, 1 << n, 20), n):
+            assert log_prob(net, x) == log_prob_batch(net, x[None])[0]
 
 
 class TestMasking:
     def test_autoregressive_property(self):
-        # perturbing bit j must not change any conditional at position <= pos(j)
+        # perturbing bit j must not change any conditional at position <= j
         rng = np.random.default_rng(3)
-        for order in (None, (2, 0, 3, 1, 4)):
-            net = random_net(5)
-            if order:
-                net = MadeNetwork(5, (20,), variable_order=order,
-                                  rng=np.random.default_rng(4))
-            pos = {v: i for i, v in enumerate(net.variable_order)}
-            x = (rng.random(5) > 0.5).astype(float)
-            base = net.conditionals(x)
-            for j in range(5):
-                y = x.copy()
-                y[j] = 1.0 - y[j]
-                out = net.conditionals(y)
-                for v in range(5):
-                    if pos[v] <= pos[j]:
-                        assert out[v] == base[v]
+        net = random_net(5)
+        x = (rng.random(5) > 0.5).astype(float)
+        base = net.conditionals(x)
+        for j in range(5):
+            y = x.copy()
+            y[j] = 1.0 - y[j]
+            out = net.conditionals(y)
+            for v in range(j + 1):
+                assert out[v] == base[v]
 
     def test_first_variable_is_unconditional(self):
         net = random_net(4)
-        first = net.variable_order[0]
-        vals = {net.conditionals(np.array(x, dtype=float))[first]
+        vals = {net.conditionals(np.array(x, dtype=float))[0]
                 for x in np.ndindex(2, 2, 2, 2)}
         assert len(vals) == 1
 
@@ -105,7 +107,16 @@ class TestSample:
 
     def test_single_draw_type(self):
         s = sample(random_net(6), np.random.default_rng(0))
-        assert isinstance(s, SpinConfig) and s.n == 6
+        assert s.shape == (6,) and s.dtype == np.float64 and set(s) <= {0.0, 1.0}
+
+    @pytest.mark.parametrize("n", [1, 3, 10])
+    def test_single_draw_is_one_row_of_the_batch(self, n):
+        net = random_net(n, seed=n)
+        for seed in range(20):
+            rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+            np.testing.assert_array_equal(sample(net, rng_a), sample_batch(net, 1, rng_b)[0])
+            # and the two generators end in the same state
+            assert rng_a.random() == rng_b.random()
 
     def test_consistency_chi2_n8(self):
         net = random_net(8, seed=8)
@@ -131,26 +142,24 @@ class TestTrain:
     def test_memorizes_single_string(self, monkeypatch):
         monkeypatch.setattr(made, "LEARNING_RATE", 0.02)
         monkeypatch.setattr(made, "PLATEAU_EPOCHS", 800)
-        target = SpinConfig.from_bitstring("10110100")
+        target = 0b00101101  # "10110100", x_0 first
         cfg = TrainConfig(epochs=800, rng_seed=1)
-        net, curve = train([target] * 200, cfg)
+        net, curve = train(bit_rows(np.full(200, target), 8), cfg)
         assert curve[-1] < 0.05
         bits = sample_batch(net, 5000, np.random.default_rng(8))
         z = (bits * (1 << np.arange(8))).sum(axis=1).astype(int)
-        assert np.mean(z == target.bits) > 0.99
+        assert np.mean(z == target) > 0.99
 
     def test_loss_final_not_above_initial(self):
         rng = np.random.default_rng(9)
-        samples = [SpinConfig(int(z), 6) for z in rng.integers(0, 64, size=300)]
-        net, curve = train(samples, TrainConfig(epochs=30, rng_seed=2))
+        x = bit_rows(rng.integers(0, 64, size=300), 6)
+        net, curve = train(x, TrainConfig(epochs=30, rng_seed=2))
         assert curve[-1] <= curve[0]
-        final = float(-np.mean(
-            log_prob_batch(net, np.stack([s.bit_array() for s in samples]).astype(float))
-        ))
+        final = float(-np.mean(log_prob_batch(net, x)))
         assert final <= curve[0] + 1e-9
 
     def test_gradient_check_finite_differences(self):
-        net = random_net(3, hidden=(8,), seed=10, scale=0.5)
+        net = random_net(3, seed=10, scale=0.5)
         rng = np.random.default_rng(11)
         batch = (rng.random((16, 3)) > 0.5).astype(float)
         assert made._gradient_error(net, batch) < 1e-4
@@ -166,8 +175,7 @@ class TestTrain:
         state = run_qaoa(model, params.gammas, params.betas)
         target = measure_distribution(state).probs
         draws = np.random.default_rng(13).choice(64, size=1000, p=target)
-        samples = [SpinConfig(int(z), 6) for z in draws]
-        net, _ = train(samples, TrainConfig(epochs=300, rng_seed=3))
+        net, _ = train(bit_rows(draws, 6), TrainConfig(epochs=300, rng_seed=3))
         learned = exact_probabilities(net)
         tvd_net = 0.5 * np.abs(learned - target).sum()
         tvd_uniform = 0.5 * np.abs(np.full(64, 1 / 64) - target).sum()
@@ -199,8 +207,7 @@ class TestTrain:
         z = rng.integers(0, 1 << n, size)
         if skew:
             z &= rng.integers(0, 1 << n, size)
-        samples = [SpinConfig(int(v), n) for v in z]
-        net, curve = train(samples, TrainConfig(epochs=epochs, rng_seed=seed))
+        net, curve = train(bit_rows(z, n), TrainConfig(epochs=epochs, rng_seed=seed))
         save_checkpoint(net, tmp_path / "net.json")
         checkpoint = hashlib.sha256((tmp_path / "net.json").read_bytes()).hexdigest()
         losses = hashlib.sha256(" ".join(map(float.hex, curve)).encode()).hexdigest()
@@ -208,40 +215,56 @@ class TestTrain:
 
     def test_non_finite_loss_raises(self, monkeypatch):
         monkeypatch.setattr(made, "LEARNING_RATE", float("inf"))
-        samples = [SpinConfig(z % 32, 5) for z in range(200)]
+        x = bit_rows(np.arange(200) % 32, 5)
         with np.errstate(all="ignore"), pytest.raises(made.TrainingError, match="epoch 1"):
-            train(samples, TrainConfig(epochs=5, rng_seed=0))
+            train(x, TrainConfig(epochs=5, rng_seed=0))
 
     def test_returned_net_owns_its_arrays(self):
         rng = np.random.default_rng(15)
-        samples = [SpinConfig(int(z), 6) for z in rng.integers(0, 64, size=300)]
-        net, curve = train(samples, TrainConfig(epochs=30, rng_seed=4))
+        x = bit_rows(rng.integers(0, 64, size=300), 6)
+        net, curve = train(x, TrainConfig(epochs=30, rng_seed=4))
         arrays = net.weights + net.biases
         for i, a in enumerate(arrays):
             assert a.base is None
             for b in arrays[i + 1:]:
                 assert not np.shares_memory(a, b)
-        x = np.stack([s.bit_array() for s in samples]).astype(float)
         assert float(-np.mean(log_prob_batch(net, x))) in curve
         weights = [w.copy() for w in net.weights]
         net.biases[-1][:] = 5.0
         for w, before in zip(net.weights, weights):
             np.testing.assert_array_equal(w, before)
 
-    def test_rejects_empty_and_ragged(self):
+    def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            train([], TrainConfig())
-        with pytest.raises(Exception):
-            train([SpinConfig(0, 3), SpinConfig(0, 4)], TrainConfig(epochs=1))
+            train(np.zeros((0, 3)), TrainConfig())
+        with pytest.raises(ValueError):
+            train(np.zeros(3), TrainConfig())
 
 
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         net = random_net(5, seed=14)
-        samples = [SpinConfig(z, 5) for z in range(10)]
         path = tmp_path / "net.json"
-        save_checkpoint(net, path, digest=training_digest(samples))
+        save_checkpoint(net, path, digest=training_digest(bit_rows(np.arange(10), 5)))
         loaded = load_checkpoint(path)
-        assert loaded.variable_order == net.variable_order
+        assert loaded.to_json_dict() == net.to_json_dict()
         x = np.array([1.0, 0, 1, 0, 1])
         np.testing.assert_allclose(loaded.conditionals(x), net.conditionals(x))
+
+    @pytest.mark.parametrize("key, value", [
+        ("hidden_sizes", [8]), ("hidden_sizes", [20, 20]), ("hidden_sizes", []),
+        ("variable_order", [4, 3, 2, 1, 0]), ("variable_order", [0, 1, 2, 3]),
+    ])
+    def test_other_architecture_refused(self, tmp_path, key, value):
+        path = tmp_path / "net.json"
+        save_checkpoint(random_net(5), path)
+        d = json.loads(path.read_text())
+        path.write_text(json.dumps({**d, key: value}))
+        with pytest.raises(ValueError, match=key):
+            load_checkpoint(path)
+
+    def test_digest_pinned(self):
+        # recorded with the digest of the per-sample bitstrings it replaced
+        z = np.random.default_rng(31).integers(0, 1 << 9, 40)
+        assert training_digest(bit_rows(z, 9)) == "60a92dc04581880b"
+        assert training_digest(bit_rows(np.arange(10), 5)) == "f6a667aca778faa5"

@@ -39,7 +39,7 @@ def random_model(rng, n, n_terms=8, integer=True):
 
 
 def random_net(n, seed=0, scale=0.3):
-    net = MadeNetwork(n, (4 * n,), rng=np.random.default_rng(seed))
+    net = MadeNetwork(n, rng=np.random.default_rng(seed))
     rng = np.random.default_rng(seed + 1)
     net.weights = [w + rng.normal(size=w.shape) * scale for w in net.weights]
     net.biases = [rng.normal(size=b.shape) * scale for b in net.biases]
