@@ -22,9 +22,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from fairmc.ising import IsingModel, SpinConfig, energy_of_bits
 from fairmc.mcmc import ChainTrace, _sweep_for, _TraceBuilder
@@ -41,42 +39,17 @@ class UnsupportedModelError(ValueError):
 # PT-ICM
 
 
-# the ladder's temperature count and its hottest beta
-N_TEMPS = 8
-BETA_MIN = 0.1
-
-
-def geometric_beta_ladder(beta_max: float = 10.0) -> tuple[float, ...]:
-    return tuple(np.geomspace(BETA_MIN, beta_max, N_TEMPS).tolist())
-
-
-@dataclass
-class PtIcmConfig:
-    replica_betas: tuple[float, ...] = field(default_factory=geometric_beta_ladder)
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        # a single temperature leaves two SSF replicas joined only by
-        # Houdayer moves; real runs want >= 2
-        betas = tuple(self.replica_betas)
-        if len(betas) < 1:
-            raise ValueError("need at least one temperature")
-        if list(betas) != sorted(betas):
-            raise ValueError("replica_betas must be ascending")
-        self.replica_betas = betas
-
-
 @dataclass
 class PtIcmStats:
     """Exchange/cluster accounting over all replicas, emitted alongside the
     coldest trace."""
 
-    rounds: int = 0
-    exchange_attempts: int = 0
-    exchange_accepts: int = 0
-    icm_attempts: int = 0
-    icm_moves: int = 0  # attempts with a nonempty cluster
-    total_transitions: int = 0  # all replicas: N per sweep + exchanges + icm
+    rounds: int
+    exchange_attempts: int
+    exchange_accepts: int
+    icm_attempts: int
+    icm_moves: int  # attempts with a nonempty cluster
+    total_transitions: int  # all replicas: N per sweep + exchanges + icm
 
 
 def interaction_adjacency(model: IsingModel) -> list[list[int]]:
@@ -124,14 +97,17 @@ def houdayer_cluster(bits_a: int, bits_b: int, adj, rng) -> int:
 
 def pt_icm_run(
     model: IsingModel,
-    cfg: PtIcmConfig,
-    steps: int,
+    betas: tuple[float, ...],
+    rounds: int,
+    rng_seed: int,
 ) -> tuple[ChainTrace, PtIcmStats]:
-    """`steps` PT rounds; returns the coldest (largest-beta) replica's trace
-    from the first family and the exchange/ICM statistics of all replicas.
-    The trace records every transition of that replica: the N flips of its
-    sweep, its exchange with the next-warmer replica and its Houdayer move;
-    `PtIcmStats.total_transitions` counts those of every replica.
+    """`rounds` PT rounds over the ascending inverse temperatures `betas`,
+    seeded from `rng_seed`; returns the coldest (largest-beta) replica's
+    trace from the first family and the exchange/ICM statistics of all
+    replicas.  The trace records every transition of that replica: the N
+    flips of its sweep, its exchange with the next-warmer replica and its
+    Houdayer move; `PtIcmStats.total_transitions` counts those of every
+    replica.  Raises ValueError for an empty or non-ascending ladder.
 
     Each round: one SSF sweep per replica, neighbor exchanges within each
     family, and one Houdayer move (`houdayer_cluster`) per temperature across
@@ -144,10 +120,15 @@ def pt_icm_run(
     trace does not depend on which path ran.
     """
     adj = interaction_adjacency(model)  # validates 2-body up front
-    betas = cfg.replica_betas
+    # a single temperature leaves two SSF replicas joined only by Houdayer
+    # moves; real runs want >= 2
+    if not betas:
+        raise ValueError("need at least one temperature")
+    if list(betas) != sorted(betas):
+        raise ValueError("betas must be ascending")
     n_temps = len(betas)
     n = model.n_sites
-    rng = random.Random(cfg.rng_seed)
+    rng = random.Random(rng_seed)
 
     sweep, table = _sweep_for(model)
     if table is not None:
@@ -165,27 +146,23 @@ def pt_icm_run(
     ssf_tag = builder.tag_id("ssf")
     ex_tag = builder.tag_id("exchange")
     icm_tag = builder.tag_id("icm")
-    stats = PtIcmStats()
+    exchange_accepts = icm_moves = 0
 
-    for _ in range(steps):
-        stats.rounds += 1
+    for _ in range(rounds):
         for fam in (0, 1):
             for ti in range(n_temps):
                 record = builder.record if fam == 0 and ti == cold else None
                 bits[fam][ti], energies[fam][ti] = sweep(
                     bits[fam][ti], energies[fam][ti], betas[ti], rng, record, ssf_tag
                 )
-        stats.total_transitions += 2 * n_temps * n
 
         for fam in (0, 1):
             for ti in range(n_temps - 1):
-                stats.exchange_attempts += 1
-                stats.total_transitions += 1
                 db = betas[ti] - betas[ti + 1]
                 de = energies[fam][ti] - energies[fam][ti + 1]
                 accepted = db * de >= 0.0 or rng.random() < math.exp(db * de)
                 if accepted:
-                    stats.exchange_accepts += 1
+                    exchange_accepts += 1
                     bits[fam][ti], bits[fam][ti + 1] = bits[fam][ti + 1], bits[fam][ti]
                     energies[fam][ti], energies[fam][ti + 1] = (
                         energies[fam][ti + 1],
@@ -197,11 +174,9 @@ def pt_icm_run(
                     )
 
         for ti in range(n_temps):
-            stats.icm_attempts += 1
-            stats.total_transitions += 1
             cluster = houdayer_cluster(bits[0][ti], bits[1][ti], adj, rng)
             if cluster:
-                stats.icm_moves += 1
+                icm_moves += 1
                 bits[0][ti] ^= cluster
                 bits[1][ti] ^= cluster
                 energies[0][ti] = energy_of(bits[0][ti])
@@ -211,7 +186,18 @@ def pt_icm_run(
                     bits[0][cold], energies[0][cold], bool(cluster), icm_tag
                 )
 
-    return builder.build(steps), stats
+    # per round: 2T sweeps of N flips, 2(T - 1) exchanges, T Houdayer moves
+    exchange_attempts = rounds * 2 * (n_temps - 1)
+    icm_attempts = rounds * n_temps
+    stats = PtIcmStats(
+        rounds=rounds,
+        exchange_attempts=exchange_attempts,
+        exchange_accepts=exchange_accepts,
+        icm_attempts=icm_attempts,
+        icm_moves=icm_moves,
+        total_transitions=rounds * 2 * n_temps * n + exchange_attempts + icm_attempts,
+    )
+    return builder.build(rounds), stats
 
 
 # ---------------------------------------------------------------------------
@@ -221,12 +207,6 @@ def pt_icm_run(
 NOISE_P = 0.5
 # WalkSATlm's weights of make1 and make2 in its tie-break score
 LM_WEIGHTS = (6.0, 1.0)
-
-
-@dataclass
-class WalkSatConfig:
-    max_flips: int = 10**6
-    rng_seed: int = 0
 
 
 @dataclass
@@ -377,29 +357,24 @@ def _pick_variable(asg: _Assignment, clause_vars, rng) -> int:
     return best[rng.randrange(len(best))]
 
 
-def walksat_run(
-    formula: CnfFormula,
-    cfg: WalkSatConfig,
-    rng: random.Random,
-    asg: _Assignment,
-) -> WalkSatResult:
-    """Stochastic local search from a uniform random assignment.  `rng`
-    draws the start and every pick (`walksat_enumerate` seeds it from
-    `cfg.rng_seed`).
+def walksat_run(asg: _Assignment, max_flips: int, rng: random.Random) -> WalkSatResult:
+    """Stochastic local search from a uniform random assignment, for at most
+    `max_flips` flips.  `rng` draws the start and every pick
+    (`walksat_enumerate` seeds it).
 
-    `asg`, built over `formula`, carries the clause bookkeeping and the
+    `asg` holds the formula and carries the clause bookkeeping and the
     blocked solutions from one run of an enumeration to the next.
     """
-    asg.reset(rng.getrandbits(formula.n_vars))
-    for flips in range(cfg.max_flips + 1):
+    asg.reset(rng.getrandbits(asg.n))
+    for flips in range(max_flips + 1):
         if not asg.unsat:
-            return WalkSatResult(SpinConfig(asg.bits, formula.n_vars), flips)
-        if flips == cfg.max_flips:
+            return WalkSatResult(SpinConfig(asg.bits, asg.n), flips)
+        if flips == max_flips:
             break
         ci = asg.unsat[rng.randrange(len(asg.unsat))]
         v = _pick_variable(asg, asg.variables(ci), rng)
         asg.flip(v)
-    return WalkSatResult(None, cfg.max_flips)
+    return WalkSatResult(None, max_flips)
 
 
 @dataclass
@@ -417,25 +392,27 @@ class EnumerationResult:
 
 
 def walksat_enumerate(
-    formula: CnfFormula, cfg: WalkSatConfig, n_solutions: int
+    formula: CnfFormula, n_solutions: int, max_flips: int, rng_seed: int
 ) -> EnumerationResult:
     """Enumerate solutions by repeated solving with blocking clauses.
 
     `n_solutions` is the formula's exact solution count, as the instance
     manifest holds it (`len(sat.enumerate_solutions(formula))`).  Enumeration
     stops, complete, once that many have been found; with a count of 0 (an
-    UNSAT formula) it returns at once with no flips.  A run that exhausts its
+    UNSAT formula) it returns at once with no flips.  Each run (`walksat_run`)
+    has a budget of `max_flips` flips, and one `random.Random(rng_seed)`
+    draws for all of them.  A run that exhausts its
     flip budget before then ends the enumeration, flagged incomplete rather
     than raised.  Each blocking clause removes exactly its own solution, so
     the runs are those of repeated solving on the growing blocked formula.
     """
-    rng = random.Random(cfg.rng_seed)
+    rng = random.Random(rng_seed)
     asg = _Assignment(formula)
     solutions: list[SpinConfig] = []
     flips_at: list[int] = []
     total = 0
     while len(solutions) < n_solutions:
-        res = walksat_run(formula, cfg, rng, asg)
+        res = walksat_run(asg, max_flips, rng)
         total += res.flips_used
         if not res.found:
             return EnumerationResult(solutions, total, flips_at, complete=False)

@@ -53,13 +53,7 @@ from pathlib import Path
 import numpy as np
 
 import fairmc
-from fairmc.baselines import (
-    PtIcmConfig,
-    WalkSatConfig,
-    geometric_beta_ladder,
-    pt_icm_run,
-    walksat_enumerate,
-)
+from fairmc.baselines import pt_icm_run, walksat_enumerate
 from fairmc.fileio import atomic_write
 from fairmc.fixtures import FIXTURE_NAMES, SIXFOLD_FIXTURE, load_fixture
 from fairmc.ising import (
@@ -115,6 +109,8 @@ COUNT_FIELDS = ("per_size", "qaoa_depth", "qaoa_starts", "train_samples", "made_
                 "chain_steps", "trials", "walksat_max_flips", "samples")
 # the target inverse temperature of every chain and the top of the PT-ICM ladder
 BETA = 10.0
+# PT-ICM's inverse temperatures: 8, geometric from 0.1 up to BETA
+PT_BETAS = tuple(np.geomspace(0.1, BETA, 8).tolist())
 # fig2's anneal times
 ANNEAL_GRID = np.geomspace(0.1, 1000.0, 30)
 
@@ -130,18 +126,18 @@ class StageError(RuntimeError):
 @dataclass
 class ExperimentConfig:
     """What an experiment varies.  A setting no experiment varies is a
-    constant of the module that uses it, and the `*_config` builders add what
-    varies.  MADE: `made.BATCH_SIZE`, `LEARNING_RATE`, the plateau stop
+    constant of the module that uses it; `train_config` and the baselines'
+    plain arguments (`pt_icm_run`, `walksat_enumerate`) add what varies.
+    MADE: `made.BATCH_SIZE`, `LEARNING_RATE`, the plateau stop
     `PLATEAU_EPOCHS` and `PLATEAU_TOL`, one hidden layer of width
     `HIDDEN_PER_INPUT` * N = 4N over the bits in natural order
-    (`MadeNetwork`).  PT-ICM: `baselines.N_TEMPS` betas from `BETA_MIN`
-    (`geometric_beta_ladder`), a sweep and a Houdayer move a round
-    (`pt_icm_run`), rounds from `_matched_pt_rounds`.  WalkSAT: WalkSATlm
-    with `NOISE_P` and `LM_WEIGHTS`.  QE-MCMC: (w, t) from
-    `mcmc.QE_DRIVER_WEIGHT_RANGE` and `QE_TIME_RANGE`.
-    Chains: the inverse temperature `BETA`, also the top of the PT-ICM
-    ladder.  Annealing: ceil(64 sqrt(T)) CF4 steps (`run_annealing`), and
-    fig2's anneal times `ANNEAL_GRID`.  Density: `ALPHA_C[k]`."""
+    (`MadeNetwork`).  PT-ICM: the inverse temperatures `PT_BETAS`, a sweep
+    and a Houdayer move a round (`pt_icm_run`), rounds from
+    `_matched_pt_rounds`.  WalkSAT: WalkSATlm with `NOISE_P` and
+    `LM_WEIGHTS`.  QE-MCMC: (w, t) from `mcmc.QE_DRIVER_WEIGHT_RANGE` and
+    `QE_TIME_RANGE`.  Chains: the inverse temperature `BETA`, also the top
+    of `PT_BETAS`.  Annealing: ceil(64 sqrt(T)) CF4 steps (`run_annealing`),
+    and fig2's anneal times `ANNEAL_GRID`.  Density: `ALPHA_C[k]`."""
 
     kind: str
     k: int = 2
@@ -210,13 +206,6 @@ class ExperimentConfig:
 
     def train_config(self, seed: int) -> TrainConfig:
         return TrainConfig(epochs=self.made_epochs, rng_seed=seed)
-
-    def pt_config(self, seed: int) -> PtIcmConfig:
-        return PtIcmConfig(replica_betas=geometric_beta_ladder(beta_max=BETA),
-                           rng_seed=seed)
-
-    def walksat_config(self, seed: int) -> WalkSatConfig:
-        return WalkSatConfig(max_flips=self.walksat_max_flips, rng_seed=seed)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -438,10 +427,10 @@ def _matched_pt_rounds(cfg: ExperimentConfig, n: int) -> int:
     return max(1, total // (n + 2))
 
 
-def _run_pt_trial(path, model, solutions, pt_cfg, rounds, instance):
-    trace, stats = pt_icm_run(model, pt_cfg, rounds)
+def _run_pt_trial(path, model, solutions, rounds, instance, seed):
+    trace, stats = pt_icm_run(model, PT_BETAS, rounds, seed)
     _write_summary(path, _chain_summary(
-        trace, solutions, "pt-icm", instance, 0, pt_cfg.rng_seed,
+        trace, solutions, "pt-icm", instance, 0, seed,
         exchange_attempts=stats.exchange_attempts,
         exchange_accepts=stats.exchange_accepts,
         icm_attempts=stats.icm_attempts,
@@ -450,13 +439,13 @@ def _run_pt_trial(path, model, solutions, pt_cfg, rounds, instance):
     ))
 
 
-def _run_walksat_trial(path, formula, n_solutions, ws_cfg, instance, trial):
-    res = walksat_enumerate(formula, ws_cfg, n_solutions)
+def _run_walksat_trial(path, formula, n_solutions, max_flips, instance, trial, seed):
+    res = walksat_enumerate(formula, n_solutions, max_flips, seed)
     _write_summary(path, {
         "algorithm": "walksat",
         "instance": instance,
         "trial": trial,
-        "seed": ws_cfg.rng_seed,
+        "seed": seed,
         "found": [s.bits for s in res.solutions],
         "flips_at_solution": res.flips_at_solution,
         "total_flips": res.total_flips,
@@ -471,15 +460,15 @@ def stage_baselines(cfg: ExperimentConfig, out: Path, threads: int = 1):
     if cfg.runs_pt_icm:
         _run_missing(_run_pt_trial, [
             (_summary_path(out, "pt-icm", i, 0), to_ising(entry.formula),
-             entry.solutions, cfg.pt_config(derive_seed(cfg.seed, "pt", i)),
-             _matched_pt_rounds(cfg, entry.formula.n_vars), i)
+             entry.solutions, _matched_pt_rounds(cfg, entry.formula.n_vars), i,
+             derive_seed(cfg.seed, "pt", i))
             for i, entry in enumerate(instset.entries)
         ], threads)
 
     if "walksat" in cfg.algorithms:
         _run_missing(_run_walksat_trial, [
             (_summary_path(out, "walksat", i, trial), entry.formula, len(entry.solutions),
-             cfg.walksat_config(derive_seed(cfg.seed, "walksat", i, trial)), i, trial)
+             cfg.walksat_max_flips, i, trial, derive_seed(cfg.seed, "walksat", i, trial))
             for i, entry in enumerate(instset.entries) for trial in range(cfg.trials)
         ], threads)
 

@@ -128,8 +128,17 @@ class MadeNetwork:
                 f"checkpoint is not a natural-order net of width {HIDDEN_PER_INPUT}N: "
                 f"hidden_sizes {layout[0]}, variable_order {layout[1]}")
         net = cls(n, rng=np.random.default_rng(0))
-        net.weights = [np.asarray(w, dtype=np.float64) for w in d["weights"]]
-        net.biases = [np.asarray(b, dtype=np.float64) for b in d["biases"]]
+        # a wrongly shaped array could still give normalized probabilities
+        for key in ("weights", "biases"):
+            built = getattr(net, key)
+            stored = [np.asarray(a, dtype=np.float64) for a in d[key]]
+            if len(stored) != len(built):
+                raise ValueError(f"checkpoint has {len(stored)} {key}, expected {len(built)}")
+            for i, (a, b) in enumerate(zip(stored, built)):
+                if a.shape != b.shape:
+                    raise ValueError(
+                        f"checkpoint {key}[{i}] has shape {a.shape}, expected {b.shape}")
+            setattr(net, key, stored)
         return net
 
 

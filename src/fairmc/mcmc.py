@@ -9,14 +9,15 @@
 * single-spin-flip sweeps (SsfSweepUpdate) and the hybrid composite
   (HybridUpdate: one neural independence step followed by one N-flip sweep),
   which preserve the target because each sub-update does.
-* a generic kernel: any object with a `tag` and `propose(current, rng)`
-  returning the candidate SpinConfig.  The proposal must be symmetric,
-  q(a|b) = q(b|a), and is accepted with min(1, exp(-beta*dE)).  QeKernel is
-  one: it measures after short evolution from the current basis state under
-  the exact dense exp(-iHt), so U = U^T and |U_zz'| = |U_z'z| given the
-  per-step draw of (driver weight, time), uniform in QE_DRIVER_WEIGHT_RANGE
-  and QE_TIME_RANGE and made before proposing.  Models above
-  qsim._DENSE_MAX sites raise CapacityError.
+* a generic kernel: any object with a `tag` and `propose(bits, rng)`
+  mapping the current state's packed bits to the candidate's.  The proposal
+  must be symmetric, q(a|b) = q(b|a), and is accepted with
+  min(1, exp(-beta*dE)).  QeKernel is one: it measures after short
+  evolution from the current basis state under the exact dense exp(-iHt),
+  so U = U^T and |U_zz'| = |U_z'z| given the per-step draw of (driver
+  weight, time), uniform in QE_DRIVER_WEIGHT_RANGE and QE_TIME_RANGE and
+  made before proposing.  Models above qsim._DENSE_MAX sites raise
+  CapacityError.
 
 Sweeps: `run_chain` and PT-ICM take their sweep from `_sweep_for`.  On a
 model with exact energies (`IsingModel.has_exact_energies`: every k-SAT
@@ -114,17 +115,16 @@ class QeKernel:
     def __init__(self, model: IsingModel):
         self.model = model
 
-    def propose(self, current, rng) -> SpinConfig:
+    def propose(self, bits: int, rng) -> int:
         lo, hi = QE_DRIVER_WEIGHT_RANGE
         w = lo + (hi - lo) * rng.random()
         t0, t1 = QE_TIME_RANGE
         t = t0 + (t1 - t0) * rng.random()
         n = self.model.n_sites
-        state = evolve_fixed(basis_state(n, current.bits), self.model, w, t)
+        state = evolve_fixed(basis_state(n, bits), self.model, w, t)
         probs = measure_distribution(state).probs
         z = int(np.searchsorted(np.cumsum(probs), rng.random()))
-        z = min(z, len(probs) - 1)
-        return SpinConfig(z, self.model.n_sites)
+        return min(z, len(probs) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -309,9 +309,9 @@ def run_chain(
     One acceptance rule per update family: MadeKernel and the neural half of
     HybridUpdate accept with min(1, exp(-beta*dE) * q(cur)/q(cand)); sweeps
     accept each flip with min(1, exp(-beta*dE)); any other `update` is a
-    generic kernel whose `propose(current, rng)` returns the candidate
-    SpinConfig, and whose proposal must be symmetric, since it is accepted
-    with min(1, exp(-beta*dE)) and no q ratio.
+    generic kernel whose `propose(bits, rng)` maps the current state's
+    packed bits to the candidate's, and whose proposal must be symmetric,
+    since it is accepted with min(1, exp(-beta*dE)) and no q ratio.
 
     Deterministic for a fixed seed.  `init` is a SpinConfig or RANDOM_INIT
     for a uniform draw.  Raises DimensionError when a MADE net's input count
@@ -370,7 +370,7 @@ def run_chain(
     else:
         tag_id = builder.tag_id(update.tag)
         for _ in range(steps):
-            cand = update.propose(SpinConfig(bits, n), rng).bits
+            cand = update.propose(bits, rng)
             cand_e = energy_of_bits(model, cand)
             if _accept(-beta * (cand_e - energy), rng):
                 bits, energy, acc = cand, cand_e, True

@@ -19,7 +19,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from fairmc.fileio import atomic_write
-from fairmc.ising import CapacityError, DimensionError, IsingModel, SpinConfig
+from fairmc.ising import (
+    MAX_BRUTEFORCE_SITES,
+    CapacityError,
+    DimensionError,
+    IsingModel,
+    SpinConfig,
+)
 
 GENERATION_RETRY_BUDGET = 10**6
 
@@ -187,8 +193,9 @@ def _unsat_mask_per_clause(clause: Clause, z: np.ndarray) -> np.ndarray:
 
 def unsatisfied_counts_all(formula: CnfFormula) -> np.ndarray:
     """Unsatisfied-clause count for every assignment, indexed by packed bits."""
-    if formula.n_vars > 24:
-        raise CapacityError("exhaustive evaluation limited to 24 variables")
+    if formula.n_vars > MAX_BRUTEFORCE_SITES:
+        raise CapacityError(
+            f"exhaustive evaluation limited to {MAX_BRUTEFORCE_SITES} variables")
     z = np.arange(1 << formula.n_vars, dtype=np.uint64)
     counts = np.zeros(len(z), dtype=np.int64)
     for c in formula.clauses:

@@ -7,10 +7,7 @@ import pytest
 from fairmc.baselines import (
     EnumerationResult,
     _Assignment,
-    PtIcmConfig,
     UnsupportedModelError,
-    WalkSatConfig,
-    geometric_beta_ladder,
     houdayer_cluster,
     interaction_adjacency,
     pt_icm_run,
@@ -19,6 +16,7 @@ from fairmc.baselines import (
 )
 from fairmc import mcmc
 from fairmc.exact import boltzmann
+from fairmc.experiments import PT_BETAS
 from fairmc.ising import (
     IsingModel,
     basis_energies,
@@ -48,20 +46,23 @@ def random_2body_model(rng, n, n_terms=10):
 
 class TestConfig:
     def test_ladder_geometric_and_ascending(self):
-        ladder = geometric_beta_ladder()
-        assert len(ladder) == 8
-        assert ladder[0] == pytest.approx(0.1)
-        assert ladder[-1] == pytest.approx(10.0)
-        assert list(ladder) == sorted(ladder)
+        assert PT_BETAS == tuple(np.geomspace(0.1, 10.0, 8).tolist())
+        assert list(PT_BETAS) == sorted(PT_BETAS)
 
     def test_rejects_descending(self):
-        with pytest.raises(ValueError):
-            PtIcmConfig(replica_betas=(2.0, 1.0))
+        m = IsingModel.from_terms(2, [((0, 1), 1.0)])
+        with pytest.raises(ValueError, match="ascending"):
+            pt_icm_run(m, (2.0, 1.0), 5, 0)
+
+    def test_rejects_empty_ladder(self):
+        m = IsingModel.from_terms(2, [((0, 1), 1.0)])
+        with pytest.raises(ValueError, match="at least one temperature"):
+            pt_icm_run(m, (), 5, 0)
 
     def test_rejects_3body_model(self):
         m = IsingModel.from_terms(4, [((0, 1, 2), 1.0)])
         with pytest.raises(UnsupportedModelError):
-            pt_icm_run(m, PtIcmConfig(), 5)
+            pt_icm_run(m, PT_BETAS, 5, 0)
 
 
 class TestIcmMove:
@@ -99,8 +100,7 @@ class TestIcmMove:
 class TestExchange:
     def test_equal_energy_always_exchanges(self):
         m = IsingModel.from_terms(3, [], offset=1.0)  # flat landscape
-        cfg = PtIcmConfig(replica_betas=(1.0, 2.0), rng_seed=6)
-        _, stats_out = pt_icm_run(m, cfg, 50)
+        _, stats_out = pt_icm_run(m, (1.0, 2.0), 50, 6)
         assert stats_out.exchange_attempts == stats_out.exchange_accepts > 0
 
     def test_exchange_operator_detailed_balance(self):
@@ -126,10 +126,8 @@ class TestExchange:
 class TestPtIcmRun:
     def test_cold_replica_matches_boltzmann(self):
         m = random_2body_model(np.random.default_rng(11), 4)
-        cfg = PtIcmConfig(
-            replica_betas=tuple(np.geomspace(0.1, 10.0, 6).tolist()), rng_seed=12
-        )
-        trace, stats_out = pt_icm_run(m, cfg, 8000)
+        betas = tuple(np.geomspace(0.1, 10.0, 6).tolist())
+        trace, stats_out = pt_icm_run(m, betas, 8000, 12)
         freq = np.bincount(
             trace.states[trace.tags == 0].astype(int), minlength=16
         )
@@ -140,9 +138,8 @@ class TestPtIcmRun:
 
     def test_deterministic(self):
         m = random_2body_model(np.random.default_rng(13), 4)
-        cfg = PtIcmConfig(rng_seed=14)
-        a, _ = pt_icm_run(m, cfg, 100)
-        b, _ = pt_icm_run(m, cfg, 100)
+        a, _ = pt_icm_run(m, PT_BETAS, 100, 14)
+        b, _ = pt_icm_run(m, PT_BETAS, 100, 14)
         assert np.array_equal(a.states, b.states)
 
     def test_pinned_traces(self):
@@ -153,14 +150,13 @@ class TestPtIcmRun:
             sites = sorted(rng.choice(6, size=int(rng.integers(1, 3)), replace=False).tolist())
             terms.append((sites, float(rng.normal())))
         m = IsingModel.from_terms(6, terms)
-        cfg = PtIcmConfig(replica_betas=tuple(np.geomspace(0.2, 5.0, 4).tolist()),
-                          rng_seed=55)
-        short, _ = pt_icm_run(m, cfg, 3)
+        betas = tuple(np.geomspace(0.2, 5.0, 4).tolist())
+        short, _ = pt_icm_run(m, betas, 3, 55)
         assert short.states.tolist() == [44, 40, 40, 40, 41, 41, 24, 25] + [25] * 16
         assert short.accepted.astype(int).tolist() == (
             [1, 1, 0, 0, 1, 0, 1, 1] + [0] * 6 + [1] + [0] * 9)
         assert short.tags.tolist() == [0] * 6 + [1, 2] + ([0] * 6 + [1, 2]) * 2
-        trace, stats_out = pt_icm_run(m, cfg, 200)
+        trace, stats_out = pt_icm_run(m, betas, 200, 55)
         h = hashlib.sha256()
         # the last array is the 1-based transition index of each record
         for a in (trace.states, trace.energies, trace.accepted, trace.tags,
@@ -168,6 +164,8 @@ class TestPtIcmRun:
             h.update(np.ascontiguousarray(a).tobytes())
         assert h.hexdigest()[:16] == "2c4499ccdcd46345"
         assert (stats_out.exchange_accepts, stats_out.icm_moves) == (596, 553)
+        # 200 rounds of 2 x 4 sweeps of 6 flips, 2 x 3 exchanges, 4 Houdayer moves
+        assert stats_out.total_transitions == 11600
 
 
 class TestPtIcmTable:
@@ -175,10 +173,9 @@ class TestPtIcmTable:
 
     def test_matches_mask_sweep(self, monkeypatch):
         m = to_ising(generate_instance(10, 2, ALPHA_C[2], 65))
-        cfg = PtIcmConfig(rng_seed=66)
-        table, table_stats = pt_icm_run(m, cfg, 200)
+        table, table_stats = pt_icm_run(m, PT_BETAS, 200, 66)
         monkeypatch.setattr(mcmc, "_TABLE_MAX_SITES", 0)
-        mask, mask_stats = pt_icm_run(m, cfg, 200)
+        mask, mask_stats = pt_icm_run(m, PT_BETAS, 200, 66)
         assert table.states.tolist() == mask.states.tolist()
         assert table.energies.tobytes() == mask.energies.tobytes()
         assert table.accepted.tolist() == mask.accepted.tolist()
@@ -188,34 +185,33 @@ class TestPtIcmTable:
 
     def test_energies_after_houdayer_moves(self):
         m = to_ising(generate_instance(10, 2, ALPHA_C[2], 67))
-        trace, _ = pt_icm_run(m, PtIcmConfig(rng_seed=68), 200)
+        trace, _ = pt_icm_run(m, PT_BETAS, 200, 68)
         moved = (trace.tags == trace.tag_legend.index("icm")) & trace.accepted
         assert moved.sum() > 10
         assert trace.energies.tolist() == [energy_of_bits(m, z) for z in trace.states.tolist()]
 
 
-def run_once(formula, cfg):
-    """One WalkSAT run seeded from the config, with fresh bookkeeping."""
-    return walksat_run(formula, cfg, random.Random(cfg.rng_seed), _Assignment(formula))
+def run_once(formula, rng_seed, max_flips=10**6):
+    """One WalkSAT run seeded with `rng_seed`, with fresh bookkeeping."""
+    return walksat_run(_Assignment(formula), max_flips, random.Random(rng_seed))
 
 
 class TestWalkSat:
     def test_empty_formula_zero_flips(self):
         f = CnfFormula(4, ())
-        res = run_once(f, WalkSatConfig(rng_seed=0))
+        res = run_once(f, 0)
         assert res.found and res.flips_used == 0
 
     def test_single_unit_clause(self):
         f = CnfFormula(1, (Clause.from_ints([1]),))
-        res = run_once(f, WalkSatConfig(rng_seed=1))
+        res = run_once(f, 1)
         assert res.found and res.flips_used <= 2
         assert res.solution.bit(0) == 1
 
     def test_solves_generated_instances(self):
         instset = build_instance_set([12], k=3, per_size=100, alpha_c=ALPHA_C[3], seed=2)
-        cfg = WalkSatConfig(max_flips=10**6, rng_seed=3)
         for entry in instset.entries:
-            res = run_once(entry.formula, cfg)
+            res = run_once(entry.formula, 3)
             assert res.found
             assert count_unsatisfied(entry.formula, res.solution) == 0
 
@@ -226,7 +222,7 @@ class TestWalkSatEnumerate:
         f = CnfFormula(3, (Clause.from_ints([1]), Clause.from_ints([-2])))
         expected = {s.bits for s in enumerate_solutions(f)}
         assert len(expected) == 2
-        res = walksat_enumerate(f, WalkSatConfig(max_flips=10_000, rng_seed=4), len(expected))
+        res = walksat_enumerate(f, len(expected), 10_000, 4)
         assert res.complete
         assert {s.bits for s in res.solutions} == expected
 
@@ -234,9 +230,7 @@ class TestWalkSatEnumerate:
         instset = build_instance_set([10], k=2, per_size=4, alpha_c=1.0, seed=5)
         for entry in instset.entries:
             res = walksat_enumerate(
-                entry.formula, WalkSatConfig(max_flips=20_000, rng_seed=6),
-                len(enumerate_solutions(entry.formula)),
-            )
+                entry.formula, len(enumerate_solutions(entry.formula)), 20_000, 6)
             assert res.complete
             assert {s.bits for s in res.solutions} == {
                 s.bits for s in entry.solutions
@@ -249,15 +243,13 @@ class TestWalkSatEnumerate:
     def test_incomplete_when_budget_tiny(self):
         # dozens of solutions but almost no flips allowed
         f = CnfFormula(10, (Clause.from_ints([1, 2]),))
-        res = walksat_enumerate(
-            f, WalkSatConfig(max_flips=1, rng_seed=7), len(enumerate_solutions(f)))
+        res = walksat_enumerate(f, len(enumerate_solutions(f)), 1, 7)
         assert isinstance(res, EnumerationResult)
         assert not res.complete
 
     def test_unsat_input_immediately_complete(self):
         f = CnfFormula(2, (Clause.from_ints([1]), Clause.from_ints([-1])))
-        res = walksat_enumerate(
-            f, WalkSatConfig(max_flips=500, rng_seed=8), len(enumerate_solutions(f)))
+        res = walksat_enumerate(f, len(enumerate_solutions(f)), 500, 8)
         assert res.complete and res.solutions == []
 
 
@@ -279,8 +271,7 @@ class TestWalkSatEnumerateGolden:
         self, instance_seed, alpha, rng_seed, max_flips, bits, flips_at, complete
     ):
         f = generate_instance(10, 2, alpha, instance_seed)
-        res = walksat_enumerate(f, WalkSatConfig(max_flips=max_flips, rng_seed=rng_seed),
-                                len(enumerate_solutions(f)))
+        res = walksat_enumerate(f, len(enumerate_solutions(f)), max_flips, rng_seed)
         assert [s.bits for s in res.solutions] == bits
         assert res.flips_at_solution == flips_at
         assert res.complete is complete
@@ -291,16 +282,13 @@ class TestWalkSatEnumerateGolden:
         instset = build_instance_set([10], k=2, per_size=4, alpha_c=1.0, seed=5)
         for entry in instset.entries:
             res = walksat_enumerate(
-                entry.formula, WalkSatConfig(max_flips=20_000, rng_seed=6),
-                len(enumerate_solutions(entry.formula)),
-            )
+                entry.formula, len(enumerate_solutions(entry.formula)), 20_000, 6)
             assert res.complete
             assert res.total_flips == res.flips_to_last_solution
 
     def test_unsat_input_takes_no_flips(self):
         f = CnfFormula(2, (Clause.from_ints([1]), Clause.from_ints([-1])))
-        res = walksat_enumerate(
-            f, WalkSatConfig(max_flips=500, rng_seed=8), len(enumerate_solutions(f)))
+        res = walksat_enumerate(f, len(enumerate_solutions(f)), 500, 8)
         assert res.complete and res.solutions == [] and res.total_flips == 0
 
 
@@ -364,10 +352,8 @@ class TestBlockedSolutionBookkeeping:
         sols = enumerate_solutions(formula)
         blocked = sols[: len(sols) - 1]
         reference, asg = self._pair(formula, blocked, 0, _UnsatRecorder)
-        appended = CnfFormula(9, reference.clauses)
-        cfg = WalkSatConfig(max_flips=5000, rng_seed=0)
-        a = walksat_run(appended, cfg, random.Random(1), reference)
-        b = walksat_run(formula, cfg, random.Random(1), asg)
+        a = walksat_run(reference, 5000, random.Random(1))
+        b = walksat_run(asg, 5000, random.Random(1))
         assert a.found and a.solution == b.solution == sols[-1]
         assert a.flips_used == b.flips_used
         assert len(reference.unsat_trace) == a.flips_used

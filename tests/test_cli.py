@@ -7,9 +7,16 @@ import numpy as np
 import pytest
 
 from fairmc import experiments
-from fairmc.baselines import LM_WEIGHTS, NOISE_P, PtIcmConfig, WalkSatConfig
+from fairmc.baselines import LM_WEIGHTS, NOISE_P
 from fairmc.cli import EXIT_CONFIG, EXIT_OK, FIGS, load_preset, main
-from fairmc.experiments import ANNEAL_GRID, BETA, ConfigError, ExperimentConfig, derive_seed
+from fairmc.experiments import (
+    ANNEAL_GRID,
+    BETA,
+    PT_BETAS,
+    ConfigError,
+    ExperimentConfig,
+    derive_seed,
+)
 from fairmc.made import (
     BATCH_SIZE,
     LEARNING_RATE,
@@ -126,9 +133,8 @@ class TestConfig:
         assert cfg.train_config(5) == TrainConfig(epochs=500, rng_seed=5)
         assert (BATCH_SIZE, LEARNING_RATE) == (64, 1e-3)
         assert (PLATEAU_EPOCHS, PLATEAU_TOL) == (50, 1e-5)
-        assert cfg.pt_config(6) == PtIcmConfig(
-            replica_betas=tuple(np.geomspace(0.1, 10.0, 8).tolist()), rng_seed=6)
-        assert cfg.walksat_config(7) == WalkSatConfig(max_flips=10**6, rng_seed=7)
+        assert PT_BETAS == tuple(np.geomspace(0.1, 10.0, 8).tolist())
+        assert cfg.walksat_max_flips == 10**6
         assert NOISE_P == 0.5
         assert LM_WEIGHTS == (6.0, 1.0)
         assert BETA == 10.0

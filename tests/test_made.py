@@ -263,6 +263,28 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=key):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("key, index, shape", [
+        ("weights", 0, (1, 4)), ("weights", 1, (4, 4)), ("biases", 0, (4,)),
+        ("biases", 1, (1,)),
+    ])
+    def test_wrongly_shaped_array_refused(self, tmp_path, key, index, shape):
+        # a 4-input net: weights (16, 4) and (4, 16), biases (16,) and (4,)
+        path = tmp_path / "net.json"
+        save_checkpoint(random_net(4), path)
+        d = json.loads(path.read_text())
+        d[key][index] = np.zeros(shape).tolist()
+        path.write_text(json.dumps(d))
+        with pytest.raises(ValueError, match=rf"{key}\[{index}\] has shape"):
+            load_checkpoint(path)
+
+    def test_missing_array_refused(self, tmp_path):
+        path = tmp_path / "net.json"
+        save_checkpoint(random_net(4), path)
+        d = json.loads(path.read_text())
+        path.write_text(json.dumps({**d, "biases": d["biases"][:1]}))
+        with pytest.raises(ValueError, match="1 biases, expected 2"):
+            load_checkpoint(path)
+
     def test_digest_pinned(self):
         # recorded with the digest of the per-sample bitstrings it replaced
         z = np.random.default_rng(31).integers(0, 1 << 9, 40)

@@ -19,7 +19,9 @@ argument in a call of its name, by `cls(...)` in one of its class's
 classmethods, or, for a field, by an attribute store.  A value that only the tests set is an
 option with one caller in use, and is a module constant instead.  Calls are
 matched by the callee's name alone, so a function of the same name elsewhere
-can hide an unset parameter.
+can hide an unset parameter.  A call that passes a setting's default value
+counts as setting it, so an option whose callers all pass its default is
+missed: PT-ICM's former `replica_betas` field passed this way.
 
 Every field of `ExperimentConfig` must take at least two values across the
 experiments that exist: the seven fig presets and the benchmark's workload

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from fairmc.ising import SpinConfig, basis_energies, ground_states_bruteforce
+from fairmc.ising import (
+    MAX_BRUTEFORCE_SITES,
+    CapacityError,
+    SpinConfig,
+    basis_energies,
+    ground_states_bruteforce,
+)
 from fairmc.sat import (
     ALPHA_C,
     Clause,
@@ -120,6 +126,12 @@ class TestToIsing:
         f = CnfFormula(4, (clause(1, 2, 3, 4),))
         with pytest.raises(UnsupportedWidthError):
             to_ising(f)
+
+    def test_exhaustive_capacity_guard(self):
+        # refused before any of the 2^n assignments is built
+        f = CnfFormula(MAX_BRUTEFORCE_SITES + 1, ())
+        with pytest.raises(CapacityError, match=f"limited to {MAX_BRUTEFORCE_SITES} "):
+            unsatisfied_counts_all(f)
 
 
 class TestGenerateInstance:
