@@ -52,28 +52,32 @@ class PtIcmStats:
     total_transitions: int  # all replicas: N per sweep + exchanges + icm
 
 
-def interaction_adjacency(model: IsingModel) -> list[list[int]]:
-    """Each site's neighbours in the model's 2-body terms; raises
-    UnsupportedModelError for a model with 3-body terms."""
+def interaction_adjacency(model: IsingModel) -> list[int]:
+    """Each site's neighbours in the model's 2-body terms, as a bit mask per
+    site; raises UnsupportedModelError for a model with 3-body terms."""
     if model.max_order > 2:
         raise UnsupportedModelError(
             "PT-ICM needs a pairwise interaction graph; model has "
             f"{model.max_order}-body terms"
         )
-    adj: list[list[int]] = [[] for _ in range(model.n_sites)]
+    adj = [0] * model.n_sites
     for t in model.terms:
         if len(t.sites) == 2:
             i, j = t.sites
-            adj[i].append(j)
-            adj[j].append(i)
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
     return adj
 
 
-def houdayer_cluster(bits_a: int, bits_b: int, adj, rng) -> int:
+def houdayer_cluster(bits_a: int, bits_b: int, adj: list[int], rng) -> int:
     """The Houdayer move of two bit-packed replicas: the mask of a uniformly
-    chosen anti-aligned site's connected component, over the adjacency `adj`
-    (`interaction_adjacency`), inside the anti-aligned (overlap -1) domain;
-    0, and no random draw, when the replicas are equal.
+    chosen anti-aligned site's connected component, over the neighbour masks
+    `adj` (`interaction_adjacency`), inside the anti-aligned (overlap -1)
+    domain; 0, and no random draw, when the replicas are equal.
+
+    The start is the k-th set bit of the domain, k = int(u * c) % c for one
+    uniform u and c anti-aligned sites; the component grows by whole
+    frontiers, which reaches the same sites as any visit order.
 
     Flipping the mask in both replicas changes E_a and E_b by opposite
     amounts, so E_a + E_b is invariant.
@@ -81,17 +85,19 @@ def houdayer_cluster(bits_a: int, bits_b: int, adj, rng) -> int:
     diff = bits_a ^ bits_b
     if diff == 0:
         return 0
-    sites = [i for i in range(len(adj)) if diff >> i & 1]
-    start = sites[int(rng.random() * len(sites)) % len(sites)]
-    cluster = 1 << start
-    stack = [start]
-    while stack:
-        i = stack.pop()
-        for j in adj[i]:
-            jb = 1 << j
-            if diff & jb and not cluster & jb:
-                cluster |= jb
-                stack.append(j)
+    c = diff.bit_count()
+    rest = diff
+    for _ in range(int(rng.random() * c) % c):
+        rest &= rest - 1  # clear the lowest set bit
+    cluster = frontier = rest & -rest
+    while frontier:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & diff & ~cluster
+        cluster |= frontier
     return cluster
 
 
@@ -111,7 +117,9 @@ def pt_icm_run(
 
     Each round: one SSF sweep per replica, neighbor exchanges within each
     family, and one Houdayer move (`houdayer_cluster`) per temperature across
-    the families.
+    the families.  The 2T sweeps of a round run over slots built once:
+    (the family's bits list, its energies list, temperature index, beta,
+    the trace's record for the coldest replica of the first family or None).
 
     The sweeps are those of `run_chain` (`mcmc._sweep_for`).  Where they read
     the basis-energy table, the initial energies and the energies after a
@@ -129,6 +137,8 @@ def pt_icm_run(
     n_temps = len(betas)
     n = model.n_sites
     rng = random.Random(rng_seed)
+    uniform = rng.random
+    exp = math.exp
 
     sweep, table = _sweep_for(model)
     if table is not None:
@@ -140,51 +150,55 @@ def pt_icm_run(
     # two families x n_temps replicas
     bits = [[rng.getrandbits(n) for _ in range(n_temps)] for _ in range(2)]
     energies = [[energy_of(z) for z in fam] for fam in bits]
+    bits0, bits1 = bits
+    energies0, energies1 = energies
 
     cold = n_temps - 1
     builder = _TraceBuilder()
+    record = builder.record
     ssf_tag = builder.tag_id("ssf")
     ex_tag = builder.tag_id("exchange")
     icm_tag = builder.tag_id("icm")
     exchange_accepts = icm_moves = 0
+    sweep_slots = [
+        (fam_bits, fam_energies, ti, betas[ti],
+         record if fam_bits is bits0 and ti == cold else None)
+        for fam_bits, fam_energies in zip(bits, energies)
+        for ti in range(n_temps)
+    ]
+    # (lower index, beta difference) of each neighbouring pair
+    pairs = [(ti, betas[ti] - betas[ti + 1]) for ti in range(n_temps - 1)]
 
     for _ in range(rounds):
-        for fam in (0, 1):
-            for ti in range(n_temps):
-                record = builder.record if fam == 0 and ti == cold else None
-                bits[fam][ti], energies[fam][ti] = sweep(
-                    bits[fam][ti], energies[fam][ti], betas[ti], rng, record, ssf_tag
-                )
+        for fam_bits, fam_energies, ti, beta, rec in sweep_slots:
+            fam_bits[ti], fam_energies[ti] = sweep(
+                fam_bits[ti], fam_energies[ti], beta, rng, rec, ssf_tag
+            )
 
-        for fam in (0, 1):
-            for ti in range(n_temps - 1):
-                db = betas[ti] - betas[ti + 1]
-                de = energies[fam][ti] - energies[fam][ti + 1]
-                accepted = db * de >= 0.0 or rng.random() < math.exp(db * de)
+        for fam_bits, fam_energies in zip(bits, energies):
+            for ti, db in pairs:
+                x = db * (fam_energies[ti] - fam_energies[ti + 1])
+                accepted = x >= 0.0 or uniform() < exp(x)
                 if accepted:
                     exchange_accepts += 1
-                    bits[fam][ti], bits[fam][ti + 1] = bits[fam][ti + 1], bits[fam][ti]
-                    energies[fam][ti], energies[fam][ti + 1] = (
-                        energies[fam][ti + 1],
-                        energies[fam][ti],
+                    fam_bits[ti], fam_bits[ti + 1] = fam_bits[ti + 1], fam_bits[ti]
+                    fam_energies[ti], fam_energies[ti + 1] = (
+                        fam_energies[ti + 1],
+                        fam_energies[ti],
                     )
-                if fam == 0 and ti + 1 == cold:
-                    builder.record(
-                        bits[0][cold], energies[0][cold], accepted, ex_tag
-                    )
+            # the coldest replica's exchange is the first family's last pair
+            if fam_bits is bits0 and pairs:
+                record(bits0[cold], energies0[cold], accepted, ex_tag)
 
         for ti in range(n_temps):
-            cluster = houdayer_cluster(bits[0][ti], bits[1][ti], adj, rng)
+            cluster = houdayer_cluster(bits0[ti], bits1[ti], adj, rng)
             if cluster:
                 icm_moves += 1
-                bits[0][ti] ^= cluster
-                bits[1][ti] ^= cluster
-                energies[0][ti] = energy_of(bits[0][ti])
-                energies[1][ti] = energy_of(bits[1][ti])
-            if ti == cold:
-                builder.record(
-                    bits[0][cold], energies[0][cold], bool(cluster), icm_tag
-                )
+                bits0[ti] ^= cluster
+                bits1[ti] ^= cluster
+                energies0[ti] = energy_of(bits0[ti])
+                energies1[ti] = energy_of(bits1[ti])
+        record(bits0[cold], energies0[cold], bool(cluster), icm_tag)
 
     # per round: 2T sweeps of N flips, 2(T - 1) exchanges, T Houdayer moves
     exchange_attempts = rounds * 2 * (n_temps - 1)

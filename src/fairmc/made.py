@@ -128,7 +128,8 @@ class MadeNetwork:
                 f"checkpoint is not a natural-order net of width {HIDDEN_PER_INPUT}N: "
                 f"hidden_sizes {layout[0]}, variable_order {layout[1]}")
         net = cls(n, rng=np.random.default_rng(0))
-        # a wrongly shaped array could still give normalized probabilities
+        # a wrongly shaped array could still give normalized probabilities, and
+        # a non-finite one makes the chains reject every candidate silently
         for key in ("weights", "biases"):
             built = getattr(net, key)
             stored = [np.asarray(a, dtype=np.float64) for a in d[key]]
@@ -138,6 +139,8 @@ class MadeNetwork:
                 if a.shape != b.shape:
                     raise ValueError(
                         f"checkpoint {key}[{i}] has shape {a.shape}, expected {b.shape}")
+                if not np.isfinite(a).all():
+                    raise ValueError(f"checkpoint {key}[{i}] has non-finite entries")
             setattr(net, key, stored)
         return net
 

@@ -22,11 +22,14 @@
 Sweeps: `run_chain` and PT-ICM take their sweep from `_sweep_for`.  On a
 model with exact energies (`IsingModel.has_exact_energies`: every k-SAT
 model and every fixture) of at most _TABLE_MAX_SITES sites, the sweep reads
-each flip's energy from the basis-energy table; otherwise it sums the flip's
-energy difference over the site's terms (`spin_flip_sweep`).  On an exact
-model both give the same bits: every partial sum is exact in float64, so the
-table entries, the popcount sums and the tracked energies are the same
-numbers, and the same flips are accepted with the same random draws.
+each flip's energy from the basis-energy table (`_table_sweep`); otherwise it
+sums the flip's energy difference over the site's terms (`spin_flip_sweep`).
+On an exact model both give the same bits: every partial sum is exact in
+float64, so the table entries, the popcount sums and the tracked energies
+are the same numbers, and the same flips are accepted with the same random
+draws.  Both draw their site order with `_site_order`, which makes the
+permutation of `random.shuffle` from the same `getrandbits` calls, so the
+random stream is the one a shuffle would consume.
 
 MADE candidates (MadeKernel and HybridUpdate) are drawn in blocks of up to
 MADE_BLOCK: one `made.sample_batch`, one `made.log_prob_batch` and one
@@ -48,6 +51,7 @@ including rejections (the repeated state is what histograms must count).
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -135,19 +139,42 @@ def _accept(log_ratio: float, rng) -> bool:
     return log_ratio >= 0.0 or rng.random() < math.exp(log_ratio)
 
 
+@functools.cache  # one small entry per site count
+def _order_plan(n: int) -> tuple[list[int], tuple[tuple[int, int, int], ...]]:
+    """The identity order of n sites (copied, never changed) and the
+    Fisher-Yates steps of `random.shuffle` on n items: (i, i + 1, bit length
+    of i + 1) for i = n - 1 down to 1."""
+    return list(range(n)), tuple((i, i + 1, (i + 1).bit_length()) for i in range(n - 1, 0, -1))
+
+
+def _site_order(n: int, rng: random.Random) -> list[int]:
+    """The permutation `rng.shuffle(list(range(n)))` makes, from the same
+    `getrandbits` calls: each index below i + 1 is drawn as CPython's
+    `_randbelow_with_getrandbits` draws it (k = (i + 1).bit_length() bits,
+    redrawn while >= i + 1), without its per-item method calls."""
+    identity, steps = _order_plan(n)
+    order = identity[:]
+    getrandbits = rng.getrandbits
+    for i, m, k in steps:
+        j = getrandbits(k)
+        while j >= m:
+            j = getrandbits(k)
+        order[i], order[j] = order[j], order[i]
+    return order
+
+
 def spin_flip_sweep(bits, energy, beta, site_masks, rng, record=None, tag_id=0):
     """N sequential single-spin-flip Metropolis updates in a fresh random
-    site order; each flip uses the incremental energy difference from
-    `site_masks` (`IsingModel.site_masks`).  Calls `record(bits, energy,
-    accepted, tag_id)` after every site when given.  Returns (bits, energy).
+    site order (`_site_order`); each flip uses the incremental energy
+    difference from `site_masks` (`IsingModel.site_masks`).  Calls
+    `record(bits, energy, accepted, tag_id)` after every site when given.
+    Returns (bits, energy).
 
     The chains run this sweep on models without exact energies only; on the
     others `_sweep_for` hands them `_table_sweep`, which draws the same site
     order and uniforms and returns the same bits (module docstring).
     """
-    order = list(range(len(site_masks)))
-    rng.shuffle(order)
-    for site in order:
+    for site in _site_order(len(site_masks), rng):
         d = 0.0
         for mask, coeff in site_masks[site]:
             d -= 2.0 * coeff * (1 - 2 * ((bits & mask).bit_count() & 1))
@@ -161,16 +188,18 @@ def spin_flip_sweep(bits, energy, beta, site_masks, rng, record=None, tag_id=0):
     return bits, energy
 
 
-def _table_sweep(bits, energy, beta, table, rng, record=None, tag_id=0):
+def _table_sweep(table, bits, energy, beta, rng, record=None, tag_id=0):
     """`spin_flip_sweep` reading the energies from `table`, the model's basis
     energies as a list: a flip's difference is table[flipped] - energy."""
-    order = list(range(len(table).bit_length() - 1))  # len(table) = 2^N
-    rng.shuffle(order)
-    for site in order:
+    uniform = rng.random
+    exp = math.exp
+    minus_beta = -beta
+    for site in _site_order(len(table).bit_length() - 1, rng):  # len = 2^N
         flipped = bits ^ (1 << site)
-        d = table[flipped] - energy
-        if d <= 0.0 or rng.random() < math.exp(-beta * d):
-            bits, energy = flipped, table[flipped]
+        flipped_energy = table[flipped]
+        d = flipped_energy - energy
+        if d <= 0.0 or uniform() < exp(minus_beta * d):
+            bits, energy = flipped, flipped_energy
             if record is not None:
                 record(bits, energy, True, tag_id)
         elif record is not None:
@@ -182,18 +211,15 @@ def _sweep_for(model: IsingModel):
     """The sweep of the chains on `model` and its energy table: (sweep, table)
     with `sweep(bits, energy, beta, rng, record=None, tag_id=0)`.
 
-    The table (basis energies as a list) and `_table_sweep` serve models with
-    exact energies of at most _TABLE_MAX_SITES sites; every other model gets
-    `spin_flip_sweep` on its site masks and no table (None).  `energy` must
-    be the energy of `bits`, as the chains keep it.
+    The table (basis energies as a list) and `_table_sweep` bound to it by
+    `functools.partial` serve models with exact energies of at most
+    _TABLE_MAX_SITES sites; every other model gets `spin_flip_sweep` on its
+    site masks and no table (None).  `energy` must be the energy of `bits`,
+    as the chains keep it.
     """
     if model.n_sites <= _TABLE_MAX_SITES and model.has_exact_energies():
         table = basis_energies(model).tolist()
-
-        def sweep(bits, energy, beta, rng, record=None, tag_id=0):
-            return _table_sweep(bits, energy, beta, table, rng, record, tag_id)
-
-        return sweep, table
+        return functools.partial(_table_sweep, table), table
     site_masks = model.site_masks
 
     def sweep(bits, energy, beta, rng, record=None, tag_id=0):

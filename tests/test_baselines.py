@@ -6,6 +6,7 @@ import pytest
 
 from fairmc.baselines import (
     EnumerationResult,
+    PtIcmStats,
     _Assignment,
     UnsupportedModelError,
     houdayer_cluster,
@@ -16,6 +17,7 @@ from fairmc.baselines import (
 )
 from fairmc import mcmc
 from fairmc.exact import boltzmann
+from fairmc.fixtures import SIXFOLD_FIXTURE, load_fixture
 from fairmc.experiments import PT_BETAS
 from fairmc.ising import (
     IsingModel,
@@ -33,6 +35,15 @@ from fairmc.sat import (
     generate_instance,
     to_ising,
 )
+
+
+def trace_digest(trace):
+    h = hashlib.sha256()
+    # the last array is the 1-based transition index of each record
+    for a in (trace.states, trace.energies, trace.accepted, trace.tags,
+              np.arange(1, len(trace) + 1, dtype=np.uint64)):
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
 
 
 def random_2body_model(rng, n, n_terms=10):
@@ -97,6 +108,63 @@ class TestIcmMove:
         assert cluster & ~(a ^ b) == 0  # only anti-aligned sites move
 
 
+def list_houdayer_cluster(bits_a, bits_b, adj_lists, rng):
+    """Reference Houdayer move: a depth-first search over neighbour lists."""
+    diff = bits_a ^ bits_b
+    if diff == 0:
+        return 0
+    sites = [i for i in range(len(adj_lists)) if diff >> i & 1]
+    start = sites[int(rng.random() * len(sites)) % len(sites)]
+    cluster = 1 << start
+    stack = [start]
+    while stack:
+        i = stack.pop()
+        for j in adj_lists[i]:
+            jb = 1 << j
+            if diff & jb and not cluster & jb:
+                cluster |= jb
+                stack.append(j)
+    return cluster
+
+
+class TestBitmaskCluster:
+    def test_adjacency_masks(self):
+        m = IsingModel.from_terms(
+            4, [((0, 1), 1.0), ((1, 2), -1.0), ((0, 1), 0.5), ((3,), 1.0)])
+        assert interaction_adjacency(m) == [0b0010, 0b0101, 0b0010, 0]
+
+    def test_matches_list_search(self):
+        rng_np = np.random.default_rng(21)
+        ours, ref = random.Random(22), random.Random(22)
+        moved = 0
+        sixfold = load_fixture(SIXFOLD_FIXTURE)  # site 4 is in no 2-body term
+        for pair in range(1000):
+            if pair % 10 == 0:
+                m, n = sixfold, sixfold.n_sites
+            else:
+                n = int(rng_np.integers(2, 13))
+                m = random_2body_model(rng_np, n, n_terms=int(rng_np.integers(1, 2 * n)))
+            adj = interaction_adjacency(m)
+            adj_lists = [[j for j in range(n) if mask >> j & 1] for mask in adj]
+            a, b = int(rng_np.integers(1 << n)), int(rng_np.integers(1 << n))
+            if rng_np.random() < 0.05:
+                b = a
+            cluster = houdayer_cluster(a, b, adj, ours)
+            assert cluster == list_houdayer_cluster(a, b, adj_lists, ref)
+            assert ours.getstate() == ref.getstate()
+            moved += cluster.bit_count() > 1
+        assert moved > 100
+
+    def test_decoupled_site_moves_alone(self):
+        # site 4 of the sixfold fixture is in no 2-body term; with every site
+        # anti-aligned the cluster is site 4 alone or the other four
+        adj = interaction_adjacency(load_fixture(SIXFOLD_FIXTURE))
+        assert adj[4] == 0
+        clusters = {houdayer_cluster(0b11111, 0, adj, random.Random(seed))
+                    for seed in range(20)}
+        assert clusters == {0b10000, 0b01111}
+
+
 class TestExchange:
     def test_equal_energy_always_exchanges(self):
         m = IsingModel.from_terms(3, [], offset=1.0)  # flat landscape
@@ -157,12 +225,7 @@ class TestPtIcmRun:
             [1, 1, 0, 0, 1, 0, 1, 1] + [0] * 6 + [1] + [0] * 9)
         assert short.tags.tolist() == [0] * 6 + [1, 2] + ([0] * 6 + [1, 2]) * 2
         trace, stats_out = pt_icm_run(m, betas, 200, 55)
-        h = hashlib.sha256()
-        # the last array is the 1-based transition index of each record
-        for a in (trace.states, trace.energies, trace.accepted, trace.tags,
-                  np.arange(1, len(trace) + 1, dtype=np.uint64)):
-            h.update(np.ascontiguousarray(a).tobytes())
-        assert h.hexdigest()[:16] == "2c4499ccdcd46345"
+        assert trace_digest(trace) == "2c4499ccdcd46345"
         assert (stats_out.exchange_accepts, stats_out.icm_moves) == (596, 553)
         # 200 rounds of 2 x 4 sweeps of 6 flips, 2 x 3 exchanges, 4 Houdayer moves
         assert stats_out.total_transitions == 11600
@@ -182,6 +245,17 @@ class TestPtIcmTable:
         assert table.tags.tolist() == mask.tags.tolist()
         assert table_stats == mask_stats
         assert table_stats.icm_moves > 0
+
+    def test_pinned_trace(self):
+        # captured with the table sweep drawing its order by random.shuffle;
+        # must not change
+        m = to_ising(generate_instance(10, 2, ALPHA_C[2], 70))
+        assert mcmc._sweep_for(m)[1] is not None
+        trace, stats_out = pt_icm_run(m, PT_BETAS, 200, 71)
+        assert trace_digest(trace) == "66cfffcb14377b3d"
+        assert stats_out == PtIcmStats(
+            rounds=200, exchange_attempts=2800, exchange_accepts=2133,
+            icm_attempts=1600, icm_moves=1552, total_transitions=36400)
 
     def test_energies_after_houdayer_moves(self):
         m = to_ising(generate_instance(10, 2, ALPHA_C[2], 67))

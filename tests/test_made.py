@@ -277,6 +277,22 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=rf"{key}\[{index}\] has shape"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("key, index, value", [
+        ("weights", 0, float("nan")), ("weights", 1, float("inf")),
+        ("biases", 0, float("-inf")), ("biases", 1, float("nan")),
+    ])
+    def test_non_finite_array_refused(self, tmp_path, key, index, value):
+        # json writes NaN and Infinity and reads them back
+        path = tmp_path / "net.json"
+        save_checkpoint(random_net(4), path)
+        d = json.loads(path.read_text())
+        a = np.asarray(d[key][index])
+        a.flat[1] = value
+        d[key][index] = a.tolist()
+        path.write_text(json.dumps(d))
+        with pytest.raises(ValueError, match=rf"{key}\[{index}\] has non-finite"):
+            load_checkpoint(path)
+
     def test_missing_array_refused(self, tmp_path):
         path = tmp_path / "net.json"
         save_checkpoint(random_net(4), path)

@@ -216,6 +216,19 @@ class TestSsfSweep:
         assert trace_digest(trace) == "2c3e1da2320659da"
 
 
+class TestSiteOrder:
+    def test_matches_random_shuffle(self):
+        # the same permutation from the same getrandbits calls, so both
+        # generators end in the same state
+        for n in range(1, 25):
+            for seed in range(100):
+                ours, theirs = random.Random(seed), random.Random(seed)
+                expected = list(range(n))
+                theirs.shuffle(expected)
+                assert mcmc._site_order(n, ours) == expected
+                assert ours.getstate() == theirs.getstate()
+
+
 class TestTableSweep:
     """On a model with exact energies the sweeps read the basis-energy table;
     the mask sweep on the same model and seed gives the same transitions."""
@@ -232,6 +245,15 @@ class TestTableSweep:
         mask = run_chain(m, Temperature(2.0), update, 300, rng_seed=64)
         assert transitions(table) == transitions(mask)
         assert table.accepted.any() and not table.accepted.all()
+
+    def test_pinned_hybrid_trace(self):
+        # captured with the table sweep drawing its order by random.shuffle;
+        # must not change
+        m = to_ising(generate_instance(10, 3, ALPHA_C[3], 72))
+        assert mcmc._sweep_for(m)[1] is not None
+        trace = run_chain(m, Temperature(2.0), HybridUpdate(random_net(10, seed=73)),
+                          300, rng_seed=74)
+        assert trace_digest(trace) == "337ece6d0dffbcc4"
 
     def test_models_without_exact_energies_keep_the_mask_sweep(self):
         m = random_model(np.random.default_rng(65), 5, integer=False)
