@@ -11,7 +11,7 @@
 
 Common flags: --config FILE, --out DIR, --seed N, --threads N (at least 1).
 Exit codes: 0 success, 1 validation failure, 2 configuration/usage error,
-a missing earlier stage, or a resume into an --out directory written by a
+a missing earlier stage or a refused stage file, or a resume into an --out directory written by a
 different config (seed included).  Exit 2 with nothing written covers every
 config that `fairmc.experiments` refuses at load (see its docstring), and a
 config whose kind the command does not run: fig1 and fig2 need the kind of

@@ -75,7 +75,7 @@ def qe_proposal_matrix(model: IsingModel, driver_weight: float, time: float) -> 
     QE kernel's proposal once its per-step draw of (w, t) is made."""
     n = model.n_sites
     return np.array([
-        measure_distribution(evolve_fixed(basis_state(n, z), model, driver_weight, time)).probs
+        measure_distribution(evolve_fixed(basis_state(n, z), model, driver_weight, time))
         for z in range(1 << n)
     ])
 

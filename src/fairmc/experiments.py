@@ -29,7 +29,10 @@ stage stopped midway resumes with the tasks that did not finish.
 A stage whose inputs are missing raises `StageError` naming the first
 missing file; for `metrics` that includes any trial summary of an algorithm
 the config runs, so partial runs are never pooled and an algorithm whose
-stage never ran is not dropped.  A config is refused with `ConfigError` at
+stage never ran is not dropped.  A stage file that is refused (not the JSON
+its reader expects, a non-finite schedule, a checkpoint `load_checkpoint`
+refuses or of another size than its instance) raises `StageError` naming it
+and the stage that writes it.  A config is refused with `ConfigError` at
 load, before anything is written, if a count field, k, a size or the seed is
 not an integer, anneal_time is not a finite non-negative number,
 use_fixed_angles is not a bool, a count is below 1, sizes are empty,
@@ -47,6 +50,7 @@ import json
 import math
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -78,8 +82,8 @@ from fairmc.metrics import (
     frequencies,
     histogram,
     rows_to_csv,
-    steps_to_enumerate,
     superiority_counts,
+    visits,
 )
 from fairmc.qaoa import (
     effective_time,
@@ -302,6 +306,16 @@ def require_stage(path: Path, stage_cmd: str):
         raise StageError(f"missing {path}; run the '{stage_cmd}' stage first")
 
 
+@contextmanager
+def _stage_file(path: Path, stage_cmd: str):
+    """Turn a refusal of the stage file `path` into a StageError naming it."""
+    try:
+        yield
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise StageError(f"cannot use {path} ({exc}); delete it and run the "
+                         f"'{stage_cmd}' stage again") from exc
+
+
 def _instances(out: Path):
     inst_dir = out / "instances"
     require_stage(inst_dir / "manifest.json", "gen-instances")
@@ -309,8 +323,11 @@ def _instances(out: Path):
 
 
 def _read_schedule(path: Path):
-    with open(path) as f:
-        return schedule_from_json(json.load(f))
+    with _stage_file(path, "optimize-qaoa"), open(path) as f:
+        schedule = schedule_from_json(json.load(f))
+        if not np.isfinite(schedule.as_array()).all():
+            raise ValueError("non-finite schedule entries")
+    return schedule
 
 
 def _optimize_one(path, model, p, starts, seed):
@@ -355,17 +372,17 @@ def stage_nets(cfg: ExperimentConfig, out: Path, threads: int = 1):
         return
     sched_dir = out / "schedules"
     require_stage(sched_dir / "fixed_angles.json", "optimize-qaoa")
-    nets_dir = out / "nets"
-    nets_dir.mkdir(exist_ok=True)
-    sched_paths = [
-        sched_dir / ("fixed_angles.json" if cfg.use_fixed_angles else f"instance_{i:04d}.json")
+    schedules = [
+        _read_schedule(sched_dir / ("fixed_angles.json" if cfg.use_fixed_angles
+                                    else f"instance_{i:04d}.json"))
         for i in range(len(instset.entries))
     ]
+    nets_dir = out / "nets"
+    nets_dir.mkdir(exist_ok=True)
     _run_missing(_train_one, [
-        (nets_dir / f"instance_{i:04d}.json", to_ising(entry.formula),
-         _read_schedule(sched_path), cfg.qaoa_depth, cfg.train_samples,
-         cfg.train_config(derive_seed(cfg.seed, "net", i)))
-        for i, (entry, sched_path) in enumerate(zip(instset.entries, sched_paths))
+        (nets_dir / f"instance_{i:04d}.json", to_ising(entry.formula), schedule,
+         cfg.qaoa_depth, cfg.train_samples, cfg.train_config(derive_seed(cfg.seed, "net", i)))
+        for i, (entry, schedule) in enumerate(zip(instset.entries, schedules))
     ], threads)
 
 
@@ -380,7 +397,7 @@ def _write_summary(path: Path, payload: dict):
 
 
 def _chain_summary(trace, solutions, algo, instance, trial, seed, **extra):
-    counts = histogram(trace, solutions)
+    counts, steps = visits(trace.states, solutions)
     return {
         "algorithm": algo,
         "instance": instance,
@@ -388,7 +405,7 @@ def _chain_summary(trace, solutions, algo, instance, trial, seed, **extra):
         "seed": seed,
         "counts": counts.tolist(),
         "total_gs_samples": float(counts.sum()),
-        "steps_to_enumerate": steps_to_enumerate(trace, solutions),
+        "steps_to_enumerate": steps,
         "n_steps": trace.n_steps,
         "n_transitions": trace.n_transitions,
         **extra,
@@ -410,7 +427,11 @@ def stage_chains(cfg: ExperimentConfig, out: Path, threads: int = 1):
     for i, entry in enumerate(instset.entries):
         net_path = out / "nets" / f"instance_{i:04d}.json"
         require_stage(net_path, "train-made")
-        model, net = to_ising(entry.formula), load_checkpoint(net_path)
+        with _stage_file(net_path, "train-made"):
+            net = load_checkpoint(net_path)
+            if net.n_inputs != entry.formula.n_vars:
+                raise ValueError(f"{net.n_inputs} inputs for {entry.formula.n_vars} variables")
+        model = to_ising(entry.formula)
         tasks += [
             (_summary_path(out, algo, i, trial), model, entry.solutions, algo, net,
              cfg.chain_steps, i, trial,
@@ -482,7 +503,8 @@ def _load_summaries(cfg: ExperimentConfig, out: Path, algo: str, instance: int) 
     for trial in range(1 if algo == "pt-icm" else cfg.trials):
         path = _summary_path(out, algo, instance, trial)
         require_stage(path, stage)
-        summaries.append(json.loads(path.read_text()))
+        with _stage_file(path, stage):
+            summaries.append(json.loads(path.read_text()))
     return summaries
 
 
@@ -582,7 +604,7 @@ def run_small_instances(cfg: ExperimentConfig, out: Path):
             model, Temperature(BETA), QeKernel(model), cfg.samples,
             rng_seed=derive_seed(cfg.seed, "fx-qe", fx_idx),
         )
-        qe_counts = histogram(qe_trace, gs)
+        qe_counts, _ = visits(qe_trace.states, gs)
 
         draws = sample(
             qaoa_state, cfg.train_samples,
@@ -593,7 +615,7 @@ def run_small_instances(cfg: ExperimentConfig, out: Path):
             model, Temperature(BETA), MadeKernel(net), cfg.samples,
             rng_seed=derive_seed(cfg.seed, "fx-nmc", fx_idx),
         )
-        nmc_counts = histogram(nmc_trace, gs)
+        nmc_counts, _ = visits(nmc_trace.states, gs)
 
         for method, counts in (
             ("qa", qa_counts), ("qaoa", qaoa_counts),
@@ -807,7 +829,7 @@ def run_validation() -> list[dict]:
 
     # measurement sampling chi-square
     state = run_qaoa(model4, [0.4, 0.2], [0.3, 0.5])
-    probs = measure_distribution(state).probs
+    probs = measure_distribution(state)
     draws = sample(state, 100_000, np.random.default_rng(12))
     counts = np.bincount((draws @ (1 << np.arange(4))).astype(np.int64), minlength=16)
     _, pval = scistats.chisquare(counts, f_exp=probs * 100_000)

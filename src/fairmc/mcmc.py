@@ -46,7 +46,7 @@ proposals.  A chain is therefore deterministic for a fixed seed.
 
 Step accounting: a neural or generic-kernel update is 1 transition, a sweep
 is N transitions, a hybrid step is N+1.  Traces record every transition
-including rejections (the repeated state is what histograms must count).
+including rejections (the repeated state is what `metrics.visits` counts).
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ class QeKernel:
         t = t0 + (t1 - t0) * rng.random()
         n = self.model.n_sites
         state = evolve_fixed(basis_state(n, bits), self.model, w, t)
-        probs = measure_distribution(state).probs
+        probs = measure_distribution(state)
         z = int(np.searchsorted(np.cumsum(probs), rng.random()))
         return min(z, len(probs) - 1)
 

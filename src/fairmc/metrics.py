@@ -6,11 +6,12 @@ was never sampled, and such runs are excluded from ratio averages.  A
 total-variation distance to the uniform ground-state distribution is emitted
 alongside as a supplementary, noise-robust measure.
 
-A count vector is the one type these statistics pass around: a float ndarray
-holding one weight per ground state, in ascending-bits order.  `histogram`
-makes one from a chain trace (occurrence counts) or from an exact output
-distribution (probabilities); pooled trials add theirs elementwise, and an
-i.i.d. draw of hits is one as it stands.
+A count vector is the one type these statistics pass around: a float64
+ndarray holding one weight per ground state, in ascending-bits order.
+`visits` makes one from a chain's visited states (occurrence counts, and the
+steps until all were seen), `histogram` from a measurement probability vector
+(`qsim.measure_distribution`, restricted and renormalized); pooled trials add
+theirs elementwise, and an i.i.d. draw of hits is one as it stands.
 """
 
 from __future__ import annotations
@@ -24,11 +25,8 @@ import numpy as np
 
 from fairmc.fileio import atomic_write
 from fairmc.ising import SpinConfig
-from fairmc.mcmc import ChainTrace
-from fairmc.qsim import OutputDistribution
 
 INCOMPLETE = None  # sentinel for runs that never visited every ground state
-_WALK_CHUNK = 1024  # trace records converted at a time by steps_to_enumerate
 
 
 @dataclass(frozen=True)
@@ -47,32 +45,40 @@ def frequencies(counts: np.ndarray) -> np.ndarray:
     return counts / total
 
 
-def histogram(source, ground_states: Sequence[SpinConfig]) -> np.ndarray:
-    """Weight per ground state, in ascending-bits order: occurrence counts of
-    a chain trace, or an exact output distribution's probabilities restricted
-    to the ground manifold, renormalized."""
+def _ground_bits(ground_states: Sequence[SpinConfig]) -> list[int]:
     bits = sorted(s.bits for s in ground_states)
     if not bits:
         raise ValueError("ground-state list must be nonempty")
+    return bits
 
-    if isinstance(source, ChainTrace):
-        index = {z: i for i, z in enumerate(bits)}
-        counts = np.zeros(len(bits))
-        states, hits = np.unique(source.states, return_counts=True)
-        for z, hit in zip(states.tolist(), hits.tolist()):
-            i = index.get(z)
-            if i is not None:
-                counts[i] = hit
-        return counts
 
-    if isinstance(source, OutputDistribution):
-        return frequencies(source.probs[bits])
+def histogram(probs: np.ndarray, ground_states: Sequence[SpinConfig]) -> np.ndarray:
+    """Weight per ground state, in ascending-bits order: the probabilities of
+    a measurement distribution over all 2^N basis states restricted to the
+    ground manifold, renormalized."""
+    return frequencies(probs[_ground_bits(ground_states)])
 
-    raise TypeError(f"cannot histogram {type(source).__name__}")
+
+def visits(states: np.ndarray, ground_states: Sequence[SpinConfig]):
+    """Occurrence count of each ground state, in ascending-bits order, among a
+    chain's visited `states` (packed bits, record i being transition i + 1),
+    and the transition count at which every ground state had been visited,
+    or INCOMPLETE when the chain ended first.  A WalkSAT enumeration reads
+    its count off itself (`_run_walksat_trial`)."""
+    bits = np.array(_ground_bits(ground_states), dtype=np.uint64)
+    idx = np.minimum(np.searchsorted(bits, states), len(bits) - 1)
+    hit = bits[idx] == states
+    ground_idx = idx[hit]
+    counts = np.bincount(ground_idx, minlength=len(bits)).astype(np.float64)
+    if not counts.all():
+        return counts, INCOMPLETE
+    first = np.full(len(bits), len(states))  # each ground state's first record
+    np.minimum.at(first, ground_idx, np.flatnonzero(hit))
+    return counts, int(first.max()) + 1
 
 
 def fairness(counts: np.ndarray) -> FairnessReport:
-    """Fairness of a `histogram` weight vector."""
+    """Fairness of a count vector."""
     n = len(counts)
     freqs = frequencies(counts)
     all_found = bool(np.all(counts > 0))
@@ -82,22 +88,6 @@ def fairness(counts: np.ndarray) -> FairnessReport:
     else:
         tvd = float(0.5 * np.abs(freqs - 1.0 / n).sum())
     return FairnessReport(ratio, all_found, tvd, n)
-
-
-def steps_to_enumerate(trace: ChainTrace, ground_states: Sequence[SpinConfig]):
-    """Transition count at which every ground state has been visited (record
-    i is transition i + 1), or INCOMPLETE when the chain ended first.  A
-    WalkSAT enumeration reads its count off itself (`_run_walksat_trial`).
-    """
-    remaining = {s.bits for s in ground_states}
-    # walk Python ints, converted a chunk at a time so that an early finish
-    # converts few records
-    for start in range(0, len(trace.states), _WALK_CHUNK):
-        for i, z in enumerate(trace.states[start:start + _WALK_CHUNK].tolist(), start):
-            remaining.discard(z)
-            if not remaining:
-                return i + 1
-    return INCOMPLETE
 
 
 # ---------------------------------------------------------------------------

@@ -73,17 +73,6 @@ class StateVector:
 
 
 @dataclass(frozen=True)
-class OutputDistribution:
-    """Measurement probabilities |<z|psi>|^2 over the computational basis."""
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        if not np.isclose(self.probs.sum(), 1.0, atol=1e-9):
-            raise ValueError(f"probabilities sum to {self.probs.sum()}, expected 1")
-
-
-@dataclass(frozen=True)
 class AnnealSchedule:
     """Interpolation weights for H(t) = A(t) H_d + B(t) H_P, t in [0, T]."""
 
@@ -206,18 +195,14 @@ def run_qaoa(
     return state
 
 
-def driver_frobenius_norm(n_qubits: int) -> float:
-    # ||sum_i sigma_x_i||_F^2 = n * 2^n (cross terms are traceless)
-    return float(np.sqrt(n_qubits * (1 << n_qubits)))
-
-
 def problem_norm_ratio(model: IsingModel) -> float:
     """||H_d||_F / ||H_P||_F, the problem-strength normalization for mixed
     proposal Hamiltonians; 1.0 for an identically-zero problem."""
     hp = float(np.linalg.norm(basis_energies(model)))
     if hp == 0.0:
         return 1.0
-    return driver_frobenius_norm(model.n_sites) / hp
+    # ||H_d||_F^2 = ||sum_i sigma_x_i||_F^2 = n * 2^n (cross terms are traceless)
+    return float(np.sqrt(model.n_sites * (1 << model.n_sites))) / hp
 
 
 @lru_cache(maxsize=_DENSE_MAX + 1)
@@ -320,13 +305,14 @@ def run_annealing(model: IsingModel, schedule: AnnealSchedule) -> StateVector:
     return StateVector(_anneal_cf4(model, schedule, n_steps), model.n_sites)
 
 
-def measure_distribution(state: StateVector) -> OutputDistribution:
+def measure_distribution(state: StateVector) -> np.ndarray:
+    """The array of measurement probabilities |<z|psi>|^2, indexed by z, summing to one."""
     p = state.probabilities()
-    return OutputDistribution(p / p.sum())
+    return p / p.sum()
 
 
 def sample(state: StateVector, count: int, rng: np.random.Generator) -> np.ndarray:
     """Exact categorical draws from the measurement distribution, as the
     (count, N) bit matrix of `ising.bit_rows`: row j holds draw j's bits."""
-    p = measure_distribution(state).probs
+    p = measure_distribution(state)
     return bit_rows(rng.choice(len(p), size=count, p=p), state.n_qubits)

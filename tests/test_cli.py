@@ -22,9 +22,15 @@ from fairmc.made import (
     LEARNING_RATE,
     PLATEAU_EPOCHS,
     PLATEAU_TOL,
+    MadeNetwork,
     TrainConfig,
+    save_checkpoint,
+    training_digest,
 )
 from fairmc.metrics import records_from_csv
+from fairmc.qaoa import expand, schedule_from_json
+from fairmc.qsim import run_qaoa, sample
+from fairmc.sat import load_instance_set, to_ising
 
 TINY = {
     "kind": "KSAT_FAIRNESS",
@@ -376,6 +382,54 @@ class TestResume:
         assert first_missing in err and f"'{missing}'" in err
         assert not (run / "metrics").exists()
 
+    @pytest.mark.parametrize("damage", ["nan_weight", "other_size"])
+    def test_refused_checkpoint_exits_2(self, trained, tmp_path, capsys, damage):
+        # a NaN weight makes the chains reject every candidate; a net of
+        # another size does not fit the instance
+        run = shutil.copytree(trained, tmp_path / "run")
+        path = run / "nets" / "instance_0001.json"
+        if damage == "nan_weight":
+            ckpt = json.loads(path.read_text())
+            ckpt["weights"][0][0][0] = float("nan")
+            path.write_text(json.dumps(ckpt))
+        else:
+            save_checkpoint(MadeNetwork(5, rng=np.random.default_rng(0)), path)
+        code = main(["run-chains", "--config", write_cfg(tmp_path), "--out", str(run)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "stage error" in err and "instance_0001.json" in err and "'train-made'" in err
+        assert not (run / "chains").exists()
+
+    @pytest.mark.parametrize("damage", ["truncated", "nan_entry"])
+    def test_refused_schedule_exits_2(self, trained, tmp_path, capsys, damage):
+        run = shutil.copytree(trained, tmp_path / "run")
+        shutil.rmtree(run / "nets")
+        path = run / "schedules" / "instance_0001.json"
+        if damage == "truncated":
+            path.write_text(path.read_text()[:20])
+        else:
+            schedule = json.loads(path.read_text())
+            schedule["gamma_slope"] = float("nan")
+            path.write_text(json.dumps(schedule))
+        code = main(["train-made", "--config", write_cfg(tmp_path), "--out", str(run)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "instance_0001.json" in err and "'optimize-qaoa'" in err
+        assert not (run / "nets").exists()
+
+    def test_refused_summary_exits_2(self, trained, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        run = shutil.copytree(trained, tmp_path / "run")
+        for ran in ("run-chains", "run-baselines"):
+            assert main([ran, "--config", cfg, "--out", str(run)]) == EXIT_OK
+        path = run / "chains" / "qaoa-hmc" / "instance_0001_trial00.json"
+        path.write_text(path.read_text()[:40])
+        capsys.readouterr()
+        assert main(["metrics", "--config", cfg, "--out", str(run)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "instance_0001_trial00.json" in err and "'run-chains'" in err
+        assert not (run / "metrics").exists()
+
     def test_config_that_runs_nothing_exits_2(self, tmp_path, capsys):
         # PT-ICM runs at k = 2 only, so at k = 3 this config has nothing to measure
         cfg = write_cfg(tmp_path, {"k": 3, "sizes": [5], "per_size": 1,
@@ -399,6 +453,34 @@ class TestResume:
             trees.append({part: tree_bytes(run / part) for part in ("chains", "metrics")})
         assert len(trees[0]["chains"]) == 2 * 2 * 2 + 2 + 2 * 2
         assert trees[0] == trees[1]
+
+
+class TestFixedAngles:
+    def test_nets_train_on_the_fixed_schedule(self, trained, tmp_path):
+        # with use_fixed_angles every net trains on draws from the one
+        # schedules/fixed_angles.json, made with that net's own seed
+        run = tmp_path / "run"
+        for part in ("instances", "schedules"):
+            shutil.copytree(trained / part, run / part)
+        cfg = ExperimentConfig.from_dict({**TINY, "use_fixed_angles": True})
+        path = write_cfg(tmp_path, {"use_fixed_angles": True})
+        assert main(["train-made", "--config", path, "--out", str(run)]) == EXIT_OK
+        fixed = schedule_from_json(
+            json.loads((run / "schedules" / "fixed_angles.json").read_text()))
+        params = expand(fixed, cfg.qaoa_depth)
+        entries = load_instance_set(run / "instances").entries
+        assert len(entries) >= 2
+        differ = []
+        for i, entry in enumerate(entries):
+            state = run_qaoa(to_ising(entry.formula), params.gammas, params.betas)
+            draws = sample(state, cfg.train_samples,
+                           np.random.default_rng(derive_seed(cfg.seed, "net", i)))
+            name = f"instance_{i:04d}.json"
+            digest = json.loads((run / "nets" / name).read_text())["training_data_digest"]
+            assert digest == training_digest(draws)
+            per_instance = json.loads((trained / "nets" / name).read_text())
+            differ.append(digest != per_instance["training_data_digest"])
+        assert any(differ)
 
 
 class TestSmallExperiments:

@@ -173,7 +173,7 @@ class TestTrain:
         schedule = optimize(model, p=5, starts=3, rng=np.random.default_rng(12))
         params = expand(schedule, 5)
         state = run_qaoa(model, params.gammas, params.betas)
-        target = measure_distribution(state).probs
+        target = measure_distribution(state)
         draws = np.random.default_rng(13).choice(64, size=1000, p=target)
         net, _ = train(bit_rows(draws, 6), TrainConfig(epochs=300, rng_seed=3))
         learned = exact_probabilities(net)

@@ -272,7 +272,7 @@ class TestQeKernel:
         probs_from = {}
         for z in (3, 12):
             out = evolve_fixed(basis_state(4, z), m, w, t)
-            probs_from[z] = measure_distribution(out).probs
+            probs_from[z] = measure_distribution(out)
         assert probs_from[3][12] == pytest.approx(probs_from[12][3], abs=1e-10)
 
     def test_exact_detailed_balance_fixed_draw(self, monkeypatch):

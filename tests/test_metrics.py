@@ -1,6 +1,8 @@
+import ast
 import json
 import math
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,24 +18,77 @@ from fairmc.metrics import (
     histogram,
     records_from_csv,
     rows_to_csv,
-    steps_to_enumerate,
     superiority_counts,
+    visits,
 )
-from fairmc.qsim import OutputDistribution
+
+METRICS_SOURCE = Path(__file__).resolve().parents[1] / "src" / "fairmc" / "metrics.py"
 
 
 def gs_list(bits_list, n=4):
     return [SpinConfig(b, n) for b in bits_list]
 
 
-def synthetic_trace(states):
-    from fairmc.mcmc import _TraceBuilder
+def chain(states):
+    """A chain's visited states as `run_chain` records them."""
+    return np.array(states, dtype=np.uint64)
 
-    b = _TraceBuilder()
-    tid = b.tag_id("test")
-    for z in states:
-        b.record(z, 0.0, True, tid)
-    return b.build(len(states))
+
+# References for `visits`: the two passes it replaced, an np.unique recount
+# of the visited states and a walk over them as Python ints
+
+
+def reference_counts(states, ground_states):
+    bits = sorted(s.bits for s in ground_states)
+    index = {z: i for i, z in enumerate(bits)}
+    counts = np.zeros(len(bits))
+    values, hits = np.unique(states, return_counts=True)
+    for z, hit in zip(values.tolist(), hits.tolist()):
+        i = index.get(z)
+        if i is not None:
+            counts[i] = hit
+    return counts
+
+
+WALK_CHUNK = 1024  # records converted at a time, so that an early finish converts few
+
+
+def reference_steps(states, ground_states):
+    remaining = {s.bits for s in ground_states}
+    for start in range(0, len(states), WALK_CHUNK):
+        for i, z in enumerate(states[start:start + WALK_CHUNK].tolist(), start):
+            remaining.discard(z)
+            if not remaining:
+                return i + 1
+    return INCOMPLETE
+
+
+def checked_visits(states, ground_states):
+    """`visits`, asserted equal to the references, with float64 counts and
+    an int or INCOMPLETE step count."""
+    counts, steps = visits(states, ground_states)
+    assert counts.dtype == np.float64
+    np.testing.assert_array_equal(counts, reference_counts(states, ground_states))
+    want = reference_steps(states, ground_states)
+    assert steps == want and type(steps) is type(want)
+    return counts, steps
+
+
+# (visited states, ground states): the TestHistogram and TestStepsToEnumerate
+# cases, a single ground state, states on both sides of the ground set, and
+# an empty chain
+UNIT_CASES = [
+    ([7, 7, 9], [0, 1]),
+    ([9, 5, 9], [9, 5]),
+    ([0, 1, 2], [0, 1, 2]),
+    ([0, 1, 0, 1], [0, 1, 2]),
+    ([3, 0, 1, 2], [0, 1, 2]),
+    ([3, 0, 1, 2, 0, 1], [0, 1, 2]),
+    ([6, 2, 6, 6, 1], [6]),
+    ([2, 1, 6], [6]),
+    ([0, 15, 4, 8, 15, 0], [4, 8]),
+    ([], [1, 2]),
+]
 
 
 class TestHistogram:
@@ -41,43 +96,90 @@ class TestHistogram:
         m = IsingModel.from_terms(4, [((0, 1), -1.0), ((2, 3), 1.0)])
         trace = run_chain(m, Temperature(1.0), SsfSweepUpdate(), 500, rng_seed=0)
         gs = gs_list([0, 3, 5, 12])
-        counts = histogram(trace, gs)
+        counts, _ = checked_visits(trace.states, gs)
         for s, count in zip(gs, counts):
             assert count == int(np.sum(trace.states == s.bits))
 
     def test_trace_never_visiting_ground_states(self):
-        trace = synthetic_trace([7, 7, 9])
-        counts = histogram(trace, gs_list([0, 1]))
+        counts, steps = visits(chain([7, 7, 9]), gs_list([0, 1]))
         assert counts.tolist() == [0.0, 0.0]
+        assert steps is INCOMPLETE
 
     def test_distribution_binning_renormalizes(self):
         probs = np.zeros(16)
         probs[[1, 2]] = 0.3, 0.1
         probs[5] = 0.6
-        dist = OutputDistribution(probs)
-        counts = histogram(dist, gs_list([1, 2]))
+        counts = histogram(probs, gs_list([1, 2]))
         np.testing.assert_allclose(counts, [0.75, 0.25])
         assert counts.sum() == pytest.approx(1.0)
 
     def test_exact_uniform_distribution_equal_bins(self):
-        dist = OutputDistribution(np.full(16, 1 / 16))
-        counts = histogram(dist, gs_list([0, 5, 9]))
+        counts = histogram(np.full(16, 1 / 16), gs_list([0, 5, 9]))
         np.testing.assert_allclose(counts, np.full(3, 1 / 3))
 
     def test_distribution_without_ground_weight_gives_zeros(self):
         probs = np.zeros(16)
         probs[[3, 7]] = 0.5
-        counts = histogram(OutputDistribution(probs), gs_list([1, 2]))
+        counts = histogram(probs, gs_list([1, 2]))
         assert counts.tolist() == [0.0, 0.0]
 
     def test_canonical_order(self):
         # weights follow ascending bits, whatever order the states come in
-        trace = synthetic_trace([9, 5, 9])
-        assert histogram(trace, gs_list([9, 5])).tolist() == [1.0, 2.0]
+        counts, _ = visits(chain([9, 5, 9]), gs_list([9, 5]))
+        assert counts.tolist() == [1.0, 2.0]
+        probs = np.zeros(16)
+        probs[[5, 9]] = 0.75, 0.25
+        assert histogram(probs, gs_list([9, 5])).tolist() == [0.75, 0.25]
 
     def test_empty_ground_states_rejected(self):
         with pytest.raises(ValueError):
-            histogram(synthetic_trace([0]), [])
+            visits(chain([0]), [])
+        with pytest.raises(ValueError):
+            histogram(np.ones(1), [])
+
+
+class TestVisits:
+    @pytest.mark.parametrize("states, ground", UNIT_CASES)
+    def test_unit_cases_match_the_references(self, states, ground):
+        checked_visits(chain(states), gs_list(ground))
+
+    def test_random_traces_match_the_references(self):
+        # states outside the ground set and repeated ones, chains that finish
+        # and chains that do not, single ground states, and traces longer
+        # than the reference's walk chunk
+        rng = np.random.default_rng(23)
+        finished = incomplete = single = 0
+        for _ in range(2000):
+            n = int(rng.integers(2, 11))
+            n_ground = int(rng.integers(1, min(1 << n, 12) + 1))
+            ground = rng.choice(1 << n, size=n_ground, replace=False).tolist()
+            length = int(rng.integers(0, 3 * WALK_CHUNK))
+            # the share of records on a ground state, log-uniform in [1e-3, 1]
+            on_ground = rng.random(length) < 10.0 ** rng.uniform(-3, 0)
+            states = np.where(on_ground, rng.choice(ground, size=length),
+                              rng.integers(0, 1 << n, size=length)).astype(np.uint64)
+            _, steps = checked_visits(states, gs_list(ground, n))
+            finished += steps is not INCOMPLETE
+            incomplete += steps is INCOMPLETE
+            single += n_ground == 1
+        assert min(finished, incomplete, single) > 100, (finished, incomplete, single)
+
+    def test_metrics_imports_no_pipeline_module(self):
+        # metrics works on plain arrays: of fairmc it imports ising and fileio only
+        imported = set()
+        for node in ast.walk(ast.parse(METRICS_SOURCE.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(a.name for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                module = "fairmc" if node.level else node.module
+                if node.level and node.module:
+                    module += "." + node.module
+                if module == "fairmc":
+                    imported.update(f"fairmc.{a.name}" for a in node.names)
+                else:
+                    imported.add(module)
+        ours = {m for m in imported if m.split(".")[0] == "fairmc"}
+        assert ours <= {"fairmc.ising", "fairmc.fileio"}, sorted(ours)
 
 
 class TestFairness:
@@ -127,20 +229,18 @@ class TestFairness:
 
 class TestStepsToEnumerate:
     def test_all_found_in_first_steps(self):
-        trace = synthetic_trace([0, 1, 2])
-        assert steps_to_enumerate(trace, gs_list([0, 1, 2])) == 3
+        _, steps = checked_visits(chain([0, 1, 2]), gs_list([0, 1, 2]))
+        assert steps == 3
 
     def test_missing_state_incomplete(self):
-        trace = synthetic_trace([0, 1, 0, 1])
-        assert steps_to_enumerate(trace, gs_list([0, 1, 2])) is INCOMPLETE
+        _, steps = checked_visits(chain([0, 1, 0, 1]), gs_list([0, 1, 2]))
+        assert steps is INCOMPLETE
 
     def test_monotone_under_extension(self):
         states = [3, 0, 1, 2, 0, 1]
-        short = synthetic_trace(states[:4])
-        full = synthetic_trace(states)
-        idx = steps_to_enumerate(short, gs_list([0, 1, 2]))
+        _, idx = checked_visits(chain(states[:4]), gs_list([0, 1, 2]))
         assert idx == 4
-        assert steps_to_enumerate(full, gs_list([0, 1, 2])) == idx
+        assert checked_visits(chain(states), gs_list([0, 1, 2]))[1] == idx
 
     def test_walksat_steps_read_off_the_enumeration(self, tmp_path):
         # a budget small enough that some enumerations stop early
@@ -171,8 +271,7 @@ class TestStepsToEnumerate:
         gs6 = gs_list(list(range(6)), n=3)
         for seed in range(300):
             draws = rng.integers(0, 6, size=400)
-            trace = synthetic_trace(draws.tolist())
-            got = steps_to_enumerate(trace, gs6)
+            _, got = checked_visits(draws.astype(np.uint64), gs6)
             assert got is not INCOMPLETE
             totals.append(got)
         expected = 6 * sum(1 / i for i in range(1, 7))

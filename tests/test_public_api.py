@@ -54,7 +54,7 @@ TEST_SETTINGS = ("run_chain(init=)",)
 # Config fields that every experiment resolves to one value and that stay
 # settings, with the reason.
 UNVARIED_SETTINGS = {
-    "use_fixed_angles": "the fixed-angle ablation of ROADMAP direction 4 sets it",
+    "use_fixed_angles": "the fixed-angle ablation of ROADMAP direction 7 sets it",
 }
 
 
