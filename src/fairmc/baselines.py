@@ -15,7 +15,9 @@ Enumeration mode alternates solving with blocking clauses until as many
 distinct solutions have been found as the caller's exact count.
 Blocking clauses are kept as a table of blocked solutions rather than as
 width-n clauses, with the same unsatisfied-clause order and flip scores as
-the appended clauses would give, so every random draw is unchanged.
+the appended clauses would give, so every random draw is unchanged.  The
+reference that appends them, `add_blocking_clause`, lives in
+tests/test_baselines.py, which checks `_Assignment.block` against it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from fairmc.ising import IsingModel, SpinConfig, energy_of_bits
 from fairmc.mcmc import ChainTrace, _sweep_for, _TraceBuilder
 # enumerate_solutions is not called here; the benchmark's tracer times the
 # exact enumeration under this name as well as under fairmc.sat
-from fairmc.sat import Clause, CnfFormula, enumerate_solutions  # noqa: F401
+from fairmc.sat import CnfFormula, enumerate_solutions  # noqa: F401
 
 
 class UnsupportedModelError(ValueError):
@@ -233,8 +235,10 @@ class WalkSatResult:
         return self.solution is not None
 
 
-def _true_count(clause: Clause, bits: int) -> int:
-    return sum((bits >> lit.variable & 1) != lit.negated for lit in clause.literals)
+def _true_count(masks: tuple[int, int], bits: int) -> int:
+    """True literals of a clause with (positive, negated) variable masks."""
+    positive, negated = masks
+    return (bits & positive).bit_count() + (negated & ~bits).bit_count()
 
 
 class _Assignment:
@@ -253,14 +257,19 @@ class _Assignment:
 
     def __init__(self, formula: CnfFormula, bits: int = 0):
         self.n = formula.n_vars
-        self.clauses = formula.clauses
-        self.clause_vars = [c.variables() for c in self.clauses]
+        self.clause_vars = [tuple(abs(lit) - 1 for lit in c) for c in formula.clauses]
         self.all_vars = tuple(range(self.n))  # a blocking clause's variables
+        # (positive, negated) variable masks of each clause, for `_true_count`
+        self.masks = [
+            (sum(1 << (lit - 1) for lit in c if lit > 0),
+             sum(1 << (-lit - 1) for lit in c if lit < 0))
+            for c in formula.clauses
+        ]
         # occ[v] = [(clause index, literal is positive)]
         self.occ: list[list[tuple[int, bool]]] = [[] for _ in range(self.n)]
-        for ci, c in enumerate(self.clauses):
-            for lit in c.literals:
-                self.occ[lit.variable].append((ci, not lit.negated))
+        for ci, c in enumerate(formula.clauses):
+            for lit in c:
+                self.occ[abs(lit) - 1].append((ci, lit > 0))
         self.blocked: dict[int, int] = {}  # solution bits -> clause index
         self._near_of: int | None = None  # bits that `_near` was computed for
         self._near = 0
@@ -269,7 +278,7 @@ class _Assignment:
     def reset(self, bits: int) -> None:
         """Recount every clause at a new assignment."""
         self.bits = bits
-        self.true_count = [_true_count(c, bits) for c in self.clauses]
+        self.true_count = [_true_count(m, bits) for m in self.masks]
         self.unsat = [ci for ci, tc in enumerate(self.true_count) if tc == 0]
         if bits in self.blocked:
             self.unsat.append(self.blocked[bits])
@@ -277,9 +286,9 @@ class _Assignment:
 
     def block(self, solution_bits: int) -> None:
         """Append the blocking clause of `solution_bits` (false only there)."""
-        if not all(_true_count(c, solution_bits) for c in self.clauses):
+        if not all(_true_count(m, solution_bits) for m in self.masks):
             raise ValueError("blocking clause requires a satisfying assignment")
-        ci = len(self.clauses) + len(self.blocked)
+        ci = len(self.masks) + len(self.blocked)
         self.blocked[solution_bits] = ci
         self._near_of = None
         if self.bits == solution_bits:

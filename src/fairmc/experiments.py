@@ -285,7 +285,7 @@ def _run_missing(fn, tasks, threads: int) -> None:
 def stage_instances(cfg: ExperimentConfig, out: Path):
     inst_dir = out / "instances"
     if (inst_dir / "manifest.json").exists():
-        return load_instance_set(inst_dir)
+        return _instances(out)
     instset = build_instance_set(
         cfg.sizes, cfg.k, cfg.per_size, cfg.alpha_c, derive_seed(cfg.seed, "instances")
     )
@@ -318,8 +318,10 @@ def _stage_file(path: Path, stage_cmd: str):
 
 def _instances(out: Path):
     inst_dir = out / "instances"
-    require_stage(inst_dir / "manifest.json", "gen-instances")
-    return load_instance_set(inst_dir)
+    manifest = inst_dir / "manifest.json"
+    require_stage(manifest, "gen-instances")
+    with _stage_file(manifest, "gen-instances"):
+        return load_instance_set(inst_dir)
 
 
 def _read_schedule(path: Path):
@@ -497,14 +499,22 @@ def stage_baselines(cfg: ExperimentConfig, out: Path, threads: int = 1):
 def _load_summaries(cfg: ExperimentConfig, out: Path, algo: str, instance: int) -> list[dict]:
     """Every summary that `algo` must have for `instance`: trials
     0..trials-1, or trial 0 alone for PT-ICM.  A missing one, as a killed
-    stage leaves, raises StageError instead of being pooled over."""
+    stage leaves, raises StageError instead of being pooled over; so does
+    one without a key that `stage_metrics` reads."""
     stage = "run-chains" if algo in SAMPLER_ALGOS else "run-baselines"
+    keys = ["trial", "seed", "steps_to_enumerate"]
+    if algo != "walksat":
+        keys.append("counts")
     summaries = []
     for trial in range(1 if algo == "pt-icm" else cfg.trials):
         path = _summary_path(out, algo, instance, trial)
         require_stage(path, stage)
         with _stage_file(path, stage):
-            summaries.append(json.loads(path.read_text()))
+            summary = json.loads(path.read_text())
+            missing = [key for key in keys if key not in summary]
+            if missing:
+                raise ValueError(f"no {', '.join(missing)}")
+            summaries.append(summary)
     return summaries
 
 

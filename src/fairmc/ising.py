@@ -58,9 +58,6 @@ class SpinConfig:
                 packed |= 1 << i
         return cls(packed, len(bits))
 
-    def bit(self, site: int) -> int:
-        return (self.bits >> site) & 1
-
     def to_bitstring(self) -> str:
         """x_0 x_1 ... x_{n-1}, left to right."""
         return "".join(str((self.bits >> i) & 1) for i in range(self.n))

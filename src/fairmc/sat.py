@@ -3,6 +3,9 @@
 Boolean/spin convention (project-wide): x = (1 - s)/2, i.e. x_i equals bit i
 of a SpinConfig and s = +1 means x = 0.
 
+A clause is a tuple of DIMACS literals, in memory as on disk: +v for x_{v-1},
+-v for its negation, sorted by variable (see `CnfFormula`).
+
 A clause is penalized by 1 exactly when all its literals are false, so the
 energy of the mapped Ising model equals the number of unsatisfied clauses.
 """
@@ -14,7 +17,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,7 +25,6 @@ from fairmc.fileio import atomic_write
 from fairmc.ising import (
     MAX_BRUTEFORCE_SITES,
     CapacityError,
-    DimensionError,
     IsingModel,
     SpinConfig,
 )
@@ -46,78 +48,31 @@ class GenerationError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Literal:
-    variable: int
-    negated: bool = False
-
-    def evaluate(self, assignment: SpinConfig) -> bool:
-        return bool(assignment.bit(self.variable)) != self.negated
-
-
-@dataclass(frozen=True)
-class Clause:
-    """Disjunction of literals over distinct variables, sorted by variable."""
-
-    literals: tuple[Literal, ...]
-
-    def __post_init__(self):
-        vs = [l.variable for l in self.literals]
-        if len(set(vs)) != len(vs):
-            raise ValueError(f"repeated variable in clause {self.literals}")
-        if vs != sorted(vs):
-            object.__setattr__(
-                self, "literals", tuple(sorted(self.literals, key=lambda l: l.variable))
-            )
-
-    @classmethod
-    def from_ints(cls, lits: Iterable[int]) -> "Clause":
-        """DIMACS-style signed 1-indexed literals."""
-        return cls(tuple(Literal(abs(v) - 1, v < 0) for v in lits))
-
-    def to_ints(self) -> list[int]:
-        return [(-(l.variable + 1) if l.negated else l.variable + 1) for l in self.literals]
-
-    def variables(self) -> tuple[int, ...]:
-        return tuple(l.variable for l in self.literals)
-
-    def __len__(self) -> int:
-        return len(self.literals)
-
-
-@dataclass(frozen=True)
 class CnfFormula:
+    """A conjunction of clauses over variables x_0 .. x_{n_vars - 1}.
+
+    A clause is a tuple of DIMACS literals: +v for x_{v-1}, -v for its
+    negation.  Its variables are distinct, and it is stored sorted by
+    variable, as `write_dimacs` puts it on disk.  Raises ValueError for a
+    literal 0, a variable outside 1..n_vars or a repeated variable.
+    """
+
     n_vars: int
-    clauses: tuple[Clause, ...]
+    clauses: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        for c in self.clauses:
-            for l in c.literals:
-                if not 0 <= l.variable < self.n_vars:
-                    raise ValueError(f"variable {l.variable} out of range")
+        clauses = tuple(tuple(sorted(c, key=abs)) for c in self.clauses)
+        for c in clauses:
+            variables = [abs(lit) for lit in c]
+            if not all(0 < v <= self.n_vars for v in variables):
+                raise ValueError(f"clause {c}: variables must be in 1..{self.n_vars}")
+            if len(set(variables)) != len(variables):
+                raise ValueError(f"clause {c}: repeated variable")
+        object.__setattr__(self, "clauses", clauses)
 
     @property
     def n_clauses(self) -> int:
         return len(self.clauses)
-
-
-def eval_clause(clause: Clause, assignment: SpinConfig) -> bool:
-    """True iff at least one literal is true under the assignment."""
-    for l in clause.literals:
-        if l.variable >= assignment.n:
-            raise IndexError(f"variable {l.variable} outside assignment of {assignment.n}")
-    return any(l.evaluate(assignment) for l in clause.literals)
-
-
-def count_unsatisfied(formula: CnfFormula, assignment: SpinConfig) -> int:
-    if assignment.n != formula.n_vars:
-        raise DimensionError(
-            f"assignment covers {assignment.n} vars, formula has {formula.n_vars}"
-        )
-    return sum(0 if eval_clause(c, assignment) else 1 for c in formula.clauses)
-
-
-def satisfies(formula: CnfFormula, assignment: SpinConfig) -> bool:
-    return count_unsatisfied(formula, assignment) == 0
 
 
 def to_ising(formula: CnfFormula) -> IsingModel:
@@ -135,13 +90,12 @@ def to_ising(formula: CnfFormula) -> IsingModel:
     for clause in formula.clauses:
         kk = len(clause)
         scale = 0.5**kk
-        lits = clause.literals
         for r in range(kk + 1):
-            for subset in combinations(range(kk), r):
+            for subset in combinations(clause, r):
                 coeff = scale
-                for j in subset:
-                    coeff *= -1.0 if lits[j].negated else 1.0
-                sites = tuple(lits[j].variable for j in subset)
+                for lit in subset:
+                    coeff *= -1.0 if lit < 0 else 1.0
+                sites = tuple(abs(lit) - 1 for lit in subset)
                 if sites:
                     terms.append((sites, coeff))
                 else:
@@ -168,26 +122,25 @@ def generate_instance(n: int, k: int, alpha_c: float, rng_seed) -> CnfFormula:
             f"{clause_universe_size(n, k)}"
         )
     rng = np.random.default_rng(rng_seed)
-    seen: set[tuple] = set()
-    clauses: list[Clause] = []
+    seen: set[tuple[int, ...]] = set()
+    clauses: list[tuple[int, ...]] = []
     while len(clauses) < m:
         variables = np.sort(rng.choice(n, size=k, replace=False))
         signs = rng.integers(0, 2, size=k)
-        key = tuple(zip(variables.tolist(), signs.tolist()))
-        if key in seen:
+        clause = tuple(-(v + 1) if negated else v + 1
+                       for v, negated in zip(variables.tolist(), signs.tolist()))
+        if clause in seen:
             continue
-        seen.add(key)
-        clauses.append(
-            Clause(tuple(Literal(int(v), bool(s)) for v, s in key))
-        )
+        seen.add(clause)
+        clauses.append(clause)
     return CnfFormula(n, tuple(clauses))
 
 
-def _unsat_mask_per_clause(clause: Clause, z: np.ndarray) -> np.ndarray:
+def _unsat_mask_per_clause(clause: tuple[int, ...], z: np.ndarray) -> np.ndarray:
     mask = np.ones(len(z), dtype=bool)
-    for l in clause.literals:
-        bit = (z >> np.uint64(l.variable)) & np.uint64(1)
-        mask &= bit == (np.uint64(1) if l.negated else np.uint64(0))
+    for lit in clause:
+        bit = (z >> np.uint64(abs(lit) - 1)) & np.uint64(1)
+        mask &= bit == (np.uint64(1) if lit < 0 else np.uint64(0))
     return mask
 
 
@@ -207,16 +160,6 @@ def enumerate_solutions(formula: CnfFormula) -> list[SpinConfig]:
     """All satisfying assignments in ascending bit order (exhaustive)."""
     counts = unsatisfied_counts_all(formula)
     return [SpinConfig(int(z), formula.n_vars) for z in np.nonzero(counts == 0)[0]]
-
-
-def add_blocking_clause(formula: CnfFormula, solution: SpinConfig) -> CnfFormula:
-    """Append the width-n clause that is false exactly at `solution`."""
-    if not satisfies(formula, solution):
-        raise ValueError("blocking clause requires a satisfying assignment")
-    lits = tuple(
-        Literal(v, negated=bool(solution.bit(v))) for v in range(formula.n_vars)
-    )
-    return CnfFormula(formula.n_vars, formula.clauses + (Clause(lits),))
 
 
 @dataclass(frozen=True)
@@ -281,31 +224,39 @@ def write_dimacs(formula: CnfFormula, path) -> None:
     with atomic_write(path) as f:
         f.write(f"p cnf {formula.n_vars} {formula.n_clauses}\n")
         for c in formula.clauses:
-            f.write(" ".join(map(str, c.to_ints())) + " 0\n")
+            f.write(" ".join(map(str, c)) + " 0\n")
 
 
 def read_dimacs(path) -> CnfFormula:
-    n_vars = None
+    """The formula of a DIMACS file with one clause per line.  Raises
+    ValueError naming `path` for a missing or malformed header, a clause
+    count other than the header's, or a clause `CnfFormula` refuses."""
+    n_vars = n_clauses = None
     clauses = []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("c"):
-                continue
-            if line.startswith("p"):
-                parts = line.split()
-                if len(parts) != 4 or parts[1] != "cnf":
-                    raise ValueError(f"malformed header: {line!r}")
-                n_vars = int(parts[2])
-                continue
-            ints = [int(tok) for tok in line.split()]
-            if ints and ints[-1] == 0:
-                ints = ints[:-1]
-            if ints:
-                clauses.append(Clause.from_ints(ints))
-    if n_vars is None:
-        raise ValueError("missing 'p cnf' header")
-    return CnfFormula(n_vars, tuple(clauses))
+    try:
+        with open(path) as f:
+            for line in f:
+                line = line.strip()
+                if not line or line.startswith("c"):
+                    continue
+                if line.startswith("p"):
+                    parts = line.split()
+                    if len(parts) != 4 or parts[1] != "cnf":
+                        raise ValueError(f"malformed header: {line!r}")
+                    n_vars, n_clauses = int(parts[2]), int(parts[3])
+                    continue
+                ints = [int(tok) for tok in line.split()]
+                if ints and ints[-1] == 0:
+                    ints = ints[:-1]
+                if ints:
+                    clauses.append(tuple(ints))
+        if n_vars is None:
+            raise ValueError("missing 'p cnf' header")
+        if len(clauses) != n_clauses:
+            raise ValueError(f"{len(clauses)} clauses, the header says {n_clauses}")
+        return CnfFormula(n_vars, tuple(clauses))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def save_instance_set(instset: InstanceSet, directory) -> None:

@@ -21,19 +21,18 @@ from fairmc.fixtures import SIXFOLD_FIXTURE, load_fixture
 from fairmc.experiments import PT_BETAS
 from fairmc.ising import (
     IsingModel,
+    SpinConfig,
     basis_energies,
     energy_of_bits,
 )
 from fairmc.sat import (
     ALPHA_C,
     CnfFormula,
-    Clause,
-    add_blocking_clause,
     build_instance_set,
-    count_unsatisfied,
     enumerate_solutions,
     generate_instance,
     to_ising,
+    unsatisfied_counts_all,
 )
 
 
@@ -277,23 +276,23 @@ class TestWalkSat:
         assert res.found and res.flips_used == 0
 
     def test_single_unit_clause(self):
-        f = CnfFormula(1, (Clause.from_ints([1]),))
+        f = CnfFormula(1, ((1,),))
         res = run_once(f, 1)
         assert res.found and res.flips_used <= 2
-        assert res.solution.bit(0) == 1
+        assert res.solution.bits == 1
 
     def test_solves_generated_instances(self):
         instset = build_instance_set([12], k=3, per_size=100, alpha_c=ALPHA_C[3], seed=2)
         for entry in instset.entries:
             res = run_once(entry.formula, 3)
             assert res.found
-            assert count_unsatisfied(entry.formula, res.solution) == 0
+            assert unsatisfied_counts_all(entry.formula)[res.solution.bits] == 0
 
 
 class TestWalkSatEnumerate:
     def test_two_solution_formula(self):
         # pin all but one variable: exactly two solutions differ in x2
-        f = CnfFormula(3, (Clause.from_ints([1]), Clause.from_ints([-2])))
+        f = CnfFormula(3, ((1,), (-2,)))
         expected = {s.bits for s in enumerate_solutions(f)}
         assert len(expected) == 2
         res = walksat_enumerate(f, len(expected), 10_000, 4)
@@ -316,13 +315,13 @@ class TestWalkSatEnumerate:
 
     def test_incomplete_when_budget_tiny(self):
         # dozens of solutions but almost no flips allowed
-        f = CnfFormula(10, (Clause.from_ints([1, 2]),))
+        f = CnfFormula(10, ((1, 2),))
         res = walksat_enumerate(f, len(enumerate_solutions(f)), 1, 7)
         assert isinstance(res, EnumerationResult)
         assert not res.complete
 
     def test_unsat_input_immediately_complete(self):
-        f = CnfFormula(2, (Clause.from_ints([1]), Clause.from_ints([-1])))
+        f = CnfFormula(2, ((1,), (-1,)))
         res = walksat_enumerate(f, len(enumerate_solutions(f)), 500, 8)
         assert res.complete and res.solutions == []
 
@@ -361,9 +360,53 @@ class TestWalkSatEnumerateGolden:
             assert res.total_flips == res.flips_to_last_solution
 
     def test_unsat_input_takes_no_flips(self):
-        f = CnfFormula(2, (Clause.from_ints([1]), Clause.from_ints([-1])))
+        f = CnfFormula(2, ((1,), (-1,)))
         res = walksat_enumerate(f, len(enumerate_solutions(f)), 500, 8)
         assert res.complete and res.solutions == [] and res.total_flips == 0
+
+
+def add_blocking_clause(formula, solution):
+    """`formula` with the width-n clause that is false exactly at `solution`
+    appended: the reference that `_Assignment.block` reproduces without it."""
+    if unsatisfied_counts_all(formula)[solution.bits]:
+        raise ValueError("blocking clause requires a satisfying assignment")
+    clause = tuple(-(v + 1) if solution.bits >> v & 1 else v + 1
+                   for v in range(formula.n_vars))
+    return CnfFormula(formula.n_vars, formula.clauses + (clause,))
+
+
+class TestBlockingClause:
+    def test_blocks_exactly_one_solution(self):
+        f = CnfFormula(3, ())
+        sols = enumerate_solutions(f)
+        blocked = add_blocking_clause(f, sols[3])
+        remaining = enumerate_solutions(blocked)
+        assert len(remaining) == 7
+        assert sols[3] not in remaining
+
+    def test_sequential_blocking_reaches_unsat(self):
+        f = generate_instance(6, 2, 1.0, 11)
+        sols = enumerate_solutions(f)
+        assert len(sols) >= 1
+        for s in sols:
+            f = add_blocking_clause(f, s)
+        assert enumerate_solutions(f) == []
+
+    def test_requires_satisfying_assignment(self):
+        f = CnfFormula(2, ((1,), (2,)))
+        with pytest.raises(ValueError):
+            add_blocking_clause(f, SpinConfig.from_bits([0, 0]))
+
+    def test_count_decreases_by_exactly_one(self):
+        rng = np.random.default_rng(5)
+        for seed in range(10):
+            f = generate_instance(7, 2, 1.0, seed)
+            sols = enumerate_solutions(f)
+            if not sols:
+                continue
+            pick = sols[int(rng.integers(len(sols)))]
+            blocked = add_blocking_clause(f, pick)
+            assert len(enumerate_solutions(blocked)) == len(sols) - 1
 
 
 class _UnsatRecorder(_Assignment):
@@ -417,7 +460,7 @@ class TestBlockedSolutionBookkeeping:
         assert blocked_to_blocked > 0
 
     def test_block_rejects_non_solution(self):
-        f = CnfFormula(2, (Clause.from_ints([1]),))
+        f = CnfFormula(2, ((1,),))
         with pytest.raises(ValueError):
             _Assignment(f).block(0b10)
 

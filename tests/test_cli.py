@@ -430,6 +430,55 @@ class TestResume:
         assert "instance_0001_trial00.json" in err and "'run-chains'" in err
         assert not (run / "metrics").exists()
 
+    @pytest.mark.parametrize("algo, key", [
+        ("qaoa-nmc", "counts"),
+        ("pt-icm", "counts"),
+        ("qaoa-hmc", "trial"),
+        ("walksat", "seed"),
+        ("walksat", "steps_to_enumerate"),
+    ])
+    def test_summary_without_key_exits_2(self, trained, tmp_path, capsys, algo, key):
+        cfg = write_cfg(tmp_path)
+        run = shutil.copytree(trained, tmp_path / "run")
+        for ran in ("run-chains", "run-baselines"):
+            assert main([ran, "--config", cfg, "--out", str(run)]) == EXIT_OK
+        path = run / "chains" / algo / "instance_0000_trial00.json"
+        summary = json.loads(path.read_text())
+        del summary[key]
+        path.write_text(json.dumps(summary))
+        capsys.readouterr()
+        assert main(["metrics", "--config", cfg, "--out", str(run)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        stage = "run-chains" if algo.startswith("qaoa") else "run-baselines"
+        assert f"{algo}/instance_0000_trial00.json" in err and f"'{stage}'" in err
+        assert key in err
+        assert not (run / "metrics").exists()
+
+    @pytest.mark.parametrize("damage, name", [
+        ("repeated_variable", "instance_0000.cnf"),
+        ("missing_last_clause", "instance_0001.cnf"),
+        ("manifest_not_json", "manifest.json"),
+    ])
+    def test_refused_instance_set_exits_2(self, trained, tmp_path, capsys, damage, name):
+        run = shutil.copytree(trained, tmp_path / "run")
+        path = run / "instances" / name
+        lines = path.read_text().splitlines(keepends=True)
+        if damage == "repeated_variable":
+            lines[1] = "1 -1 0\n"  # the first clause, after the header
+        elif damage == "missing_last_clause":
+            del lines[-1]
+        else:
+            del lines[1:]
+        path.write_text("".join(lines))
+        cfg = write_cfg(tmp_path)
+        capsys.readouterr()
+        for stage in ("gen-instances", "run-chains", "run-baselines", "metrics"):
+            assert main([stage, "--config", cfg, "--out", str(run)]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert name in err and "'gen-instances'" in err
+        assert not (run / "chains").exists()
+        assert not (run / "metrics").exists()
+
     def test_config_that_runs_nothing_exits_2(self, tmp_path, capsys):
         # PT-ICM runs at k = 2 only, so at k = 3 this config has nothing to measure
         cfg = write_cfg(tmp_path, {"k": 3, "sizes": [5], "per_size": 1,

@@ -9,7 +9,7 @@ from fairmc import cli, experiments
 from fairmc.fileio import atomic_write
 from fairmc.made import MadeNetwork, save_checkpoint
 from fairmc.metrics import rows_to_csv
-from fairmc.sat import ALPHA_C, Clause, build_instance_set, save_instance_set, write_dimacs
+from fairmc.sat import ALPHA_C, build_instance_set, save_instance_set, write_dimacs
 
 
 class Interrupted(RuntimeError):
@@ -83,7 +83,7 @@ def test_failed_checkpoint_leaves_no_file(tmp_path, dump_dies_midway):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_failed_manifest_leaves_no_file(tmp_path, dump_dies_midway, monkeypatch):
+def test_failed_manifest_leaves_no_file(tmp_path, dump_dies_midway):
     # resume reads an existing manifest as "instances done"
     instset = build_instance_set([5], 2, 2, ALPHA_C[2], seed=0)
     with pytest.raises(Interrupted):
@@ -91,10 +91,12 @@ def test_failed_manifest_leaves_no_file(tmp_path, dump_dies_midway, monkeypatch)
     names = sorted(p.name for p in tmp_path.iterdir())
     assert names == ["instance_0000.cnf", "instance_0001.cnf"]
 
-    # a DIMACS file that fails after its header
-    monkeypatch.setattr(Clause, "to_ints", interrupted)
+    # a DIMACS file that fails after its header and first clause: a literal
+    # whose text cannot be formed, set past CnfFormula's checks
+    formula = instset.entries[0].formula
+    object.__setattr__(formula, "clauses", formula.clauses[:1] + ((1, DiesWhenWritten()),))
     with pytest.raises(Interrupted):
-        write_dimacs(instset.entries[0].formula, tmp_path / "instance_0002.cnf")
+        write_dimacs(formula, tmp_path / "instance_0002.cnf")
     assert sorted(p.name for p in tmp_path.iterdir()) == names
 
 

@@ -96,7 +96,7 @@ class TestMhStep:
         for seed in range(50):
             trace = run_chain(m, Temperature(2.0), FlipKernel(0), 1, init=init,
                               rng_seed=seed)
-            assert final_state(trace, m).bit(0) == 1  # s_0 = -1
+            assert final_state(trace, m).bits == 1  # s_0 = -1
             assert trace.accepted[0]
 
     def test_uphill_acceptance_frequency(self):

@@ -3,7 +3,9 @@
 Every public module-level function or class in `src/fairmc`, and every
 public method or property of a public class, must be read somewhere in
 `src/fairmc` outside its own definition, or be named in a `bench/*.py` file
-(the benchmark patches layers by attribute-name string).  A method counts as
+(the benchmark patches layers by attribute-name string).  A read inside
+another public definition counts only when that definition is reached
+itself, so a chain of names that only the tests enter is reported whole.  A method counts as
 read when any attribute of its name is, so a name shared with another
 method or attribute can hide it.  A load of a parameter or local variable
 of an enclosing function does not count, whatever its name.
@@ -31,7 +33,6 @@ setting every experiment leaves at one value is a constant.
 
 import ast
 import re
-from collections import Counter
 from dataclasses import asdict
 from functools import lru_cache
 from pathlib import Path
@@ -42,10 +43,9 @@ from fairmc.experiments import ExperimentConfig
 ROOT = Path(__file__).resolve().parents[1]
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
-# Reference implementations kept for the tests to compare production code
-# against: add_blocking_clause appends the width-n clause whose effect the
-# WalkSAT bookkeeping (baselines._Assignment.block) reproduces without it.
-TEST_REFERENCES = ("add_blocking_clause",)
+# Public names kept in the library only as references for the tests to
+# compare production code against: none, the references live in the tests.
+TEST_REFERENCES = ()
 
 # Settings that only the tests set and that no module constant can replace:
 # the acceptance-rule tests start a chain from a scripted state.
@@ -94,32 +94,35 @@ def _bound_names(fn) -> set[str]:
     return names - free
 
 
-def _loads(node) -> Counter:
-    """How often each name is loaded in `node`'s subtree, as an attribute or
-    as a name that is not a parameter or local of an enclosing function: a
-    local `energy` does not reach the function `energy`."""
-    names = Counter()
+def _loads(tree) -> dict:
+    """The names loaded in `tree`, as an attribute or as a name that is not a
+    parameter or local of an enclosing function (a local `energy` does not
+    reach the function `energy`), keyed by the innermost public definition
+    (`_public_definitions`) that holds the load, or None outside them all."""
+    owners = {id(node): qualified for qualified, node in _public_definitions(tree)}
+    names = {}
 
-    def visit(cur, local):
+    def visit(cur, local, owner):
+        owner = owners.get(id(cur), owner)
         if isinstance(cur, (*FUNCTIONS, ast.Lambda)):
             # decorators, defaults and annotations belong to the outer scope
             outer = [*getattr(cur, "decorator_list", ()), cur.args,
                      *([cur.returns] if getattr(cur, "returns", None) else [])]
             for child in outer:
-                visit(child, local)
+                visit(child, local, owner)
             inner = local | _bound_names(cur)
             for child in (cur.body if isinstance(cur.body, list) else [cur.body]):
-                visit(child, inner)
+                visit(child, inner, owner)
             return
         if isinstance(cur, ast.Name) and isinstance(cur.ctx, ast.Load):
             if cur.id not in local:
-                names[cur.id] += 1
+                names.setdefault(owner, set()).add(cur.id)
         elif isinstance(cur, ast.Attribute) and isinstance(cur.ctx, ast.Load):
-            names[cur.attr] += 1
+            names.setdefault(owner, set()).add(cur.attr)
         for child in ast.iter_child_nodes(cur):
-            visit(child, local)
+            visit(child, local, owner)
 
-    visit(node, frozenset())
+    visit(tree, frozenset(), None)
     return names
 
 
@@ -184,15 +187,28 @@ def unread_dataclass_fields(src_dir: Path, bench_dir: Path) -> list[str]:
 
 
 def unreached_public_names(src_dir: Path, bench_dir: Path) -> list[str]:
+    """The public definitions that no load outside them reaches, as a
+    fixpoint: a load counts only outside every public definition or inside
+    a reached one, so a chain that starts at an unreached (or exempt)
+    definition is unreached all along."""
     trees, _, bench_text = _sources(src_dir, bench_dir)
-    loads = sum((_loads(tree) for tree in trees.values()), Counter())
-    unreached = []
+    names, loads, live = {}, {}, set()
     for path, tree in trees.items():
+        by_owner = _loads(tree)
+        live |= by_owner.get(None, set())
         for qualified, node in _public_definitions(tree):
-            name = node.name
-            # every load of the name lies inside its own definition
-            if loads[name] == _loads(node)[name] and not _named_in(name, bench_text):
-                unreached.append(f"{path.stem}.{qualified}")
+            key = f"{path.stem}.{qualified}"
+            names[key] = node.name
+            loads[key] = by_owner.get(qualified, set())
+    unreached = set(names)
+    grew = True
+    while grew:
+        reached = {key for key in unreached
+                   if names[key] in live or _named_in(names[key], bench_text)}
+        unreached -= reached
+        for key in reached:
+            live |= loads[key]
+        grew = bool(reached)
     return sorted(unreached)
 
 
@@ -308,6 +324,23 @@ def test_a_local_of_the_same_name_is_not_a_reach(tmp_path):
     assert unreached_public_names(src, bench) == ["mod.energy"]
     # a call from a scope that binds no such local is a reach
     (src / "use.py").write_text("def _use():\n    return energy(1)\n")
+    _sources.cache_clear()
+    assert unreached_public_names(src, bench) == []
+
+
+def test_a_chain_from_an_unreached_name_is_not_a_reach(tmp_path):
+    src, bench = tmp_path / "src", tmp_path / "bench"
+    src.mkdir()
+    bench.mkdir()
+    (src / "mod.py").write_text(
+        "def a(x):\n    return b(x)\n\n\n"
+        "def b(x):\n    return C().c(x)\n\n\n"
+        "class C:\n    def c(self, x):\n        return a(x)\n")
+    # nothing calls a, so neither b nor C nor C.c is reached; exempting a
+    # would still leave them reported
+    assert unreached_public_names(src, bench) == ["mod.C", "mod.C.c", "mod.a", "mod.b"]
+    # a call from a private function reaches the whole chain
+    (src / "use.py").write_text("def _use():\n    return a(1)\n")
     _sources.cache_clear()
     assert unreached_public_names(src, bench) == []
 

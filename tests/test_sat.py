@@ -13,17 +13,12 @@ from fairmc.ising import (
 )
 from fairmc.sat import (
     ALPHA_C,
-    Clause,
     CnfFormula,
     InfeasibleDensityError,
-    Literal,
     UnsupportedWidthError,
-    add_blocking_clause,
     build_instance_set,
     clause_universe_size,
-    count_unsatisfied,
     enumerate_solutions,
-    eval_clause,
     generate_instance,
     load_instance_set,
     read_dimacs,
@@ -34,18 +29,25 @@ from fairmc.sat import (
 )
 
 
-def clause(*ints):
-    return Clause.from_ints(ints)
+def unsat_count(formula, bits):
+    """Clauses with no true literal at the packed assignment `bits`, one by
+    one: a literal +v is true iff bit v - 1 is 1, -v iff it is 0."""
+    return sum(
+        not any((bits >> (abs(lit) - 1) & 1) == (lit > 0) for lit in c)
+        for c in formula.clauses
+    )
 
 
 class TestEvalClause:
+    """A single clause's truth value, as `unsatisfied_counts_all` counts it."""
+
     def test_all_positive_all_false(self):
-        c = clause(1, 2)
-        assert not eval_clause(c, SpinConfig.from_bits([0, 0]))
+        f = CnfFormula(2, ((1, 2),))
+        assert unsatisfied_counts_all(f)[0b00] == 1
 
     def test_negated_literal_true_on_zero(self):
-        c = clause(1, -2)
-        assert eval_clause(c, SpinConfig.from_bits([0, 0]))
+        f = CnfFormula(2, ((1, -2),))
+        assert unsatisfied_counts_all(f)[0b00] == 0
 
     def test_truth_table_oracle(self):
         rng = np.random.default_rng(0)
@@ -53,48 +55,43 @@ class TestEvalClause:
             k = int(rng.integers(1, 4))
             vs = rng.choice(5, size=k, replace=False)
             negs = rng.integers(0, 2, size=k)
-            c = Clause(tuple(Literal(int(v), bool(g)) for v, g in zip(vs, negs)))
+            c = tuple(-(int(v) + 1) if g else int(v) + 1 for v, g in zip(vs, negs))
+            counts = unsatisfied_counts_all(CnfFormula(5, (c,)))
             for bits in itertools.product([0, 1], repeat=5):
-                a = SpinConfig.from_bits(bits)
-                expected = any(
-                    (bits[l.variable] == 1) != l.negated for l in c.literals
-                )
-                assert eval_clause(c, a) == expected
+                satisfied = any((bits[abs(lit) - 1] == 1) == (lit > 0) for lit in c)
+                assert counts[SpinConfig.from_bits(bits).bits] == int(not satisfied)
 
     def test_out_of_range_variable(self):
-        c = clause(4)
-        with pytest.raises(IndexError):
-            eval_clause(c, SpinConfig.from_bits([0, 0]))
+        with pytest.raises(ValueError, match=r"1\.\.2"):
+            CnfFormula(2, ((4,),))
 
 
 class TestCountUnsatisfied:
     def test_satisfying_assignment(self):
-        f = CnfFormula(2, (clause(1, 2),))
-        assert count_unsatisfied(f, SpinConfig.from_bits([1, 0])) == 0
+        f = CnfFormula(2, ((1, 2),))
+        assert unsatisfied_counts_all(f)[SpinConfig.from_bits([1, 0]).bits] == 0
 
     def test_contradiction_pair_always_one(self):
-        f = CnfFormula(1, (clause(1), clause(-1)))
-        for bits in ([0], [1]):
-            assert count_unsatisfied(f, SpinConfig.from_bits(bits)) == 1
+        f = CnfFormula(1, ((1,), (-1,)))
+        assert unsatisfied_counts_all(f).tolist() == [1, 1]
 
     def test_clause_by_clause_oracle(self):
         rng = np.random.default_rng(1)
         f = generate_instance(8, 3, ALPHA_C[3], 17)
+        counts = unsatisfied_counts_all(f)
         for _ in range(50):
-            a = SpinConfig(int(rng.integers(256)), 8)
-            expected = sum(0 if eval_clause(c, a) else 1 for c in f.clauses)
-            assert count_unsatisfied(f, a) == expected
+            z = int(rng.integers(256))
+            assert counts[z] == unsat_count(f, z)
 
     def test_vectorized_counts_match(self):
         f = generate_instance(8, 2, 1.0, 3)
         counts = unsatisfied_counts_all(f)
-        for z in range(256):
-            assert counts[z] == count_unsatisfied(f, SpinConfig(z, 8))
+        assert counts.tolist() == [unsat_count(f, z) for z in range(256)]
 
 
 class TestToIsing:
     def test_three_clause_penalty_localized(self):
-        f = CnfFormula(3, (clause(1, 2, 3),))
+        f = CnfFormula(3, ((1, 2, 3),))
         m = to_ising(f)
         e = basis_energies(m)
         assert e[0] == 1.0  # x = (0,0,0) is the only violating assignment
@@ -102,7 +99,7 @@ class TestToIsing:
 
     def test_two_clause_expansion(self):
         # (x0 or x1) -> (1/4)(1 + s0 + s1 + s0*s1)
-        f = CnfFormula(2, (clause(1, 2),))
+        f = CnfFormula(2, ((1, 2),))
         m = to_ising(f)
         assert m.offset == 0.25
         coeffs = {t.sites: t.coeff for t in m.terms}
@@ -123,7 +120,7 @@ class TestToIsing:
             assert np.array_equal(e, counts.astype(float))
 
     def test_width_guard(self):
-        f = CnfFormula(4, (clause(1, 2, 3, 4),))
+        f = CnfFormula(4, ((1, 2, 3, 4),))
         with pytest.raises(UnsupportedWidthError):
             to_ising(f)
 
@@ -151,8 +148,8 @@ class TestGenerateInstance:
             f = generate_instance(9, 3, ALPHA_C[3], seed)
             keys = set()
             for c in f.clauses:
-                assert len(set(c.variables())) == len(c)
-                keys.add(tuple((l.variable, l.negated) for l in c.literals))
+                assert len(set(map(abs, c))) == len(c) == 3
+                keys.add(c)
             assert len(keys) == f.n_clauses
 
     def test_infeasible_density(self):
@@ -167,8 +164,7 @@ class TestGenerateInstance:
         for seed in range(1000):
             f = generate_instance(n, k, ALPHA_C[3], seed)
             for c in f.clauses:
-                key = tuple((l.variable, l.negated) for l in c.literals)
-                freq[key] = freq.get(key, 0) + 1
+                freq[c] = freq.get(c, 0) + 1
         assert len(freq) == universe  # every clause seen at ~45 expected hits
         observed = np.array(list(freq.values()))
         _, p = stats.chisquare(observed)
@@ -177,7 +173,7 @@ class TestGenerateInstance:
 
 class TestEnumerateSolutions:
     def test_unsat_pair(self):
-        f = CnfFormula(1, (clause(1), clause(-1)))
+        f = CnfFormula(1, ((1,), (-1,)))
         assert enumerate_solutions(f) == []
 
     def test_empty_formula(self):
@@ -203,48 +199,15 @@ class TestEnumerateSolutions:
         assert matched > 0
 
 
-class TestBlockingClause:
-    def test_blocks_exactly_one_solution(self):
-        f = CnfFormula(3, ())
-        sols = enumerate_solutions(f)
-        blocked = add_blocking_clause(f, sols[3])
-        remaining = enumerate_solutions(blocked)
-        assert len(remaining) == 7
-        assert sols[3] not in remaining
-
-    def test_sequential_blocking_reaches_unsat(self):
-        f = generate_instance(6, 2, 1.0, 11)
-        sols = enumerate_solutions(f)
-        assert len(sols) >= 1
-        for s in sols:
-            f = add_blocking_clause(f, s)
-        assert enumerate_solutions(f) == []
-
-    def test_requires_satisfying_assignment(self):
-        f = CnfFormula(2, (clause(1), clause(2)))
-        with pytest.raises(ValueError):
-            add_blocking_clause(f, SpinConfig.from_bits([0, 0]))
-
-    def test_count_decreases_by_exactly_one(self):
-        rng = np.random.default_rng(5)
-        for seed in range(10):
-            f = generate_instance(7, 2, 1.0, seed)
-            sols = enumerate_solutions(f)
-            if not sols:
-                continue
-            pick = sols[int(rng.integers(len(sols)))]
-            blocked = add_blocking_clause(f, pick)
-            assert len(enumerate_solutions(blocked)) == len(sols) - 1
-
-
 class TestInstanceSet:
     def test_build_and_verify(self):
         instset = build_instance_set([8, 9], k=2, per_size=5, alpha_c=1.0, seed=7)
         assert len(instset.entries) == 10
         for entry in instset.entries:
             assert len(entry.solutions) >= 2
+            counts = unsatisfied_counts_all(entry.formula)
             for s in entry.solutions:
-                assert count_unsatisfied(entry.formula, s) == 0
+                assert counts[s.bits] == 0
 
     def test_roundtrip_via_directory(self, tmp_path):
         instset = build_instance_set([8], k=3, per_size=3, alpha_c=ALPHA_C[3], seed=1)
@@ -269,8 +232,30 @@ class TestDimacs:
 
     def test_reads_comments_and_header(self, tmp_path):
         p = tmp_path / "g.cnf"
-        p.write_text("c comment line\np cnf 3 2\n1 -2 0\n2 3 0\n")
-        f = read_dimacs(p)
-        assert f.n_vars == 3
-        assert f.n_clauses == 2
-        assert f.clauses[0] == clause(1, -2)
+        for text, clauses in [
+            ("c comment line\np cnf 3 2\n1 -2 0\n2 3 0\n", ((1, -2), (2, 3))),
+            # a clause is stored sorted by variable
+            ("p cnf 3 2\n2 -1 0\n3 2 0\n", ((-1, 2), (2, 3))),
+        ]:
+            p.write_text(text)
+            f = read_dimacs(p)
+            assert f.n_vars == 3
+            assert f.n_clauses == 2
+            assert f.clauses == clauses
+        assert CnfFormula(2, ((2, -1),)).clauses == ((-1, 2),)
+
+    @pytest.mark.parametrize("text, match", [
+        ("p cnf 3 1\n1 0 2 0\n", r"in 1\.\.3"),
+        ("p cnf 3 1\n1 4 0\n", r"in 1\.\.3"),
+        ("p cnf 3 1\n1 -1 0\n", "repeated variable"),
+        ("1 2 0\n", "missing 'p cnf' header"),
+        ("p cnf 3 2\n1 2 0\n", "1 clauses, the header says 2"),
+        ("p cnf 3 1\n1 2 0\n2 3 0\n", "2 clauses, the header says 1"),
+    ], ids=["literal_0", "variable_above_n", "repeated_variable", "no_header",
+            "missing_clause", "extra_clause"])
+    def test_refused_file(self, tmp_path, text, match):
+        p = tmp_path / "bad.cnf"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=match) as info:
+            read_dimacs(p)
+        assert str(p) in str(info.value)
