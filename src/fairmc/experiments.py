@@ -99,6 +99,7 @@ from fairmc.qsim import linear_schedule, measure_distribution, run_annealing, ru
 from fairmc.sat import (
     ALPHA_C,
     build_instance_set,
+    enumerate_solutions,
     load_instance_set,
     save_instance_set,
     to_ising,
@@ -317,11 +318,17 @@ def _stage_file(path: Path, stage_cmd: str):
 
 
 def _instances(out: Path):
+    """The instance set of `out`, refused unless each entry's solutions are
+    exactly its formula's, as `enumerate_solutions` lists them."""
     inst_dir = out / "instances"
     manifest = inst_dir / "manifest.json"
     require_stage(manifest, "gen-instances")
     with _stage_file(manifest, "gen-instances"):
-        return load_instance_set(inst_dir)
+        instset = load_instance_set(inst_dir)
+        for i, entry in enumerate(instset.entries):
+            if list(entry.solutions) != enumerate_solutions(entry.formula):
+                raise ValueError(f"entry {i} does not list the solutions of its formula")
+    return instset
 
 
 def _read_schedule(path: Path):

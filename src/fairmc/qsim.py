@@ -12,10 +12,12 @@ qubits: each block is one small matmul with that block's Kronecker power of
 the rotation.  The array-level layers (`phase_factors`, `rotate_mixer`,
 `apply_driver`) also serve the adjoint gradient in `qaoa`.
 Time evolution under any other Hamiltonian builds the real-symmetric
-2^n x 2^n matrix H and diagonalises it, exp(-iHt) = V exp(-i Lambda t) V^T:
-`evolve_fixed` is exact, and `run_annealing` uses the fourth-order
-commutator-free Magnus integrator CF4 (two such exponentials per step).
-That is limited to _DENSE_MAX sites; both raise ising.CapacityError above it.
+2^n x 2^n matrix H.  `evolve_fixed` diagonalises it, exp(-iHt) =
+V exp(-i Lambda t) V^T, which is exact.  `run_annealing` uses the
+fourth-order commutator-free Magnus integrator CF4 (two exponentials per
+step) and applies each exponential to the state as a truncated Taylor
+polynomial, so it needs only products of H with the state.
+Both are limited to _DENSE_MAX sites and raise ising.CapacityError above it.
 
 The operations that return a StateVector (`apply_phase_layer`,
 `apply_mixer_layer`, `run_qaoa`, `evolve_fixed`, `run_annealing`) return new
@@ -43,9 +45,10 @@ from fairmc.ising import (
     energy_levels,
 )
 
-# dense time evolution (one eigh per exponential) up to this many sites.  The
-# pipeline evolves only the five-site fixtures; at n = 9 one T = 20 CF4 anneal
-# would take 26 s on a 2-vCPU Xeon VM, where the old matrix-free RK4 took 2.8 s
+# dense time evolution up to this many sites.  The pipeline evolves only the
+# five-site fixtures; at n = 9, for a random 3-SAT instance on a 2-vCPU Xeon
+# VM, one T = 20 CF4 anneal would take 0.7 s and one `evolve_fixed` (an eigh
+# of the 512 x 512 H) 50 ms, so a QE-MCMC chain 50 ms per step
 _DENSE_MAX = 7
 
 # qubits per mixer matmul.  A block's matrix is 2^k x 2^k, so larger blocks
@@ -57,6 +60,10 @@ _MIXER_BLOCK = 5
 # CF4 (Blanes & Moan 2006): Gauss nodes and the weights of its two exponentials
 _CF4_NODES = (0.5 - math.sqrt(3) / 6, 0.5 + math.sqrt(3) / 6)
 _CF4_WEIGHTS = ((3 - 2 * math.sqrt(3)) / 12, (3 + 2 * math.sqrt(3)) / 12)
+
+# an anneal's Taylor polynomials stop before the first term whose 1-norm
+# bound falls below this, the double-precision unit roundoff
+_TAYLOR_TOL = 2.0**-53
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,16 +224,6 @@ def _dense_driver(n_qubits: int) -> np.ndarray:
     return hd
 
 
-def _expm_apply(h: np.ndarray, t: float, psi: np.ndarray) -> np.ndarray:
-    """exp(-i t h) psi for a real-symmetric h, from one eigh h = V diag(lam) V^T.
-
-    V is real, so the propagator V exp(-i lam t) V^T is complex-symmetric:
-    |<z|U|z'>| = |<z'|U|z>| to rounding.
-    """
-    lam, v = np.linalg.eigh(h)
-    return v @ (np.exp(-1j * t * lam) * (v.T @ psi))
-
-
 def _require_dense(n_sites: int) -> None:
     if n_sites > _DENSE_MAX:
         raise CapacityError(
@@ -240,8 +237,10 @@ def evolve_fixed(
     """exp(-i H t)|state> for H = (1-w) * alpha * H_P + w * H_d, with alpha
     the `problem_norm_ratio` of the model.
 
-    Exact: one eigh of the dense H.  The propagator is complex-symmetric
-    (U = U^T), which is what the quantum-proposal kernel needs.
+    Exact: one eigh of the dense H = V diag(lam) V^T.  V is real, so the
+    propagator V exp(-i lam t) V^T is complex-symmetric (U = U^T, so
+    |<z|U|z'>| = |<z'|U|z>| to rounding), which is what the quantum-proposal
+    kernel needs.
 
     Raises ValueError for a non-finite `time`, DimensionError for a state of
     another size, and CapacityError above _DENSE_MAX sites.
@@ -259,7 +258,23 @@ def evolve_fixed(
     np.fill_diagonal(
         h, (1.0 - driver_weight) * problem_norm_ratio(model) * basis_energies(model)
     )
-    return StateVector(_expm_apply(h, time, state.amplitudes), state.n_qubits)
+    lam, v = np.linalg.eigh(h)
+    amps = v @ (np.exp(-1j * time * lam) * (v.T @ state.amplitudes))
+    return StateVector(amps, state.n_qubits)
+
+
+def _taylor_split(norm: float) -> tuple[int, int]:
+    """(applications, degree) for exp(-i tau H) psi with ||tau H||_1 <= norm:
+    ceil(norm) equal applications, each of 1-norm theta <= 1, of the Taylor
+    polynomial of the least degree m whose first omitted term
+    theta^(m+1) / (m+1)! is below _TAYLOR_TOL."""
+    reps = max(1, math.ceil(norm))
+    theta = norm / reps
+    degree, term = 0, theta
+    while term >= _TAYLOR_TOL:
+        degree += 1
+        term *= theta / (degree + 1)
+    return reps, degree
 
 
 def _anneal_cf4(model: IsingModel, schedule: AnnealSchedule, n_steps: int) -> np.ndarray:
@@ -267,21 +282,50 @@ def _anneal_cf4(model: IsingModel, schedule: AnnealSchedule, n_steps: int) -> np
 
     With H_k = H(t + c_k dt) at the Gauss nodes, one step applies
     exp(-i dt (a2 H_1 + a1 H_2)) and then exp(-i dt (a1 H_1 + a2 H_2)).
+    Each exponential exp(-i dt H) is applied to the state as a Taylor
+    polynomial, sum_j (-i tau H)^j psi / j!, summed from the powers
+    (tau H)^j psi.  One split serves the whole anneal: with A and B an
+    exponential's driver and problem weights, ||dt H||_1 =
+    dt (|A| n + |B| max|E(z)|), and its largest value over all 2 n_steps
+    exponentials, `norm`, makes each exponential ceil(norm) applications,
+    with tau = dt / ceil(norm), of the polynomial whose degree
+    `_taylor_split` picks.
+
+    Raises ValueError, before the first step, when a schedule weight at a
+    node is not finite.
     """
     dt = schedule.total_time / n_steps
+    (c1, c2), (a1, a2) = _CF4_NODES, _CF4_WEIGHTS
+    nodes = [(k + c) / n_steps for k in range(n_steps) for c in (c1, c2)]
+    a = np.array([schedule.a_of(s) for s in nodes])
+    b = np.array([schedule.b_of(s) for s in nodes])
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("anneal schedule weights must be finite")
+    # the driver and problem weight of each exponential, two per step
+    mix = np.array([[a2, a1], [a1, a2]])
+    drive = (a.reshape(-1, 2) @ mix.T).ravel()
+    problem = (b.reshape(-1, 2) @ mix.T).ravel()
     hd = _dense_driver(model.n_sites)
     hp = basis_energies(model)
-    (c1, c2), (a1, a2) = _CF4_NODES, _CF4_WEIGHTS
-    psi = uniform_state(model.n_sites).amplitudes
-    for k in range(n_steps):
-        s1, s2 = (k + c1) / n_steps, (k + c2) / n_steps
-        d1, d2 = schedule.a_of(s1), schedule.a_of(s2)
-        p1, p2 = schedule.b_of(s1), schedule.b_of(s2)
-        for w1, w2 in ((a2, a1), (a1, a2)):
-            h = (w1 * d1 + w2 * d2) * hd
-            np.fill_diagonal(h, (w1 * p1 + w2 * p2) * hp)
-            psi = _expm_apply(h, dt, psi)
-    return psi
+    norm = dt * float(np.max(np.abs(drive) * model.n_sites
+                             + np.abs(problem) * np.abs(hp).max()))
+    reps, degree = _taylor_split(norm)
+    tau = dt / reps
+    coeffs = np.cumprod([1.0, *(-1j / np.arange(1, degree + 1))])  # (-i)^j / j!
+    # buffers for the whole anneal: tau H, and row j of `powers` holds
+    # (tau H)^j psi; H is real, so it multiplies the (re, im) pairs
+    h = np.empty_like(hd)
+    powers = np.empty((degree + 1, len(hp)), dtype=np.complex128)
+    pairs = powers.view(np.float64).reshape(degree + 1, -1, 2)
+    powers[0] = uniform_state(model.n_sites).amplitudes
+    for d, p in zip(tau * drive, tau * problem):
+        np.multiply(hd, d, out=h)
+        np.fill_diagonal(h, p * hp)
+        for _ in range(reps):
+            for j in range(degree):
+                np.matmul(h, pairs[j], out=pairs[j + 1])
+            powers[0] = coeffs @ powers
+    return powers[0].copy()
 
 
 def run_annealing(model: IsingModel, schedule: AnnealSchedule) -> StateVector:
@@ -289,11 +333,15 @@ def run_annealing(model: IsingModel, schedule: AnnealSchedule) -> StateVector:
     superposition (the driver ground state) to t = total_time.
 
     CF4, the fourth-order commutator-free Magnus integrator (Blanes & Moan
-    2006), whose steps are two exact dense exponentials of H at the Gauss
-    nodes, in ceil(64 sqrt(T)) equal steps (`_anneal_cf4`).
+    2006), in ceil(64 sqrt(T)) equal steps (`_anneal_cf4`).  Its steps are
+    two exponentials of H at the Gauss nodes, each applied to the state as a
+    Taylor polynomial: the largest 1-norm of dt H over the anneal, `norm`,
+    splits every exponential into ceil(norm) equal applications of 1-norm at
+    most 1, and the degree is the least whose first omitted term is below
+    2^-53.
 
-    Raises ValueError for a negative or non-finite total time and
-    CapacityError above _DENSE_MAX sites.
+    Raises ValueError for a negative or non-finite total time or a
+    non-finite schedule weight, and CapacityError above _DENSE_MAX sites.
     """
     T = schedule.total_time
     if not (np.isfinite(T) and T >= 0.0):

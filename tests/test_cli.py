@@ -458,18 +458,33 @@ class TestResume:
         ("repeated_variable", "instance_0000.cnf"),
         ("missing_last_clause", "instance_0001.cnf"),
         ("manifest_not_json", "manifest.json"),
+        ("non_solution", "manifest.json"),
+        ("dropped_solution", "manifest.json"),
     ])
     def test_refused_instance_set_exits_2(self, trained, tmp_path, capsys, damage, name):
         run = shutil.copytree(trained, tmp_path / "run")
         path = run / "instances" / name
-        lines = path.read_text().splitlines(keepends=True)
-        if damage == "repeated_variable":
-            lines[1] = "1 -1 0\n"  # the first clause, after the header
-        elif damage == "missing_last_clause":
-            del lines[-1]
+        if damage.endswith("solution"):
+            manifest = json.loads(path.read_text())
+            entry = manifest["entries"][-1]
+            solutions = entry["solutions"]
+            if damage == "non_solution":
+                # the manifest lists every solution, so any other string is none
+                n = entry["n_vars"]
+                solutions[0] = next(b for b in (format(z, f"0{n}b") for z in range(1 << n))
+                                    if b not in solutions)
+            else:
+                del solutions[0]
+            path.write_text(json.dumps(manifest))
         else:
-            del lines[1:]
-        path.write_text("".join(lines))
+            lines = path.read_text().splitlines(keepends=True)
+            if damage == "repeated_variable":
+                lines[1] = "1 -1 0\n"  # the first clause, after the header
+            elif damage == "missing_last_clause":
+                del lines[-1]
+            else:
+                del lines[1:]
+            path.write_text("".join(lines))
         cfg = write_cfg(tmp_path)
         capsys.readouterr()
         for stage in ("gen-instances", "run-chains", "run-baselines", "metrics"):

@@ -2,8 +2,10 @@
 
 Every public module-level function or class in `src/fairmc`, and every
 public method or property of a public class, must be read somewhere in
-`src/fairmc` outside its own definition, or be named in a `bench/*.py` file
-(the benchmark patches layers by attribute-name string).  A read inside
+`src/fairmc` outside its own definition, or be read by a `bench/*.py` file:
+loaded as a name or attribute, imported, or given as a string constant (the
+benchmark patches layers by attribute-name string).  A name that a benchmark
+file mentions only in a comment or docstring is not read.  A read inside
 another public definition counts only when that definition is reached
 itself, so a chain of names that only the tests enter is reported whole.  A method counts as
 read when any attribute of its name is, so a name shared with another
@@ -11,7 +13,7 @@ method or attribute can hide it.  A load of a parameter or local variable
 of an enclosing function does not count, whatever its name.
 
 Every field of a public dataclass must likewise be read in `src/fairmc`, as
-an attribute or as a string (`getattr`, CSV and JSON keys), or be named in a
+an attribute or as a string (`getattr`, CSV and JSON keys), or be read by a
 `bench/*.py` file: a value the library stores and nothing reads is waste.
 
 Every defaulted field of a public dataclass, and every defaulted parameter
@@ -32,7 +34,6 @@ setting every experiment leaves at one value is a constant.
 """
 
 import ast
-import re
 from dataclasses import asdict
 from functools import lru_cache
 from pathlib import Path
@@ -61,12 +62,29 @@ UNVARIED_SETTINGS = {
 @lru_cache(maxsize=None)
 def _sources(src_dir: Path, bench_dir: Path):
     """The library's parsed modules by path, the benchmark's parsed modules,
-    and the benchmark's text."""
+    and the names the benchmark reads (`_bench_reads`)."""
     trees = {path: ast.parse(path.read_text()) for path in sorted(src_dir.glob("*.py"))}
-    bench_paths = sorted(bench_dir.glob("*.py"))
-    bench_trees = [ast.parse(p.read_text()) for p in bench_paths]
-    bench_text = "\n".join(p.read_text() for p in bench_paths)
-    return trees, bench_trees, bench_text
+    bench_trees = [ast.parse(p.read_text()) for p in sorted(bench_dir.glob("*.py"))]
+    return trees, bench_trees, set().union(*map(_bench_reads, bench_trees))
+
+
+def _bench_reads(tree) -> set[str]:
+    """The names loaded in `tree` as a name or attribute, the names it
+    imports, and its string constants other than docstrings and other
+    strings that stand as a statement of their own."""
+    prose = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(part for alias in node.names for part in alias.name.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and id(node) not in prose:
+            names.add(node.value)
+    return names
 
 
 def _bound_names(fn) -> set[str]:
@@ -139,10 +157,6 @@ def _public_definitions(tree):
                     yield f"{node.name}.{item.name}", item
 
 
-def _named_in(name, text):
-    return re.search(rf"\b{re.escape(name)}\b", text) is not None
-
-
 def _field_reads(tree):
     """Attribute names loaded and string constants anywhere in `tree`."""
     names = set()
@@ -176,13 +190,13 @@ def _fields(node):
 
 
 def unread_dataclass_fields(src_dir: Path, bench_dir: Path) -> list[str]:
-    trees, _, bench_text = _sources(src_dir, bench_dir)
-    read = set().union(*(_field_reads(tree) for tree in trees.values()))
+    trees, _, bench_reads = _sources(src_dir, bench_dir)
+    read = set().union(bench_reads, *(_field_reads(tree) for tree in trees.values()))
     return sorted(
         f"{path.stem}.{node.name}.{name}"
         for path, tree in trees.items() for node in _public_dataclasses(tree)
         for name, _ in _fields(node)
-        if name not in read and not _named_in(name, bench_text)
+        if name not in read
     )
 
 
@@ -191,8 +205,8 @@ def unreached_public_names(src_dir: Path, bench_dir: Path) -> list[str]:
     fixpoint: a load counts only outside every public definition or inside
     a reached one, so a chain that starts at an unreached (or exempt)
     definition is unreached all along."""
-    trees, _, bench_text = _sources(src_dir, bench_dir)
-    names, loads, live = {}, {}, set()
+    trees, _, bench_reads = _sources(src_dir, bench_dir)
+    names, loads, live = {}, {}, set(bench_reads)
     for path, tree in trees.items():
         by_owner = _loads(tree)
         live |= by_owner.get(None, set())
@@ -203,8 +217,7 @@ def unreached_public_names(src_dir: Path, bench_dir: Path) -> list[str]:
     unreached = set(names)
     grew = True
     while grew:
-        reached = {key for key in unreached
-                   if names[key] in live or _named_in(names[key], bench_text)}
+        reached = {key for key in unreached if names[key] in live}
         unreached -= reached
         for key in reached:
             live |= loads[key]
@@ -343,6 +356,30 @@ def test_a_chain_from_an_unreached_name_is_not_a_reach(tmp_path):
     (src / "use.py").write_text("def _use():\n    return a(1)\n")
     _sources.cache_clear()
     assert unreached_public_names(src, bench) == []
+
+
+def test_a_name_only_in_benchmark_prose_is_not_read(tmp_path):
+    src, bench = tmp_path / "src", tmp_path / "bench"
+    src.mkdir()
+    bench.mkdir()
+    (src / "mod.py").write_text(
+        "from dataclasses import dataclass\n\n\n"
+        "@dataclass\nclass Run:\n    seed: int\n\n\n"
+        "def sample(x):\n    return x\n\n\n"
+        "def _use():\n    return Run(1)\n")
+    (bench / "b.py").write_text(
+        '"""Draws a sample of each seed."""\n\n'
+        "# sample, seed\n\n\n"
+        'def f():\n    """sample seed"""\n    "sample seed"\n    return 1\n')
+    assert unreached_public_names(src, bench) == ["mod.sample"]
+    assert unread_dataclass_fields(src, bench) == ["mod.Run.seed"]
+    # an attribute-name string and an attribute load are reads
+    (bench / "b.py").write_text(
+        "import mod\n\nPATCHES = [(mod, \"sample\")]\n\n\n"
+        "def seeds(runs):\n    return [r.seed for r in runs]\n")
+    _sources.cache_clear()
+    assert unreached_public_names(src, bench) == []
+    assert unread_dataclass_fields(src, bench) == []
 
 
 def workload_configs(bench_dir: Path) -> list[dict]:

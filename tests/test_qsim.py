@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ from scipy import stats
 from scipy.linalg import expm
 
 from fairmc.exact import dense_driver, dense_problem
-from fairmc.fixtures import load_fixture
+from fairmc.fixtures import FIXTURE_NAMES, load_fixture
 from fairmc.experiments import ALPHA_C, to_ising
 from fairmc.ising import (
     CapacityError,
@@ -16,12 +17,13 @@ from fairmc.ising import (
     Temperature,
     basis_energies,
 )
-from fairmc import mcmc
+from fairmc import mcmc, qsim
 from fairmc.mcmc import QeKernel, run_chain
 from fairmc.qsim import (
     AnnealSchedule,
     StateVector,
     _anneal_cf4,
+    _taylor_split,
     apply_driver,
     apply_mixer_layer,
     apply_phase_layer,
@@ -51,6 +53,25 @@ def random_model(rng, n, n_terms=8):
 def random_state(rng, n):
     amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     return StateVector(amps / np.linalg.norm(amps), n)
+
+
+def eigh_cf4(model, schedule, n_steps):
+    """CF4 with one eigh per exponential: the reference that `_anneal_cf4`,
+    which applies each exponential as a Taylor polynomial, is checked against."""
+    dt = schedule.total_time / n_steps
+    hd, hp = dense_driver(model.n_sites), basis_energies(model)
+    (c1, c2), (a1, a2) = qsim._CF4_NODES, qsim._CF4_WEIGHTS
+    psi = uniform_state(model.n_sites).amplitudes
+    for k in range(n_steps):
+        s1, s2 = (k + c1) / n_steps, (k + c2) / n_steps
+        d1, d2 = schedule.a_of(s1), schedule.a_of(s2)
+        p1, p2 = schedule.b_of(s1), schedule.b_of(s2)
+        for w1, w2 in ((a2, a1), (a1, a2)):
+            h = (w1 * d1 + w2 * d2) * hd
+            np.fill_diagonal(h, (w1 * p1 + w2 * p2) * hp)
+            lam, v = np.linalg.eigh(h)
+            psi = v @ (np.exp(-1j * dt * lam) * (v.T @ psi))
+    return psi
 
 
 class TestPhaseLayer:
@@ -273,6 +294,17 @@ class TestRunAnnealing:
         with pytest.raises(ValueError):
             run_annealing(m, linear_schedule(total_time))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("weight", ["a_of", "b_of"])
+    @pytest.mark.parametrize("late", [False, True])
+    def test_rejects_nonfinite_schedule_weight(self, bad, weight, late):
+        # constant, or only at the nodes of the last steps
+        weights = {"a_of": lambda s: 1.0 - s, "b_of": lambda s: s}
+        weights[weight] = (lambda s: bad if s > 0.99 else s) if late else (lambda s: bad)
+        sched = AnnealSchedule(2.0, weights["a_of"], weights["b_of"])
+        with pytest.raises(ValueError, match="schedule weights"):
+            run_annealing(load_fixture("five_site_threefold"), sched)
+
     def test_cf4_fourth_order(self):
         # halving the step divides a 4th-order error by about 16; a 2nd-order
         # scheme (such as CF4 with its two exponentials swapped) by about 4
@@ -293,6 +325,42 @@ class TestRunAnnealing:
         expected = expm(-1j * 2.5 * h) @ uniform_state(7).amplitudes
         out = _anneal_cf4(m, sched, 5)  # dt = 0.5
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("norm", [0.0, 1e-3, 0.25, 0.999, 1.0, 1.001, 2.5, 37.0])
+    def test_taylor_split(self, norm):
+        # ceil(norm) applications of 1-norm theta <= 1, and the least degree
+        # whose first omitted term theta^(m+1) / (m+1)! is below 2^-53
+        reps, degree = _taylor_split(norm)
+        assert reps == max(1, math.ceil(norm))
+        theta = norm / reps
+        assert theta**(degree + 1) / math.factorial(degree + 1) < 2.0**-53
+        assert degree == 0 or theta**degree / math.factorial(degree) >= 2.0**-53
+
+    @pytest.mark.parametrize("total_time", [0.1, 20.0, 1000.0])
+    @pytest.mark.parametrize("model", [*FIXTURE_NAMES, 3, 4, 5, 6, 7])
+    def test_matches_eigh_oracle(self, model, total_time):
+        # a fixture at the default step count, where dt ||H||_1 is below 1 at
+        # T = 0.1 and 20 and takes 2-3 applications per exponential at
+        # T = 1000; or a random model of that many sites at an eighth of the
+        # steps, which keeps the eigh oracle cheap at n = 7 and takes 6-14
+        # applications at T = 1000 and, from n = 4, 2 at T = 20
+        if isinstance(model, int):
+            model = random_model(np.random.default_rng(70 + model), model, n_terms=model)
+            n_steps = math.ceil(8 * math.sqrt(total_time))
+        else:
+            model = load_fixture(model)
+            n_steps = math.ceil(64 * math.sqrt(total_time))
+        sched = linear_schedule(total_time)
+        out = _anneal_cf4(model, sched, n_steps)
+        assert np.abs(out - eigh_cf4(model, sched, n_steps)).max() <= 1e-12
+
+    def test_coarse_steps_match_eigh_oracle(self):
+        # dt = 5: dt ||H||_1 is above 24, so each exponential is split into
+        # 25 Taylor applications
+        model, sched = load_fixture("five_site_fourfold"), linear_schedule(100.0)
+        out = _anneal_cf4(model, sched, 20)
+        assert np.abs(out - eigh_cf4(model, sched, 20)).max() <= 1e-12
+
 
 def test_capacity_above_dense_max():
     # time evolution is dense only, up to qsim._DENSE_MAX = 7 sites
