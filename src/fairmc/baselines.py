@@ -26,8 +26,8 @@ import math
 import random
 from dataclasses import dataclass
 
-from fairmc.ising import IsingModel, SpinConfig, energy_of_bits
-from fairmc.mcmc import ChainTrace, _sweep_for, _TraceBuilder
+from fairmc.ising import IsingModel, SpinConfig, basis_energies, energy_of_bits
+from fairmc.mcmc import ChainTrace, _table_sweep, _TraceBuilder
 # enumerate_solutions is not called here; the benchmark's tracer times the
 # exact enumeration under this name as well as under fairmc.sat
 from fairmc.sat import CnfFormula, enumerate_solutions  # noqa: F401
@@ -115,7 +115,8 @@ def pt_icm_run(
     replicas.  The trace records every transition of that replica: the N
     flips of its sweep, its exchange with the next-warmer replica and its
     Houdayer move; `PtIcmStats.total_transitions` counts those of every
-    replica.  Raises ValueError for an empty or non-ascending ladder.
+    replica.  Raises ValueError for an empty or non-ascending ladder, and
+    CapacityError above ising.MAX_BRUTEFORCE_SITES sites.
 
     Each round: one SSF sweep per replica, neighbor exchanges within each
     family, and one Houdayer move (`houdayer_cluster`) per temperature across
@@ -123,11 +124,11 @@ def pt_icm_run(
     (the family's bits list, its energies list, temperature index, beta,
     the trace's record for the coldest replica of the first family or None).
 
-    The sweeps are those of `run_chain` (`mcmc._sweep_for`).  Where they read
-    the basis-energy table, the initial energies and the energies after a
-    Houdayer move are read from it too; elsewhere `energy_of_bits` computes
-    them.  Both give the same bits on a model with exact energies, so the
-    trace does not depend on which path ran.
+    The sweeps are those of `run_chain` (`mcmc._table_sweep`), which read
+    the model's basis-energy table; it is built before the first round and
+    holds about 32 B per basis state.  The initial energies come from
+    `energy_of_bits` and the energies after a Houdayer move from the table,
+    so every recorded energy is exactly `energy_of_bits` of its state.
     """
     adj = interaction_adjacency(model)  # validates 2-body up front
     # a single temperature leaves two SSF replicas joined only by Houdayer
@@ -142,16 +143,11 @@ def pt_icm_run(
     uniform = rng.random
     exp = math.exp
 
-    sweep, table = _sweep_for(model)
-    if table is not None:
-        energy_of = table.__getitem__
-    else:
-        def energy_of(z):
-            return energy_of_bits(model, z)
+    table = basis_energies(model).tolist()
 
     # two families x n_temps replicas
     bits = [[rng.getrandbits(n) for _ in range(n_temps)] for _ in range(2)]
-    energies = [[energy_of(z) for z in fam] for fam in bits]
+    energies = [[energy_of_bits(model, z) for z in fam] for fam in bits]
     bits0, bits1 = bits
     energies0, energies1 = energies
 
@@ -173,8 +169,8 @@ def pt_icm_run(
 
     for _ in range(rounds):
         for fam_bits, fam_energies, ti, beta, rec in sweep_slots:
-            fam_bits[ti], fam_energies[ti] = sweep(
-                fam_bits[ti], fam_energies[ti], beta, rng, rec, ssf_tag
+            fam_bits[ti], fam_energies[ti] = _table_sweep(
+                table, fam_bits[ti], fam_energies[ti], beta, rng, rec, ssf_tag
             )
 
         for fam_bits, fam_energies in zip(bits, energies):
@@ -198,8 +194,8 @@ def pt_icm_run(
                 icm_moves += 1
                 bits0[ti] ^= cluster
                 bits1[ti] ^= cluster
-                energies0[ti] = energy_of(bits0[ti])
-                energies1[ti] = energy_of(bits1[ti])
+                energies0[ti] = table[bits0[ti]]
+                energies1[ti] = table[bits1[ti]]
         record(bits0[cold], energies0[cold], bool(cluster), icm_tag)
 
     # per round: 2T sweeps of N flips, 2(T - 1) exchanges, T Houdayer moves

@@ -95,8 +95,8 @@ class IsingTerm:
 class IsingModel:
     """Immutable k-body Ising energy function in canonical (merged) form.
 
-    The term masks, the per-site mask table and the hash are computed once
-    per instance; equality and the hash value are those of the fields.
+    The term masks and the hash are computed once per instance; equality
+    and the hash value are those of the fields.
     """
 
     n_sites: int
@@ -170,14 +170,6 @@ class IsingModel:
                 mask |= 1 << s
             out.append((mask, t.coeff))
         return tuple(out)
-
-    @cached_property
-    def site_masks(self) -> tuple[tuple[tuple[int, float], ...], ...]:
-        """Per site, the (mask, coeff) pairs of the terms containing it."""
-        return tuple(
-            tuple((mask, coeff) for mask, coeff in self.term_masks if mask >> s & 1)
-            for s in range(self.n_sites)
-        )
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "IsingModel":

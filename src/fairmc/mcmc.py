@@ -19,17 +19,16 @@
   made before proposing.  Models above qsim._DENSE_MAX sites raise
   CapacityError.
 
-Sweeps: `run_chain` and PT-ICM take their sweep from `_sweep_for`.  On a
-model with exact energies (`IsingModel.has_exact_energies`: every k-SAT
-model and every fixture) of at most _TABLE_MAX_SITES sites, the sweep reads
-each flip's energy from the basis-energy table (`_table_sweep`); otherwise it
-sums the flip's energy difference over the site's terms (`spin_flip_sweep`).
-On an exact model both give the same bits: every partial sum is exact in
-float64, so the table entries, the popcount sums and the tracked energies
-are the same numbers, and the same flips are accepted with the same random
-draws.  Both draw their site order with `_site_order`, which makes the
-permutation of `random.shuffle` from the same `getrandbits` calls, so the
-random stream is the one a shuffle would consume.
+Sweeps: `_table_sweep` is the one single-spin-flip loop; `run_chain`
+(SsfSweepUpdate and HybridUpdate) and PT-ICM run it.  It reads each flip's
+energy from the model's basis-energy table (`ising.basis_energies` as a
+list), so every energy a sweep records is exactly `energy_of_bits` of its
+state.  The table bounds sweeps to ising.MAX_BRUTEFORCE_SITES (24) sites:
+above it `basis_energies` raises CapacityError before the first step.  The
+list costs about 32 B per basis state, about 134 MB at 22 sites.  The site
+order is drawn with `_site_order`, which makes the permutation of
+`random.shuffle` from the same `getrandbits` calls, so the random stream is
+the one a shuffle would consume.
 
 MADE candidates (MadeKernel and HybridUpdate) are drawn in blocks of up to
 MADE_BLOCK: one `made.sample_batch`, one `made.log_prob_batch` and one
@@ -76,8 +75,6 @@ from fairmc.qsim import basis_state, evolve_fixed, measure_distribution
 # MADE candidates drawn per block (capped at the steps left in the chain)
 MADE_BLOCK = 256
 _MADE_STREAM = 0x4D414445  # tags the candidate generator's seed
-# largest model whose sweeps read the basis-energy table (2^20 entries)
-_TABLE_MAX_SITES = 20
 # QeKernel's ranges of the driver weight w and the evolution time t
 QE_DRIVER_WEIGHT_RANGE = (0.25, 0.6)
 QE_TIME_RANGE = (2.0, 20.0)
@@ -163,34 +160,12 @@ def _site_order(n: int, rng: random.Random) -> list[int]:
     return order
 
 
-def spin_flip_sweep(bits, energy, beta, site_masks, rng, record=None, tag_id=0):
-    """N sequential single-spin-flip Metropolis updates in a fresh random
-    site order (`_site_order`); each flip uses the incremental energy
-    difference from `site_masks` (`IsingModel.site_masks`).  Calls
-    `record(bits, energy, accepted, tag_id)` after every site when given.
-    Returns (bits, energy).
-
-    The chains run this sweep on models without exact energies only; on the
-    others `_sweep_for` hands them `_table_sweep`, which draws the same site
-    order and uniforms and returns the same bits (module docstring).
-    """
-    for site in _site_order(len(site_masks), rng):
-        d = 0.0
-        for mask, coeff in site_masks[site]:
-            d -= 2.0 * coeff * (1 - 2 * ((bits & mask).bit_count() & 1))
-        if d <= 0.0 or rng.random() < math.exp(-beta * d):
-            bits ^= 1 << site
-            energy += d
-            if record is not None:
-                record(bits, energy, True, tag_id)
-        elif record is not None:
-            record(bits, energy, False, tag_id)
-    return bits, energy
-
-
 def _table_sweep(table, bits, energy, beta, rng, record=None, tag_id=0):
-    """`spin_flip_sweep` reading the energies from `table`, the model's basis
-    energies as a list: a flip's difference is table[flipped] - energy."""
+    """N sequential single-spin-flip Metropolis updates in a fresh random
+    site order (`_site_order`).  `table` is the model's basis energies as a
+    list and `energy` is table[bits], so a flip's difference is
+    table[flipped] - energy.  Calls `record(bits, energy, accepted, tag_id)`
+    after every site when given.  Returns (bits, energy)."""
     uniform = rng.random
     exp = math.exp
     minus_beta = -beta
@@ -205,27 +180,6 @@ def _table_sweep(table, bits, energy, beta, rng, record=None, tag_id=0):
         elif record is not None:
             record(bits, energy, False, tag_id)
     return bits, energy
-
-
-def _sweep_for(model: IsingModel):
-    """The sweep of the chains on `model` and its energy table: (sweep, table)
-    with `sweep(bits, energy, beta, rng, record=None, tag_id=0)`.
-
-    The table (basis energies as a list) and `_table_sweep` bound to it by
-    `functools.partial` serve models with exact energies of at most
-    _TABLE_MAX_SITES sites; every other model gets `spin_flip_sweep` on its
-    site masks and no table (None).  `energy` must be the energy of `bits`,
-    as the chains keep it.
-    """
-    if model.n_sites <= _TABLE_MAX_SITES and model.has_exact_energies():
-        table = basis_energies(model).tolist()
-        return functools.partial(_table_sweep, table), table
-    site_masks = model.site_masks
-
-    def sweep(bits, energy, beta, rng, record=None, tag_id=0):
-        return spin_flip_sweep(bits, energy, beta, site_masks, rng, record, tag_id)
-
-    return sweep, None
 
 
 def _made_candidates(model, net, steps, rng_seed, log_q_table):
@@ -341,7 +295,9 @@ def run_chain(
 
     Deterministic for a fixed seed.  `init` is a SpinConfig or RANDOM_INIT
     for a uniform draw.  Raises DimensionError when a MADE net's input count
-    differs from the model's site count.
+    differs from the model's site count, and CapacityError before the first
+    step when a sweep (SsfSweepUpdate, HybridUpdate) meets a model above
+    ising.MAX_BRUTEFORCE_SITES sites, since sweeps read its basis-energy table.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -364,14 +320,14 @@ def run_chain(
     energy = energy_of_bits(model, bits)
 
     if isinstance(update, SsfSweepUpdate):
-        sweep, _ = _sweep_for(model)
+        table = basis_energies(model).tolist()
         tag_id = builder.tag_id("ssf")
         for _ in range(steps):
-            bits, energy = sweep(bits, energy, beta, rng, builder.record, tag_id)
+            bits, energy = _table_sweep(table, bits, energy, beta, rng, builder.record, tag_id)
     elif neural:
         hybrid = isinstance(update, HybridUpdate)
         if hybrid:
-            sweep, _ = _sweep_for(model)
+            table = basis_energies(model).tolist()
         made_tag = builder.tag_id("made")
         ssf_tag = builder.tag_id("ssf") if hybrid else None
         log_q_table: dict[int, float] = {}
@@ -390,7 +346,8 @@ def run_chain(
                 acc = False
             builder.record(bits, energy, acc, made_tag)
             if hybrid:
-                swept, energy = sweep(bits, energy, beta, rng, builder.record, ssf_tag)
+                swept, energy = _table_sweep(
+                    table, bits, energy, beta, rng, builder.record, ssf_tag)
                 if swept != bits:
                     bits, log_q = swept, None
     else:

@@ -20,6 +20,7 @@ from fairmc.exact import boltzmann
 from fairmc.fixtures import SIXFOLD_FIXTURE, load_fixture
 from fairmc.experiments import PT_BETAS
 from fairmc.ising import (
+    CapacityError,
     IsingModel,
     SpinConfig,
     basis_energies,
@@ -210,7 +211,9 @@ class TestPtIcmRun:
         assert np.array_equal(a.states, b.states)
 
     def test_pinned_traces(self):
-        # captured before PT-ICM shared run_chain's sweep; must not change
+        # the short trace was captured before PT-ICM shared run_chain's sweep;
+        # two replicas in one state hold equal energies, so the long trace's
+        # exchanges between them are accepted with no random draw
         rng = np.random.default_rng(54)
         terms = []
         for _ in range(12):
@@ -224,8 +227,10 @@ class TestPtIcmRun:
             [1, 1, 0, 0, 1, 0, 1, 1] + [0] * 6 + [1] + [0] * 9)
         assert short.tags.tolist() == [0] * 6 + [1, 2] + ([0] * 6 + [1, 2]) * 2
         trace, stats_out = pt_icm_run(m, betas, 200, 55)
-        assert trace_digest(trace) == "2c4499ccdcd46345"
-        assert (stats_out.exchange_accepts, stats_out.icm_moves) == (596, 553)
+        assert trace_digest(trace) == "3fcfec242c770e16"
+        assert (stats_out.exchange_accepts, stats_out.icm_moves) == (624, 537)
+        for t in (short, trace):
+            assert t.energies.tolist() == [energy_of_bits(m, z) for z in t.states.tolist()]
         # 200 rounds of 2 x 4 sweeps of 6 flips, 2 x 3 exchanges, 4 Houdayer moves
         assert stats_out.total_transitions == 11600
 
@@ -233,28 +238,25 @@ class TestPtIcmRun:
 class TestPtIcmTable:
     """PT-ICM on a 2-SAT model reads the basis-energy table."""
 
-    def test_matches_mask_sweep(self, monkeypatch):
-        m = to_ising(generate_instance(10, 2, ALPHA_C[2], 65))
-        table, table_stats = pt_icm_run(m, PT_BETAS, 200, 66)
-        monkeypatch.setattr(mcmc, "_TABLE_MAX_SITES", 0)
-        mask, mask_stats = pt_icm_run(m, PT_BETAS, 200, 66)
-        assert table.states.tolist() == mask.states.tolist()
-        assert table.energies.tobytes() == mask.energies.tobytes()
-        assert table.accepted.tolist() == mask.accepted.tolist()
-        assert table.tags.tolist() == mask.tags.tolist()
-        assert table_stats == mask_stats
-        assert table_stats.icm_moves > 0
-
     def test_pinned_trace(self):
         # captured with the table sweep drawing its order by random.shuffle;
         # must not change
         m = to_ising(generate_instance(10, 2, ALPHA_C[2], 70))
-        assert mcmc._sweep_for(m)[1] is not None
         trace, stats_out = pt_icm_run(m, PT_BETAS, 200, 71)
         assert trace_digest(trace) == "66cfffcb14377b3d"
         assert stats_out == PtIcmStats(
             rounds=200, exchange_attempts=2800, exchange_accepts=2133,
             icm_attempts=1600, icm_moves=1552, total_transitions=36400)
+
+    def test_model_above_table_bound_refused(self, monkeypatch):
+        # the table is built before the first round: no sweep order is drawn
+        def no_sweep(*args):
+            raise AssertionError("a sweep ran")
+
+        monkeypatch.setattr(mcmc, "_site_order", no_sweep)
+        m = IsingModel.from_terms(25, [((i, i + 1), 1.0) for i in range(24)])
+        with pytest.raises(CapacityError):
+            pt_icm_run(m, PT_BETAS, 5, 69)
 
     def test_energies_after_houdayer_moves(self):
         m = to_ising(generate_instance(10, 2, ALPHA_C[2], 67))

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import shutil
 from importlib import resources
@@ -299,6 +300,66 @@ class TestPipelineCommands:
         a = (tmp_path / "a" / "instances" / "manifest.json").read_text()
         b = (tmp_path / "b" / "instances" / "manifest.json").read_text()
         assert a != b
+
+
+# a k = 2 run of all four algorithms, small enough for tier-1
+PINNED_RUN = {
+    "kind": "KSAT_COUNTING", "k": 2, "sizes": [6, 8], "per_size": 1,
+    "algorithms": ["qaoa-nmc", "qaoa-hmc", "pt-icm", "walksat"],
+    "qaoa_depth": 1, "qaoa_starts": 1, "train_samples": 100, "made_epochs": 5,
+    "chain_steps": 100, "trials": 2, "walksat_max_flips": 5000, "seed": 0,
+}
+# sha256 of every file under chains/ and metrics/ of PINNED_RUN; a change
+# that alters them changes what a fixed seed produces
+PINNED_RUN_SHA256 = {
+    "chains/pt-icm/instance_0000_trial00.json":
+        "e03ce19dbdb7157e91d5c098851420a557ab3963f3b69baef74524dc61f0aa36",
+    "chains/pt-icm/instance_0001_trial00.json":
+        "2db0db1932ba7b36c64328f69ff84246b2af3bc331a03e79adcf9e31a818f06b",
+    "chains/qaoa-hmc/instance_0000_trial00.json":
+        "14261b53900eefc7f36036e47d9c6ef31fead36e84a3cef2899468dd2ebe24a1",
+    "chains/qaoa-hmc/instance_0000_trial01.json":
+        "40e37f1a8fa6c7d895d20a2c121855fcc1a55d437bf50c23bbe29a200b11758e",
+    "chains/qaoa-hmc/instance_0001_trial00.json":
+        "7364f172dc11795dfb9e9a0df8dded3b730ebc3960fa06372a541fc4eb1f6249",
+    "chains/qaoa-hmc/instance_0001_trial01.json":
+        "2db5c8ed725b743cd1242b5cb263024c680a1e75fc1873d36fb2b77b4200bb2e",
+    "chains/qaoa-nmc/instance_0000_trial00.json":
+        "2ef5fb707fdb340e13e6f060b9f6324030e75232e321568567de104dcb617b78",
+    "chains/qaoa-nmc/instance_0000_trial01.json":
+        "a0430910de56fc960cecc6cfa66f163aeed3c6ee33c92e5386bc64dd4e237e41",
+    "chains/qaoa-nmc/instance_0001_trial00.json":
+        "103431aa63a5787f174b7b75d555371a1c144c8e846ca4c117c69cc692efa5cf",
+    "chains/qaoa-nmc/instance_0001_trial01.json":
+        "80af6f5508aa48612367518cca09b90df144e851adc5e57efe0411eacc61c311",
+    "chains/walksat/instance_0000_trial00.json":
+        "a9a8718f15e928f412a8970e15d5104d7c18b6581068279e0450dadfdd232ec2",
+    "chains/walksat/instance_0000_trial01.json":
+        "1e359203372f82da0037573c2292f8475baaeba4bbde3381169550e2ca720580",
+    "chains/walksat/instance_0001_trial00.json":
+        "d693fd30c095c5869df3ad933d8ab96e059d554a9f8d71c8e29f65cced88a63d",
+    "chains/walksat/instance_0001_trial01.json":
+        "d8633dd907d92afb00ae5a316ed3964fe71a9f3d46de265f0464437e5953be96",
+    "metrics/records.csv":
+        "dd334c6f486b47b548ec2e4fd6bd68af6d1a551dcbd6f87a27e820fd147a79c0",
+    "metrics/summary.csv":
+        "2611e64196215a5b25c0603eee868a58bc8d320e2f5d4f0a90295eafa816aaef",
+    "metrics/superiority.csv":
+        "f2eb96d8471623fe2a1e56efab723e73ef9bb27a01f19ae6a6b6fecd66727897",
+    "metrics/trials.csv":
+        "3782eda1aa8308dabb610fb82659ca65b1ac02ddbe94be8af38feeac8339ee92",
+}
+
+
+def test_pinned_run_outputs(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(PINNED_RUN))
+    out = tmp_path / "run"
+    assert main(["fig6", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    got = {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+           for sub in ("chains", "metrics") for p in sorted((out / sub).rglob("*"))
+           if p.is_file()}
+    assert got == PINNED_RUN_SHA256
 
 
 UPSTREAM = ("gen-instances", "optimize-qaoa", "train-made")

@@ -8,6 +8,7 @@ import pytest
 from fairmc import mcmc
 from fairmc.exact import boltzmann, mh_matrix, qe_proposal_matrix, ssf_sweep_matrix
 from fairmc.ising import (
+    CapacityError,
     DimensionError,
     IsingModel,
     SpinConfig,
@@ -28,10 +29,10 @@ from fairmc.qsim import basis_state, evolve_fixed, measure_distribution
 from fairmc.sat import ALPHA_C, generate_instance, to_ising
 
 
-def random_model(rng, n, n_terms=8, integer=True):
+def random_model(rng, n, n_terms=8, integer=True, max_order=2):
     terms = []
     for _ in range(n_terms):
-        order = int(rng.integers(1, 3))
+        order = int(rng.integers(1, max_order + 1))
         sites = sorted(rng.choice(n, size=order, replace=False).tolist())
         coeff = float(rng.choice([-1, 1])) if integer else float(rng.normal())
         terms.append((sites, coeff))
@@ -77,14 +78,46 @@ def trace_digest(trace):
     return h.hexdigest()[:16]
 
 
-def transitions(trace):
-    """The per-transition sequence of a trace, energies as their bytes."""
-    return (trace.states.tolist(), trace.energies.tobytes(), trace.accepted.tolist(),
-            trace.tags.tolist(), trace.tag_legend)
+def path_digest(trace):
+    """`trace_digest` without the energies: the states, accept flags and tags."""
+    h = hashlib.sha256()
+    for a in (trace.states, trace.accepted, trace.tags):
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+def assert_energies_exact(trace, model):
+    assert trace.energies.tolist() == [energy_of_bits(model, z) for z in trace.states.tolist()]
 
 
 def final_state(trace, model):
     return SpinConfig(int(trace.states[-1]), model.n_sites)
+
+
+def site_masks(model):
+    """Per site, the (mask, coeff) pairs of the model's terms containing it."""
+    return tuple(
+        tuple((mask, coeff) for mask, coeff in model.term_masks if mask >> s & 1)
+        for s in range(model.n_sites)
+    )
+
+
+def spin_flip_sweep(bits, energy, beta, masks, rng, record=None, tag_id=0):
+    """Reference sweep: `mcmc._table_sweep` with each flip's energy
+    difference summed over the site's terms (`site_masks`) instead of read
+    from the basis-energy table, and the energy tracked as a running sum."""
+    for site in mcmc._site_order(len(masks), rng):
+        d = 0.0
+        for mask, coeff in masks[site]:
+            d -= 2.0 * coeff * (1 - 2 * ((bits & mask).bit_count() & 1))
+        if d <= 0.0 or rng.random() < math.exp(-beta * d):
+            bits ^= 1 << site
+            energy += d
+            if record is not None:
+                record(bits, energy, True, tag_id)
+        elif record is not None:
+            record(bits, energy, False, tag_id)
+    return bits, energy
 
 
 class TestMhStep:
@@ -129,8 +162,7 @@ class TestMhStep:
         net = random_net(5)
         trace = run_chain(m, Temperature(1.0), MadeKernel(net), 30,
                           init=SpinConfig(17, 5), rng_seed=3)
-        for z, e in zip(trace.states.tolist(), trace.energies):
-            assert e == pytest.approx(energy_of_bits(m, z), abs=1e-12)
+        assert_energies_exact(trace, m)
 
 
 class TestDetailedBalance:
@@ -200,8 +232,7 @@ class TestSsfSweep:
         m = random_model(np.random.default_rng(15), 6, integer=False)
         trace = run_chain(m, Temperature(0.7), SsfSweepUpdate(), 20,
                           init=SpinConfig(11, 6), rng_seed=16)
-        for z, e in zip(trace.states.tolist(), trace.energies):
-            assert e == pytest.approx(energy_of_bits(m, z), abs=1e-10)
+        assert_energies_exact(trace, m)
 
     def test_pinned_traces(self):
         # captured before the sweep was shared with PT-ICM; must not change
@@ -211,9 +242,13 @@ class TestSsfSweep:
                                          14, 14, 14, 14, 14, 14, 14, 15, 13, 13]
         assert trace.accepted.astype(int).tolist() == [1, 0, 1, 0, 0, 0, 0, 0, 0, 0,
                                                        0, 0, 0, 0, 0, 0, 0, 1, 1, 0]
+        # a Gaussian model: its path (states, accept flags, tags) is pinned
+        # apart from its energies, which must be exact
         mf = random_model(np.random.default_rng(52), 6, n_terms=12, integer=False)
         trace = run_chain(mf, Temperature(1.3), SsfSweepUpdate(), 300, rng_seed=53)
-        assert trace_digest(trace) == "2c3e1da2320659da"
+        assert path_digest(trace) == "17bf45cf67c46576"
+        assert trace_digest(trace) == "f3c3a33fc725a370"
+        assert_energies_exact(trace, mf)
 
 
 class TestSiteOrder:
@@ -230,34 +265,79 @@ class TestSiteOrder:
 
 
 class TestTableSweep:
-    """On a model with exact energies the sweeps read the basis-energy table;
-    the mask sweep on the same model and seed gives the same transitions."""
+    """The one sweep reads the basis-energy table; on a model with exact
+    energies the reference sweep, which sums each flip's difference over the
+    site's terms, makes the same transitions from the same random draws."""
 
     @pytest.mark.parametrize("k", [2, 3])
-    @pytest.mark.parametrize("hybrid", [False, True])
-    def test_run_chain_matches_mask_sweep(self, monkeypatch, k, hybrid):
+    def test_matches_mask_sweep_reference(self, k):
         m = to_ising(generate_instance(10, k, ALPHA_C[k], 62 + k))
-        update = HybridUpdate(random_net(10, seed=63)) if hybrid else SsfSweepUpdate()
-        assert mcmc._sweep_for(m)[1] is not None
-        table = run_chain(m, Temperature(2.0), update, 300, rng_seed=64)
-        monkeypatch.setattr(mcmc, "_TABLE_MAX_SITES", 0)
-        assert mcmc._sweep_for(m)[1] is None
-        mask = run_chain(m, Temperature(2.0), update, 300, rng_seed=64)
-        assert transitions(table) == transitions(mask)
-        assert table.accepted.any() and not table.accepted.all()
+        table, masks = basis_energies(m).tolist(), site_masks(m)
+        ours, theirs = random.Random(64), random.Random(64)
+        bits = ref_bits = ours.getrandbits(10)
+        theirs.getrandbits(10)
+        energy = ref_energy = energy_of_bits(m, bits)
+        flags = set()
+        for beta in [0.5, 2.0] * 150:
+            a, b = [], []
+            bits, energy = mcmc._table_sweep(table, bits, energy, beta, ours,
+                                             lambda *r: a.append(r))
+            ref_bits, ref_energy = spin_flip_sweep(ref_bits, ref_energy, beta, masks,
+                                                   theirs, lambda *r: b.append(r))
+            assert (bits, energy, a) == (ref_bits, ref_energy, b)
+            assert ours.getstate() == theirs.getstate()
+            flags.update(acc for _, _, acc, _ in a)
+        assert flags == {False, True}
+
+    def test_reference_tracks_full_recompute(self):
+        # at beta = 0 the reference accepts every flip, so each incremental
+        # difference lands in the tracked energy
+        m = random_model(np.random.default_rng(3), 8, n_terms=20, max_order=3)
+        masks = site_masks(m)
+        recorded = []
+
+        def record(bits, e, accepted, tag_id):
+            assert accepted
+            recorded.append((bits, e))
+
+        for z in range(256):
+            spin_flip_sweep(z, energy_of_bits(m, z), 0.0, masks, random.Random(z), record)
+        assert len(recorded) == 256 * 8
+        for bits, e in recorded:
+            assert e == energy_of_bits(m, bits)
 
     def test_pinned_hybrid_trace(self):
         # captured with the table sweep drawing its order by random.shuffle;
         # must not change
         m = to_ising(generate_instance(10, 3, ALPHA_C[3], 72))
-        assert mcmc._sweep_for(m)[1] is not None
         trace = run_chain(m, Temperature(2.0), HybridUpdate(random_net(10, seed=73)),
                           300, rng_seed=74)
         assert trace_digest(trace) == "337ece6d0dffbcc4"
 
-    def test_models_without_exact_energies_keep_the_mask_sweep(self):
-        m = random_model(np.random.default_rng(65), 5, integer=False)
-        assert mcmc._sweep_for(m)[1] is None
+    @pytest.mark.parametrize("hybrid", [False, True])
+    def test_model_above_table_bound_refused(self, monkeypatch, hybrid):
+        # the table is built before the first step: no sweep order and no
+        # candidate block is drawn
+        def no_step(*args):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(mcmc, "_site_order", no_step)
+        monkeypatch.setattr(mcmc.made_mod, "sample_batch", no_step)
+        m = IsingModel.from_terms(25, [((i, i + 1), 1.0) for i in range(24)])
+        update = HybridUpdate(random_net(25, seed=66)) if hybrid else SsfSweepUpdate()
+        with pytest.raises(CapacityError):
+            run_chain(m, Temperature(1.0), update, 5, rng_seed=67)
+
+    def test_made_chain_builds_no_table(self, monkeypatch):
+        def no_table(model):
+            raise AssertionError("a basis-energy table was built")
+
+        monkeypatch.setattr(mcmc, "basis_energies", no_table)
+        m = IsingModel.from_terms(25, [((i, i + 1), 1.0) for i in range(24)])
+        trace = run_chain(m, Temperature(1.0), MadeKernel(random_net(25, seed=66)), 20,
+                          rng_seed=67)
+        assert len(trace) == 20
+        assert_energies_exact(trace, m)
 
 
 class TestQeKernel:
@@ -377,15 +457,8 @@ class TestRunChain:
         made = trace.tags == trace.tag_legend.index("made")
         assert made.sum() == 2 * MADE_BLOCK + 7
         assert trace.accepted[made].any()
-        for z, e, is_made, acc in zip(
-            trace.states.tolist(), trace.energies, made, trace.accepted
-        ):
-            if is_made and (acc or not hybrid):
-                # a candidate's energy, or a made chain's carried one
-                assert e == energy_of_bits(m, z)
-            else:
-                # sweeps track the energy incrementally
-                assert e == pytest.approx(energy_of_bits(m, z), abs=1e-12)
+        # a candidate's energy, a chain's carried one, or a sweep's table entry
+        assert_energies_exact(trace, m)
 
     @pytest.mark.parametrize("hybrid", [False, True])
     def test_net_size_mismatch_refused(self, hybrid):
