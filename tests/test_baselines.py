@@ -15,7 +15,7 @@ from fairmc.baselines import (
     walksat_enumerate,
     walksat_run,
 )
-from fairmc import mcmc
+from fairmc import baselines, mcmc
 from fairmc.exact import boltzmann
 from fairmc.fixtures import SIXFOLD_FIXTURE, load_fixture
 from fairmc.experiments import PT_BETAS
@@ -35,6 +35,7 @@ from fairmc.sat import (
     to_ising,
     unsatisfied_counts_all,
 )
+from test_mcmc import site_masks, spin_flip_sweep
 
 
 def trace_digest(trace):
@@ -237,6 +238,23 @@ class TestPtIcmRun:
 
 class TestPtIcmTable:
     """PT-ICM on a 2-SAT model reads the basis-energy table."""
+
+    def test_matches_mask_sweep(self, monkeypatch):
+        # PT-ICM with its sweep swapped for the reference gives the same run
+        m = to_ising(generate_instance(10, 2, ALPHA_C[2], 65))
+        table, table_stats = pt_icm_run(m, PT_BETAS, 200, 66)
+        masks = site_masks(m)
+        monkeypatch.setattr(
+            baselines, "_table_sweep",
+            lambda _table, bits, energy, beta, rng, record=None, tag_id=0:
+                spin_flip_sweep(bits, energy, beta, masks, rng, record, tag_id))
+        mask, mask_stats = pt_icm_run(m, PT_BETAS, 200, 66)
+        assert table.states.tolist() == mask.states.tolist()
+        assert table.energies.tobytes() == mask.energies.tobytes()
+        assert table.accepted.tolist() == mask.accepted.tolist()
+        assert table.tags.tolist() == mask.tags.tolist()
+        assert table_stats == mask_stats
+        assert table_stats.icm_moves > 0
 
     def test_pinned_trace(self):
         # captured with the table sweep drawing its order by random.shuffle;

@@ -289,6 +289,25 @@ class TestTableSweep:
             flags.update(acc for _, _, acc, _ in a)
         assert flags == {False, True}
 
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("hybrid", [False, True])
+    def test_run_chain_matches_mask_sweep(self, monkeypatch, k, hybrid):
+        # run_chain with its sweep swapped for the reference gives the same trace
+        m = to_ising(generate_instance(10, k, ALPHA_C[k], 62 + k))
+        update = HybridUpdate(random_net(10, seed=63)) if hybrid else SsfSweepUpdate()
+        table = run_chain(m, Temperature(2.0), update, 300, rng_seed=64)
+        masks = site_masks(m)
+        monkeypatch.setattr(
+            mcmc, "_table_sweep",
+            lambda _table, bits, energy, beta, rng, record=None, tag_id=0:
+                spin_flip_sweep(bits, energy, beta, masks, rng, record, tag_id))
+        mask = run_chain(m, Temperature(2.0), update, 300, rng_seed=64)
+        assert table.states.tolist() == mask.states.tolist()
+        assert table.energies.tobytes() == mask.energies.tobytes()
+        assert table.accepted.tolist() == mask.accepted.tolist()
+        assert table.tags.tolist() == mask.tags.tolist()
+        assert table.accepted.any() and not table.accepted.all()
+
     def test_reference_tracks_full_recompute(self):
         # at beta = 0 the reference accepts every flip, so each incremental
         # difference lands in the tracked energy
