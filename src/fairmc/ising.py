@@ -14,7 +14,6 @@ mapping (x = (1 - s)/2).  All values are immutable; operations are pure.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
@@ -24,7 +23,8 @@ import numpy as np
 MAX_SITES = 64
 MAX_BRUTEFORCE_SITES = 24
 
-# tie tolerance for ground-state detection on models without exact energies
+# ground-state tie tolerance; k-SAT models and the fixtures have distinct
+# energies at least 1 apart, so on them it ties exactly the minimal states
 DEGENERACY_ATOL = 1e-9
 
 
@@ -135,24 +135,6 @@ class IsingModel:
     def max_order(self) -> int:
         return max((len(t.sites) for t in self.terms), default=0)
 
-    def has_exact_energies(self) -> bool:
-        """True when float64 evaluates every energy and energy difference of
-        the model exactly, whatever the order of the additions.
-
-        Every float is a dyadic rational; with 2^-D the smallest power of two
-        that all coefficients and the offset are multiples of, every partial
-        sum is a multiple of 2^-D bounded by (sum |c| + |offset|), so it is
-        exact when that bound times 2^D is below 2^53.  k-SAT models (quarter
-        and eighth coefficients) and the fixtures qualify; Gaussian
-        coefficients, with 52-bit fractions, do not.
-        """
-        vals = [t.coeff for t in self.terms] + [self.offset]
-        if not all(math.isfinite(v) for v in vals):
-            return False
-        ratios = [float(v).as_integer_ratio() for v in vals]
-        den = max(q for _, q in ratios)  # 2^D: every q is a power of two
-        return sum(abs(p) * (den // q) for p, q in ratios) < 1 << 53
-
     def __hash__(self) -> int:
         return self._hash
 
@@ -200,35 +182,33 @@ def energy_of_bits(model: IsingModel, bits: int) -> float:
     return e
 
 
-def energy_of_bits_batch(model: IsingModel, z: np.ndarray) -> np.ndarray:
-    """Energies of an array of bit-packed states (uint64).
-
-    Adds the same terms in the same order as `energy_of_bits`, so every entry
-    is bitwise equal to the scalar result.
-    """
-    e = np.full(z.shape, model.offset, dtype=np.float64)
-    for mask, coeff in model.term_masks:
-        parity = (np.bitwise_count(z & np.uint64(mask)) & np.uint64(1)).astype(np.float64)
-        e += coeff * (1.0 - 2.0 * parity)
-    return e
-
-
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=8)
 def basis_energies(model: IsingModel) -> np.ndarray:
     """Energies of all 2^n basis states, indexed by the packed-bits integer.
 
-    Requires n_sites <= MAX_BRUTEFORCE_SITES.  Cached per model because the
-    statevector layers and brute-force enumeration both consume it.
+    Requires n_sites <= MAX_BRUTEFORCE_SITES.  Each term adds +-c_t to every
+    entry in place, as a broadcast over the (2,)*n view whose axis n - 1 - i
+    is bit i, in `energy_of_bits`'s term order: every entry is bitwise equal
+    to its result.  Cached per model for the chains, the statevector layers
+    and enumeration; only 8 entries, since a table is 2^n * 8 B and a stage
+    visits its instances once each, in order.
     """
     n = model.n_sites
     if n > MAX_BRUTEFORCE_SITES:
         raise CapacityError(f"basis enumeration limited to {MAX_BRUTEFORCE_SITES} sites")
-    e = energy_of_bits_batch(model, np.arange(1 << n, dtype=np.uint64))
+    e = np.full(1 << n, model.offset, dtype=np.float64)
+    cube = e.reshape((2,) * n)
+    spin = np.array([1.0, -1.0])  # s_i at bit i = 0, 1
+    for t in model.terms:
+        term = np.array(t.coeff)
+        for site in t.sites:  # broadcast from the right: lands on axis n - 1 - site
+            term = term * spin.reshape((2,) + (1,) * site)
+        cube += term
     e.setflags(write=False)
     return e
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=8)
 def energy_levels(model: IsingModel) -> tuple[np.ndarray, np.ndarray]:
     """The distinct basis energies and, per basis state, its level's index:
     `levels[idx]` equals `basis_energies(model)` exactly.
@@ -246,11 +226,9 @@ def energy_levels(model: IsingModel) -> tuple[np.ndarray, np.ndarray]:
 def ground_states_bruteforce(model: IsingModel) -> tuple[float, list[SpinConfig]]:
     """Exhaustive minimum energy and all attaining configs, ascending bit order.
 
-    Ties are exact for models with exact energies (`has_exact_energies`) and
-    tolerance-based (DEGENERACY_ATOL) otherwise.
+    Every state within DEGENERACY_ATOL of the minimum counts as attaining it.
     """
     e = basis_energies(model)
     emin = float(e.min())
-    atol = 0.0 if model.has_exact_energies() else DEGENERACY_ATOL
-    idx = np.nonzero(e <= emin + atol)[0]
+    idx = np.nonzero(e <= emin + DEGENERACY_ATOL)[0]
     return emin, [SpinConfig(int(z), model.n_sites) for z in idx]

@@ -19,24 +19,26 @@
   made before proposing.  Models above qsim._DENSE_MAX sites raise
   CapacityError.
 
-Sweeps: `_table_sweep` is the one single-spin-flip loop; `run_chain`
-(SsfSweepUpdate and HybridUpdate) and PT-ICM run it.  It reads each flip's
-energy from the model's basis-energy table (`ising.basis_energies` as a
-list), so every energy a sweep records is exactly `energy_of_bits` of its
-state.  The table bounds sweeps to ising.MAX_BRUTEFORCE_SITES (24) sites:
-above it `basis_energies` raises CapacityError before the first step.  The
-list costs about 32 B per basis state, about 134 MB at 22 sites.  The site
-order is drawn with `_site_order`, which makes the permutation of
-`random.shuffle` from the same `getrandbits` calls, so the random stream is
-the one a shuffle would consume.
+Energies: `run_chain` reads every energy from the model's basis-energy
+table (`ising.basis_energies` as a list), built once before the first step
+whatever the update: a MADE or generic-kernel candidate's energy is
+table[candidate], and `_table_sweep`, the one single-spin-flip loop (PT-ICM
+runs it too), reads each flip's.  Every recorded energy is therefore exactly
+`energy_of_bits` of its state.  The table bounds every update to
+ising.MAX_BRUTEFORCE_SITES (24) sites: above it `basis_energies` raises
+CapacityError before the first step.  The list costs about 32 B per basis
+state, about 134 MB at 22 sites.  A sweep's site order is drawn with
+`_site_order`, which makes the permutation of `random.shuffle` from the same
+`getrandbits` calls, so the random stream is the one a shuffle would
+consume.
 
 MADE candidates (MadeKernel and HybridUpdate) are drawn in blocks of up to
-MADE_BLOCK: one `made.sample_batch`, one `made.log_prob_batch` and one
-`ising.energy_of_bits_batch` call per block.  The proposal ignores the
-current state, so candidates drawn ahead of time are i.i.d. with exactly
-the per-step proposal distribution.  The chain carries log q of its current
-state; after a sweep moves it, log q is looked up in a per-chain table
-filled from the blocks, or computed once with `made.log_prob` on a miss.
+MADE_BLOCK: one `made.sample_batch` and one `made.log_prob_batch` call per
+block.  The proposal ignores the current state, so candidates drawn ahead
+of time are i.i.d. with exactly the per-step proposal distribution.  The
+chain carries log q of its current state; after a sweep moves it, log q is
+looked up in a per-chain table filled from the blocks, or computed once with
+`made.log_prob` on a miss.
 
 Random streams: the candidates come from a numpy Generator seeded from
 `rng_seed` alone; the chain's `random.Random(rng_seed)` draws the initial
@@ -67,7 +69,6 @@ from fairmc.ising import (
     basis_energies,
     bit_rows,
     energy_of_bits,
-    energy_of_bits_batch,
 )
 from fairmc.made import MadeNetwork
 from fairmc.qsim import basis_state, evolve_fixed, measure_distribution
@@ -182,19 +183,17 @@ def _table_sweep(table, bits, energy, beta, rng, record=None, tag_id=0):
     return bits, energy
 
 
-def _made_candidates(model, net, steps, rng_seed, log_q_table):
-    """Yield `steps` MADE candidates as (bits, log q, energy), drawn in
-    blocks of up to MADE_BLOCK; each block's log q also goes into
-    `log_q_table`."""
+def _made_candidates(net, steps, rng_seed, log_q_table):
+    """Yield `steps` MADE candidates as (bits, log q), drawn in blocks of up
+    to MADE_BLOCK; each block's log q also goes into `log_q_table`."""
     gen = np.random.default_rng([rng_seed % (1 << 64), _MADE_STREAM])
     weights = np.uint64(1) << np.arange(net.n_inputs, dtype=np.uint64)
     for start in range(0, steps, MADE_BLOCK):
         x = made_mod.sample_batch(net, min(MADE_BLOCK, steps - start), gen)
         log_q = made_mod.log_prob_batch(net, x).tolist()
-        z = (x.astype(np.uint64) * weights).sum(axis=1)
-        bits = z.tolist()
+        bits = (x.astype(np.uint64) * weights).sum(axis=1).tolist()
         log_q_table.update(zip(bits, log_q))
-        yield from zip(bits, log_q, energy_of_bits_batch(model, z).tolist())
+        yield from zip(bits, log_q)
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +294,10 @@ def run_chain(
 
     Deterministic for a fixed seed.  `init` is a SpinConfig or RANDOM_INIT
     for a uniform draw.  Raises DimensionError when a MADE net's input count
-    differs from the model's site count, and CapacityError before the first
-    step when a sweep (SsfSweepUpdate, HybridUpdate) meets a model above
-    ising.MAX_BRUTEFORCE_SITES sites, since sweeps read its basis-energy table.
+    differs from the model's site count.  Every update type reads its
+    energies from the model's basis-energy table, so every update type is
+    bounded by ising.MAX_BRUTEFORCE_SITES: above it run_chain raises
+    CapacityError before the first step.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -315,31 +315,28 @@ def run_chain(
     else:
         raise ValueError(f"bad init {init!r}")
 
+    table = basis_energies(model).tolist()
     builder = _TraceBuilder()
     beta = t.beta
     energy = energy_of_bits(model, bits)
 
     if isinstance(update, SsfSweepUpdate):
-        table = basis_energies(model).tolist()
         tag_id = builder.tag_id("ssf")
         for _ in range(steps):
             bits, energy = _table_sweep(table, bits, energy, beta, rng, builder.record, tag_id)
     elif neural:
         hybrid = isinstance(update, HybridUpdate)
-        if hybrid:
-            table = basis_energies(model).tolist()
         made_tag = builder.tag_id("made")
         ssf_tag = builder.tag_id("ssf") if hybrid else None
         log_q_table: dict[int, float] = {}
         log_q = None  # log q(current), looked up when first needed
-        for cand, cand_log_q, cand_e in _made_candidates(
-            model, update.net, steps, rng_seed, log_q_table
-        ):
+        for cand, cand_log_q in _made_candidates(update.net, steps, rng_seed, log_q_table):
             if log_q is None:
                 log_q = log_q_table.get(bits)
                 if log_q is None:
                     log_q = made_mod.log_prob(update.net, bit_rows(bits, n))
                     log_q_table[bits] = log_q
+            cand_e = table[cand]
             if _accept(-beta * (cand_e - energy) + log_q - cand_log_q, rng):
                 bits, energy, log_q, acc = cand, cand_e, cand_log_q, True
             else:
@@ -354,7 +351,7 @@ def run_chain(
         tag_id = builder.tag_id(update.tag)
         for _ in range(steps):
             cand = update.propose(bits, rng)
-            cand_e = energy_of_bits(model, cand)
+            cand_e = table[cand]
             if _accept(-beta * (cand_e - energy), rng):
                 bits, energy, acc = cand, cand_e, True
             else:

@@ -620,6 +620,12 @@ class TestSmallExperiments:
         text = (out / "ground_state_frequencies.csv").read_text()
         for method in ("qa", "qaoa", "qe-mcmc", "qaoa-nmc"):
             assert method in text
+        # the two chain samplers' rows, captured when their candidates'
+        # energies were evaluated term by term; must not change
+        rows = [r for r in text.splitlines() if r.split(",")[1] in ("qe-mcmc", "qaoa-nmc")]
+        assert len(rows) == 26
+        assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == (
+            "8c04920b3d6ba26c582b9abfede9157e11ef5d88e249540f8c7d5d1c61e68da3")
         assert (out / "fairness_summary.csv").exists()
 
     def test_fig2_small(self, tmp_path, monkeypatch):

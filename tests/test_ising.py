@@ -13,7 +13,6 @@ from fairmc.ising import (
     basis_energies,
     bit_rows,
     energy_of_bits,
-    energy_of_bits_batch,
     energy_levels,
     ground_states_bruteforce,
 )
@@ -109,7 +108,10 @@ class TestEnergy:
         assert not levels.flags.writeable and not idx.flags.writeable
 
     def test_batch_energies_bitwise_equal_to_scalar(self):
-        # same terms added in the same order: equal, not merely close
+        # the table adds the same terms in the same order as the scalar
+        # evaluator: equal, not merely close.  Cleared first, so every table
+        # here is built by this test
+        basis_energies.cache_clear()
         rng = np.random.default_rng(8)
         for _ in range(20):
             n = int(rng.integers(3, 10))
@@ -119,9 +121,16 @@ class TestEnergy:
                   float(rng.normal())) for _ in range(int(rng.integers(1, 25)))],
                 offset=float(rng.normal()),
             )
-            z = rng.permutation(1 << n).astype(np.uint64)
-            batch = energy_of_bits_batch(m, z)
-            assert batch.tolist() == [energy_of_bits(m, int(b)) for b in z]
+            z = rng.permutation(1 << n)  # every state, in a random order
+            assert basis_energies(m)[z].tolist() == [energy_of_bits(m, int(b)) for b in z]
+
+    def test_tables_cached_for_few_models(self):
+        # a table is 2^n * 8 B, so the caches keep only the last few models
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            energy_levels(random_model(rng, 8, integer=False))
+        assert basis_energies.cache_info().currsize <= 8
+        assert energy_levels.cache_info().currsize <= 8
 
 
 class TestBoltzmannWeight:
@@ -186,32 +195,26 @@ class TestGroundStates:
             ground_states_bruteforce(m)
 
 
-class TestExactEnergies:
-    """`IsingModel.has_exact_energies`: float64 sums of the model are exact."""
+class TestTieRule:
+    """`ground_states_bruteforce` ties within DEGENERACY_ATOL; on the models
+    the experiments build, whose distinct energies lie at least 1 apart,
+    that is exactly the states at the minimum."""
+
+    @staticmethod
+    def assert_exact_minimum(m):
+        e = basis_energies(m)
+        emin, states = ground_states_bruteforce(m)
+        assert emin == e.min()
+        assert [s.bits for s in states] == np.flatnonzero(e == e.min()).tolist()
 
     @pytest.mark.parametrize("k", [2, 3])
-    def test_ksat_models_qualify(self, k):
+    def test_ksat_models(self, k):
         for seed in range(20):
-            m = to_ising(generate_instance(12, k, ALPHA_C[k], seed))
-            assert m.has_exact_energies()
+            self.assert_exact_minimum(to_ising(generate_instance(12, k, ALPHA_C[k], seed)))
 
-    def test_fixtures_qualify(self):
+    def test_fixtures(self):
         for m in load_all().values():
-            assert m.has_exact_energies()
-
-    def test_gaussian_models_do_not(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            assert not random_model(rng, 6, integer=False).has_exact_energies()
-
-    def test_mantissa_bound(self):
-        # in units of 1/2, the magnitudes sum to 2^52 + 1 (exact) and to
-        # 2^53 + 1, where 2^52 + 0.5 already rounds
-        fits = IsingModel.from_terms(2, [((0,), 0.5), ((1,), 2.0**51)])
-        assert fits.has_exact_energies()
-        overflows = IsingModel.from_terms(2, [((0,), 0.5), ((1,), 2.0**52)])
-        assert not overflows.has_exact_energies()
-        assert not IsingModel.from_terms(1, [((0,), float("inf"))]).has_exact_energies()
+            self.assert_exact_minimum(m)
 
 
 class TestInvariants:

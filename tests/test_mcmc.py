@@ -7,6 +7,7 @@ import pytest
 
 from fairmc import mcmc
 from fairmc.exact import boltzmann, mh_matrix, qe_proposal_matrix, ssf_sweep_matrix
+from fairmc.fixtures import SIXFOLD_FIXTURE, load_fixture
 from fairmc.ising import (
     CapacityError,
     DimensionError,
@@ -265,9 +266,10 @@ class TestSiteOrder:
 
 
 class TestTableSweep:
-    """The one sweep reads the basis-energy table; on a model with exact
-    energies the reference sweep, which sums each flip's difference over the
-    site's terms, makes the same transitions from the same random draws."""
+    """The one sweep reads the basis-energy table; on a k-SAT model, whose
+    energies and energy differences float64 sums exactly, the reference
+    sweep, which sums each flip's difference over the site's terms, makes the
+    same transitions from the same random draws."""
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_matches_mask_sweep_reference(self, k):
@@ -333,30 +335,31 @@ class TestTableSweep:
                           300, rng_seed=74)
         assert trace_digest(trace) == "337ece6d0dffbcc4"
 
-    @pytest.mark.parametrize("hybrid", [False, True])
-    def test_model_above_table_bound_refused(self, monkeypatch, hybrid):
-        # the table is built before the first step: no sweep order and no
-        # candidate block is drawn
+    def test_pinned_made_trace(self):
+        # the independence chain alone on the same instance; captured when
+        # MADE candidates' energies came from a per-block batch evaluation
+        m = to_ising(generate_instance(10, 3, ALPHA_C[3], 72))
+        trace = run_chain(m, Temperature(2.0), MadeKernel(random_net(10, seed=73)),
+                          300, rng_seed=74)
+        assert trace_digest(trace) == "ac5c02c07d37f70a"
+
+    @pytest.mark.parametrize("neural", [False, True])
+    def test_model_above_table_bound_refused(self, monkeypatch, neural):
+        # every update type reads the table, built before the first step: no
+        # sweep order, candidate block or QE proposal is drawn
         def no_step(*args):
             raise AssertionError("a step ran")
 
         monkeypatch.setattr(mcmc, "_site_order", no_step)
         monkeypatch.setattr(mcmc.made_mod, "sample_batch", no_step)
+        monkeypatch.setattr(QeKernel, "propose", no_step)
         m = IsingModel.from_terms(25, [((i, i + 1), 1.0) for i in range(24)])
-        update = HybridUpdate(random_net(25, seed=66)) if hybrid else SsfSweepUpdate()
-        with pytest.raises(CapacityError):
-            run_chain(m, Temperature(1.0), update, 5, rng_seed=67)
-
-    def test_made_chain_builds_no_table(self, monkeypatch):
-        def no_table(model):
-            raise AssertionError("a basis-energy table was built")
-
-        monkeypatch.setattr(mcmc, "basis_energies", no_table)
-        m = IsingModel.from_terms(25, [((i, i + 1), 1.0) for i in range(24)])
-        trace = run_chain(m, Temperature(1.0), MadeKernel(random_net(25, seed=66)), 20,
-                          rng_seed=67)
-        assert len(trace) == 20
-        assert_energies_exact(trace, m)
+        net = random_net(25, seed=66)
+        updates = [MadeKernel(net), HybridUpdate(net)] if neural else [SsfSweepUpdate(),
+                                                                      QeKernel(m)]
+        for update in updates:
+            with pytest.raises(CapacityError):
+                run_chain(m, Temperature(1.0), update, 5, rng_seed=67)
 
 
 class TestQeKernel:
@@ -410,6 +413,12 @@ class TestQeKernel:
         )
         visited = set(trace.states.astype(int).tolist())
         assert {0b000, 0b111} <= visited  # both ferromagnetic ground states
+
+    def test_pinned_trace(self):
+        # captured when each candidate's energy came from energy_of_bits
+        m = load_fixture(SIXFOLD_FIXTURE)
+        trace = run_chain(m, Temperature(2.0), QeKernel(m), 300, rng_seed=75)
+        assert trace_digest(trace) == "82425fd3d3b3157c"
 
 
 class TestHybrid:
