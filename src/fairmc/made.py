@@ -77,9 +77,8 @@ class MadeNetwork:
     # -- forward -----------------------------------------------------------
 
     def conditionals(self, x: np.ndarray) -> np.ndarray:
-        """q(b_i = 1 | bits before i), clamped to [EPS, 1-EPS].  x: (..., N)."""
-        h, _, _ = self._forward(np.atleast_2d(x))
-        return h if x.ndim > 1 else h[0]
+        """q(b_i = 1 | bits before i), clamped to [EPS, 1-EPS].  x: (count, N)."""
+        return self._forward(x)[0]
 
     def _forward(self, x):
         """Returns (clamped conditionals, per-layer activations for backprop,

@@ -272,15 +272,12 @@ class HybridUpdate:
 # QeKernel stands for any generic kernel: a `tag` and a symmetric `propose`
 Update = Union[MadeKernel, SsfSweepUpdate, HybridUpdate, QeKernel]
 
-RANDOM_INIT = "random"
-
-
 def run_chain(
     model: IsingModel,
     t: Temperature,
     update: Update,
     steps: int,
-    init: SpinConfig | str = RANDOM_INIT,
+    init: SpinConfig | None = None,
     rng_seed: int = 0,
 ) -> ChainTrace:
     """Run `steps` composite updates and record every transition.
@@ -292,8 +289,8 @@ def run_chain(
     packed bits to the candidate's, and whose proposal must be symmetric,
     since it is accepted with min(1, exp(-beta*dE)) and no q ratio.
 
-    Deterministic for a fixed seed.  `init` is a SpinConfig or RANDOM_INIT
-    for a uniform draw.  Raises DimensionError when a MADE net's input count
+    Deterministic for a fixed seed.  `init` is a SpinConfig, or None for a
+    uniform draw.  Raises DimensionError when a MADE net's input count
     differs from the model's site count.  Every update type reads its
     energies from the model's basis-energy table, so every update type is
     bounded by ising.MAX_BRUTEFORCE_SITES: above it run_chain raises
@@ -306,14 +303,12 @@ def run_chain(
     if neural and update.net.n_inputs != n:
         raise DimensionError(f"net has {update.net.n_inputs} inputs, model has {n} sites")
     rng = random.Random(rng_seed)
-    if init == RANDOM_INIT:
+    if init is None:
         bits = rng.getrandbits(n)
-    elif isinstance(init, SpinConfig):
-        if init.n != n:
-            raise ValueError("init length does not match the model")
-        bits = init.bits
+    elif init.n != n:
+        raise ValueError("init length does not match the model")
     else:
-        raise ValueError(f"bad init {init!r}")
+        bits = init.bits
 
     table = basis_energies(model).tolist()
     builder = _TraceBuilder()

@@ -9,20 +9,22 @@ Two parameterizations are supported: free angles (2p parameters) and the
 whose optima concentrate strongly across instances, making instance-
 independent "fixed angles" (component-wise medians) practical.
 
-Both are optimized by multi-start BFGS on exact gradients from adjoint
-differentiation (Jones & Gacon 2020, arXiv:2009.02823): one forward circuit
-gives the expectation, and one backward sweep that un-applies the layers
-gives its derivative in all 2p angles.  The linear schedule's gradient
-follows by the chain rule.
+One optimizer serves both: multi-start BFGS over x, where an angle map takes
+x to the circuit's 2p angles and pulls their gradient back to x.  The
+gradient comes from adjoint differentiation (Jones & Gacon 2020,
+arXiv:2009.02823): one forward circuit gives the expectation, and one
+backward sweep that un-applies the layers gives its derivative in all 2p
+angles.
 
-Returned parameters are sign-canonicalized so the summed effective time is
-nonnegative; flipping the sign of every angle conjugates the state and leaves
-both the measurement distribution and the expectation unchanged.
+One sign rule serves both too: the best x is negated when the effective time
+of its angles is negative.  Flipping the sign of every angle conjugates the
+state and leaves both the measurement distribution and the expectation
+unchanged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -60,9 +62,7 @@ class LinearSchedule:
     gamma_intcp: float
 
     def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.beta_slope, self.beta_intcp, self.gamma_slope, self.gamma_intcp]
-        )
+        return np.array(astuple(self))
 
     @classmethod
     def from_array(cls, x: Sequence[float]) -> "LinearSchedule":
@@ -113,48 +113,52 @@ def expectation_and_gradient(
     return value, d_gamma, d_beta
 
 
-def linear_objective(model: IsingModel, p: int):
-    """x -> (expectation, gradient) over the linear-schedule parameters
-    x = [beta_slope, beta_intcp, gamma_slope, gamma_intcp]."""
-    fracs = np.arange(1, p + 1) / p
-
-    def fun(x):
-        value, d_gamma, d_beta = expectation_and_gradient(
-            model, expand(LinearSchedule.from_array(x), p))
-        return value, np.array(
-            [fracs @ d_beta, d_beta.sum(), fracs @ d_gamma, d_gamma.sum()])
-
-    return fun
-
-
-def free_objective(model: IsingModel, p: int):
-    """x -> (expectation, gradient) over the free angles x = [gammas, betas]."""
-
-    def fun(x):
-        value, d_gamma, d_beta = expectation_and_gradient(
-            model, QaoaParams(tuple(x[:p]), tuple(x[p:])))
-        return value, np.concatenate((d_gamma, d_beta))
-
-    return fun
-
-
 def effective_time(params: QaoaParams) -> float:
     """Total evolution time when each angle is read as a duration."""
     return float(sum(params.betas) + sum(params.gammas))
 
 
-def _canonical_sign(x: np.ndarray, p: int, free: bool) -> np.ndarray:
-    if free:
-        total = x.sum()
-    else:
-        total = (x[0] + x[2]) * (p + 1) / 2 + p * (x[1] + x[3])
-    return -x if total < 0 else x
+def _linear_angles(p: int):
+    """The angle map x -> QaoaParams of the linear schedule
+    x = [beta_slope, beta_intcp, gamma_slope, gamma_intcp], and its gradient
+    pull-back (d_gamma, d_beta) -> d/dx."""
+    fracs = np.arange(1, p + 1) / p
+    return (
+        lambda x: expand(LinearSchedule.from_array(x), p),
+        lambda d_gamma, d_beta: np.array(
+            [fracs @ d_beta, d_beta.sum(), fracs @ d_gamma, d_gamma.sum()]),
+    )
 
 
-def _multistart_minimize(fun, dim, starts, rng):
-    """BFGS from `starts` random points on `fun(x) -> (value, gradient)`;
-    returns the best optimum.  Starts ending on a non-finite value are
-    skipped."""
+def _free_angles(p: int):
+    """The angle map of the free angles x = [gammas, betas], and its
+    gradient pull-back."""
+    return (
+        lambda x: QaoaParams(tuple(x[:p]), tuple(x[p:])),
+        lambda d_gamma, d_beta: np.concatenate((d_gamma, d_beta)),
+    )
+
+
+def _minimize(
+    model: IsingModel, p: int, starts: int, rng: np.random.Generator, dim: int, angle_map
+) -> np.ndarray:
+    """Multi-start BFGS of the cost expectation over x in R^dim, with
+    `angle_map(p)` giving x -> QaoaParams and the gradient pull-back.
+
+    Each evaluation is one forward circuit and one backward sweep
+    (`expectation_and_gradient`).  Starts are uniform in [-START_BOX,
+    START_BOX]^dim; starts ending on a non-finite value are skipped.  Returns
+    the best x, negated when the effective time of its angles is negative.
+    Raises OptimizationError when every start ends on a non-finite value.
+    """
+    if p < 1 or starts < 1:
+        raise ValueError("need p >= 1 and starts >= 1")
+    to_params, pull_back = angle_map(p)
+
+    def fun(x):
+        value, d_gamma, d_beta = expectation_and_gradient(model, to_params(x))
+        return value, pull_back(d_gamma, d_beta)
+
     best = None
     for _ in range(starts):
         x0 = rng.uniform(-START_BOX, START_BOX, size=dim)
@@ -164,35 +168,24 @@ def _multistart_minimize(fun, dim, starts, rng):
             best = res
     if best is None:
         raise OptimizationError("all optimization starts diverged")
-    return best.x
+    return -best.x if effective_time(to_params(best.x)) < 0 else best.x
 
 
 def optimize(
     model: IsingModel, p: int, starts: int, rng: np.random.Generator
 ) -> LinearSchedule:
-    """Minimize the cost expectation over the 4-dim linear-schedule space.
-
-    BFGS on adjoint gradients (`linear_objective`), multi-start from
-    `starts` random points: each evaluation is one forward circuit and one
-    backward sweep.  Returns the best schedule, sign-canonicalized.  Raises
-    OptimizationError when every start ends on a non-finite value.
-    """
-    if p < 1 or starts < 1:
-        raise ValueError("need p >= 1 and starts >= 1")
-    x = _multistart_minimize(linear_objective(model, p), 4, starts, rng)
-    return LinearSchedule.from_array(_canonical_sign(x, p, free=False))
+    """Minimize the cost expectation over the 4-dim linear-schedule space:
+    the best schedule of `starts` BFGS runs (`_minimize`), sign-canonicalized.
+    Raises OptimizationError when every start ends on a non-finite value."""
+    return LinearSchedule.from_array(_minimize(model, p, starts, rng, 4, _linear_angles))
 
 
 def optimize_free(
     model: IsingModel, p: int, starts: int, rng: np.random.Generator
 ) -> QaoaParams:
-    """`optimize` over the unconstrained 2p angles (gammas, betas): returns
-    the best angles, sign-canonicalized."""
-    if p < 1 or starts < 1:
-        raise ValueError("need p >= 1 and starts >= 1")
-    x = _multistart_minimize(free_objective(model, p), 2 * p, starts, rng)
-    x = _canonical_sign(x, p, free=True)
-    return QaoaParams(tuple(x[:p]), tuple(x[p:]))
+    """`optimize` over the unconstrained 2p angles (gammas, betas)."""
+    to_params, _ = _free_angles(p)
+    return to_params(_minimize(model, p, starts, rng, 2 * p, _free_angles))
 
 
 def fixed_angles_from_set(schedules: Sequence[LinearSchedule]) -> LinearSchedule:
@@ -205,14 +198,7 @@ def fixed_angles_from_set(schedules: Sequence[LinearSchedule]) -> LinearSchedule
 
 
 def schedule_to_json(schedule: LinearSchedule, p: int, value: float) -> dict:
-    return {
-        "beta_slope": schedule.beta_slope,
-        "beta_intcp": schedule.beta_intcp,
-        "gamma_slope": schedule.gamma_slope,
-        "gamma_intcp": schedule.gamma_intcp,
-        "expectation": value,
-        "p": p,
-    }
+    return {**asdict(schedule), "expectation": value, "p": p}
 
 
 def schedule_from_json(d: dict) -> LinearSchedule:

@@ -80,17 +80,17 @@ class TestMasking:
         rng = np.random.default_rng(3)
         net = random_net(5)
         x = (rng.random(5) > 0.5).astype(float)
-        base = net.conditionals(x)
+        base = net.conditionals(x[None])[0]
         for j in range(5):
             y = x.copy()
             y[j] = 1.0 - y[j]
-            out = net.conditionals(y)
+            out = net.conditionals(y[None])[0]
             for v in range(j + 1):
                 assert out[v] == base[v]
 
     def test_first_variable_is_unconditional(self):
         net = random_net(4)
-        vals = {net.conditionals(np.array(x, dtype=float))[0]
+        vals = {net.conditionals(np.array([x], dtype=float))[0, 0]
                 for x in np.ndindex(2, 2, 2, 2)}
         assert len(vals) == 1
 
@@ -249,7 +249,7 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         assert loaded.to_json_dict() == net.to_json_dict()
         x = np.array([1.0, 0, 1, 0, 1])
-        np.testing.assert_allclose(loaded.conditionals(x), net.conditionals(x))
+        np.testing.assert_allclose(loaded.conditionals(x[None]), net.conditionals(x[None]))
 
     @pytest.mark.parametrize("key, value", [
         ("hidden_sizes", [8]), ("hidden_sizes", [20, 20]), ("hidden_sizes", []),

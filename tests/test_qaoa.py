@@ -5,6 +5,7 @@ import pytest
 
 from fairmc import qaoa, qsim
 from fairmc.experiments import ALPHA_C, to_ising
+from fairmc.fixtures import FIXTURE_NAMES, load_fixture
 from fairmc.ising import IsingModel, basis_energies
 from fairmc.qaoa import (
     LinearSchedule,
@@ -14,8 +15,6 @@ from fairmc.qaoa import (
     expectation,
     expectation_and_gradient,
     fixed_angles_from_set,
-    free_objective,
-    linear_objective,
     optimize,
     optimize_free,
     schedule_from_json,
@@ -38,6 +37,17 @@ def random_model(rng, n, n_terms=8, integer=False, max_order=2):
 def central_diff(fun, x, h=1e-6):
     """The oracle: (f(x + h e_i) - f(x - h e_i)) / 2h per coordinate."""
     return np.array([(fun(x + h * e) - fun(x - h * e)) / (2 * h) for e in np.eye(len(x))])
+
+
+def objective(model, angle_map, p):
+    """x -> (expectation, gradient) through one of the optimizer's angle maps."""
+    to_params, pull_back = angle_map(p)
+
+    def fun(x):
+        value, d_gamma, d_beta = expectation_and_gradient(model, to_params(x))
+        return value, pull_back(d_gamma, d_beta)
+
+    return fun
 
 
 def linear_value(model, p):
@@ -123,12 +133,12 @@ class TestAdjointGradient:
         rng = np.random.default_rng(100 + 2 * n + integer)
         for p in range(1, 6):
             m = random_model(rng, n, integer=integer, max_order=3)
-            for objective, value, dim in (
-                (linear_objective(m, p), linear_value(m, p), 4),
-                (free_objective(m, p), free_value(m, p), 2 * p),
+            for fun, value, dim in (
+                (objective(m, qaoa._linear_angles, p), linear_value(m, p), 4),
+                (objective(m, qaoa._free_angles, p), free_value(m, p), 2 * p),
             ):
                 x = rng.uniform(-2.0, 2.0, size=dim)
-                _, grad = objective(x)
+                _, grad = fun(x)
                 np.testing.assert_allclose(grad, central_diff(value, x), rtol=0, atol=1e-6)
 
     @pytest.mark.parametrize("integer", [False, True])
@@ -137,9 +147,9 @@ class TestAdjointGradient:
         m = random_model(rng, 5, integer=integer, max_order=3)
         for p in (1, 3, 5):
             x = rng.uniform(-2.0, 2.0, size=4)
-            assert linear_objective(m, p)(x)[0] == linear_value(m, p)(x)
+            assert objective(m, qaoa._linear_angles, p)(x)[0] == linear_value(m, p)(x)
             x = rng.uniform(-2.0, 2.0, size=2 * p)
-            assert free_objective(m, p)(x)[0] == free_value(m, p)(x)
+            assert objective(m, qaoa._free_angles, p)(x)[0] == free_value(m, p)(x)
 
     def test_one_circuit_per_evaluation(self, monkeypatch):
         calls = []
@@ -201,6 +211,12 @@ class TestOptimize:
         params = optimize_free(m, p=2, starts=3, rng=np.random.default_rng(13))
         assert effective_time(params) >= 0.0
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_linear_schedule_canonical_sign(self, seed):
+        m = random_model(np.random.default_rng(14 + seed), 3)
+        schedule = optimize(m, p=3, starts=2, rng=np.random.default_rng(seed))
+        assert effective_time(expand(schedule, 3)) >= 0.0
+
     def test_golden_best_values_on_3sat(self):
         # best of 10 starts at p = 5, recorded with central-difference
         # gradients; exact gradients must reach the same minima
@@ -209,6 +225,50 @@ class TestOptimize:
             m = to_ising(generate_instance(8, 3, ALPHA_C[3], 1000 + seed))
             schedule = optimize(m, 5, 10, np.random.default_rng(seed))
             assert expectation(m, expand(schedule, 5)) == pytest.approx(best, abs=1e-6)
+
+
+class TestBitwisePins:
+    """Exact optimizer outputs on fixed seeds, compared with ==: a refactor
+    of the optimizer must reproduce every returned float."""
+
+    # (p, seed) -> (beta_slope, beta_intcp, gamma_slope, gamma_intcp), 4 starts
+    LINEAR = {
+        (3, 0): (-0.6652815075425409, 0.31235383124706484,
+                 0.32660890385703245, 1.7191004826955445),
+        (3, 1): (1.2640886010753962, 0.3559147706360286,
+                 -1.8117946610889417, 0.9682817027531229),
+        (3, 2): (-0.49338944573320603, 0.6687652930674842,
+                 0.9486149508406332, -0.010713989744212109),
+        (5, 0): (-1.494355070685016, 1.7009787904118232,
+                 0.0464510010380067, 1.8054822745587646),
+        (5, 1): (0.7704686539689677, 2.5170135650669887,
+                 -2.2247590843043556, 0.1560720399452041),
+        (5, 2): (-0.48401977585544603, 0.6490940145687177,
+                 1.116079662514072, 0.028541584163554574),
+    }
+    # fixture -> (gammas, betas) at p = 3, 3 starts, rng seed 20 + index
+    FREE = {
+        "five_site_threefold": (
+            (1.638525644925775, 0.41162143119741545, 1.3218658430196852),
+            (-0.48915800072707616, 1.6684435566540985, 2.124218499779858)),
+        "five_site_fourfold": (
+            (-0.2803145373014616, -1.4025907757500617, 1.8993280471273544),
+            (1.3134891290385275, -0.7825015331827623, 0.18364597098542645)),
+        "five_site_sixfold": (
+            (-1.4520436891936548, -1.2329688243914667, 2.1929109653769125),
+            (-0.6872136776163741, 0.2715091570367087, 2.8839558730360357)),
+    }
+
+    @pytest.mark.parametrize("p, seed", sorted(LINEAR))
+    def test_linear_schedule_on_3sat(self, p, seed):
+        m = to_ising(generate_instance(8, 3, ALPHA_C[3], 1000 + seed))
+        schedule = optimize(m, p, 4, np.random.default_rng(seed))
+        assert schedule == LinearSchedule(*self.LINEAR[p, seed])
+
+    @pytest.mark.parametrize("index, name", list(enumerate(FIXTURE_NAMES)))
+    def test_free_angles_on_fixtures(self, index, name):
+        params = optimize_free(load_fixture(name), 3, 3, np.random.default_rng(20 + index))
+        assert params == QaoaParams(*self.FREE[name])
 
 
 class TestFixedAngles:
