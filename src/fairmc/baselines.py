@@ -152,11 +152,9 @@ def pt_icm_run(
     energies0, energies1 = energies
 
     cold = n_temps - 1
-    builder = _TraceBuilder()
+    builder = _TraceBuilder(("ssf", "exchange", "icm"))
     record = builder.record
-    ssf_tag = builder.tag_id("ssf")
-    ex_tag = builder.tag_id("exchange")
-    icm_tag = builder.tag_id("icm")
+    ssf_tag, ex_tag, icm_tag = range(3)  # indices into the legend
     exchange_accepts = icm_moves = 0
     sweep_slots = [
         (fam_bits, fam_energies, ti, betas[ti],

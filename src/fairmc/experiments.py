@@ -11,8 +11,10 @@ writes its own file atomically: a task whose file exists is skipped, so a
 stage stopped midway resumes with the tasks that did not finish.
 
     instances/   DIMACS + manifest.json + degeneracy.csv
-    schedules/   per-instance linear schedules + fixed_angles.json
-                 (needs instances/; written only when a sampler runs)
+    schedules/   per-instance linear schedules + fixed_angles.json, whose
+                 `expectation` is null (the median schedule belongs to no
+                 one instance); needs instances/, written only when a
+                 sampler runs
     nets/        per-instance network checkpoints
                  (needs instances/ and schedules/fixed_angles.json; written
                  only when a sampler runs)
@@ -362,7 +364,7 @@ def stage_schedules(cfg: ExperimentConfig, out: Path, threads: int = 1):
     schedules = [_read_schedule(path) for path in paths]
     fixed = fixed_angles_from_set(schedules)
     with atomic_write(sched_dir / "fixed_angles.json") as f:
-        json.dump(schedule_to_json(fixed, cfg.qaoa_depth, math.nan), f, indent=1)
+        json.dump(schedule_to_json(fixed, cfg.qaoa_depth, None), f, indent=1)
     return schedules
 
 
@@ -618,7 +620,7 @@ def run_small_instances(cfg: ExperimentConfig, out: Path):
         qaoa_counts = histogram(measure_distribution(qaoa_state), gs)
 
         qe_trace = run_chain(
-            model, Temperature(BETA), QeKernel(model), cfg.samples,
+            model, Temperature(BETA), QeKernel(), cfg.samples,
             rng_seed=derive_seed(cfg.seed, "fx-qe", fx_idx),
         )
         qe_counts, _ = visits(qe_trace.states, gs)

@@ -49,22 +49,17 @@ class SpinConfig:
         if not 0 <= self.bits < (1 << self.n):
             raise ValueError("bits out of range for n sites")
 
-    @classmethod
-    def from_bits(cls, bits: Sequence[int]) -> "SpinConfig":
-        """Build from Boolean values x_i (x=1 <=> s=-1)."""
-        packed = 0
-        for i, b in enumerate(bits):
-            if b:
-                packed |= 1 << i
-        return cls(packed, len(bits))
-
     def to_bitstring(self) -> str:
         """x_0 x_1 ... x_{n-1}, left to right."""
         return "".join(str((self.bits >> i) & 1) for i in range(self.n))
 
     @classmethod
     def from_bitstring(cls, s: str) -> "SpinConfig":
-        return cls.from_bits([int(c) for c in s])
+        """Parse x_0 x_1 ... x_{n-1}, left to right; ValueError unless every
+        character is 0 or 1."""
+        if not s or set(s) - {"0", "1"}:
+            raise ValueError(f"not a bitstring of 0s and 1s: {s!r}")
+        return cls(int(s[::-1], 2), len(s))
 
     def __len__(self) -> int:
         return self.n

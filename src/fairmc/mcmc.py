@@ -1,23 +1,24 @@
 """Metropolis-Hastings chain engine.
 
-`run_chain` runs one of three update families, each with one acceptance rule:
+Each step of `run_chain` is one Metropolis-Hastings step: an optional
+proposal, accepted by the one rule
 
-* MadeKernel  -- state-independent draws from a trained autoregressive net
-                 (independence sampler), accepted with
-                 min(1, exp(-beta*dE) * q(cur)/q(cand)) from the net's exact
-                 log q.
-* single-spin-flip sweeps (SsfSweepUpdate) and the hybrid composite
-  (HybridUpdate: one neural independence step followed by one N-flip sweep),
-  which preserve the target because each sub-update does.
-* a generic kernel: any object with a `tag` and `propose(bits, rng)`
-  mapping the current state's packed bits to the candidate's.  The proposal
-  must be symmetric, q(a|b) = q(b|a), and is accepted with
-  min(1, exp(-beta*dE)).  QeKernel is one: it measures after short
-  evolution from the current basis state under the exact dense exp(-iHt),
-  so U = U^T and |U_zz'| = |U_z'z| given the per-step draw of (driver
-  weight, time), uniform in QE_DRIVER_WEIGHT_RANGE and QE_TIME_RANGE and
-  made before proposing.  Models above qsim._DENSE_MAX sites raise
-  CapacityError.
+    min(1, exp(-beta*dE) * q(cur)/q(cand)),
+
+then an optional sweep of single-spin-flip updates (`_table_sweep`).  The
+update says which parts run, and `run_chain` resolves its kind once, before
+the first step:
+
+* MadeKernel -- candidates from a trained autoregressive net, independent
+  of the current state (independence sampler), with the net's exact log q.
+* HybridUpdate -- a MadeKernel step followed by one N-flip sweep.  Each part
+  preserves the Boltzmann distribution, hence so does the composition.
+* SsfSweepUpdate -- the sweep alone.  A flip's proposal is symmetric, so each
+  is accepted with min(1, exp(-beta*dE)).
+* any other update is a generic kernel: a `tag` and `propose(model, bits,
+  rng)` mapping the current state's packed bits to the candidate's.  Its
+  proposal must be symmetric, q(a|b) = q(b|a), so its log q is 0 and the
+  rule has no q ratio.  QeKernel, the QE-MCMC proposal, is one.
 
 Energies: `run_chain` reads every energy from the model's basis-energy
 table (`ising.basis_energies` as a list), built once before the first step
@@ -56,7 +57,6 @@ import functools
 import math
 import random
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -100,41 +100,48 @@ class MadeKernel:
         self.net = net
 
 
+class HybridUpdate(MadeKernel):
+    """One neural independence step plus one sweep (N+1 transitions).
+
+    Both sub-updates preserve the Boltzmann distribution, hence so does the
+    composition; the sweep explores the Hamming neighborhood of the proposed
+    state, covering ground states the network under-represents.
+    """
+
+
+class SsfSweepUpdate:
+    """Composite update: one full sweep (N transitions) per step."""
+
+
 class QeKernel:
     """Propose by measuring exp(-iHt)|current> with a mixed Hamiltonian.
 
-    H = (1-w) * alpha * H_P + w * H_d with (w, t) drawn fresh per proposal,
-    uniform in QE_DRIVER_WEIGHT_RANGE and QE_TIME_RANGE, *before* evolving,
-    so forward and reverse proposals share the same unitary and
-    q(a|b) = q(b|a) exactly (U = exp(-iHt) is exact, from one eigh of the
-    dense H, and complex-symmetric).  `run_chain` therefore accepts its
-    candidates with no q ratio.  Proposing raises ising.CapacityError for a
-    model above qsim._DENSE_MAX sites.
+    H = (1-w) * alpha * H_P + w * H_d of the chain's model, with (w, t) drawn
+    fresh per proposal, uniform in QE_DRIVER_WEIGHT_RANGE and QE_TIME_RANGE,
+    *before* evolving, so forward and reverse proposals share the same
+    unitary and q(a|b) = q(b|a) exactly (U = exp(-iHt) is exact, from one
+    eigh of the dense H, and complex-symmetric).  `run_chain` therefore
+    accepts its candidates with no q ratio.  The kernel holds no model:
+    `run_chain` passes its own, so proposals and energies always come from
+    the same one.  Proposing raises ising.CapacityError for a model above
+    qsim._DENSE_MAX sites.
     """
 
     tag = "qe"
 
-    def __init__(self, model: IsingModel):
-        self.model = model
-
-    def propose(self, bits: int, rng) -> int:
+    def propose(self, model: IsingModel, bits: int, rng) -> int:
         lo, hi = QE_DRIVER_WEIGHT_RANGE
         w = lo + (hi - lo) * rng.random()
         t0, t1 = QE_TIME_RANGE
         t = t0 + (t1 - t0) * rng.random()
-        n = self.model.n_sites
-        state = evolve_fixed(basis_state(n, bits), self.model, w, t)
+        state = evolve_fixed(basis_state(model.n_sites, bits), model, w, t)
         probs = measure_distribution(state)
         z = int(np.searchsorted(np.cumsum(probs), rng.random()))
         return min(z, len(probs) - 1)
 
 
 # ---------------------------------------------------------------------------
-# single steps
-
-
-def _accept(log_ratio: float, rng) -> bool:
-    return log_ratio >= 0.0 or rng.random() < math.exp(log_ratio)
+# sweeps and candidates
 
 
 @functools.cache  # one small entry per site count
@@ -221,19 +228,14 @@ class ChainTrace:
 
 
 class _TraceBuilder:
-    def __init__(self):
+    """Collects a chain's records; a record's tag is an index into `legend`."""
+
+    def __init__(self, legend: tuple[str, ...]):
+        self.legend = legend
         self.states: list[int] = []
         self.energies: list[float] = []
         self.accepted: list[bool] = []
         self.tags: list[int] = []
-        self.legend: list[str] = []
-        self._legend_ids: dict[str, int] = {}
-
-    def tag_id(self, tag: str) -> int:
-        if tag not in self._legend_ids:
-            self._legend_ids[tag] = len(self.legend)
-            self.legend.append(tag)
-        return self._legend_ids[tag]
 
     def record(self, bits, e, acc, tag_id):
         self.states.append(bits)
@@ -247,47 +249,27 @@ class _TraceBuilder:
             energies=np.array(self.energies, dtype=np.float64),
             accepted=np.array(self.accepted, dtype=bool),
             tags=np.array(self.tags, dtype=np.uint8),
-            tag_legend=tuple(self.legend),
+            tag_legend=self.legend,
             n_steps=n_steps,
         )
 
 
-@dataclass
-class SsfSweepUpdate:
-    """Composite update: one full sweep (N transitions) per step."""
-
-
-@dataclass
-class HybridUpdate:
-    """One neural independence step plus one sweep (N+1 transitions).
-
-    Both sub-updates preserve the Boltzmann distribution, hence so does the
-    composition; the sweep explores the Hamming neighborhood of the proposed
-    state, covering ground states the network under-represents.
-    """
-
-    net: MadeNetwork
-
-
-# QeKernel stands for any generic kernel: a `tag` and a symmetric `propose`
-Update = Union[MadeKernel, SsfSweepUpdate, HybridUpdate, QeKernel]
-
 def run_chain(
     model: IsingModel,
     t: Temperature,
-    update: Update,
+    update: MadeKernel | SsfSweepUpdate | QeKernel,
     steps: int,
     init: SpinConfig | None = None,
     rng_seed: int = 0,
 ) -> ChainTrace:
-    """Run `steps` composite updates and record every transition.
+    """Run `steps` Metropolis-Hastings steps and record every transition.
 
-    One acceptance rule per update family: MadeKernel and the neural half of
-    HybridUpdate accept with min(1, exp(-beta*dE) * q(cur)/q(cand)); sweeps
-    accept each flip with min(1, exp(-beta*dE)); any other `update` is a
-    generic kernel whose `propose(bits, rng)` maps the current state's
-    packed bits to the candidate's, and whose proposal must be symmetric,
-    since it is accepted with min(1, exp(-beta*dE)) and no q ratio.
+    A step proposes a candidate, unless `update` is an SsfSweepUpdate, and
+    accepts it with min(1, exp(-beta*dE) * q(cur)/q(cand)): log q is the
+    net's for MadeKernel and HybridUpdate, and 0 for any other `update`, a
+    generic kernel whose `propose(model, bits, rng)` must be symmetric.  A
+    HybridUpdate or SsfSweepUpdate step then runs one sweep.  The trace's tag
+    legend is the proposal's tag, then "ssf" if the step sweeps.
 
     Deterministic for a fixed seed.  `init` is a SpinConfig, or None for a
     uniform draw.  Raises DimensionError when a MADE net's input count
@@ -299,8 +281,7 @@ def run_chain(
     if steps < 1:
         raise ValueError("steps must be >= 1")
     n = model.n_sites
-    neural = isinstance(update, (MadeKernel, HybridUpdate))
-    if neural and update.net.n_inputs != n:
+    if isinstance(update, MadeKernel) and update.net.n_inputs != n:
         raise DimensionError(f"net has {update.net.n_inputs} inputs, model has {n} sites")
     rng = random.Random(rng_seed)
     if init is None:
@@ -311,46 +292,42 @@ def run_chain(
         bits = init.bits
 
     table = basis_energies(model).tolist()
-    builder = _TraceBuilder()
     beta = t.beta
     energy = energy_of_bits(model, bits)
 
-    if isinstance(update, SsfSweepUpdate):
-        tag_id = builder.tag_id("ssf")
-        for _ in range(steps):
-            bits, energy = _table_sweep(table, bits, energy, beta, rng, builder.record, tag_id)
-    elif neural:
-        hybrid = isinstance(update, HybridUpdate)
-        made_tag = builder.tag_id("made")
-        ssf_tag = builder.tag_id("ssf") if hybrid else None
-        log_q_table: dict[int, float] = {}
-        log_q = None  # log q(current), looked up when first needed
-        for cand, cand_log_q in _made_candidates(update.net, steps, rng_seed, log_q_table):
+    # the update's kind, resolved once: propose(bits) -> (candidate, its
+    # log q), or None for no proposal; log q(current) is None until looked up
+    log_q = 0.0
+    if isinstance(update, MadeKernel):
+        log_q, log_q_table = None, {}
+        candidates = _made_candidates(update.net, steps, rng_seed, log_q_table)
+        propose = lambda _bits: next(candidates)
+    elif isinstance(update, SsfSweepUpdate):
+        propose = None
+    else:
+        propose = lambda bits: (update.propose(model, bits, rng), 0.0)
+    sweeps = isinstance(update, (SsfSweepUpdate, HybridUpdate))
+    legend = (() if propose is None else (update.tag,)) + (("ssf",) if sweeps else ())
+    builder = _TraceBuilder(legend)
+    ssf_tag = len(legend) - 1
+
+    for _ in range(steps):
+        if propose is not None:
+            cand, cand_log_q = propose(bits)
             if log_q is None:
                 log_q = log_q_table.get(bits)
                 if log_q is None:
                     log_q = made_mod.log_prob(update.net, bit_rows(bits, n))
                     log_q_table[bits] = log_q
             cand_e = table[cand]
-            if _accept(-beta * (cand_e - energy) + log_q - cand_log_q, rng):
-                bits, energy, log_q, acc = cand, cand_e, cand_log_q, True
-            else:
-                acc = False
-            builder.record(bits, energy, acc, made_tag)
-            if hybrid:
-                swept, energy = _table_sweep(
-                    table, bits, energy, beta, rng, builder.record, ssf_tag)
-                if swept != bits:
-                    bits, log_q = swept, None
-    else:
-        tag_id = builder.tag_id(update.tag)
-        for _ in range(steps):
-            cand = update.propose(bits, rng)
-            cand_e = table[cand]
-            if _accept(-beta * (cand_e - energy), rng):
-                bits, energy, acc = cand, cand_e, True
-            else:
-                acc = False
-            builder.record(bits, energy, acc, tag_id)
+            log_ratio = -beta * (cand_e - energy) + log_q - cand_log_q
+            acc = log_ratio >= 0.0 or rng.random() < math.exp(log_ratio)
+            if acc:
+                bits, energy, log_q = cand, cand_e, cand_log_q
+            builder.record(bits, energy, acc, 0)
+        if sweeps:
+            swept, energy = _table_sweep(table, bits, energy, beta, rng, builder.record, ssf_tag)
+            if swept != bits:
+                bits, log_q = swept, None
 
     return builder.build(steps)

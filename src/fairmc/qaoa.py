@@ -197,7 +197,8 @@ def fixed_angles_from_set(schedules: Sequence[LinearSchedule]) -> LinearSchedule
     return LinearSchedule.from_array(np.median(arr, axis=0))
 
 
-def schedule_to_json(schedule: LinearSchedule, p: int, value: float) -> dict:
+def schedule_to_json(schedule: LinearSchedule, p: int, value: float | None) -> dict:
+    """`value` is the schedule's cost expectation, None (JSON null) if it has none."""
     return {**asdict(schedule), "expectation": value, "p": p}
 
 

@@ -35,6 +35,7 @@ from fairmc.sat import (
     to_ising,
     unsatisfied_counts_all,
 )
+from random_inputs import random_model
 from test_mcmc import site_masks, spin_flip_sweep
 
 
@@ -45,15 +46,6 @@ def trace_digest(trace):
               np.arange(1, len(trace) + 1, dtype=np.uint64)):
         h.update(np.ascontiguousarray(a).tobytes())
     return h.hexdigest()[:16]
-
-
-def random_2body_model(rng, n, n_terms=10):
-    terms = []
-    for _ in range(n_terms):
-        order = int(rng.integers(1, 3))
-        sites = sorted(rng.choice(n, size=order, replace=False).tolist())
-        terms.append((sites, float(rng.choice([-1, 1]))))
-    return IsingModel.from_terms(n, terms)
 
 
 class TestConfig:
@@ -79,7 +71,7 @@ class TestConfig:
 
 class TestIcmMove:
     def test_identical_replicas_noop(self):
-        m = random_2body_model(np.random.default_rng(0), 5)
+        m = random_model(np.random.default_rng(0), 5, n_terms=10)
         assert houdayer_cluster(13, 13, interaction_adjacency(m), random.Random(1)) == 0
 
     def test_fully_antialigned_swaps_component(self):
@@ -94,7 +86,7 @@ class TestIcmMove:
         rng_np = np.random.default_rng(3)
         rng = random.Random(4)
         for _ in range(50):
-            m = random_2body_model(rng_np, 7)
+            m = random_model(rng_np, 7, n_terms=10)
             a, b = int(rng_np.integers(128)), int(rng_np.integers(128))
             cluster = houdayer_cluster(a, b, interaction_adjacency(m), rng)
             before = energy_of_bits(m, a) + energy_of_bits(m, b)
@@ -144,7 +136,7 @@ class TestBitmaskCluster:
                 m, n = sixfold, sixfold.n_sites
             else:
                 n = int(rng_np.integers(2, 13))
-                m = random_2body_model(rng_np, n, n_terms=int(rng_np.integers(1, 2 * n)))
+                m = random_model(rng_np, n, n_terms=int(rng_np.integers(1, 2 * n)))
             adj = interaction_adjacency(m)
             adj_lists = [[j for j in range(n) if mask >> j & 1] for mask in adj]
             a, b = int(rng_np.integers(1 << n)), int(rng_np.integers(1 << n))
@@ -174,7 +166,7 @@ class TestExchange:
 
     def test_exchange_operator_detailed_balance(self):
         # product-chain oracle on a 3-site model, pair of betas
-        m = random_2body_model(np.random.default_rng(7), 3)
+        m = random_model(np.random.default_rng(7), 3, n_terms=10)
         e = basis_energies(m)
         b1, b2 = 0.7, 1.9
         pi1 = np.exp(-b1 * (e - e.min()))
@@ -194,7 +186,7 @@ class TestExchange:
 
 class TestPtIcmRun:
     def test_cold_replica_matches_boltzmann(self):
-        m = random_2body_model(np.random.default_rng(11), 4)
+        m = random_model(np.random.default_rng(11), 4, n_terms=10)
         betas = tuple(np.geomspace(0.1, 10.0, 6).tolist())
         trace, stats_out = pt_icm_run(m, betas, 8000, 12)
         freq = np.bincount(
@@ -206,7 +198,7 @@ class TestPtIcmRun:
         assert stats_out.total_transitions > len(trace)
 
     def test_deterministic(self):
-        m = random_2body_model(np.random.default_rng(13), 4)
+        m = random_model(np.random.default_rng(13), 4, n_terms=10)
         a, _ = pt_icm_run(m, PT_BETAS, 100, 14)
         b, _ = pt_icm_run(m, PT_BETAS, 100, 14)
         assert np.array_equal(a.states, b.states)
@@ -415,7 +407,7 @@ class TestBlockingClause:
     def test_requires_satisfying_assignment(self):
         f = CnfFormula(2, ((1,), (2,)))
         with pytest.raises(ValueError):
-            add_blocking_clause(f, SpinConfig.from_bits([0, 0]))
+            add_blocking_clause(f, SpinConfig.from_bitstring("00"))
 
     def test_count_decreases_by_exactly_one(self):
         rng = np.random.default_rng(5)

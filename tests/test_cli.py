@@ -521,15 +521,20 @@ class TestResume:
         ("manifest_not_json", "manifest.json"),
         ("non_solution", "manifest.json"),
         ("dropped_solution", "manifest.json"),
+        ("non_binary_digit", "manifest.json"),
     ])
     def test_refused_instance_set_exits_2(self, trained, tmp_path, capsys, damage, name):
         run = shutil.copytree(trained, tmp_path / "run")
         path = run / "instances" / name
-        if damage.endswith("solution"):
+        if name == "manifest.json" and damage != "manifest_not_json":
             manifest = json.loads(path.read_text())
             entry = manifest["entries"][-1]
             solutions = entry["solutions"]
-            if damage == "non_solution":
+            if damage == "non_binary_digit":
+                # "2" once read as a 1 bit, so the damaged entry named the same state
+                i = next(i for i, s in enumerate(solutions) if "1" in s)
+                solutions[i] = solutions[i].replace("1", "2", 1)
+            elif damage == "non_solution":
                 # the manifest lists every solution, so any other string is none
                 n = entry["n_vars"]
                 solutions[0] = next(b for b in (format(z, f"0{n}b") for z in range(1 << n))
@@ -606,6 +611,25 @@ class TestFixedAngles:
             per_instance = json.loads((trained / "nets" / name).read_text())
             differ.append(digest != per_instance["training_data_digest"])
         assert any(differ)
+
+    def test_every_json_file_is_strict(self, trained, tmp_path):
+        # NaN and Infinity are not JSON: strict readers (jq, JSON.parse)
+        # refuse them, so no stage may write one; the fixed-angle schedule
+        # has no expectation and says so with null
+        def refuse(constant):
+            raise ValueError(f"non-JSON constant {constant}")
+
+        cfg = write_cfg(tmp_path)
+        run = shutil.copytree(trained, tmp_path / "run")
+        for stage in ("run-chains", "run-baselines", "metrics"):
+            assert main([stage, "--config", cfg, "--out", str(run)]) == EXIT_OK
+        paths = sorted(run.rglob("*.json"))
+        assert {p.parent.name for p in paths} >= {
+            "run", "instances", "schedules", "nets", "qaoa-nmc", "pt-icm", "walksat"}
+        for path in paths:
+            json.loads(path.read_text(), parse_constant=refuse)
+        fixed = json.loads((run / "schedules" / "fixed_angles.json").read_text())
+        assert fixed["expectation"] is None
 
 
 class TestSmallExperiments:

@@ -18,16 +18,7 @@ from fairmc.ising import (
 )
 from fairmc.sat import ALPHA_C, generate_instance, to_ising
 
-
-def random_model(rng, n, max_order=3, n_terms=None, integer=True):
-    n_terms = n_terms or 2 * n
-    terms = []
-    for _ in range(n_terms):
-        order = rng.integers(1, max_order + 1)
-        sites = sorted(rng.choice(n, size=order, replace=False).tolist())
-        coeff = float(rng.choice([-1, 1])) if integer else float(rng.normal())
-        terms.append((sites, coeff))
-    return IsingModel.from_terms(n, terms)
+from random_inputs import random_model
 
 
 def energy_scalar_loop(model, config):
@@ -52,6 +43,11 @@ class TestSpinConfig:
             assert (1 - 2 * bit_rows(c.bits, n)).tolist() == spins
             assert SpinConfig.from_bitstring(c.to_bitstring()) == c
 
+    @pytest.mark.parametrize("s", ["0120", "01a", "", " 01", "0_1", "+1", "1\n"])
+    def test_bitstring_of_other_characters_refused(self, s):
+        with pytest.raises(ValueError):
+            SpinConfig.from_bitstring(s)
+
     def test_convention_bit1_is_spin_down(self):
         c = SpinConfig(0b101, 3)
         assert (1 - 2 * bit_rows(c.bits, 3)).tolist() == [-1, 1, -1]
@@ -63,7 +59,7 @@ class TestSpinConfig:
         assert rows.shape == (4, 64) and rows.dtype == np.float64
         for v, row in zip(z, rows):
             np.testing.assert_array_equal(row, bit_rows(int(v), 64))
-            assert SpinConfig.from_bits(row.astype(int).tolist()).bits == int(v)
+            assert SpinConfig.from_bitstring("".join(map(str, row.astype(int)))).bits == int(v)
 
 
 class TestEnergy:
@@ -78,7 +74,7 @@ class TestEnergy:
 
     def test_matches_scalar_loop_oracle_all_configs(self):
         rng = np.random.default_rng(1)
-        m = random_model(rng, 5, max_order=3)
+        m = random_model(rng, 5, n_terms=10, max_order=3)
         for z in range(32):
             c = SpinConfig(z, 5)
             assert energy_of_bits(m, c.bits) == pytest.approx(energy_scalar_loop(m, c), abs=1e-12)
@@ -93,14 +89,14 @@ class TestEnergy:
 
     def test_basis_energies_match_pointwise(self):
         rng = np.random.default_rng(2)
-        m = random_model(rng, 6, integer=False)
+        m = random_model(rng, 6, n_terms=12, max_order=3, integer=False)
         e = basis_energies(m)
         for z in range(64):
             assert e[z] == pytest.approx(energy_of_bits(m, z), abs=1e-12)
 
     @pytest.mark.parametrize("integer", [True, False])
     def test_energy_levels_index_back_to_basis_energies(self, integer):
-        m = random_model(np.random.default_rng(9), 8, integer=integer)
+        m = random_model(np.random.default_rng(9), 8, n_terms=16, max_order=3, integer=integer)
         e = basis_energies(m)
         levels, idx = energy_levels(m)
         assert np.array_equal(levels[idx], e)
@@ -128,7 +124,7 @@ class TestEnergy:
         # a table is 2^n * 8 B, so the caches keep only the last few models
         rng = np.random.default_rng(12)
         for _ in range(10):
-            energy_levels(random_model(rng, 8, integer=False))
+            energy_levels(random_model(rng, 8, n_terms=16, max_order=3, integer=False))
         assert basis_energies.cache_info().currsize <= 8
         assert energy_levels.cache_info().currsize <= 8
 
@@ -148,7 +144,7 @@ class TestBoltzmannWeight:
 
     def test_weight_ratio_identity(self):
         rng = np.random.default_rng(4)
-        m = random_model(rng, 6, integer=False)
+        m = random_model(rng, 6, n_terms=12, max_order=3, integer=False)
         beta = 0.8
         p = boltzmann(m, beta)
         for _ in range(20):
@@ -181,7 +177,7 @@ class TestGroundStates:
     def test_states_sorted_and_attain_minimum(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
-            m = random_model(rng, 7)
+            m = random_model(rng, 7, n_terms=14, max_order=3)
             emin, states = ground_states_bruteforce(m)
             assert states, "ground manifold is never empty"
             bits = [s.bits for s in states]
@@ -234,7 +230,7 @@ class TestInvariants:
 
     def test_hash_and_equality_are_those_of_the_fields(self):
         rng = np.random.default_rng(9)
-        m = random_model(rng, 6, integer=False)
+        m = random_model(rng, 6, n_terms=12, max_order=3, integer=False)
         twin = IsingModel.from_terms(6, [(t.sites, t.coeff) for t in reversed(m.terms)])
         assert twin == m and twin is not m
         assert hash(m) == hash(twin) == hash((m.n_sites, m.terms, m.offset))

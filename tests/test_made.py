@@ -22,19 +22,13 @@ from fairmc.made import (
     training_digest,
 )
 
+from random_inputs import random_net
+
 
 def zero_net(n):
     net = MadeNetwork(n, rng=np.random.default_rng(0))
     net.weights = [np.zeros_like(w) for w in net.weights]
     net.biases = [np.zeros_like(b) for b in net.biases]
-    return net
-
-
-def random_net(n, seed=0, scale=1.0):
-    net = MadeNetwork(n, rng=np.random.default_rng(seed))
-    rng = np.random.default_rng(seed + 1)
-    net.weights = [w + scale * rng.normal(size=w.shape) * 0.3 for w in net.weights]
-    net.biases = [rng.normal(size=b.shape) * 0.3 for b in net.biases]
     return net
 
 
@@ -54,7 +48,7 @@ class TestLogProb:
 
     def test_probability_floor(self):
         # clamping guarantees every state is proposable
-        net = random_net(6, scale=30.0)  # drive conditionals into the clamp
+        net = random_net(6, scale=9.0, bias_scale=0.3)  # drive conditionals into the clamp
         probs = exact_probabilities(net)
         assert probs.min() >= EPS**6 * 0.99
 
@@ -159,7 +153,7 @@ class TestTrain:
         assert final <= curve[0] + 1e-9
 
     def test_gradient_check_finite_differences(self):
-        net = random_net(3, seed=10, scale=0.5)
+        net = random_net(3, seed=10, scale=0.15, bias_scale=0.3)
         rng = np.random.default_rng(11)
         batch = (rng.random((16, 3)) > 0.5).astype(float)
         assert made._gradient_error(net, batch) < 1e-4

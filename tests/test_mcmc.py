@@ -17,7 +17,7 @@ from fairmc.ising import (
     basis_energies,
     energy_of_bits,
 )
-from fairmc.made import EPS, MadeNetwork, exact_probabilities
+from fairmc.made import EPS, exact_probabilities
 from fairmc.mcmc import (
     MADE_BLOCK,
     HybridUpdate,
@@ -29,23 +29,7 @@ from fairmc.mcmc import (
 from fairmc.qsim import basis_state, evolve_fixed, measure_distribution
 from fairmc.sat import ALPHA_C, generate_instance, to_ising
 
-
-def random_model(rng, n, n_terms=8, integer=True, max_order=2):
-    terms = []
-    for _ in range(n_terms):
-        order = int(rng.integers(1, max_order + 1))
-        sites = sorted(rng.choice(n, size=order, replace=False).tolist())
-        coeff = float(rng.choice([-1, 1])) if integer else float(rng.normal())
-        terms.append((sites, coeff))
-    return IsingModel.from_terms(n, terms)
-
-
-def random_net(n, seed=0, scale=0.3):
-    net = MadeNetwork(n, rng=np.random.default_rng(seed))
-    rng = np.random.default_rng(seed + 1)
-    net.weights = [w + rng.normal(size=w.shape) * scale for w in net.weights]
-    net.biases = [rng.normal(size=b.shape) * scale for b in net.biases]
-    return net
+from random_inputs import random_model, random_net
 
 
 class FlipKernel:
@@ -56,7 +40,7 @@ class FlipKernel:
     def __init__(self, site):
         self.site = site
 
-    def propose(self, bits, rng):
+    def propose(self, model, bits, rng):
         return bits ^ (1 << self.site)
 
 
@@ -356,7 +340,7 @@ class TestTableSweep:
         m = IsingModel.from_terms(25, [((i, i + 1), 1.0) for i in range(24)])
         net = random_net(25, seed=66)
         updates = [MadeKernel(net), HybridUpdate(net)] if neural else [SsfSweepUpdate(),
-                                                                      QeKernel(m)]
+                                                                      QeKernel()]
         for update in updates:
             with pytest.raises(CapacityError):
                 run_chain(m, Temperature(1.0), update, 5, rng_seed=67)
@@ -366,7 +350,7 @@ class TestQeKernel:
     def test_zero_time_self_proposal(self, monkeypatch):
         monkeypatch.setattr(mcmc, "QE_TIME_RANGE", (0.0, 0.0))
         m = random_model(np.random.default_rng(17), 3)
-        assert QeKernel(m).propose(5, random.Random(18)) == 5
+        assert QeKernel().propose(m, 5, random.Random(18)) == 5
 
     def test_proposal_distribution_symmetric_fixed_draw(self):
         m = random_model(np.random.default_rng(19), 4)
@@ -385,13 +369,13 @@ class TestQeKernel:
         w, t = 0.4, 6.5
         monkeypatch.setattr(mcmc, "QE_DRIVER_WEIGHT_RANGE", (w, w))
         monkeypatch.setattr(mcmc, "QE_TIME_RANGE", (t, t))
-        kernel = QeKernel(m)
+        kernel = QeKernel()
         q = qe_proposal_matrix(m, w, t)
         for z in range(16):
             upper = np.cumsum(q[z])
             for zp in np.flatnonzero(q[z] > 1e-9):
                 u = upper[zp] - q[z, zp] / 2  # inside zp's interval of [0, 1)
-                assert kernel.propose(z, ScriptedRng([0.3, 0.9, u])) == zp
+                assert kernel.propose(m, z, ScriptedRng([0.3, 0.9, u])) == zp
         beta = 0.8
         p = mh_matrix(m, beta, q)
         pi = boltzmann(m, beta)
@@ -402,14 +386,14 @@ class TestQeKernel:
     def test_chain_matches_boltzmann(self):
         m = random_model(np.random.default_rng(70), 3)
         beta = 0.7
-        trace = run_chain(m, Temperature(beta), QeKernel(m), 20_000, rng_seed=71)
+        trace = run_chain(m, Temperature(beta), QeKernel(), 20_000, rng_seed=71)
         freq = np.bincount(trace.states.astype(int), minlength=8) / len(trace)
         assert 0.5 * np.abs(freq - boltzmann(m, beta)).sum() < 0.02
 
     def test_chain_visits_ground_states(self):
         m = IsingModel.from_terms(3, [((0, 1), -1.0), ((1, 2), -1.0)])
         trace = run_chain(
-            m, Temperature(10.0), QeKernel(m), 300, rng_seed=20
+            m, Temperature(10.0), QeKernel(), 300, rng_seed=20
         )
         visited = set(trace.states.astype(int).tolist())
         assert {0b000, 0b111} <= visited  # both ferromagnetic ground states
@@ -417,8 +401,32 @@ class TestQeKernel:
     def test_pinned_trace(self):
         # captured when each candidate's energy came from energy_of_bits
         m = load_fixture(SIXFOLD_FIXTURE)
-        trace = run_chain(m, Temperature(2.0), QeKernel(m), 300, rng_seed=75)
+        trace = run_chain(m, Temperature(2.0), QeKernel(), 300, rng_seed=75)
         assert trace_digest(trace) == "82425fd3d3b3157c"
+
+    @pytest.mark.parametrize("other", ["six_sites", "five_site_fourfold"])
+    def test_proposes_from_the_chain_model(self, monkeypatch, other):
+        # the kernel holds no model: one kernel run on a five-site fixture
+        # and then on another model, of another size or the same, evolves
+        # each chain's own model and no other
+        first = load_fixture(SIXFOLD_FIXTURE)
+        second = (random_model(np.random.default_rng(76), 6) if other == "six_sites"
+                  else load_fixture(other))
+        evolved = []
+
+        def spy(state, model, w, t):
+            evolved.append(model)
+            return evolve_fixed(state, model, w, t)
+
+        monkeypatch.setattr(mcmc, "evolve_fixed", spy)
+        kernel = QeKernel()
+        for m in (first, second):
+            evolved.clear()
+            trace = run_chain(m, Temperature(2.0), kernel, 40, rng_seed=77)
+            assert len(evolved) == 40 and all(e is m for e in evolved)
+            assert_energies_exact(trace, m)
+        if other == "six_sites":
+            assert trace.states.max() >= 32  # site 5 of the second model flipped
 
 
 class TestHybrid:

@@ -23,15 +23,7 @@ from fairmc.qaoa import (
 from fairmc.qsim import run_qaoa
 from fairmc.sat import generate_instance
 
-
-def random_model(rng, n, n_terms=8, integer=False, max_order=2):
-    terms = []
-    for _ in range(n_terms):
-        order = int(rng.integers(1, min(max_order, n) + 1))
-        sites = sorted(rng.choice(n, size=order, replace=False).tolist())
-        coeff = float(rng.choice([-1.0, 1.0])) if integer else float(rng.normal())
-        terms.append((sites, coeff))
-    return IsingModel.from_terms(n, terms)
+from random_inputs import random_model
 
 
 def central_diff(fun, x, h=1e-6):
@@ -94,13 +86,13 @@ class TestExpand:
 class TestExpectation:
     def test_zero_angles_is_mean_energy(self):
         rng = np.random.default_rng(0)
-        m = random_model(rng, 4)
+        m = random_model(rng, 4, integer=False)
         val = expectation(m, QaoaParams((0.0,), (0.0,)))
         assert val == pytest.approx(basis_energies(m).mean(), abs=1e-12)
 
     def test_bounded_below_by_minimum(self):
         rng = np.random.default_rng(1)
-        m = random_model(rng, 4)
+        m = random_model(rng, 4, integer=False)
         emin = basis_energies(m).min()
         for _ in range(10):
             params = QaoaParams(tuple(rng.normal(size=3)), tuple(rng.normal(size=3)))
@@ -108,7 +100,7 @@ class TestExpectation:
 
     def test_matches_dense_matvec_oracle(self):
         rng = np.random.default_rng(2)
-        m = random_model(rng, 4)
+        m = random_model(rng, 4, integer=False)
         params = QaoaParams(tuple(rng.normal(size=2)), tuple(rng.normal(size=2)))
         psi = run_qaoa(m, params.gammas, params.betas).amplitudes
         h = np.diag(basis_energies(m))
@@ -117,7 +109,7 @@ class TestExpectation:
 
     def test_offset_shifts_value_exactly(self):
         rng = np.random.default_rng(3)
-        m = random_model(rng, 4)
+        m = random_model(rng, 4, integer=False)
         shifted = IsingModel(m.n_sites, m.terms, m.offset + 2.5)
         params = QaoaParams(tuple(rng.normal(size=2)), tuple(rng.normal(size=2)))
         assert expectation(shifted, params) == pytest.approx(
@@ -154,13 +146,13 @@ class TestAdjointGradient:
     def test_one_circuit_per_evaluation(self, monkeypatch):
         calls = []
         monkeypatch.setattr(qaoa, "run_qaoa", lambda *a: calls.append(a) or run_qaoa(*a))
-        m = random_model(np.random.default_rng(120), 4)
+        m = random_model(np.random.default_rng(120), 4, integer=False)
         expectation_and_gradient(m, QaoaParams((0.3, -0.2), (0.5, 0.1)))
         assert len(calls) == 1
 
     def test_gamma_gradient_vanishes_without_mixer(self):
         # at beta = 0 the phase layer leaves every |amplitude| uniform
-        m = random_model(np.random.default_rng(121), 4)
+        m = random_model(np.random.default_rng(121), 4, integer=False)
         _, d_gamma, _ = expectation_and_gradient(m, QaoaParams((0.7,), (0.0,)))
         assert d_gamma[0] == pytest.approx(0.0, abs=1e-12)
 
@@ -183,7 +175,7 @@ class TestOptimize:
         assert expectation(m, expand(schedule, 2)) < baseline
 
     def test_never_worse_than_multistart_initials(self):
-        m = random_model(np.random.default_rng(7), 4)
+        m = random_model(np.random.default_rng(7), 4, integer=False)
         rng = np.random.default_rng(8)
         # replay the start points the optimizer will draw
         rng_replay = np.random.default_rng(8)
@@ -196,7 +188,7 @@ class TestOptimize:
         assert expectation(m, expand(schedule, 3)) <= min(initials) + 1e-12
 
     def test_beats_random_search_oracle(self):
-        m = random_model(np.random.default_rng(9), 4)
+        m = random_model(np.random.default_rng(9), 4, integer=False)
         schedule = optimize(m, p=3, starts=5, rng=np.random.default_rng(10))
         opt_val = expectation(m, expand(schedule, 3))
         rng = np.random.default_rng(11)
@@ -207,13 +199,13 @@ class TestOptimize:
         assert opt_val <= min(random_vals) + 1e-9
 
     def test_free_optimization_canonical_sign(self):
-        m = random_model(np.random.default_rng(12), 3)
+        m = random_model(np.random.default_rng(12), 3, integer=False)
         params = optimize_free(m, p=2, starts=3, rng=np.random.default_rng(13))
         assert effective_time(params) >= 0.0
 
     @pytest.mark.parametrize("seed", range(6))
     def test_linear_schedule_canonical_sign(self, seed):
-        m = random_model(np.random.default_rng(14 + seed), 3)
+        m = random_model(np.random.default_rng(14 + seed), 3, integer=False)
         schedule = optimize(m, p=3, starts=2, rng=np.random.default_rng(seed))
         assert effective_time(expand(schedule, 3)) >= 0.0
 

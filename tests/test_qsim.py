@@ -41,13 +41,7 @@ from fairmc.qsim import (
 )
 from fairmc.sat import generate_instance
 
-def random_model(rng, n, n_terms=8):
-    terms = []
-    for _ in range(n_terms):
-        order = int(rng.integers(1, 3))
-        sites = sorted(rng.choice(n, size=order, replace=False).tolist())
-        terms.append((sites, float(rng.normal())))
-    return IsingModel.from_terms(n, terms)
+from random_inputs import random_model
 
 
 def random_state(rng, n):
@@ -77,7 +71,7 @@ def eigh_cf4(model, schedule, n_steps):
 class TestPhaseLayer:
     def test_gamma_zero_identity(self):
         s = uniform_state(3)
-        m = random_model(np.random.default_rng(0), 3)
+        m = random_model(np.random.default_rng(0), 3, integer=False)
         out = apply_phase_layer(s, m, 0.0)
         np.testing.assert_array_equal(out.amplitudes, s.amplitudes)
 
@@ -89,7 +83,7 @@ class TestPhaseLayer:
 
     def test_matches_expm_oracle(self):
         rng = np.random.default_rng(1)
-        m = random_model(rng, 3)
+        m = random_model(rng, 3, integer=False)
         s = random_state(rng, 3)
         gamma = 0.83
         expected = expm(-1j * gamma * dense_problem(m)) @ s.amplitudes
@@ -163,24 +157,24 @@ class TestMixerLayer:
 
 class TestRunQaoa:
     def test_zero_angles_uniform(self):
-        m = random_model(np.random.default_rng(3), 4)
+        m = random_model(np.random.default_rng(3), 4, integer=False)
         out = run_qaoa(m, [0.0], [0.0])
         np.testing.assert_allclose(out.probabilities(), np.full(16, 1 / 16), atol=1e-12)
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(4)
-        m = random_model(rng, 4)
+        m = random_model(rng, 4, integer=False)
         out = run_qaoa(m, rng.normal(size=3), rng.normal(size=3))
         assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-9
 
     def test_empty_params_rejected(self):
-        m = random_model(np.random.default_rng(5), 2)
+        m = random_model(np.random.default_rng(5), 2, integer=False)
         with pytest.raises(ValueError):
             run_qaoa(m, [], [])
 
     def test_matches_unitary_product_oracle(self):
         rng = np.random.default_rng(6)
-        m = random_model(rng, 4)
+        m = random_model(rng, 4, integer=False)
         gammas, betas = rng.normal(size=2), rng.normal(size=2)
         u = np.eye(16, dtype=complex)
         for g, b in zip(gammas, betas):
@@ -193,14 +187,14 @@ class TestRunQaoa:
 class TestEvolveFixed:
     def test_time_zero_identity(self):
         rng = np.random.default_rng(7)
-        m = random_model(rng, 3)
+        m = random_model(rng, 3, integer=False)
         s = random_state(rng, 3)
         out = evolve_fixed(s, m, 0.4, 0.0)
         np.testing.assert_array_equal(out.amplitudes, s.amplitudes)
 
     def test_matches_expm_oracle(self):
         rng = np.random.default_rng(8)
-        m = random_model(rng, 3)
+        m = random_model(rng, 3, integer=False)
         s = random_state(rng, 3)
         w, t = 0.45, 1.7
         alpha = problem_norm_ratio(m)
@@ -211,7 +205,7 @@ class TestEvolveFixed:
 
     def test_proposal_magnitudes_symmetric(self):
         # the proposal needs |U_zz'| == |U_z'z|
-        m = random_model(np.random.default_rng(9), 4)
+        m = random_model(np.random.default_rng(9), 4, integer=False)
         cols = []
         for z in range(16):
             out = evolve_fixed(basis_state(4, z), m, 0.5, 3.0)
@@ -220,12 +214,12 @@ class TestEvolveFixed:
         np.testing.assert_allclose(np.abs(u), np.abs(u.T), atol=1e-8)
 
     def test_rejects_nonfinite_time(self):
-        m = random_model(np.random.default_rng(10), 2)
+        m = random_model(np.random.default_rng(10), 2, integer=False)
         with pytest.raises(ValueError):
             evolve_fixed(uniform_state(2), m, 0.5, float("nan"))
 
     def test_rejects_state_of_other_size(self):
-        m = random_model(np.random.default_rng(41), 3)
+        m = random_model(np.random.default_rng(41), 3, integer=False)
         with pytest.raises(DimensionError):
             evolve_fixed(uniform_state(4), m, 0.5, 1.0)
 
@@ -233,7 +227,7 @@ class TestEvolveFixed:
     def test_dense_path_exact(self, n):
         # up to qsim._DENSE_MAX the propagator is exp(-iHt) itself
         rng = np.random.default_rng(42 + n)
-        m = random_model(rng, n, n_terms=2 * n)
+        m = random_model(rng, n, n_terms=2 * n, integer=False)
         s = random_state(rng, n)
         w, t = 0.35, 7.3
         h = (1 - w) * problem_norm_ratio(m) * dense_problem(m) + w * dense_driver(n)
@@ -244,7 +238,7 @@ class TestEvolveFixed:
     def test_dense_proposal_symmetric_over_qe_ranges(self):
         # |U| = |U^T| for (w, t) drawn as the QE kernel draws them
         rng = np.random.default_rng(52)
-        m = random_model(rng, 5, n_terms=10)
+        m = random_model(rng, 5, n_terms=10, integer=False)
         for _ in range(5):
             w = rng.uniform(*mcmc.QE_DRIVER_WEIGHT_RANGE)
             t = rng.uniform(*mcmc.QE_TIME_RANGE)
@@ -255,12 +249,12 @@ class TestEvolveFixed:
 
 class TestRunAnnealing:
     def test_zero_time_is_uniform(self):
-        m = random_model(np.random.default_rng(11), 3)
+        m = random_model(np.random.default_rng(11), 3, integer=False)
         out = run_annealing(m, linear_schedule(0.0))
         np.testing.assert_allclose(out.probabilities(), np.full(8, 1 / 8), atol=1e-12)
 
     def test_pure_problem_hamiltonian_keeps_probabilities(self):
-        m = random_model(np.random.default_rng(12), 3)
+        m = random_model(np.random.default_rng(12), 3, integer=False)
         sched = AnnealSchedule(2.0, lambda s: 0.0, lambda s: 1.0)
         out = run_annealing(m, sched)
         np.testing.assert_allclose(out.probabilities(), np.full(8, 1 / 8), atol=1e-9)
@@ -268,7 +262,7 @@ class TestRunAnnealing:
     def test_matches_expm_for_constant_hamiltonian(self):
         # constant A=B=1/2 makes the exact propagator a matrix exponential
         rng = np.random.default_rng(13)
-        m = random_model(rng, 3)
+        m = random_model(rng, 3, integer=False)
         sched = AnnealSchedule(1.5, lambda s: 0.5, lambda s: 0.5)
         h = 0.5 * dense_driver(3) + 0.5 * dense_problem(m)
         expected = expm(-1j * 1.5 * h) @ uniform_state(3).amplitudes
@@ -276,21 +270,21 @@ class TestRunAnnealing:
         np.testing.assert_allclose(out.amplitudes, expected, atol=1e-7)
 
     def test_step_halving_consistency(self):
-        m = random_model(np.random.default_rng(14), 5)
+        m = random_model(np.random.default_rng(14), 5, integer=False)
         coarse = _anneal_cf4(m, linear_schedule(5.0), 500)  # dt = 0.01
         fine = _anneal_cf4(m, linear_schedule(5.0), 1000)
         tvd = 0.5 * np.abs(np.abs(coarse) ** 2 - np.abs(fine) ** 2).sum()
         assert tvd < 1e-6
 
     def test_norm_is_one(self):
-        m = random_model(np.random.default_rng(15), 4)
+        m = random_model(np.random.default_rng(15), 4, integer=False)
         out = run_annealing(m, linear_schedule(3.0))
         assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-9
 
     @pytest.mark.parametrize("n", [3, 9])
     @pytest.mark.parametrize("total_time", [-5.0, float("nan"), float("inf"), float("-inf")])
     def test_rejects_bad_total_time(self, n, total_time):
-        m = random_model(np.random.default_rng(60), n)
+        m = random_model(np.random.default_rng(60), n, integer=False)
         with pytest.raises(ValueError):
             run_annealing(m, linear_schedule(total_time))
 
@@ -308,7 +302,7 @@ class TestRunAnnealing:
     def test_cf4_fourth_order(self):
         # halving the step divides a 4th-order error by about 16; a 2nd-order
         # scheme (such as CF4 with its two exponentials swapped) by about 4
-        m = random_model(np.random.default_rng(62), 4)
+        m = random_model(np.random.default_rng(62), 4, integer=False)
         sched = linear_schedule(4.0)
         ref = _anneal_cf4(m, sched, 1024)  # dt = 1/256
         errs = [np.linalg.norm(_anneal_cf4(m, sched, n_steps) - ref)
@@ -319,7 +313,7 @@ class TestRunAnnealing:
     def test_dense_constant_hamiltonian_exact_at_dense_max(self):
         # CF4 steps are exact exponentials, so a constant H leaves no step error
         rng = np.random.default_rng(63)
-        m = random_model(rng, 7, n_terms=14)
+        m = random_model(rng, 7, n_terms=14, integer=False)
         sched = AnnealSchedule(2.5, lambda s: 0.6, lambda s: 0.4)
         h = 0.6 * dense_driver(7) + 0.4 * dense_problem(m)
         expected = expm(-1j * 2.5 * h) @ uniform_state(7).amplitudes
@@ -345,7 +339,8 @@ class TestRunAnnealing:
         # steps, which keeps the eigh oracle cheap at n = 7 and takes 6-14
         # applications at T = 1000 and, from n = 4, 2 at T = 20
         if isinstance(model, int):
-            model = random_model(np.random.default_rng(70 + model), model, n_terms=model)
+            model = random_model(np.random.default_rng(70 + model), model, n_terms=model,
+                                 integer=False)
             n_steps = math.ceil(8 * math.sqrt(total_time))
         else:
             model = load_fixture(model)
@@ -364,13 +359,13 @@ class TestRunAnnealing:
 
 def test_capacity_above_dense_max():
     # time evolution is dense only, up to qsim._DENSE_MAX = 7 sites
-    m = random_model(np.random.default_rng(65), 8, n_terms=16)
+    m = random_model(np.random.default_rng(65), 8, n_terms=16, integer=False)
     with pytest.raises(CapacityError):
         evolve_fixed(uniform_state(8), m, 0.5, 1.0)
     with pytest.raises(CapacityError):
         run_annealing(m, linear_schedule(1.0))
     with pytest.raises(CapacityError):
-        run_chain(m, Temperature(1.0), QeKernel(m), 1, rng_seed=66)
+        run_chain(m, Temperature(1.0), QeKernel(), 1, rng_seed=66)
     # the input checks come first
     with pytest.raises(ValueError, match="anneal time"):
         run_annealing(m, linear_schedule(-1.0))
@@ -405,7 +400,7 @@ class TestMeasurement:
 
     def test_sampling_frequencies_chi2(self):
         rng = np.random.default_rng(17)
-        m = random_model(rng, 4)
+        m = random_model(rng, 4, integer=False)
         state = run_qaoa(m, [0.4, 0.2], [0.3, 0.5])
         probs = measure_distribution(state)
         draws = sample(state, 100_000, rng)

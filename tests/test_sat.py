@@ -59,7 +59,8 @@ class TestEvalClause:
             counts = unsatisfied_counts_all(CnfFormula(5, (c,)))
             for bits in itertools.product([0, 1], repeat=5):
                 satisfied = any((bits[abs(lit) - 1] == 1) == (lit > 0) for lit in c)
-                assert counts[SpinConfig.from_bits(bits).bits] == int(not satisfied)
+                z = SpinConfig.from_bitstring("".join(map(str, bits))).bits
+                assert counts[z] == int(not satisfied)
 
     def test_out_of_range_variable(self):
         with pytest.raises(ValueError, match=r"1\.\.2"):
@@ -69,7 +70,7 @@ class TestEvalClause:
 class TestCountUnsatisfied:
     def test_satisfying_assignment(self):
         f = CnfFormula(2, ((1, 2),))
-        assert unsatisfied_counts_all(f)[SpinConfig.from_bits([1, 0]).bits] == 0
+        assert unsatisfied_counts_all(f)[SpinConfig.from_bitstring("10").bits] == 0
 
     def test_contradiction_pair_always_one(self):
         f = CnfFormula(1, ((1,), (-1,)))
