@@ -64,7 +64,6 @@ from fairmc.fileio import atomic_write
 from fairmc.fixtures import FIXTURE_NAMES, SIXFOLD_FIXTURE, load_fixture
 from fairmc.ising import (
     MAX_BRUTEFORCE_SITES,
-    IsingModel,
     Temperature,
     ground_states_bruteforce,
 )
@@ -97,7 +96,7 @@ from fairmc.qaoa import (
     schedule_from_json,
     schedule_to_json,
 )
-from fairmc.qsim import linear_schedule, measure_distribution, run_annealing, run_qaoa, sample
+from fairmc.qsim import measure_distribution, run_annealing, run_qaoa, sample
 from fairmc.sat import (
     ALPHA_C,
     build_instance_set,
@@ -143,8 +142,9 @@ class ExperimentConfig:
     `_matched_pt_rounds`.  WalkSAT: WalkSATlm with `NOISE_P` and
     `LM_WEIGHTS`.  QE-MCMC: (w, t) from `mcmc.QE_DRIVER_WEIGHT_RANGE` and
     `QE_TIME_RANGE`.  Chains: the inverse temperature `BETA`, also the top
-    of `PT_BETAS`.  Annealing: ceil(64 sqrt(T)) CF4 steps (`run_annealing`),
-    and fig2's anneal times `ANNEAL_GRID`.  Density: `ALPHA_C[k]`."""
+    of `PT_BETAS`.  Annealing: A(s) = 1 - s, B(s) = s over anneal_time T in
+    ceil(64 sqrt(T)) CF4 steps (`run_annealing`); fig2's times `ANNEAL_GRID`.
+    Density: `ALPHA_C[k]`."""
 
     kind: str
     k: int = 2
@@ -228,14 +228,19 @@ class ExperimentConfig:
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
-        try:
-            with open(path) as f:
-                data = json.load(f)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError("config must be a JSON object")
-        return cls.from_dict(data)
+        return cls.from_dict(_json_object(path))
+
+
+def _json_object(path) -> dict:
+    """The JSON object in the config file `path`, else ConfigError naming it."""
+    try:
+        with open(path) as f:
+            data = json.load(f)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"config {path} must be a JSON object")
+    return data
 
 
 def derive_seed(*parts) -> int:
@@ -247,14 +252,14 @@ def derive_seed(*parts) -> int:
 def write_resolved_config(cfg: ExperimentConfig, out: Path) -> None:
     """Write `resolved_config.json` into a new run directory.  A run directory
     holds the outputs of one config, so a resume into it with a config whose
-    resolved values differ is refused and the stored file is left as it is."""
+    resolved values differ, or whose stored file is not a JSON object, is
+    refused and the stored file is left as it is."""
     out.mkdir(parents=True, exist_ok=True)
     path = out / "resolved_config.json"
     resolved = {**asdict(cfg), "fairmc_version": fairmc.__version__}
     resolved = json.loads(json.dumps(resolved))  # tuples read back as lists
     if path.exists():
-        with open(path) as f:
-            stored = json.load(f)
+        stored = _json_object(path)
         differ = sorted(key for key in stored.keys() | resolved.keys()
                         if key not in stored or key not in resolved
                         or stored[key] != resolved[key])
@@ -311,7 +316,9 @@ def require_stage(path: Path, stage_cmd: str):
 
 @contextmanager
 def _stage_file(path: Path, stage_cmd: str):
-    """Turn a refusal of the stage file `path` into a StageError naming it."""
+    """Turn a missing stage file `path`, or a refusal of it, into a StageError
+    naming it."""
+    require_stage(path, stage_cmd)
     try:
         yield
     except (OSError, KeyError, TypeError, ValueError) as exc:
@@ -323,9 +330,7 @@ def _instances(out: Path):
     """The instance set of `out`, refused unless each entry's solutions are
     exactly its formula's, as `enumerate_solutions` lists them."""
     inst_dir = out / "instances"
-    manifest = inst_dir / "manifest.json"
-    require_stage(manifest, "gen-instances")
-    with _stage_file(manifest, "gen-instances"):
+    with _stage_file(inst_dir / "manifest.json", "gen-instances"):
         instset = load_instance_set(inst_dir)
         for i, entry in enumerate(instset.entries):
             if list(entry.solutions) != enumerate_solutions(entry.formula):
@@ -437,7 +442,6 @@ def stage_chains(cfg: ExperimentConfig, out: Path, threads: int = 1):
     tasks = []
     for i, entry in enumerate(instset.entries):
         net_path = out / "nets" / f"instance_{i:04d}.json"
-        require_stage(net_path, "train-made")
         with _stage_file(net_path, "train-made"):
             net = load_checkpoint(net_path)
             if net.n_inputs != entry.formula.n_vars:
@@ -505,11 +509,14 @@ def stage_baselines(cfg: ExperimentConfig, out: Path, threads: int = 1):
         ], threads)
 
 
-def _load_summaries(cfg: ExperimentConfig, out: Path, algo: str, instance: int) -> list[dict]:
+def _load_summaries(cfg: ExperimentConfig, out: Path, algo: str, instance: int,
+                    n_ground: int) -> list[dict]:
     """Every summary that `algo` must have for `instance`: trials
     0..trials-1, or trial 0 alone for PT-ICM.  A missing one, as a killed
     stage leaves, raises StageError instead of being pooled over; so does
-    one without a key that `stage_metrics` reads."""
+    one that `stage_metrics` cannot pool: a key missing, a trial not its
+    file's, steps_to_enumerate neither null nor a positive integer, or counts
+    not n_ground (the solution count) finite non-negative numbers."""
     stage = "run-chains" if algo in SAMPLER_ALGOS else "run-baselines"
     keys = ["trial", "seed", "steps_to_enumerate"]
     if algo != "walksat":
@@ -517,12 +524,20 @@ def _load_summaries(cfg: ExperimentConfig, out: Path, algo: str, instance: int) 
     summaries = []
     for trial in range(1 if algo == "pt-icm" else cfg.trials):
         path = _summary_path(out, algo, instance, trial)
-        require_stage(path, stage)
         with _stage_file(path, stage):
             summary = json.loads(path.read_text())
             missing = [key for key in keys if key not in summary]
             if missing:
                 raise ValueError(f"no {', '.join(missing)}")
+            if type(summary["trial"]) is not int or summary["trial"] != trial:
+                raise ValueError(f"trial {summary['trial']!r} in the file of trial {trial}")
+            steps = summary["steps_to_enumerate"]
+            if steps is not None and (type(steps) is not int or steps < 1):
+                raise ValueError(f"steps_to_enumerate {steps!r}, not null or a positive integer")
+            counts = summary.get("counts", [0] * n_ground)  # WalkSAT counts none
+            if type(counts) is not list or len(counts) != n_ground or not all(
+                    type(c) in (int, float) and 0 <= c < math.inf for c in counts):
+                raise ValueError(f"counts are not {n_ground} finite non-negative numbers")
             summaries.append(summary)
     return summaries
 
@@ -540,7 +555,7 @@ def stage_metrics(cfg: ExperimentConfig, out: Path):
         n = entry.formula.n_vars
         n_ground = len(entry.solutions)
         for algo in algos:
-            summaries = _load_summaries(cfg, out, algo, i)
+            summaries = _load_summaries(cfg, out, algo, i, n_ground)
             steps_list = []
             for s in summaries:
                 trial_rows.append(
@@ -609,7 +624,7 @@ def run_small_instances(cfg: ExperimentConfig, out: Path):
         model = load_fixture(name)
         emin, gs = ground_states_bruteforce(model)
 
-        qa_state = run_annealing(model, linear_schedule(cfg.anneal_time))
+        qa_state = run_annealing(model, cfg.anneal_time)
         qa_counts = histogram(measure_distribution(qa_state), gs)
 
         params = optimize_free(
@@ -661,7 +676,7 @@ def run_anneal_sweep(cfg: ExperimentConfig, out: Path):
     _, gs = ground_states_bruteforce(model)
     rows = []
     for t_a in ANNEAL_GRID:
-        state = run_annealing(model, linear_schedule(float(t_a)))
+        state = run_annealing(model, float(t_a))
         counts = histogram(measure_distribution(state), gs)
         rep = fairness(counts)
         for s, f in zip(gs, frequencies(counts)):
@@ -701,8 +716,12 @@ def run_validation() -> list[dict]:
     gradient and time evolution against scipy's expm, a sampling
     chi-square, the blocked QAOA mixer against expm and against the
     driver it is the exponential of, and two MADE trainings from one seed
-    that must write the same checkpoint bytes.
+    that must write the same checkpoint bytes.  The inputs are the
+    library's own: the five_site_threefold fixture, freshly built
+    `MadeNetwork`s and 2-SAT draws (`generate_instance`).
     """
+    import random
+
     from scipy import stats as scistats
     from scipy.linalg import expm
 
@@ -724,55 +743,37 @@ def run_validation() -> list[dict]:
     results = []
     rng = np.random.default_rng(20240101)
 
-    def rand_model(n, integer=True, n_terms=8):
-        terms = []
-        for _ in range(n_terms):
-            order = int(rng.integers(1, 3))
-            sites = sorted(rng.choice(n, size=order, replace=False).tolist())
-            coeff = float(rng.choice([-1, 1])) if integer else float(rng.normal())
-            terms.append((sites, coeff))
-        return IsingModel.from_terms(n, terms)
-
-    def rand_net(n):
-        net = MadeNetwork(n, rng=np.random.default_rng(7))
-        g = np.random.default_rng(8)
-        net.weights = [w + g.normal(size=w.shape) * 0.3 for w in net.weights]
-        net.biases = [g.normal(size=b.shape) * 0.3 for b in net.biases]
-        return net
-
-    # detailed balance of the neural independence sampler, N=4
-    model4 = rand_model(4)
+    # detailed balance of the neural independence sampler on a fixture, N=5
+    model = load_fixture("five_site_threefold")
+    n, dim = model.n_sites, 1 << model.n_sites
     beta = 1.3
-    pi = exact.boltzmann(model4, beta)
-    net4 = rand_net(4)
-    q = exact_probabilities(net4)
-    p = exact.mh_matrix(model4, beta, np.tile(q, (16, 1)), np.log(q))
+    pi = exact.boltzmann(model, beta)
+    q = exact_probabilities(MadeNetwork(n, rng=np.random.default_rng(7)))
+    p = exact.mh_matrix(model, beta, np.tile(q, (dim, 1)), np.log(q))
     flow = pi[:, None] * p
     db = float(np.max(np.abs(flow - flow.T)))
     results.append(_check("made_kernel_detailed_balance", db < 1e-10, f"max={db:.2e}"))
 
     # sweep stationarity via permutation-averaged site updates
-    sweep = exact.ssf_sweep_matrix(model4, beta)
+    sweep = exact.ssf_sweep_matrix(model, beta)
     stat = float(np.abs(pi @ sweep - pi).sum())
     results.append(_check("ssf_sweep_stationarity", stat < 1e-9, f"l1={stat:.2e}"))
-    hybrid = p @ sweep
-    stat_h = float(np.abs(pi @ hybrid - pi).sum())
+    stat_h = float(np.abs(pi @ (p @ sweep) - pi).sum())
     results.append(_check("hybrid_stationarity", stat_h < 1e-9, f"l1={stat_h:.2e}"))
 
     # QE kernel at a fixed (w, t) draw: symmetric acceptance, no q ratio, so
     # balance holds only if the evolved proposal is symmetric (U = U^T)
-    p_qe = exact.mh_matrix(model4, beta, exact.qe_proposal_matrix(model4, 0.4, 6.5))
+    p_qe = exact.mh_matrix(model, beta, exact.qe_proposal_matrix(model, 0.4, 6.5))
     flow = pi[:, None] * p_qe
     db_qe = float(np.max(np.abs(flow - flow.T)))
     results.append(_check("qe_kernel_detailed_balance", db_qe < 1e-12, f"max={db_qe:.2e}"))
 
     # exhaustive normalization at N=12 and a corrupted-mask negative control
-    net12 = rand_net(12)
-    total = float(exact_probabilities(net12).sum())
+    total = float(exact_probabilities(MadeNetwork(12, rng=np.random.default_rng(7))).sum())
     results.append(
         _check("made_normalization", abs(total - 1.0) < 1e-6, f"sum={total:.9f}")
     )
-    corrupted = rand_net(6)
+    corrupted = MadeNetwork(6, rng=np.random.default_rng(8))
     corrupted.masks[-1] = np.ones_like(corrupted.masks[-1])  # breaks ordering
     bad_total = float(exact_probabilities(corrupted).sum())
     results.append(
@@ -787,22 +788,15 @@ def run_validation() -> list[dict]:
     results.append(_check("made_gradient_check", worst < 1e-4, f"rel={worst:.2e}"))
 
     # clause penalty == unsatisfied count, exhaustive at N=10
-    ok_sat = True
-    for k in (2, 3):
-        f = generate_instance(10, k, ALPHA_C[k], 99 + k)
-        if not np.array_equal(
-            basis_energies(to_ising(f)), unsatisfied_counts_all(f).astype(float)
-        ):
-            ok_sat = False
+    ok_sat = all(np.array_equal(basis_energies(to_ising(f)), unsatisfied_counts_all(f))
+                 for f in (generate_instance(10, k, ALPHA_C[k], 99 + k) for k in (2, 3)))
     results.append(_check("sat_ising_equivalence", ok_sat, "k=2,3 at N=10"))
 
     # cluster-move pair-energy conservation, exact
     ok_icm = True
-    import random as pyrandom
-
-    prng = pyrandom.Random(11)
-    for _ in range(50):
-        m2 = rand_model(6)
+    prng = random.Random(11)
+    for move in range(50):
+        m2 = to_ising(generate_instance(6, 2, ALPHA_C[2], 100 + move))
         a, b = int(rng.integers(64)), int(rng.integers(64))
         cluster = houdayer_cluster(a, b, interaction_adjacency(m2), prng)
         if (energy_of_bits(m2, a ^ cluster) + energy_of_bits(m2, b ^ cluster)
@@ -810,19 +804,17 @@ def run_validation() -> list[dict]:
             ok_icm = False
     results.append(_check("icm_pair_energy_conserved", ok_icm, "50 random moves"))
 
-    # dense matrix-exponential oracles at N=3
-    m3 = rand_model(3, integer=False)
-    dim = 8
-    hd, hp = exact.dense_driver(3), exact.dense_problem(m3)
+    # dense matrix-exponential oracles on the fixture
+    hd, hp = exact.dense_driver(n), exact.dense_problem(model)
 
     def expm_qaoa(gammas, betas):
         u = np.eye(dim, dtype=complex)
         for g, b in zip(gammas, betas):
             u = expm(-1j * b * hd) @ expm(-1j * g * hp) @ u
-        return u @ uniform_state(3).amplitudes
+        return u @ uniform_state(n).amplitudes
 
     gammas, betas = [0.37, -0.21], [0.52, 0.18]
-    got = run_qaoa(m3, gammas, betas).amplitudes
+    got = run_qaoa(model, gammas, betas).amplitudes
     err_qaoa = float(np.max(np.abs(got - expm_qaoa(gammas, betas))))
     results.append(_check("qaoa_expm_oracle", err_qaoa < 1e-10, f"max={err_qaoa:.2e}"))
 
@@ -833,24 +825,25 @@ def run_validation() -> list[dict]:
 
     x, h = np.array(gammas + betas), 1e-6
     fd = [(expm_value(x + h * e) - expm_value(x - h * e)) / (2 * h) for e in np.eye(4)]
-    _, d_gamma, d_beta = expectation_and_gradient(m3, QaoaParams(tuple(gammas), tuple(betas)))
+    _, d_gamma, d_beta = expectation_and_gradient(model,
+                                                  QaoaParams(tuple(gammas), tuple(betas)))
     err_grad = float(np.max(np.abs(np.concatenate((d_gamma, d_beta)) - fd)))
     results.append(_check("qaoa_adjoint_gradient", err_grad < 1e-6, f"max={err_grad:.2e}"))
 
     w, t = 0.4, 1.3
-    alpha = problem_norm_ratio(m3)
+    alpha = problem_norm_ratio(model)
     h_mix = (1 - w) * alpha * hp + w * hd
-    psi0 = basis_state(3, 5)
+    psi0 = basis_state(n, 5)
     oracle2 = expm(-1j * t * h_mix) @ psi0.amplitudes
-    got2 = evolve_fixed(psi0, m3, w, t).amplitudes
+    got2 = evolve_fixed(psi0, model, w, t).amplitudes
     err_ev = float(np.max(np.abs(got2 - oracle2)))
     results.append(_check("evolve_expm_oracle", err_ev < 1e-7, f"max={err_ev:.2e}"))
 
     # measurement sampling chi-square
-    state = run_qaoa(model4, [0.4, 0.2], [0.3, 0.5])
+    state = run_qaoa(model, [0.4, 0.2], [0.3, 0.5])
     probs = measure_distribution(state)
     draws = sample(state, 100_000, np.random.default_rng(12))
-    counts = np.bincount((draws @ (1 << np.arange(4))).astype(np.int64), minlength=16)
+    counts = np.bincount((draws @ (1 << np.arange(n))).astype(np.int64), minlength=dim)
     _, pval = scistats.chisquare(counts, f_exp=probs * 100_000)
     results.append(_check("measurement_chi2", pval > 0.001, f"p={pval:.4f}"))
 

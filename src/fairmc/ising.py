@@ -61,9 +61,6 @@ class SpinConfig:
             raise ValueError(f"not a bitstring of 0s and 1s: {s!r}")
         return cls(int(s[::-1], 2), len(s))
 
-    def __len__(self) -> int:
-        return self.n
-
 
 def bit_rows(z, n: int) -> np.ndarray:
     """Bits x_0 .. x_{n-1} of packed states as float rows of 0s and 1s: shape

@@ -13,10 +13,10 @@ the rotation.  The array-level layers (`phase_factors`, `rotate_mixer`,
 `apply_driver`) also serve the adjoint gradient in `qaoa`.
 Time evolution under any other Hamiltonian builds the real-symmetric
 2^n x 2^n matrix H.  `evolve_fixed` diagonalises it, exp(-iHt) =
-V exp(-i Lambda t) V^T, which is exact.  `run_annealing` uses the
-fourth-order commutator-free Magnus integrator CF4 (two exponentials per
-step) and applies each exponential to the state as a truncated Taylor
-polynomial, so it needs only products of H with the state.
+V exp(-i Lambda t) V^T, which is exact.  `run_annealing` runs the linear
+anneal (1 - s) H_d + s H_P with the fourth-order commutator-free Magnus
+integrator CF4 (two exponentials per step), each applied to the state as a
+truncated Taylor polynomial, so it needs only products of H with the state.
 Both are limited to _DENSE_MAX sites and raise ising.CapacityError above it.
 
 The operations that return a StateVector (`apply_phase_layer`,
@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -77,20 +77,6 @@ class StateVector:
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
-
-
-@dataclass(frozen=True)
-class AnnealSchedule:
-    """Interpolation weights for H(t) = A(t) H_d + B(t) H_P, t in [0, T]."""
-
-    total_time: float
-    a_of: Callable[[float], float]
-    b_of: Callable[[float], float]
-
-
-def linear_schedule(total_time: float) -> AnnealSchedule:
-    """A(s) = 1 - s, B(s) = s: the standard reference schedule."""
-    return AnnealSchedule(total_time, lambda s: 1.0 - s, lambda s: s)
 
 
 def basis_state(n_qubits: int, z: int) -> StateVector:
@@ -277,8 +263,17 @@ def _taylor_split(norm: float) -> tuple[int, int]:
     return reps, degree
 
 
-def _anneal_cf4(model: IsingModel, schedule: AnnealSchedule, n_steps: int) -> np.ndarray:
-    """CF4 from the uniform state over [0, T] in n_steps equal steps.
+def _cf4_nodes(n_steps: int) -> np.ndarray:
+    """The anneal fractions s = (k + c) / n_steps at the two Gauss nodes c of
+    each of n_steps equal steps k, in order."""
+    return np.array([(k + c) / n_steps for k in range(n_steps) for c in _CF4_NODES])
+
+
+def _anneal_cf4(model: IsingModel, total_time: float, a: np.ndarray,
+                b: np.ndarray) -> np.ndarray:
+    """CF4 from the uniform state over [0, total_time] for
+    H = A H_d + B H_P, in len(a) / 2 equal steps: `a` and `b` hold A and B
+    at the nodes of `_cf4_nodes`, two per step.
 
     With H_k = H(t + c_k dt) at the Gauss nodes, one step applies
     exp(-i dt (a2 H_1 + a1 H_2)) and then exp(-i dt (a1 H_1 + a2 H_2)).
@@ -290,17 +285,9 @@ def _anneal_cf4(model: IsingModel, schedule: AnnealSchedule, n_steps: int) -> np
     exponentials, `norm`, makes each exponential ceil(norm) applications,
     with tau = dt / ceil(norm), of the polynomial whose degree
     `_taylor_split` picks.
-
-    Raises ValueError, before the first step, when a schedule weight at a
-    node is not finite.
     """
-    dt = schedule.total_time / n_steps
-    (c1, c2), (a1, a2) = _CF4_NODES, _CF4_WEIGHTS
-    nodes = [(k + c) / n_steps for k in range(n_steps) for c in (c1, c2)]
-    a = np.array([schedule.a_of(s) for s in nodes])
-    b = np.array([schedule.b_of(s) for s in nodes])
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError("anneal schedule weights must be finite")
+    dt = total_time / (len(a) // 2)
+    a1, a2 = _CF4_WEIGHTS
     # the driver and problem weight of each exponential, two per step
     mix = np.array([[a2, a1], [a1, a2]])
     drive = (a.reshape(-1, 2) @ mix.T).ravel()
@@ -328,9 +315,9 @@ def _anneal_cf4(model: IsingModel, schedule: AnnealSchedule, n_steps: int) -> np
     return powers[0].copy()
 
 
-def run_annealing(model: IsingModel, schedule: AnnealSchedule) -> StateVector:
-    """Integrate i d|psi>/dt = [A(t) H_d + B(t) H_P] |psi> from the uniform
-    superposition (the driver ground state) to t = total_time.
+def run_annealing(model: IsingModel, total_time: float) -> StateVector:
+    """Integrate i d|psi>/dt = [(1 - s) H_d + s H_P] |psi>, s = t / T, from
+    the uniform superposition (the driver ground state) to t = T = total_time.
 
     CF4, the fourth-order commutator-free Magnus integrator (Blanes & Moan
     2006), in ceil(64 sqrt(T)) equal steps (`_anneal_cf4`).  Its steps are
@@ -340,17 +327,16 @@ def run_annealing(model: IsingModel, schedule: AnnealSchedule) -> StateVector:
     most 1, and the degree is the least whose first omitted term is below
     2^-53.
 
-    Raises ValueError for a negative or non-finite total time or a
-    non-finite schedule weight, and CapacityError above _DENSE_MAX sites.
+    Raises ValueError for a negative or non-finite total time, and
+    CapacityError above _DENSE_MAX sites.
     """
-    T = schedule.total_time
-    if not (np.isfinite(T) and T >= 0.0):
-        raise ValueError(f"anneal time must be finite and non-negative, got {T}")
+    if not (np.isfinite(total_time) and total_time >= 0.0):
+        raise ValueError(f"anneal time must be finite and non-negative, got {total_time}")
     _require_dense(model.n_sites)
-    if T == 0.0:
+    if total_time == 0.0:
         return uniform_state(model.n_sites)
-    n_steps = math.ceil(64 * math.sqrt(T))
-    return StateVector(_anneal_cf4(model, schedule, n_steps), model.n_sites)
+    s = _cf4_nodes(math.ceil(64 * math.sqrt(total_time)))
+    return StateVector(_anneal_cf4(model, total_time, 1.0 - s, s), model.n_sites)
 
 
 def measure_distribution(state: StateVector) -> np.ndarray:

@@ -381,6 +381,19 @@ def tree_bytes(root):
 
 
 class TestResume:
+    @pytest.mark.parametrize("damage", ["truncated", "json_list"])
+    def test_unreadable_stored_config_refused(self, trained, tmp_path, capsys, damage):
+        run = shutil.copytree(trained, tmp_path / "run")
+        path = run / "resolved_config.json"
+        stored = path.read_text()[:40] if damage == "truncated" else '["KSAT_FAIRNESS"]'
+        path.write_text(stored)
+        code = main(["run-chains", "--config", write_cfg(tmp_path), "--out", str(run)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "resolved_config.json" in err
+        assert path.read_text() == stored
+        assert not (run / "chains").exists()
+
     def test_partial_nets_exit_2(self, trained, tmp_path, capsys):
         run = shutil.copytree(trained, tmp_path / "run")
         (run / "nets" / "instance_0001.json").unlink()
@@ -478,6 +491,17 @@ class TestResume:
         assert "instance_0001.json" in err and "'optimize-qaoa'" in err
         assert not (run / "nets").exists()
 
+    def test_missing_schedule_says_missing(self, trained, tmp_path, capsys):
+        run = shutil.copytree(trained, tmp_path / "run")
+        shutil.rmtree(run / "nets")
+        (run / "schedules" / "instance_0001.json").unlink()
+        code = main(["train-made", "--config", write_cfg(tmp_path), "--out", str(run)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "missing" in err and "instance_0001.json" in err
+        assert "run the 'optimize-qaoa' stage first" in err
+        assert not (run / "nets").exists()
+
     def test_refused_summary_exits_2(self, trained, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
         run = shutil.copytree(trained, tmp_path / "run")
@@ -506,6 +530,35 @@ class TestResume:
         path = run / "chains" / algo / "instance_0000_trial00.json"
         summary = json.loads(path.read_text())
         del summary[key]
+        path.write_text(json.dumps(summary))
+        capsys.readouterr()
+        assert main(["metrics", "--config", cfg, "--out", str(run)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        stage = "run-chains" if algo.startswith("qaoa") else "run-baselines"
+        assert f"{algo}/instance_0000_trial00.json" in err and f"'{stage}'" in err
+        assert key in err
+        assert not (run / "metrics").exists()
+
+    @pytest.mark.parametrize("algo, key, damage", [
+        ("pt-icm", "counts", lambda counts: counts[:2]),
+        ("qaoa-nmc", "counts", lambda counts: [-1.0, *counts[1:]]),
+        ("qaoa-hmc", "counts", lambda counts: [float("nan")] * len(counts)),
+        ("pt-icm", "counts", str),
+        ("walksat", "steps_to_enumerate", str),
+        ("qaoa-nmc", "steps_to_enumerate", lambda steps: 0),
+        ("qaoa-hmc", "trial", lambda trial: trial + 1),
+    ], ids=["counts_cut", "negative_count", "nan_counts", "counts_string",
+            "steps_string", "steps_zero", "other_trial"])
+    def test_summary_with_bad_value_exits_2(self, trained, tmp_path, capsys, algo, key,
+                                            damage):
+        # values metrics would pool into a wrong ratio, or fail on with a traceback
+        cfg = write_cfg(tmp_path)
+        run = shutil.copytree(trained, tmp_path / "run")
+        for ran in ("run-chains", "run-baselines"):
+            assert main([ran, "--config", cfg, "--out", str(run)]) == EXIT_OK
+        path = run / "chains" / algo / "instance_0000_trial00.json"
+        summary = json.loads(path.read_text())
+        summary[key] = damage(summary[key])
         path.write_text(json.dumps(summary))
         capsys.readouterr()
         assert main(["metrics", "--config", cfg, "--out", str(run)]) == EXIT_CONFIG
@@ -650,6 +703,11 @@ class TestSmallExperiments:
         assert len(rows) == 26
         assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == (
             "8c04920b3d6ba26c582b9abfede9157e11ef5d88e249540f8c7d5d1c61e68da3")
+        # the annealing rows, captured with the schedule-object anneal; must not change
+        rows = [r for r in text.splitlines() if r.split(",")[1] == "qa"]
+        assert len(rows) == 13
+        assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == (
+            "9f1e7c7c4538f31614f59e2cb502553fa7d66e47bbc36b0cefa7005a6ec8627d")
         assert (out / "fairness_summary.csv").exists()
 
     def test_fig2_small(self, tmp_path, monkeypatch):
@@ -661,6 +719,9 @@ class TestSmallExperiments:
         assert main(["fig2", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         lines = (out / "anneal_sweep.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 3 * 6  # header + grid points x 6 ground states
+        # captured with the schedule-object anneal; must not change
+        assert hashlib.sha256((out / "anneal_sweep.csv").read_bytes()).hexdigest() == (
+            "901b7b3e6e7ba74c381208c3d4aeb09dcb3d8ddbda7f98dcacff7ba38e55b0b9")
         marker = json.loads((out / "effective_time_marker.json").read_text())
         assert "effective_time" in marker
 

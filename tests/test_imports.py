@@ -6,6 +6,9 @@ reads or patches the name there; such a name is listed in KEPT.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -43,3 +46,16 @@ def test_kept_names_are_still_unloaded_imports():
     # an exemption that no longer applies is dropped, not left to hide a new hit
     for rel, name in KEPT:
         assert name in unloaded_imports(ROOT / rel)
+
+
+def test_experiments_import_leaves_validation_modules_unloaded():
+    # the benchmark's set-up imports fairmc.experiments and pays for all it
+    # loads; only `run_validation` needs scipy.stats and fairmc.exact, and it
+    # imports them itself
+    code = ("import sys, fairmc.experiments; "
+            "print(sorted({'scipy.stats', 'fairmc.exact'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

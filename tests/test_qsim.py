@@ -20,7 +20,6 @@ from fairmc.ising import (
 from fairmc import mcmc, qsim
 from fairmc.mcmc import QeKernel, run_chain
 from fairmc.qsim import (
-    AnnealSchedule,
     StateVector,
     _anneal_cf4,
     _taylor_split,
@@ -29,7 +28,6 @@ from fairmc.qsim import (
     apply_phase_layer,
     basis_state,
     evolve_fixed,
-    linear_schedule,
     measure_distribution,
     phase_factors,
     problem_norm_ratio,
@@ -49,17 +47,26 @@ def random_state(rng, n):
     return StateVector(amps / np.linalg.norm(amps), n)
 
 
-def eigh_cf4(model, schedule, n_steps):
+def linear_weights(n_steps):
+    """A = 1 - s and B = s at the CF4 nodes of n_steps steps, as `run_annealing`
+    weighs H_d and H_P."""
+    s = qsim._cf4_nodes(n_steps)
+    return 1.0 - s, s
+
+
+def constant_weights(n_steps, a, b):
+    """A and B held at `a` and `b` over n_steps steps: a constant H."""
+    return np.full(2 * n_steps, a), np.full(2 * n_steps, b)
+
+
+def eigh_cf4(model, total_time, a, b):
     """CF4 with one eigh per exponential: the reference that `_anneal_cf4`,
     which applies each exponential as a Taylor polynomial, is checked against."""
-    dt = schedule.total_time / n_steps
+    dt = total_time / (len(a) // 2)
     hd, hp = dense_driver(model.n_sites), basis_energies(model)
-    (c1, c2), (a1, a2) = qsim._CF4_NODES, qsim._CF4_WEIGHTS
+    a1, a2 = qsim._CF4_WEIGHTS
     psi = uniform_state(model.n_sites).amplitudes
-    for k in range(n_steps):
-        s1, s2 = (k + c1) / n_steps, (k + c2) / n_steps
-        d1, d2 = schedule.a_of(s1), schedule.a_of(s2)
-        p1, p2 = schedule.b_of(s1), schedule.b_of(s2)
+    for d1, d2, p1, p2 in zip(a[::2], a[1::2], b[::2], b[1::2]):
         for w1, w2 in ((a2, a1), (a1, a2)):
             h = (w1 * d1 + w2 * d2) * hd
             np.fill_diagonal(h, (w1 * p1 + w2 * p2) * hp)
@@ -250,35 +257,33 @@ class TestEvolveFixed:
 class TestRunAnnealing:
     def test_zero_time_is_uniform(self):
         m = random_model(np.random.default_rng(11), 3, integer=False)
-        out = run_annealing(m, linear_schedule(0.0))
+        out = run_annealing(m, 0.0)
         np.testing.assert_allclose(out.probabilities(), np.full(8, 1 / 8), atol=1e-12)
 
     def test_pure_problem_hamiltonian_keeps_probabilities(self):
         m = random_model(np.random.default_rng(12), 3, integer=False)
-        sched = AnnealSchedule(2.0, lambda s: 0.0, lambda s: 1.0)
-        out = run_annealing(m, sched)
-        np.testing.assert_allclose(out.probabilities(), np.full(8, 1 / 8), atol=1e-9)
+        out = _anneal_cf4(m, 2.0, *constant_weights(math.ceil(64 * math.sqrt(2.0)), 0.0, 1.0))
+        np.testing.assert_allclose(np.abs(out) ** 2, np.full(8, 1 / 8), atol=1e-9)
 
     def test_matches_expm_for_constant_hamiltonian(self):
         # constant A=B=1/2 makes the exact propagator a matrix exponential
         rng = np.random.default_rng(13)
         m = random_model(rng, 3, integer=False)
-        sched = AnnealSchedule(1.5, lambda s: 0.5, lambda s: 0.5)
         h = 0.5 * dense_driver(3) + 0.5 * dense_problem(m)
         expected = expm(-1j * 1.5 * h) @ uniform_state(3).amplitudes
-        out = run_annealing(m, sched)
-        np.testing.assert_allclose(out.amplitudes, expected, atol=1e-7)
+        out = _anneal_cf4(m, 1.5, *constant_weights(math.ceil(64 * math.sqrt(1.5)), 0.5, 0.5))
+        np.testing.assert_allclose(out, expected, atol=1e-7)
 
     def test_step_halving_consistency(self):
         m = random_model(np.random.default_rng(14), 5, integer=False)
-        coarse = _anneal_cf4(m, linear_schedule(5.0), 500)  # dt = 0.01
-        fine = _anneal_cf4(m, linear_schedule(5.0), 1000)
+        coarse = _anneal_cf4(m, 5.0, *linear_weights(500))  # dt = 0.01
+        fine = _anneal_cf4(m, 5.0, *linear_weights(1000))
         tvd = 0.5 * np.abs(np.abs(coarse) ** 2 - np.abs(fine) ** 2).sum()
         assert tvd < 1e-6
 
     def test_norm_is_one(self):
         m = random_model(np.random.default_rng(15), 4, integer=False)
-        out = run_annealing(m, linear_schedule(3.0))
+        out = run_annealing(m, 3.0)
         assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-9
 
     @pytest.mark.parametrize("n", [3, 9])
@@ -286,26 +291,14 @@ class TestRunAnnealing:
     def test_rejects_bad_total_time(self, n, total_time):
         m = random_model(np.random.default_rng(60), n, integer=False)
         with pytest.raises(ValueError):
-            run_annealing(m, linear_schedule(total_time))
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-    @pytest.mark.parametrize("weight", ["a_of", "b_of"])
-    @pytest.mark.parametrize("late", [False, True])
-    def test_rejects_nonfinite_schedule_weight(self, bad, weight, late):
-        # constant, or only at the nodes of the last steps
-        weights = {"a_of": lambda s: 1.0 - s, "b_of": lambda s: s}
-        weights[weight] = (lambda s: bad if s > 0.99 else s) if late else (lambda s: bad)
-        sched = AnnealSchedule(2.0, weights["a_of"], weights["b_of"])
-        with pytest.raises(ValueError, match="schedule weights"):
-            run_annealing(load_fixture("five_site_threefold"), sched)
+            run_annealing(m, total_time)
 
     def test_cf4_fourth_order(self):
         # halving the step divides a 4th-order error by about 16; a 2nd-order
         # scheme (such as CF4 with its two exponentials swapped) by about 4
         m = random_model(np.random.default_rng(62), 4, integer=False)
-        sched = linear_schedule(4.0)
-        ref = _anneal_cf4(m, sched, 1024)  # dt = 1/256
-        errs = [np.linalg.norm(_anneal_cf4(m, sched, n_steps) - ref)
+        ref = _anneal_cf4(m, 4.0, *linear_weights(1024))  # dt = 1/256
+        errs = [np.linalg.norm(_anneal_cf4(m, 4.0, *linear_weights(n_steps)) - ref)
                 for n_steps in (16, 32)]  # dt = 0.25, 0.125
         assert errs[0] > 1e-8  # above rounding, so the ratio measures the order
         assert errs[0] / errs[1] >= 12.0
@@ -314,10 +307,9 @@ class TestRunAnnealing:
         # CF4 steps are exact exponentials, so a constant H leaves no step error
         rng = np.random.default_rng(63)
         m = random_model(rng, 7, n_terms=14, integer=False)
-        sched = AnnealSchedule(2.5, lambda s: 0.6, lambda s: 0.4)
         h = 0.6 * dense_driver(7) + 0.4 * dense_problem(m)
         expected = expm(-1j * 2.5 * h) @ uniform_state(7).amplitudes
-        out = _anneal_cf4(m, sched, 5)  # dt = 0.5
+        out = _anneal_cf4(m, 2.5, *constant_weights(5, 0.6, 0.4))  # dt = 0.5
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("norm", [0.0, 1e-3, 0.25, 0.999, 1.0, 1.001, 2.5, 37.0])
@@ -345,16 +337,16 @@ class TestRunAnnealing:
         else:
             model = load_fixture(model)
             n_steps = math.ceil(64 * math.sqrt(total_time))
-        sched = linear_schedule(total_time)
-        out = _anneal_cf4(model, sched, n_steps)
-        assert np.abs(out - eigh_cf4(model, sched, n_steps)).max() <= 1e-12
+        weights = linear_weights(n_steps)
+        out = _anneal_cf4(model, total_time, *weights)
+        assert np.abs(out - eigh_cf4(model, total_time, *weights)).max() <= 1e-12
 
     def test_coarse_steps_match_eigh_oracle(self):
         # dt = 5: dt ||H||_1 is above 24, so each exponential is split into
         # 25 Taylor applications
-        model, sched = load_fixture("five_site_fourfold"), linear_schedule(100.0)
-        out = _anneal_cf4(model, sched, 20)
-        assert np.abs(out - eigh_cf4(model, sched, 20)).max() <= 1e-12
+        model, weights = load_fixture("five_site_fourfold"), linear_weights(20)
+        out = _anneal_cf4(model, 100.0, *weights)
+        assert np.abs(out - eigh_cf4(model, 100.0, *weights)).max() <= 1e-12
 
 
 def test_capacity_above_dense_max():
@@ -363,12 +355,12 @@ def test_capacity_above_dense_max():
     with pytest.raises(CapacityError):
         evolve_fixed(uniform_state(8), m, 0.5, 1.0)
     with pytest.raises(CapacityError):
-        run_annealing(m, linear_schedule(1.0))
+        run_annealing(m, 1.0)
     with pytest.raises(CapacityError):
         run_chain(m, Temperature(1.0), QeKernel(), 1, rng_seed=66)
     # the input checks come first
     with pytest.raises(ValueError, match="anneal time"):
-        run_annealing(m, linear_schedule(-1.0))
+        run_annealing(m, -1.0)
 
 
 GOLDEN = json.loads(
@@ -383,7 +375,7 @@ def test_anneal_matches_rk4_golden(fixture, total_time):
     # with fixed-step RK4 (dt = min(0.01, T/1e4)), the integrator used at
     # every size before the dense path
     golden = np.array(GOLDEN[fixture][total_time])
-    out = run_annealing(load_fixture(fixture), linear_schedule(float(total_time)))
+    out = run_annealing(load_fixture(fixture), float(total_time))
     assert 0.5 * np.abs(out.probabilities() - golden).sum() <= 1e-7
 
 
