@@ -515,8 +515,8 @@ def _load_summaries(cfg: ExperimentConfig, out: Path, algo: str, instance: int,
     0..trials-1, or trial 0 alone for PT-ICM.  A missing one, as a killed
     stage leaves, raises StageError instead of being pooled over; so does
     one that `stage_metrics` cannot pool: a key missing, a trial not its
-    file's, steps_to_enumerate neither null nor a positive integer, or counts
-    not n_ground (the solution count) finite non-negative numbers."""
+    file's, steps_to_enumerate neither null nor an int >= 0 (WalkSAT may
+    start on every solution), or counts not n_ground finite numbers >= 0."""
     stage = "run-chains" if algo in SAMPLER_ALGOS else "run-baselines"
     keys = ["trial", "seed", "steps_to_enumerate"]
     if algo != "walksat":
@@ -532,8 +532,8 @@ def _load_summaries(cfg: ExperimentConfig, out: Path, algo: str, instance: int,
             if type(summary["trial"]) is not int or summary["trial"] != trial:
                 raise ValueError(f"trial {summary['trial']!r} in the file of trial {trial}")
             steps = summary["steps_to_enumerate"]
-            if steps is not None and (type(steps) is not int or steps < 1):
-                raise ValueError(f"steps_to_enumerate {steps!r}, not null or a positive integer")
+            if steps is not None and (type(steps) is not int or steps < 0):
+                raise ValueError(f"steps_to_enumerate {steps!r}, not null or an int >= 0")
             counts = summary.get("counts", [0] * n_ground)  # WalkSAT counts none
             if type(counts) is not list or len(counts) != n_ground or not all(
                     type(c) in (int, float) and 0 <= c < math.inf for c in counts):

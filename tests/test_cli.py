@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fairmc import experiments
-from fairmc.baselines import LM_WEIGHTS, NOISE_P
+from fairmc.baselines import LM_WEIGHTS, NOISE_P, walksat_enumerate
 from fairmc.cli import EXIT_CONFIG, EXIT_OK, FIGS, load_preset, main
 from fairmc.experiments import (
     ANNEAL_GRID,
@@ -31,7 +31,7 @@ from fairmc.made import (
 from fairmc.metrics import records_from_csv
 from fairmc.qaoa import expand, schedule_from_json
 from fairmc.qsim import run_qaoa, sample
-from fairmc.sat import load_instance_set, to_ising
+from fairmc.sat import ALPHA_C, generate_instance, load_instance_set, to_ising
 
 TINY = {
     "kind": "KSAT_FAIRNESS",
@@ -545,10 +545,10 @@ class TestResume:
         ("qaoa-hmc", "counts", lambda counts: [float("nan")] * len(counts)),
         ("pt-icm", "counts", str),
         ("walksat", "steps_to_enumerate", str),
-        ("qaoa-nmc", "steps_to_enumerate", lambda steps: 0),
+        ("qaoa-nmc", "steps_to_enumerate", lambda steps: -1),
         ("qaoa-hmc", "trial", lambda trial: trial + 1),
     ], ids=["counts_cut", "negative_count", "nan_counts", "counts_string",
-            "steps_string", "steps_zero", "other_trial"])
+            "steps_string", "steps_negative", "other_trial"])
     def test_summary_with_bad_value_exits_2(self, trained, tmp_path, capsys, algo, key,
                                             damage):
         # values metrics would pool into a wrong ratio, or fail on with a traceback
@@ -567,6 +567,26 @@ class TestResume:
         assert f"{algo}/instance_0000_trial00.json" in err and f"'{stage}'" in err
         assert key in err
         assert not (run / "metrics").exists()
+
+    def test_walksat_zero_steps_measured(self, trained, tmp_path):
+        # every run of this enumeration starts on a solution not found yet
+        formula = generate_instance(3, 2, ALPHA_C[2], 0)
+        res = walksat_enumerate(formula, 2, 100, 24)
+        assert res.complete and res.flips_to_last_solution == 0
+        cfg = write_cfg(tmp_path)
+        run = shutil.copytree(trained, tmp_path / "run")
+        for ran in ("run-chains", "run-baselines"):
+            assert main([ran, "--config", cfg, "--out", str(run)]) == EXIT_OK
+        path = run / "chains" / "walksat" / "instance_0000_trial00.json"
+        summary = json.loads(path.read_text())
+        summary["steps_to_enumerate"] = 0
+        path.write_text(json.dumps(summary))
+        assert main(["metrics", "--config", cfg, "--out", str(run)]) == EXIT_OK
+        with open(run / "metrics" / "trials.csv", newline="") as f:
+            steps = [row["steps"] for row in csv.DictReader(f)
+                     if row["algorithm"] == "walksat" and row["instance"] == "0"
+                     and row["trial"] == "0"]
+        assert steps == ["0"]
 
     @pytest.mark.parametrize("damage, name", [
         ("repeated_variable", "instance_0000.cnf"),
